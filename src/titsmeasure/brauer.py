@@ -4,7 +4,10 @@ Two interchangeable backends:
 
 - ``AbstractGroup``: a finite abelian group ``Z/n_1 x ... x Z/n_k`` whose
   elements stand for Brauer classes.  Everything is enumerable, which is what
-  the verification suites need.
+  the verification suites need.  Each element has a mixed-radix index, and
+  the group object fills tables keyed by it on demand (interned class,
+  order, primes, negation, sums, p-parts), so class arithmetic is a lookup
+  and memory follows the classes actually touched.
 - ``RATIONALS`` / ``RationalClass``: Br(Q) presented by local invariants, a
   finitely supported map from places of Q to exact residues in [0,1) summing
   to 0 mod 1.  Constructed by the Hilbert-symbol layer in ``rationals``.
@@ -19,10 +22,10 @@ larger indexes (used to model unlinked quaternion pairs over other fields).
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import attrgetter, methodcaller
 from typing import Iterable, Iterator, Sequence, Union
 
 
@@ -84,12 +87,18 @@ def _same_group(a: "BrauerClass", b: "BrauerClass") -> None:
         raise GroupMismatchError(f"mixed group models: {a.group} vs {b.group}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbstractGroup:
     """Finite abelian group ⊕_i Z/orders[i] serving as a Brauer-group model.
 
     ``index_oracle`` optionally maps element coords to an asserted index;
     entries must be multiples of the class order with the same prime support.
+
+    Element ``coords`` read as a mixed-radix number (first coordinate most
+    significant) give the element's index, so index order is coordinate
+    order.  The group owns lazily filled tables keyed by index: the interned
+    class, its order, its primes, its negation, pairwise sums and p-parts.
+    Only classes that are actually touched get entries.
     """
 
     orders: tuple[int, ...]
@@ -98,7 +107,23 @@ class AbstractGroup:
     def __post_init__(self) -> None:
         if not all(isinstance(n, int) and n >= 1 for n in self.orders):
             raise ValueError(f"cyclic orders must be positive integers: {self.orders}")
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
+        orders = tuple(int(n) for n in self.orders)
+        strides = []
+        size = 1
+        for n in reversed(orders):
+            strides.append(size)
+            size *= n
+        init = object.__setattr__
+        init(self, "orders", orders)
+        init(self, "_size", size)
+        init(self, "_strides", tuple(reversed(strides)))
+        init(self, "_classes", {})  # index -> interned AbstractClass
+        init(self, "_order", {})  # index -> order of the class
+        init(self, "_primes", {})  # index -> primes dividing that order
+        init(self, "_neg", {})  # index -> class of the negation
+        init(self, "_sum", {})  # i * size + j -> class of the sum
+        init(self, "_p_parts", {})  # prime -> {index: class of the p-part}
+        init(self, "_exponent_primes", None)
         canon = []
         for coords, idx in self.index_oracle:
             cls = self.element(coords)
@@ -108,46 +133,62 @@ class AbstractGroup:
                     f"index oracle entry {idx} for {coords} incompatible with period {per}"
                 )
             canon.append((cls.coords, int(idx)))
-        object.__setattr__(self, "index_oracle", tuple(sorted(canon)))
+        oracle = tuple(sorted(canon))
+        init(self, "index_oracle", oracle)
+        init(self, "_oracle", {self.element(c).index: idx for c, idx in oracle})
+        init(self, "_hash", hash((orders, oracle)))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not AbstractGroup:
+            return NotImplemented
+        return self.orders == other.orders and self.index_oracle == other.index_oracle
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields; the tables refill on demand.
+        return (AbstractGroup, (self.orders, self.index_oracle))
 
     @property
     def kind(self) -> str:
         return "abstract"
 
     def identity(self) -> "AbstractClass":
-        return AbstractClass(self, (0,) * len(self.orders))
+        return self._at(0)
 
     def element(self, coords: Sequence[int]) -> "AbstractClass":
         if len(coords) != len(self.orders):
             raise ValueError(
                 f"expected {len(self.orders)} coordinates, got {len(coords)}"
             )
-        return AbstractClass(
-            self, tuple(int(c) % n for c, n in zip(coords, self.orders))
-        )
+        return self._at(self._index(int(c) for c in coords))
 
     def elements(self) -> Iterator["AbstractClass"]:
-        for coords in itertools.product(*(range(n) for n in self.orders)):
-            yield AbstractClass(self, coords)
+        for idx in range(self._size):
+            yield self._at(idx)
 
     @property
     def order(self) -> int:
-        return math.prod(self.orders)
+        return self._size
 
     @property
     def exponent(self) -> int:
         return math.lcm(*self.orders) if self.orders else 1
 
     def primes(self) -> tuple[int, ...]:
-        return tuple(sorted(prime_factors(self.exponent)))
+        if self._exponent_primes is None:
+            object.__setattr__(
+                self, "_exponent_primes", tuple(sorted(prime_factors(self.exponent)))
+            )
+        return self._exponent_primes
 
     def index_of(self, cls: "AbstractClass") -> int:
         if cls.group != self:
             raise GroupMismatchError("class does not belong to this group")
-        for coords, idx in self.index_oracle:
-            if coords == cls.coords:
-                return idx
-        return cls.order()
+        return self._oracle.get(cls.index) or cls.order()
 
     def to_payload(self) -> dict:
         payload: dict = {"kind": "abstract", "orders": list(self.orders)}
@@ -157,6 +198,61 @@ class AbstractGroup:
                 for coords, idx in self.index_oracle
             ]
         return payload
+
+    # -- tables -----------------------------------------------------------
+
+    def _at(self, idx: int) -> "AbstractClass":
+        """The interned class with this index."""
+        cls = self._classes.get(idx)
+        if cls is None:
+            coords = []
+            rem = idx
+            for s in self._strides:
+                c, rem = divmod(rem, s)
+                coords.append(c)
+            cls = AbstractClass._interned(self, idx, tuple(coords))
+            self._classes[idx] = cls
+        return cls
+
+    def _index(self, coords: Iterable[int]) -> int:
+        return sum((c % n) * s for c, n, s in zip(coords, self.orders, self._strides))
+
+    def _fill_order(self, idx: int) -> int:
+        coords = self._at(idx).coords
+        out = self._order[idx] = math.lcm(
+            *(n // math.gcd(n, c) for c, n in zip(coords, self.orders)), 1
+        )
+        return out
+
+    def _fill_primes(self, idx: int) -> tuple[int, ...]:
+        per = self._order.get(idx) or self._fill_order(idx)
+        out = self._primes[idx] = tuple(p for p in self.primes() if per % p == 0)
+        return out
+
+    def _fill_neg(self, idx: int) -> "AbstractClass":
+        out = self._neg[idx] = self._at(self._index(-c for c in self._at(idx).coords))
+        return out
+
+    def _fill_sum(self, i: int, j: int) -> "AbstractClass":
+        a, b = self._at(i).coords, self._at(j).coords
+        out = self._at(self._index(x + y for x, y in zip(a, b)))
+        self._sum[i * self._size + j] = self._sum[j * self._size + i] = out
+        return out
+
+    def _p_part_table(self, p: int) -> dict:
+        table = self._p_parts.get(p)
+        if table is None:
+            if not is_prime(p):
+                raise ValueError(f"not a prime: {p}")
+            table = self._p_parts[p] = {}
+        return table
+
+    def _fill_p_part(self, table: dict, p: int, idx: int) -> "AbstractClass":
+        coords = self._at(idx).coords
+        out = table[idx] = self._at(
+            self._index(_crt_p_component(c, n, p) for c, n in zip(coords, self.orders))
+        )
+        return out
 
 
 @dataclass(frozen=True)
@@ -198,54 +294,83 @@ def _crt_p_component(c: int, n: int, p: int) -> int:
     return (c * m * pow(m, -1, pa)) % n
 
 
-@dataclass(frozen=True)
 class AbstractClass:
-    group: AbstractGroup
-    coords: tuple[int, ...]
+    """An element of an ``AbstractGroup``, interned per group by its index.
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != len(self.group.orders):
-            raise ValueError("coordinate arity does not match the group")
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(int(c) % n for c, n in zip(self.coords, self.group.orders)),
-        )
+    Equality is by value (group and coords); ``order``, ``p_part``, ``+``,
+    ``-`` and hashing are lookups in the group's tables.
+    """
+
+    __slots__ = ("group", "coords", "index", "_hash")
+
+    def __new__(cls, group: AbstractGroup, coords: Sequence[int]) -> "AbstractClass":
+        return group.element(coords)
+
+    @classmethod
+    def _interned(cls, group: AbstractGroup, idx: int, coords: tuple[int, ...]):
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "group", group)
+        init(self, "coords", coords)
+        init(self, "index", idx)
+        init(self, "_hash", hash((group.orders, idx)))
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (AbstractClass, (self.group, self.coords))
+
+    def __repr__(self) -> str:
+        return f"AbstractClass(group={self.group!r}, coords={self.coords!r})"
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not AbstractClass:
+            return NotImplemented
+        return self.index == other.index and self.group == other.group
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __add__(self, other: "AbstractClass") -> "AbstractClass":
-        _same_group(self, other)
-        return AbstractClass(
-            self.group,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-        )
+        g = self.group
+        if other.group is not g:
+            _same_group(self, other)
+        out = g._sum.get(self.index * g._size + other.index)
+        return out if out is not None else g._fill_sum(self.index, other.index)
 
     def __neg__(self) -> "AbstractClass":
-        return AbstractClass(self.group, tuple(-c for c in self.coords))
+        out = self.group._neg.get(self.index)
+        return out if out is not None else self.group._fill_neg(self.index)
 
     def __sub__(self, other: "AbstractClass") -> "AbstractClass":
         return self + (-other)
 
     def __mul__(self, k: int) -> "AbstractClass":
-        return AbstractClass(self.group, tuple(k * c for c in self.coords))
+        return self.group.element(tuple(k * c for c in self.coords))
 
     __rmul__ = __mul__
 
     def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self.index == 0
 
     def order(self) -> int:
-        return math.lcm(
-            *(n // math.gcd(n, c) for c, n in zip(self.coords, self.group.orders)),
-            1,
-        )
+        out = self.group._order.get(self.index)
+        return out if out is not None else self.group._fill_order(self.index)
 
     def p_part(self, p: int) -> "AbstractClass":
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
-        return AbstractClass(
-            self.group,
-            tuple(_crt_p_component(c, n, p) for c, n in zip(self.coords, self.group.orders)),
-        )
+        g = self.group
+        table = g._p_parts.get(p)
+        if table is None:
+            table = g._p_part_table(p)
+        out = table.get(self.index)
+        return out if out is not None else g._fill_p_part(table, p, self.index)
 
     def sort_key(self):
         return self.coords
@@ -364,7 +489,24 @@ def order(c: BrauerClass) -> int:
 
 
 def class_primes(c: BrauerClass) -> tuple[int, ...]:
+    """Primes dividing the order of the class, ascending."""
+    if c.__class__ is AbstractClass:
+        g = c.group
+        out = g._primes.get(c.index)
+        return out if out is not None else g._fill_primes(c.index)
     return tuple(sorted(prime_factors(c.order())))
+
+
+_BY_INDEX = attrgetter("index")
+_BY_SORT_KEY = methodcaller("sort_key")
+
+
+def class_sort_key(group: BrauerGroup):
+    """Key function putting the classes of one group model in canonical order.
+
+    Abstract classes sort by index, which orders them as ``sort_key`` does.
+    """
+    return _BY_INDEX if group.kind == "abstract" else _BY_SORT_KEY
 
 
 def generated_subgroup(

@@ -35,6 +35,27 @@ def _need(payload: Any, key: str, context: str):
     return payload[key]
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integers only: ``true``/``false`` parse as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _need_int(payload: Any, key: str, context: str) -> int:
+    value = _need(payload, key, context)
+    if not _is_int(value):
+        raise ValueError(f"{context}: {key} must be an integer")
+    return value
+
+
+def _fraction(value: Any, context: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{context}: zero denominator in {value!r}")
+    except TypeError:
+        raise ValueError(f"{context}: not a rational number: {value!r}")
+
+
 def parse_group(payload: Any) -> BrauerGroup:
     kind = _need(payload, "kind", "group")
     if kind == "rational":
@@ -42,12 +63,14 @@ def parse_group(payload: Any) -> BrauerGroup:
     if kind != "abstract":
         raise ValueError(f"group: unknown kind {kind!r}")
     orders = _need(payload, "orders", "group")
-    if not isinstance(orders, list) or not all(isinstance(n, int) for n in orders):
+    if not isinstance(orders, list) or not all(_is_int(n) for n in orders):
         raise ValueError("group: orders must be a list of integers")
     oracle = []
     for entry in payload.get("index_oracle", []):
         coords = _need(entry, "coords", "group.index_oracle")
-        idx = _need(entry, "index", "group.index_oracle")
+        if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
+            raise ValueError("group.index_oracle: coords must be a list of integers")
+        idx = _need_int(entry, "index", "group.index_oracle")
         oracle.append((tuple(coords), idx))
     return AbstractGroup(tuple(orders), tuple(oracle))
 
@@ -55,7 +78,7 @@ def parse_group(payload: Any) -> BrauerGroup:
 def parse_class(payload: Any, group: BrauerGroup) -> BrauerClass:
     if group.kind == "abstract":
         coords = _need(payload, "coords", "class")
-        if not isinstance(coords, list) or not all(isinstance(c, int) for c in coords):
+        if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
             raise ValueError("class: coords must be a list of integers")
         return group.element(coords)
     invs = _need(payload, "invariants", "class")
@@ -63,14 +86,12 @@ def parse_class(payload: Any, group: BrauerGroup) -> BrauerClass:
     for item in invs:
         place = _need(item, "place", "class.invariants")
         inv = _need(item, "inv", "class.invariants")
-        parsed.append((place, Fraction(inv)))
+        parsed.append((place, _fraction(inv, "class.invariants")))
     return RationalClass(tuple(parsed))
 
 
 def parse_csa(payload: Any, group: BrauerGroup) -> CSA:
-    degree = _need(payload, "degree", "algebra")
-    if not isinstance(degree, int):
-        raise ValueError("algebra: degree must be an integer")
+    degree = _need_int(payload, "degree", "algebra")
     cls = parse_class(_need(payload, "class", "algebra"), group)
     return CSA(cls, degree)
 
@@ -78,11 +99,11 @@ def parse_csa(payload: Any, group: BrauerGroup) -> CSA:
 def parse_form(payload: Any) -> QuadraticForm:
     if not isinstance(payload, list) or not payload:
         raise ValueError("form: expected a nonempty array of rational strings")
-    return QuadraticForm(tuple(Fraction(str(a)) for a in payload))
+    return QuadraticForm(tuple(_fraction(str(a), "form") for a in payload))
 
 
 def parse_shadow(payload: Any, group: BrauerGroup) -> FormShadow:
-    dim = _need(payload, "dim", "shadow")
+    dim = _need_int(payload, "dim", "shadow")
     cls = parse_class(_need(payload, "clifford_class", "shadow"), group)
     return FormShadow(dim, cls, bool(payload.get("i3_zero", False)))
 
@@ -92,7 +113,7 @@ def parse_descriptor(payload: Any, group: BrauerGroup) -> VarietyDescriptor:
     if family == "severi-brauer":
         return SeveriBrauer(parse_csa(_need(payload, "alg", "variety"), group))
     if family == "grassmannian":
-        d = _need(payload, "d", "variety")
+        d = _need_int(payload, "d", "variety")
         return Grassmannian(d, parse_csa(_need(payload, "alg", "variety"), group))
     if family == "quadric":
         if "form" in payload:
@@ -106,7 +127,7 @@ def parse_descriptor(payload: Any, group: BrauerGroup) -> VarietyDescriptor:
         raise ValueError("variety: quadric needs a 'form' or a 'shadow'")
     if family == "involution":
         return Involution(
-            _need(payload, "deg", "variety"),
+            _need_int(payload, "deg", "variety"),
             parse_class(_need(payload, "alg_class", "variety"), group),
             parse_class(_need(payload, "cplus", "variety"), group),
             parse_class(_need(payload, "cminus", "variety"), group),

@@ -21,6 +21,7 @@ from .brauer import (
     BrauerGroup,
     GroupMismatchError,
     class_primes,
+    class_sort_key,
 )
 
 Term = Tuple[BrauerClass, int]
@@ -45,23 +46,24 @@ class RingElement:
     terms: tuple[Term, ...]
 
     def __post_init__(self) -> None:
-        acc: dict[BrauerClass, int] = {}
+        raw: dict[BrauerClass, int] = {}
         for c, k in self.terms:
             if c.group != self.group:
                 raise GroupMismatchError("class outside the declared group model")
             if not isinstance(k, int):
                 raise ValueError(f"coefficients must be integers, got {k!r}")
-            for b, j in _expand(c):
-                acc[b] = acc.get(b, 0) + k * j
+            raw[c] = raw.get(c, 0) + k
+        # Each distinct class is rewritten once, weighted by its coefficient.
+        acc: dict[BrauerClass, int] = {}
+        for c, k in raw.items():
+            if k:
+                for b, j in _expand(c):
+                    acc[b] = acc.get(b, 0) + k * j
+        key = class_sort_key(self.group)
         object.__setattr__(
             self,
             "terms",
-            tuple(
-                sorted(
-                    ((c, k) for c, k in acc.items() if k),
-                    key=lambda t: t[0].sort_key(),
-                )
-            ),
+            tuple(sorted(((c, k) for c, k in acc.items() if k), key=lambda t: key(t[0]))),
         )
 
     def __add__(self, other: "RingElement") -> "RingElement":
@@ -140,5 +142,8 @@ def equal(x: RingElement, y: RingElement) -> bool:
 
 
 def from_motive_sum(ms) -> RingElement:
-    """Image of a direct sum of twisted Tate motives: sum of its classes."""
-    return RingElement(ms.group, tuple((c, 1) for c in ms.classes))
+    """Image of a direct sum of twisted Tate motives: sum of its classes.
+
+    Multiplicities become coefficients, so the rank never gets expanded.
+    """
+    return RingElement(ms.group, ms.counts)

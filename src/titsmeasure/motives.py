@@ -1,56 +1,92 @@
 """Multisets of Brauer classes standing for direct sums of twisted Tate motives.
 
-A ``MotiveSum`` records, with multiplicity, the Brauer classes of the simple
-summands.  Two sums are isomorphic exactly when they have the same cardinality
-and, prime by prime, the same multiset of p-primary parts; the Tate twists
-themselves carry no information here, so they are not stored.
+A ``MotiveSum`` records the Brauer classes of the simple summands as a
+canonical sorted tuple of (class, multiplicity) pairs; ``len`` is the number
+of summands counted with multiplicity and ``classes`` is the sorted
+expansion.  Two sums are isomorphic exactly when they have the same
+cardinality and, prime by prime, the same multiset of p-primary parts; the
+Tate twists themselves carry no information here, so they are not stored.
+Every invariant walks the distinct classes weighted by multiplicity, so the
+cost follows the support, not the rank.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, prime_factors
+from .brauer import (
+    BrauerClass,
+    BrauerGroup,
+    GroupMismatchError,
+    class_primes,
+    class_sort_key,
+)
+
+Count = tuple[BrauerClass, int]
 
 
 @dataclass(frozen=True)
 class MotiveSum:
-    """A finite multiset of Brauer classes over a single group model."""
+    """A finite multiset of Brauer classes over a single group model.
+
+    ``counts`` may list a class more than once; construction merges the
+    entries, drops zero multiplicities and sorts by class.
+    """
 
     group: BrauerGroup
-    classes: tuple[BrauerClass, ...]
+    counts: tuple[Count, ...]
 
     def __post_init__(self) -> None:
-        for c in self.classes:
-            if c.group != self.group:
+        group = self.group
+        key = class_sort_key(group)
+        # Merge by canonical key: an int index for abstract classes, so no
+        # class object is hashed.
+        mult: dict = {}
+        rep: dict = {}
+        for c, k in self.counts:
+            if c.group is not group and c.group != group:
                 raise GroupMismatchError("class outside the declared group model")
-        object.__setattr__(
-            self,
-            "classes",
-            tuple(sorted(self.classes, key=lambda c: c.sort_key())),
-        )
+            if not isinstance(k, int) or k < 0:
+                raise ValueError(f"multiplicities must be non-negative integers, got {k!r}")
+            kc = key(c)
+            if kc in mult:
+                mult[kc] += k
+            else:
+                mult[kc] = k
+                rep[kc] = c
+        counts = tuple([(rep[kc], mult[kc]) for kc in sorted(mult) if mult[kc]])
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_rank", sum(mult.values()))
 
     @classmethod
     def of(cls, group: BrauerGroup, classes: Iterable[BrauerClass]) -> "MotiveSum":
-        return cls(group, tuple(classes))
+        return cls(group, tuple([(c, 1) for c in classes]))
+
+    @property
+    def classes(self) -> tuple[BrauerClass, ...]:
+        """The sorted expansion, each class repeated by its multiplicity."""
+        return tuple(c for c, k in self.counts for _ in range(k))
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return self._rank
 
     def multiplicities(self) -> Counter:
-        return Counter(self.classes)
+        return Counter(dict(self.counts))
 
     def primes(self) -> tuple[int, ...]:
         ps: set[int] = set()
-        for c in self.classes:
-            ps.update(prime_factors(c.order()))
+        for c, _ in self.counts:
+            ps.update(class_primes(c))
         return tuple(sorted(ps))
 
     def p_signature(self, p: int) -> Counter:
         """Multiset of p-primary parts of the summands."""
-        return Counter(c.p_part(p) for c in self.classes)
+        out: Counter = Counter()
+        for c, k in self.counts:
+            out[c.p_part(p)] += k
+        return out
 
     def signature(self) -> tuple:
         """Hashable invariant that decides isomorphism.
@@ -58,25 +94,24 @@ class MotiveSum:
         Cardinality plus, for each prime dividing some summand's order, the
         sorted multiset of p-parts.
         """
+        key = class_sort_key(self.group)
         parts = []
         for p in self.primes():
-            sig = tuple(
-                sorted(
-                    self.p_signature(p).items(),
-                    key=lambda kv: kv[0].sort_key(),
-                )
-            )
-            parts.append((p, sig))
-        return (len(self.classes), tuple(parts))
+            mult: dict = {}
+            rep: dict = {}
+            for c, k in self.counts:
+                q = c.p_part(p)
+                kq = key(q)
+                if kq in mult:
+                    mult[kq] += k
+                else:
+                    mult[kq] = k
+                    rep[kq] = q
+            parts.append((p, tuple([(rep[kq], mult[kq]) for kq in sorted(mult)])))
+        return (self._rank, tuple(parts))
 
     def to_payload(self) -> dict:
-        counts = self.multiplicities()
-        return {
-            "classes": [
-                {**c.to_payload(), "mult": counts[c]}
-                for c in sorted(counts, key=lambda c: c.sort_key())
-            ]
-        }
+        return {"classes": [{**c.to_payload(), "mult": k} for c, k in self.counts]}
 
 
 def _common_group(x: MotiveSum, y: MotiveSum) -> BrauerGroup:
@@ -87,13 +122,22 @@ def _common_group(x: MotiveSum, y: MotiveSum) -> BrauerGroup:
 
 def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     """Multiset union; models the direct sum of motives."""
-    return MotiveSum(_common_group(x, y), x.classes + y.classes)
+    return MotiveSum(_common_group(x, y), x.counts + y.counts)
 
 
 def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
-    """Pairwise class sums with multiplicity products; models the product."""
+    """Pairwise class sums with multiplicity products; models the product.
+
+    A convolution over the two supports: each pair of distinct classes is
+    added once and weighted by the product of multiplicities.
+    """
     group = _common_group(x, y)
-    return MotiveSum(group, tuple(a + b for a in x.classes for b in y.classes))
+    acc: dict[BrauerClass, int] = {}
+    for a, i in x.counts:
+        for b, j in y.counts:
+            s = a + b
+            acc[s] = acc.get(s, 0) + i * j
+    return MotiveSum(group, tuple(acc.items()))
 
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:

@@ -46,6 +46,14 @@ def box_weight_counts(d: int, e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _multiples(a: BrauerClass, count: int) -> list[BrauerClass]:
+    """The classes 0, a, 2a, ..., (count - 1) a."""
+    out = [a.group.identity()]
+    for _ in range(count - 1):
+        out.append(out[-1] + a)
+    return out
+
+
 @dataclass(frozen=True)
 class SeveriBrauer:
     alg: CSA
@@ -61,8 +69,12 @@ class SeveriBrauer:
         return self.alg.degree - 1
 
     def jt_classes(self) -> MotiveSum:
+        # Classes i[A] for 0 <= i < deg; ord([A]) divides deg, so each
+        # multiple of [A] occurs deg / ord([A]) times.
         a = self.alg.brauer_class
-        return MotiveSum.of(self.group, (i * a for i in range(self.alg.degree)))
+        per = a.order()
+        each = self.alg.degree // per
+        return MotiveSum(self.group, tuple((c, each) for c in _multiples(a, per)))
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,13 @@ class Grassmannian:
         return self.d * (self.alg.degree - self.d)
 
     def jt_classes(self) -> MotiveSum:
+        # Weight-w cells carry the class w[A]; fold the weights mod ord([A]).
         a = self.alg.brauer_class
-        counts = box_weight_counts(self.d, self.alg.degree - self.d)
-        classes = []
-        for w, c in enumerate(counts):
-            classes.extend([w * a] * c)
-        return MotiveSum.of(self.group, classes)
+        per = a.order()
+        folded = [0] * per
+        for w, c in enumerate(box_weight_counts(self.d, self.alg.degree - self.d)):
+            folded[w % per] += c
+        return MotiveSum(self.group, tuple(zip(_multiples(a, per), folded)))
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,7 @@ class Quadric:
         c = self.clifford_class
         zero = self.group.identity()
         copies = 2 if n % 2 == 0 else 1
-        return MotiveSum.of(self.group, [zero] * (n - 2) + [c] * copies)
+        return MotiveSum(self.group, ((zero, n - 2), (c, copies)))
 
 
 @dataclass(frozen=True)
@@ -193,9 +206,9 @@ class Involution:
     def jt_classes(self) -> MotiveSum:
         zero = self.group.identity()
         half = (self.deg - 2) // 2
-        return MotiveSum.of(
+        return MotiveSum(
             self.group,
-            [zero] * half + [self.alg_class] * half + [self.cplus, self.cminus],
+            ((zero, half), (self.alg_class, half), (self.cplus, 1), (self.cminus, 1)),
         )
 
 
@@ -280,8 +293,8 @@ def compare(x: VarietyDescriptor, y: VarietyDescriptor) -> ComparisonVerdict:
     if x.group != y.group:
         raise GroupMismatchError("mixed group models")
     mx, my = tits_measure(x), tits_measure(y)
-    sub_x = generated_subgroup(mx.jt_effective.classes, group=x.group)
-    sub_y = generated_subgroup(my.jt_effective.classes, group=y.group)
+    sub_x = generated_subgroup([c for c, _ in mx.jt_effective.counts], group=x.group)
+    sub_y = generated_subgroup([c for c, _ in my.jt_effective.counts], group=y.group)
     return ComparisonVerdict(
         measures_equal=is_isomorphic(mx.jt_effective, my.jt_effective),
         rho_equal=mx.rho == my.rho,

@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .brauer import AbstractClass, AbstractGroup, class_primes, prime_factors
+from .brauer import AbstractClass, AbstractGroup, class_primes
 from .measure_ring import RingElement, from_terms
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
+from .quadforms import FormShadow
+from .varieties import Quadric
 from .version import VERSION
 
 
@@ -53,7 +54,7 @@ def _multisets(elements: Sequence[AbstractClass], card: int):
 
 
 def _state_key(classes: Iterable[AbstractClass]) -> tuple:
-    return tuple(sorted(c.coords for c in classes))
+    return tuple(sorted(c.index for c in classes))
 
 
 def _state_payload(classes: Iterable[AbstractClass]) -> list:
@@ -91,7 +92,7 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> Verificatio
             f"relation equivalence needs group order <= 100, got {group.order}"
         )
     elements = list(group.elements())
-    splits = {e.coords: list(_coprime_splits(group, e)) for e in elements}
+    splits = {e.index: list(_coprime_splits(group, e)) for e in elements}
     states_checked: dict[str, int] = {}
 
     for m in range(1, m_max + 1):
@@ -104,7 +105,7 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> Verificatio
             for i, j in itertools.combinations(range(len(state)), 2):
                 for base_i, other_i in ((i, j), (j, i)):
                     base, other = state[base_i], state[other_i]
-                    for a, b in splits[(other - base).coords]:
+                    for a, b in splits[(other - base).index]:
                         rest = list(state)
                         del rest[max(i, j)], rest[min(i, j)]
                         rest.extend((base + a, base + b))
@@ -255,16 +256,6 @@ def verify_sum_cancellation(
 # Tensor cancellation by a quadric factor.
 # ---------------------------------------------------------------------------
 
-def quadric_motive(group: AbstractGroup, c: AbstractClass, n_dim: int) -> MotiveSum:
-    """The class multiset of a dimension-n quadric with Clifford class c."""
-    if c.order() > 2:
-        raise ValueError("quadric Clifford class must be 2-torsion")
-    copies = 2 if n_dim % 2 == 0 else 1
-    return MotiveSum.of(
-        group, [group.identity()] * (n_dim - 2) + [c] * copies
-    )
-
-
 def _tensor_cancellation_holds(
     group: AbstractGroup, n_dim: int, card_max: int
 ) -> tuple[bool, dict | None]:
@@ -274,7 +265,7 @@ def _tensor_cancellation_holds(
     for m in range(1, card_max + 1):
         states.extend(tuple(ms) for ms in _multisets(elements, m))
     for c in two_torsion:
-        qc = quadric_motive(group, c, n_dim)
+        qc = Quadric(FormShadow(n_dim, c)).jt_classes()
         buckets: dict[tuple, dict] = {}
         for i, x_state in enumerate(states):
             x = MotiveSum.of(group, x_state)

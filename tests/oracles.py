@@ -2,12 +2,14 @@
 
 Nothing here calls the library's closed forms.  Local solvability is decided
 by enumerating primitive solutions modulo a Hensel-sufficient prime power;
-box weights by direct partition enumeration.
+box weights by direct partition enumeration; finite-group arithmetic and the
+isomorphism signature by coordinate loops over the expanded multiset.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -102,3 +104,101 @@ def box_partition_weights(d: int, e: int) -> Counter:
     for parts in itertools.combinations_with_replacement(range(e + 1), d):
         out[sum(parts)] += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference arithmetic for finite abelian groups Z/n_1 x ... x Z/n_k, as
+# coordinate loops.  The library serves these from per-group tables.
+# ---------------------------------------------------------------------------
+
+
+def crt_p_component(c: int, n: int, p: int) -> int:
+    """The p-primary component of c in Z/n: = c mod p^a, = 0 mod n/p^a."""
+    a = 0
+    m = n
+    while m % p == 0:
+        m //= p
+        a += 1
+    if a == 0:
+        return 0
+    pa = p**a
+    return (c * m * pow(m, -1, pa)) % n
+
+
+def coords_p_part(coords, orders, p: int) -> tuple:
+    return tuple(crt_p_component(c, n, p) for c, n in zip(coords, orders))
+
+
+def coords_order(coords, orders) -> int:
+    """lcm over the coordinates of n / gcd(n, c)."""
+    return math.lcm(*(n // math.gcd(n, c) for c, n in zip(coords, orders)), 1)
+
+
+def coords_add(a, b, orders) -> tuple:
+    return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+
+def coords_neg(a, orders) -> tuple:
+    return tuple(-x % n for x, n in zip(a, orders))
+
+
+def _primes_of(n: int) -> list:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def list_signature(coord_list, orders) -> tuple:
+    """Isomorphism signature of a multiset of coordinate tuples.
+
+    The list algorithm over the full expansion: for each prime dividing some
+    class order, the sorted multiset of p-parts with their counts; plus the
+    cardinality.
+    """
+    primes = sorted({p for c in coord_list for p in _primes_of(coords_order(c, orders))})
+    parts = []
+    for p in primes:
+        counts = Counter(coords_p_part(c, orders, p) for c in coord_list)
+        parts.append((p, tuple(sorted(counts.items()))))
+    return (len(coord_list), tuple(parts))
+
+
+def gaussian_binomial(n: int, k: int) -> list:
+    """Coefficients of the Gaussian binomial [n choose k]_q by its product
+    formula prod_{i<k} (1 - q^(n-i)) / (1 - q^(i+1)), with exact division."""
+
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+
+    def one_minus_q_power(e):
+        return [1] + [0] * (e - 1) + [-1]
+
+    num = [1]
+    den = [1]
+    for i in range(k):
+        num = mul(num, one_minus_q_power(n - i))
+        den = mul(den, one_minus_q_power(i + 1))
+    # Long division num / den; den has constant term 1.
+    quot = [0] * (len(num) - len(den) + 1)
+    rem = list(num)
+    for i in range(len(quot)):
+        coef = rem[i]
+        quot[i] = coef
+        if coef:
+            for j, d in enumerate(den):
+                rem[i + j] -= coef * d
+    assert not any(rem), "product formula did not divide exactly"
+    return quot

@@ -92,6 +92,56 @@ class TestMeasure:
         assert code == 1
 
 
+def _sb_doc(orders=(2,), coords=(1,), degree=2, oracle=None):
+    group = {"kind": "abstract", "orders": list(orders)}
+    if oracle is not None:
+        group["index_oracle"] = oracle
+    return {
+        "group": group,
+        "variety": {"family": "severi-brauer", "alg": {"degree": degree, "class": {"coords": list(coords)}}},
+    }
+
+
+def _variety_doc(variety, group=None):
+    return {"group": group or {"kind": "abstract", "orders": [4]}, "variety": variety}
+
+
+MALFORMED_DOCS = {
+    "orders-bool": _sb_doc(orders=(True,)),
+    "coords-bool": _sb_doc(coords=(True,)),
+    # The identity class has period 1, so a boolean 1 would pass every later check.
+    "degree-bool": _sb_doc(coords=(0,), degree=True),
+    "index-bool": _sb_doc(orders=(2, 2), coords=(1, 1), oracle=[{"coords": [0, 0], "index": True}]),
+    "oracle-coords-bool": _sb_doc(orders=(2, 2), coords=(1, 1), oracle=[{"coords": [True, 1], "index": 4}]),
+    "d-bool": _variety_doc({"family": "grassmannian", "d": True, "alg": {"degree": 4, "class": {"coords": [1]}}}),
+    "d-string": _variety_doc({"family": "grassmannian", "d": "2", "alg": {"degree": 4, "class": {"coords": [1]}}}),
+    "deg-bool": _variety_doc({"family": "involution", "deg": True, "alg_class": {"coords": [2]},
+                              "cplus": {"coords": [1]}, "cminus": {"coords": [3]}}),
+    "dim-bool": _variety_doc({"family": "quadric", "shadow": {"dim": True, "clifford_class": {"coords": [2]}}}),
+    "form-zero-denominator": _variety_doc({"family": "quadric", "form": ["1/0", 1, 1]}, {"kind": "rational"}),
+    "invariant-zero-denominator": _variety_doc(
+        {"family": "severi-brauer", "alg": {"degree": 2, "class": {"invariants": [{"place": 2, "inv": "1/0"}]}}},
+        {"kind": "rational"},
+    ),
+}
+
+
+class TestMalformedNumbers:
+    """JSON booleans are not integers, and a zero denominator is bad input."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+    def test_exit_one_with_one_line_message(self, capsys, name):
+        code, out, err = run(capsys, "measure", json.dumps(MALFORMED_DOCS[name]))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_boolean_degree_is_not_echoed(self, capsys):
+        code, out, _ = run(capsys, "measure", json.dumps(_sb_doc(coords=(0,), degree=True)), "--format", "json")
+        assert code == 1 and "true" not in out
+
+
 class TestCompareAndDeduce:
     def test_compare(self, capsys):
         code, out, _ = run(capsys, "compare", json.dumps(PAIR_DOC), "--format", "json")

@@ -1,6 +1,11 @@
+import itertools
+import math
+import time
+from collections import Counter
+
 import pytest
 
-from oracles import box_partition_weights
+from oracles import box_partition_weights, gaussian_binomial
 from titsmeasure.brauer import CSA, AbstractGroup, GroupMismatchError
 from titsmeasure.measure_ring import mul
 from titsmeasure.quadforms import FormShadow, QuadraticForm
@@ -132,6 +137,61 @@ class TestTables:
         v = Grassmannian(1, CSA(G4.element([1]), 4))
         rep = tits_measure(v)
         assert rep.rho == len(rep.jt_effective)
+
+
+class TestLargeMeasures:
+    """Cases whose rank is far beyond what an expanded multiset could hold.
+
+    Multiplicities are checked against closed forms computed independently
+    of the measure code; each case has a 2 s budget.
+    """
+
+    @staticmethod
+    def _timed_measure(v):
+        t0 = time.perf_counter()
+        report = tits_measure(v)
+        payload = report.to_payload()
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 2.0, f"took {elapsed:.2f} s"
+        return report, payload
+
+    def test_grassmannian_10_of_60(self):
+        g = AbstractGroup((60,))
+        report, payload = self._timed_measure(Grassmannian(10, CSA(g.element([2]), 60)))
+        assert report.rho == math.comb(60, 10)
+        assert report.dim == 10 * 50
+        # Weight w carries 2w mod 60: fold the Gaussian binomial mod 30.
+        expected = Counter()
+        for w, c in enumerate(gaussian_binomial(60, 10)):
+            expected[(2 * w) % 60] += c
+        got = {e["coords"][0]: e["mult"] for e in payload["jt_effective"]["classes"]}
+        assert got == dict(expected)
+
+    def test_severi_brauer_degree_1e8(self):
+        g = AbstractGroup((20,))
+        report, payload = self._timed_measure(SeveriBrauer(CSA(g.element([1]), 10**8)))
+        assert report.rho == 10**8 and report.dim == 10**8 - 1
+        got = {e["coords"][0]: e["mult"] for e in payload["jt_effective"]["classes"]}
+        assert got == {k: 10**8 // 20 for k in range(20)}
+
+    def test_product_of_six_dim8_quadrics(self):
+        g = AbstractGroup((2, 2, 2))
+        cls = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 0), (0, 1, 1)]
+        v = Product(tuple(Quadric(FormShadow(8, g.element(c))) for c in cls))
+        report, payload = self._timed_measure(v)
+        assert report.rho == 8**6 == 262_144
+        # A subset S of the factors contributes 2^|S| 6^(6-|S|) summands of
+        # class sum_{i in S} c_i.
+        expected = Counter()
+        for picks in itertools.product((0, 1), repeat=6):
+            total = (0, 0, 0)
+            for on, c in zip(picks, cls):
+                if on:
+                    total = tuple((a + b) % 2 for a, b in zip(total, c))
+            expected[total] += 2 ** sum(picks) * 6 ** (6 - sum(picks))
+        got = {tuple(e["coords"]): e["mult"] for e in payload["jt_effective"]["classes"]}
+        assert got == dict(expected)
+        assert sum(got.values()) == report.rho
 
 
 class TestCompare:

@@ -1,9 +1,10 @@
 import pytest
 
 from titsmeasure.brauer import AbstractGroup
+from titsmeasure.quadforms import FormShadow
+from titsmeasure.varieties import Quadric
 from titsmeasure.verify import (
     ResourceLimitError,
-    quadric_motive,
     verify_normal_form_confluence,
     verify_quadric_product_matching,
     verify_relation_equivalence,
@@ -52,12 +53,13 @@ class TestSumCancellation:
 
 class TestTensorCancellation:
     def test_quadric_motive_shape(self):
+        # The quadric factor the tensor suite cancels.
         c = V2.element([1, 0])
-        even = quadric_motive(V2, c, 6)
-        odd = quadric_motive(V2, c, 5)
+        even = Quadric(FormShadow(6, c)).jt_classes()
+        odd = Quadric(FormShadow(5, c)).jt_classes()
         assert len(even) == 6 and len(odd) == 4
         with pytest.raises(ValueError):
-            quadric_motive(AbstractGroup((4,)), AbstractGroup((4,)).element([1]), 6)
+            Quadric(FormShadow(6, AbstractGroup((4,)).element([1]))).jt_classes()
 
     def test_passes_for_supported_dims(self):
         for n in (5, 6):
