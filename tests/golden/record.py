@@ -68,6 +68,24 @@ RAT_CONIC = {"family": "severi-brauer", "alg": {"degree": 2, "class": {"invarian
 RAT_DEG4 = {"family": "severi-brauer", "alg": {"degree": 4, "class": {"invariants": [
     {"place": 3, "inv": "1/4"}, {"place": 5, "inv": "3/4"}]}}}
 
+QUAD8_A = {"family": "quadric", "form": ["1", "1", "1", "1", "-1", "-1", "-1", "-1"]}
+QUAD8_B = {"family": "quadric", "form": ["-1", "1", "-1", "1", "-1", "1", "-1", "1"]}
+INV8_A = _inv(8, [1, 1], [1, 0], [0, 1])
+INV8_B = _inv(8, [1, 1], [0, 1], [1, 0])
+Z2 = _abstract(2)
+V4 = _abstract(2, 2)
+CONICS_A = _prod(_sb([1, 0], 2), _sb([0, 1], 2))
+CONICS_B = _prod(_sb([0, 1], 2), _sb([1, 0], 2))
+QUADS5_A = _prod(_shadow(5, [1, 0]), _shadow(5, [0, 1]))
+QUADS5_B = _prod(_shadow(5, [0, 1]), _shadow(5, [1, 0]))
+JSON = ("--format", "json")
+
+
+def _quads(m, dim):
+    """m copies of a dim-dimensional shadow with the nonzero class of Z/2."""
+    return _prod(*[_shadow(dim, [1]) for _ in range(m)])
+
+
 CASES: dict[str, list[str]] = {
     # measure, every family, abstract and rational models, both formats
     "measure-sb-z4-table": ["measure", _measure(_abstract(4), _sb([1], 4))],
@@ -106,6 +124,51 @@ CASES: dict[str, list[str]] = {
     "deduce-no-assume-json": ["deduce", _pair(_abstract(6), _sb([1], 6), _sb([5], 6)), "--no-assume-equal", "--format", "json"],
     "deduce-refuted-json": ["deduce", _pair(_abstract(6), _sb([1], 6), _sb([2], 6)), "--format", "json"],
     "deduce-mixed-families": ["deduce", _pair(_abstract(2), _sb([1], 2), _shadow(6, [1]))],
+    # deduce, one case per remaining rule branch
+    "deduce-sb-period3-json": [
+        "deduce", _pair(_abstract(3), _sb([1], 3), _sb([2], 3)), *JSON],
+    "deduce-sb-period7-table": ["deduce", _pair(_abstract(7), _sb([1], 7), _sb([3], 7))],
+    "deduce-gr-period4-json": [
+        "deduce", _pair(_abstract(4), _gr(2, [1], 4), _gr(2, [3], 4)), *JSON],
+    "deduce-quadric-shadow-dim8-json": [
+        "deduce", _pair(V4, _shadow(8, [1, 0]), _shadow(8, [1, 0])), *JSON],
+    "deduce-quadric-shadow-own-i3-table": [
+        "deduce", _pair(V4, _shadow(8, [1, 0], True), _shadow(8, [1, 0], True))],
+    "deduce-quadric-rational-dim8-i3-json": [
+        "deduce", _pair(RATIONAL, QUAD8_A, QUAD8_B), "--i3-zero", *JSON],
+    "deduce-involution-deg8-json": ["deduce", _pair(V4, INV8_A, INV8_B), *JSON],
+    "deduce-involution-deg8-i3-table": ["deduce", _pair(V4, INV8_A, INV8_B), "--i3-zero"],
+    "deduce-involution-deg8-doc-i3-json": [
+        "deduce", _pair(V4, INV8_A, INV8_B, i3_zero=True), *JSON],
+    "deduce-conic-product-linked-table": ["deduce", _pair(V4, CONICS_A, CONICS_B)],
+    "deduce-quadric-product-n5-json": ["deduce", _pair(V4, QUADS5_A, QUADS5_B), *JSON],
+    "deduce-quadric-product-n5-i3-table": [
+        "deduce", _pair(V4, QUADS5_A, QUADS5_B), "--i3-zero"],
+    "deduce-quadric-product-m8-fails-json": [
+        "deduce", _pair(Z2, _quads(8, 5), _quads(8, 5)), "--i3-zero", *JSON],
+    "deduce-quadric-product-m6-needs-i3-table": [
+        "deduce", _pair(Z2, _quads(6, 6), _quads(6, 6))],
+    "deduce-quadric-product-m6-i3-json": [
+        "deduce", _pair(Z2, _quads(6, 6), _quads(6, 6)), "--i3-zero", *JSON],
+    "deduce-mixed-product": [
+        "deduce", _pair(Z2, *[_prod(_sb([1], 2), _shadow(6, [1]))] * 2)],
+    "deduce-conic-product-degree4": [
+        "deduce", _pair(Z2, *[_prod(_sb([1], 4), _sb([1], 2))] * 2)],
+    "deduce-quadric-product-dims-differ": [
+        "deduce", _pair(Z2, *[_prod(_shadow(6, [1]), _shadow(5, [1]))] * 2)],
+    # sigma, sigma-check, conic-family
+    "sigma-positional-table": ["sigma", "1even", "5", "6", "2"],
+    "sigma-positional-json": ["sigma", "sigma1odd", "7", "9", "3", *JSON],
+    "sigma-flags-table": ["sigma", "--kind", "12even", "--m", "6", "--n", "5", "--l", "3"],
+    "sigma-flags-json": ["sigma", "--kind", "2odd", "--m", "5", "--n", "7", "--l", "2", *JSON],
+    "sigma-not-integral": ["sigma", "1even", "1", "5", "2"],
+    "sigma-check-table": [
+        "sigma-check", "--n-min", "5", "--n-max", "7", "--m-min", "2", "--m-max", "5"],
+    "sigma-check-kinds-json": [
+        "sigma-check", "--kinds", "11even,12odd",
+        "--n-min", "5", "--n-max", "6", "--m-min", "2", "--m-max", "4", *JSON],
+    "conic-family-table": ["conic-family", "--primes", "3,7,11"],
+    "conic-family-json": ["conic-family", "--primes", "3,19", "--format", "json"],
     # verify, all five suites on small groups
     "verify-relation-z6": ["verify", "--suite", "relation-equivalence", "--group", "6", "--m-max", "2"],
     "verify-relation-v4-json": ["verify", "--suite", "relation-equivalence", "--group", "2,2", "--format", "json"],
@@ -120,6 +183,11 @@ CASES: dict[str, list[str]] = {
     "verify-confluence-z2z3-json": ["verify", "--suite", "normal-form-confluence", "--group", "2,3", "--trials", "30", "--seed", "4", "--format", "json"],
     "verify-confluence-z30-json": ["verify", "--suite", "normal-form-confluence", "--group", "30", "--trials", "40", "--format", "json"],
 }
+
+# sigma, every kind at two points, one with l past the anchor range
+for _kind in ("1even", "1odd", "2even", "2odd", "11even", "11odd", "12even", "12odd"):
+    CASES[f"sigma-{_kind}-m7-json"] = ["sigma", _kind, "7", "9", "4", *JSON]
+    CASES[f"sigma-{_kind}-m9-table"] = ["sigma", _kind, "9", "6", "6"]
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:

@@ -1,8 +1,9 @@
 """Replay the golden CLI corpus: stdout must be byte-identical, exit codes equal.
 
 The corpus (``golden/expected.json``) covers measure/compare/deduce over every
-family, abstract and rational models, table and json formats, plus all five
-verify suites on small groups.  ``golden/record.py`` regenerates it.
+family, abstract and rational models, table and json formats, every ``deduce``
+rule branch, every sigma kind, sigma-check, conic-family, plus all five verify
+suites on small groups.  ``golden/record.py`` regenerates it.
 """
 
 import json
