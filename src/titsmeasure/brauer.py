@@ -447,19 +447,11 @@ class RationalClass:
     def p_part(self, p: int) -> "RationalClass":
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
-        parts = []
-        for v, inv in self.invariants:
-            den = inv.denominator
-            a = 0
-            m = den
-            while m % p == 0:
-                m //= p
-                a += 1
-            if a == 0:
-                continue
-            pa = p**a
-            parts.append((v, Fraction(inv.numerator * m * pow(m, -1, pa), den) % 1))
-        return RationalClass(tuple(parts))
+        # An invariant a/d is the class of a in Z/d; zero components drop out.
+        return RationalClass(tuple(
+            (v, Fraction(_crt_p_component(inv.numerator, inv.denominator, p), inv.denominator))
+            for v, inv in self.invariants
+        ))
 
     def sort_key(self):
         return tuple(
@@ -476,16 +468,6 @@ class RationalClass:
 
 
 BrauerClass = Union[AbstractClass, RationalClass]
-
-
-def p_part(c: BrauerClass, p: int) -> BrauerClass:
-    """The p-primary component of a Brauer class (identity if p ∤ order)."""
-    return c.p_part(p)
-
-
-def order(c: BrauerClass) -> int:
-    """Order of the class in the group model (the period of the algebra)."""
-    return c.order()
 
 
 def class_primes(c: BrauerClass) -> tuple[int, ...]:

@@ -104,7 +104,7 @@ def _cmd_compare(args) -> int:
 def _cmd_deduce(args) -> int:
     doc = _load_document(args.input)
     group, x, y = jsonio.parse_pair_request(doc)
-    i3_zero = bool(doc.get("i3_zero", False)) or args.i3_zero
+    i3_zero = jsonio.parse_flag(doc, "i3_zero", "request") or args.i3_zero
     report = deduce(x, y, args.assume_equal, i3_zero=i3_zero)
     _emit(
         {

@@ -4,7 +4,9 @@ Builds the 2^n-dimensional Clifford algebra of a diagonal form on the subset
 basis e_S, restricts to the even part, splits off a simple component when the
 dimension is even (via the central idempotent cut out by the volume element),
 and identifies quaternion classes by probing for anticommuting square roots
-of scalars.  Everything runs over exact rationals.
+of scalars.  Everything runs over exact rationals, and every linear-algebra
+step (span bases, linear solves, kernels) is one exact Gauss-Jordan
+elimination, ``_row_reduce``.
 
 This is deliberately independent of the closed-form invariant in
 ``quadforms``: no n mod 8 case table appears here.  Practical up to n = 6,
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .brauer import RationalClass
 from .quadforms import QuadraticForm, signed_discriminant
@@ -89,70 +91,78 @@ def _scale(x: Vector, c: Fraction) -> Vector:
 def _sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
-def _is_zero(x: Vector) -> bool:
-    return all(a == 0 for a in x)
 
+def _row_reduce(
+    rows: Sequence[Sequence[Fraction]], width: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact Gauss-Jordan elimination on the first ``width`` columns.
 
-def _echelon(vectors: Sequence[Vector]) -> list[Vector]:
-    """Row-reduced independent spanning set (exact Gaussian elimination)."""
-    rows: list[list[Fraction]] = []
+    Returns every row, reduced, and the pivot columns in order: row i has a 1
+    in column pivots[i] and the other rows a 0 there, and the rows past the
+    pivots are zero in the first ``width`` columns.  Columns beyond ``width``
+    (an augmented right-hand side) are carried along but never pivoted on.
+    Zero entries are skipped, since the Clifford bases are sparse.
+    """
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
-    for v in vectors:
-        row = list(v)
-        for r, p in zip(rows, pivots):
-            if row[p]:
-                c = row[p]
-                for i in range(len(row)):
-                    row[i] -= c * r[i]
-        for p, a in enumerate(row):
-            if a:
-                inv = 1 / a
-                rows.append([x * inv for x in row])
-                pivots.append(p)
-                break
-    order = sorted(range(len(rows)), key=lambda i: pivots[i])
-    return [tuple(rows[i]) for i in order]
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        top = mat[r] = [a * inv if a else a for a in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                mat[i] = [a - f * b if b else a for a, b in zip(row, top)]
+        pivots.append(c)
+    return mat, pivots
+
+
+def _echelon(vectors: Sequence[Vector], width: int) -> list[Vector]:
+    """The reduced row echelon basis of the span of ``vectors``."""
+    mat, pivots = _row_reduce(vectors, width)
+    return [tuple(row) for row in mat[: len(pivots)]]
 
 
 def _solve_exact(basis: Sequence[Vector], target: Vector) -> list[Fraction] | None:
-    """Gaussian elimination solving sum c_i basis_i = target, exact."""
-    m = len(target)
+    """Coefficients c with sum c_i basis_i = target, or None when there are none."""
     k = len(basis)
     # Augmented matrix with columns = basis vectors, last column = target.
-    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
+    rows = [[b[i] for b in basis] + [t] for i, t in enumerate(target)]
+    mat, pivots = _row_reduce(rows, k)
     # Inconsistent if a zero row has nonzero RHS.
-    for i in range(r, m):
-        if rows[i][k]:
-            return None
+    if any(row[k] for row in mat[len(pivots):]):
+        return None
     sol = [Fraction(0)] * k
-    for i, c in enumerate(pivot_cols):
-        sol[c] = rows[i][k]
+    for row, c in zip(mat, pivots):
+        sol[c] = row[k]
     # Free columns default to zero; verify (guards underdetermined systems).
-    check = [Fraction(0)] * m
+    check = [Fraction(0)] * len(target)
     for j in range(k):
         if sol[j]:
-            for i in range(m):
+            for i in range(len(target)):
                 check[i] += sol[j] * basis[j][i]
     if tuple(check) != tuple(target):
         return None
     return sol
+
+
+def _kernel(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
+    """A basis of {x : row . x = 0 for every row}, one vector per free column."""
+    mat, pivots = _row_reduce(rows, width)
+    out = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for row, c in zip(mat, pivots):
+            vec[c] = -row[free]
+        out.append(vec)
+    return out
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:
@@ -170,7 +180,7 @@ class _Subalgebra:
     def __init__(self, alg: CliffordAlgebra, one: Vector, basis: Sequence[Vector]):
         self.alg = alg
         self.one = one
-        self.basis = _echelon(basis)
+        self.basis = _echelon(basis, alg.size)
 
     @property
     def dim(self) -> int:
@@ -239,7 +249,7 @@ def _quaternion_symbol(sub: _Subalgebra, rng: random.Random) -> tuple[Fraction, 
         cross = _add(sub.alg.mul(w0, y0), sub.alg.mul(y0, w0))
         sigma = sub.scalar_of(cross)
         y1 = _sub(y0, _scale(w0, sigma / (2 * alpha)))
-        if _is_zero(y1):
+        if not any(y1):
             continue
         beta = sub.scalar_of(sub.alg.mul(y1, y1))
         if beta:
@@ -271,35 +281,6 @@ def _centralizer(
         )
         for vec in kernel
     ]
-
-
-def _kernel(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
-    mat = [row[:] for row in rows]
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots[c] = r
-        r += 1
-    out = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for c, row in pivots.items():
-            vec[c] = -mat[row][free]
-        out.append(vec)
-    return out
 
 
 def even_clifford_class_by_structure(

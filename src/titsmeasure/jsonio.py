@@ -47,12 +47,31 @@ def _need_int(payload: Any, key: str, context: str) -> int:
     return value
 
 
+def _need_list(payload: Any, key: str, context: str) -> list:
+    value = _need(payload, key, context)
+    if not isinstance(value, list):
+        raise ValueError(f"{context}: {key} must be an array")
+    return value
+
+
+def parse_flag(payload: Any, key: str, context: str) -> bool:
+    """An optional JSON boolean, false when absent; ``"false"`` is not one."""
+    value = payload.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{context}: {key} must be true or false")
+    return value
+
+
 def _fraction(value: Any, context: str) -> Fraction:
+    """A rational given as a string or a JSON integer; floats are rejected
+    because their binary expansion is not the number that was written."""
+    if not (isinstance(value, str) or _is_int(value)):
+        raise ValueError(f"{context}: expected a rational string or an integer, got {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"{context}: zero denominator in {value!r}")
-    except TypeError:
+    except ValueError:
         raise ValueError(f"{context}: not a rational number: {value!r}")
 
 
@@ -66,7 +85,8 @@ def parse_group(payload: Any) -> BrauerGroup:
     if not isinstance(orders, list) or not all(_is_int(n) for n in orders):
         raise ValueError("group: orders must be a list of integers")
     oracle = []
-    for entry in payload.get("index_oracle", []):
+    entries = _need_list(payload, "index_oracle", "group") if "index_oracle" in payload else []
+    for entry in entries:
         coords = _need(entry, "coords", "group.index_oracle")
         if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
             raise ValueError("group.index_oracle: coords must be a list of integers")
@@ -81,9 +101,8 @@ def parse_class(payload: Any, group: BrauerGroup) -> BrauerClass:
         if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
             raise ValueError("class: coords must be a list of integers")
         return group.element(coords)
-    invs = _need(payload, "invariants", "class")
     parsed = []
-    for item in invs:
+    for item in _need_list(payload, "invariants", "class"):
         place = _need(item, "place", "class.invariants")
         inv = _need(item, "inv", "class.invariants")
         parsed.append((place, _fraction(inv, "class.invariants")))
@@ -99,13 +118,13 @@ def parse_csa(payload: Any, group: BrauerGroup) -> CSA:
 def parse_form(payload: Any) -> QuadraticForm:
     if not isinstance(payload, list) or not payload:
         raise ValueError("form: expected a nonempty array of rational strings")
-    return QuadraticForm(tuple(_fraction(str(a), "form") for a in payload))
+    return QuadraticForm(tuple(_fraction(a, "form") for a in payload))
 
 
 def parse_shadow(payload: Any, group: BrauerGroup) -> FormShadow:
     dim = _need_int(payload, "dim", "shadow")
     cls = parse_class(_need(payload, "clifford_class", "shadow"), group)
-    return FormShadow(dim, cls, bool(payload.get("i3_zero", False)))
+    return FormShadow(dim, cls, parse_flag(payload, "i3_zero", "shadow"))
 
 
 def parse_descriptor(payload: Any, group: BrauerGroup) -> VarietyDescriptor:
@@ -133,9 +152,7 @@ def parse_descriptor(payload: Any, group: BrauerGroup) -> VarietyDescriptor:
             parse_class(_need(payload, "cminus", "variety"), group),
         )
     if family == "product":
-        children = _need(payload, "children", "variety")
-        if not isinstance(children, list):
-            raise ValueError("variety: product children must be an array")
+        children = _need_list(payload, "children", "variety")
         return Product(tuple(parse_descriptor(c, group) for c in children))
     raise ValueError(f"variety: unknown family {family!r}")
 

@@ -14,7 +14,7 @@ check this against raw breadth-first rewriting on finite models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .brauer import (
     BrauerClass,
@@ -85,9 +85,6 @@ class RingElement:
         ]
         return RingElement(self.group, tuple(raw))
 
-    def scaled(self, k: int) -> "RingElement":
-        return RingElement(self.group, tuple((c, k * j) for c, j in self.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -103,30 +100,9 @@ class RingElement:
         }
 
 
-def zero(group: BrauerGroup) -> RingElement:
-    return RingElement(group, ())
-
-
 def from_class(c: BrauerClass) -> RingElement:
     """The basis element [c]."""
     return RingElement(c.group, ((c, 1),))
-
-
-def from_terms(group: BrauerGroup, terms: Iterable[Term]) -> RingElement:
-    return RingElement(group, tuple(terms))
-
-
-def normalize(x: RingElement) -> RingElement:
-    """Identity on this representation; kept as the public projection map."""
-    return RingElement(x.group, x.terms)
-
-
-def add(x: RingElement, y: RingElement) -> RingElement:
-    return x + y
-
-
-def mul(x: RingElement, y: RingElement) -> RingElement:
-    return x * y
 
 
 def augmentation(x: RingElement) -> int:

@@ -12,7 +12,6 @@ cost follows the support, not the rank.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -72,21 +71,11 @@ class MotiveSum:
     def __len__(self) -> int:
         return self._rank
 
-    def multiplicities(self) -> Counter:
-        return Counter(dict(self.counts))
-
     def primes(self) -> tuple[int, ...]:
         ps: set[int] = set()
         for c, _ in self.counts:
             ps.update(class_primes(c))
         return tuple(sorted(ps))
-
-    def p_signature(self, p: int) -> Counter:
-        """Multiset of p-primary parts of the summands."""
-        out: Counter = Counter()
-        for c, k in self.counts:
-            out[c.p_part(p)] += k
-        return out
 
     def signature(self) -> tuple:
         """Hashable invariant that decides isomorphism.
@@ -142,12 +131,8 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:
     """Same cardinality and, for every prime, equal multisets of p-parts."""
-    if _common_group(x, y) and len(x) != len(y):
-        return False
-    for p in set(x.primes()) | set(y.primes()):
-        if x.p_signature(p) != y.p_signature(p):
-            return False
-    return True
+    _common_group(x, y)
+    return x.signature() == y.signature()
 
 
 def cancel_common(x: MotiveSum, y: MotiveSum, n: MotiveSum) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, RationalClass
 from .rationals import as_fraction, quaternion_class, squarefree_part

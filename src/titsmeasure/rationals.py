@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .brauer import (
     REAL_PLACE,

@@ -8,8 +8,10 @@ dimension n:
     sigma1_*(m, n, l)  lowest  possible copy count on one side,
     sigma2_*(m, n, l)  highest possible copy count on the other side.
 
-``sigma1`` splits as ``sigma11 + sigma12``; the split pieces satisfy clean
-one-step recurrences in m which drive the induction for the product-of-quadrics
+``sigma1`` is defined as ``sigma11 + sigma12``, so ``SUMMANDS`` states the
+summand of each of the six split kinds once and ``SPLITS`` names the two
+pieces of each ``sigma1``.  The split pieces satisfy clean one-step
+recurrences in m which drive the induction for the product-of-quadrics
 comparison theorem.  All internal arithmetic is over Fraction because the
 recurrences are exercised at grid edges where (n-2) appears with a negative
 exponent against a nonzero binomial coefficient.
@@ -21,16 +23,24 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-KINDS = (
-    "1even",
-    "1odd",
-    "2even",
-    "2odd",
-    "11even",
-    "11odd",
-    "12even",
-    "12odd",
-)
+
+# The summand of each split kind at step r, as a function of m, q = n - 2,
+# l, j = 2r + 1, e = C(l, 2r) and o = C(l, 2r + 1); each sum runs over
+# 0 <= r <= l // 2.  q is a Fraction, as is the 2 in 12even, so the negative
+# exponents that occur at grid edges stay exact.
+SUMMANDS = {
+    "2even": lambda m, q, l, j, e, o: (e * 2 ** (j + 1) + o * 2**j) * q ** (m - (j + 1)),
+    "2odd": lambda m, q, l, j, e, o: (e + o) * q ** (m - (j + 1)),
+    "11even": lambda m, q, l, j, e, o: e * 2**j * q ** (m - j),
+    "11odd": lambda m, q, l, j, e, o: e * q ** (m - j),
+    "12even": lambda m, q, l, j, e, o: o * Fraction(2) ** (m - l + j) * q ** (l - j),
+    "12odd": lambda m, q, l, j, e, o: o * q ** (l - j),
+}
+
+# sigma1 is by definition sigma11 + sigma12.
+SPLITS = {"1even": ("11even", "12even"), "1odd": ("11odd", "12odd")}
+
+KINDS = (*SPLITS, *SUMMANDS)
 
 
 def _canon_kind(kind: str) -> str:
@@ -51,44 +61,17 @@ def _check_domain(m: int, n: int, l: int) -> None:
         raise ValueError(f"l must be >= 0, got {l}")
 
 
-def _pow(base: int, e: int) -> Fraction:
-    # Fraction handles the negative exponents that occur at grid edges.
-    return Fraction(base) ** e
-
-
 def sigma_fraction(kind: str, m: int, n: int, l: int) -> Fraction:
     """The sum as an exact rational, defined for every l >= 0."""
     kind = _canon_kind(kind)
     _check_domain(m, n, l)
-    q = n - 2
+    q = Fraction(n - 2)
+    parts = [SUMMANDS[part] for part in SPLITS.get(kind, (kind,))]
     total = Fraction(0)
     for r in range(l // 2 + 1):
-        even_part = comb(l, 2 * r)
-        odd_part = comb(l, 2 * r + 1)
-        if kind == "11even":
-            total += even_part * 2 ** (2 * r + 1) * _pow(q, m - (2 * r + 1))
-        elif kind == "11odd":
-            total += even_part * _pow(q, m - (2 * r + 1))
-        elif kind == "12even":
-            total += odd_part * Fraction(2) ** (m - l + (2 * r + 1)) * _pow(
-                q, l - (2 * r + 1)
-            )
-        elif kind == "12odd":
-            total += odd_part * _pow(q, l - (2 * r + 1))
-        elif kind == "1even":
-            total += even_part * 2 ** (2 * r + 1) * _pow(q, m - (2 * r + 1))
-            total += odd_part * Fraction(2) ** (m - l + (2 * r + 1)) * _pow(
-                q, l - (2 * r + 1)
-            )
-        elif kind == "1odd":
-            total += even_part * _pow(q, m - (2 * r + 1))
-            total += odd_part * _pow(q, l - (2 * r + 1))
-        elif kind == "2even":
-            total += (even_part * 2 ** (2 * r + 2) + odd_part * 2 ** (2 * r + 1)) * _pow(
-                q, m - (2 * r + 2)
-            )
-        elif kind == "2odd":
-            total += (even_part + odd_part) * _pow(q, m - (2 * r + 2))
+        j, e, o = 2 * r + 1, comb(l, 2 * r), comb(l, 2 * r + 1)
+        for summand in parts:
+            total += summand(m, q, l, j, e, o)
     return total
 
 
@@ -159,8 +142,7 @@ def recurrence_violations(
 def extra_condition(m: int, n: int) -> bool:
     """Whether sigma1 > sigma2 for every 2 <= l <= m-3 (parity of n picks the
     variant).  Only meaningful for m >= 6; smaller m raises."""
-    failures = extra_condition_failures(m, n)
-    return not failures
+    return not extra_condition_failures(m, n)
 
 
 def extra_condition_failures(m: int, n: int) -> list[int]:

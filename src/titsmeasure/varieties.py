@@ -13,10 +13,9 @@ measures first so a false assertion is flagged instead of silently used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from typing import Sequence, Union
+from typing import Union
 
 from .brauer import (
     CSA,
@@ -360,6 +359,144 @@ def _family_key(x: VarietyDescriptor, y: VarietyDescriptor) -> str:
     raise ValueError("deduction rules do not cover this family combination")
 
 
+# Conclusions and notes shared by several families.
+SUBGROUP_RULE = "measure equality preserves the generated Brauer subgroup"
+SUBGROUPS_AGREE = Conclusion("generated subgroups <[A]> agree", SUBGROUP_RULE)
+WEDDERBURN = Conclusion(
+    "varieties are isomorphic",
+    "a 2-torsion class with fixed degree determines the algebra (Wedderburn)",
+)
+NO_RULE = "no isomorphism rule applies ({} != 6 and I^3 = 0 not asserted)"
+
+
+def _severi_brauer_rule(x, y, i3_zero):
+    degree = Conclusion(f"degrees agree: deg = {x.alg.degree}", "rank measure equals the degree")
+    per = x.alg.period()
+    if per <= 2:
+        return [degree, SUBGROUPS_AGREE, WEDDERBURN], []
+    if per <= 6:
+        return [degree, SUBGROUPS_AGREE], [
+            f"period {per}: varieties are birational by the known cases "
+            "of the Amitsur problem (Roquette; Tregub) - cited, not computed"
+        ]
+    return [degree, SUBGROUPS_AGREE], []
+
+
+def _grassmannian_rule(x, y, i3_zero):
+    degree = Conclusion(
+        f"degrees agree: deg = {x.alg.degree}, and d' = d or deg - d", "binomial rank count"
+    )
+    if x.alg.period() <= 2:
+        return [degree, SUBGROUPS_AGREE, WEDDERBURN], []
+    return [degree, SUBGROUPS_AGREE], []
+
+
+def _quadric_rule(x, y, i3_zero):
+    if x.clifford_class != y.clifford_class:
+        raise AssertionError("equal measures but unequal Clifford classes")
+    n = x.form_dim
+    conclusions = [
+        Conclusion(f"form dimensions agree: n = {n}", "rank measure fixes n"),
+        Conclusion(
+            "even Clifford classes agree", "the class multiset determines the nonzero entry"
+        ),
+    ]
+    if n == 6:
+        rule = (
+            "six-dimensional forms with trivial discriminant are "
+            "similar iff their even Clifford classes agree"
+        )
+    elif i3_zero or (x.i3_zero and y.i3_zero):
+        rule = (
+            "dimension, discriminant and Clifford invariant classify "
+            "forms over fields with I^3 = 0"
+        )
+    else:
+        return conclusions, [NO_RULE.format("n")]
+    return conclusions + [Conclusion("quadrics are isomorphic", rule)], []
+
+
+def _involution_rule(x, y, i3_zero):
+    pair_x = sorted((x.cplus.sort_key(), x.cminus.sort_key()))
+    pair_y = sorted((y.cplus.sort_key(), y.cminus.sort_key()))
+    if pair_x != pair_y:
+        raise AssertionError("equal measures but unequal component pairs")
+    conclusions = [
+        Conclusion(f"degrees agree: deg = {x.deg}", "rank measure equals the degree"),
+        Conclusion(
+            "component-class pairs {c+, c-} agree", "the class multiset determines the pair"
+        ),
+    ]
+    if x.deg == 6:
+        rule = "degree-6 correspondence with six-dimensional forms"
+    elif i3_zero:
+        rule = "classification of the underlying forms when I^3 = 0"
+    else:
+        return conclusions, [NO_RULE.format("deg")]
+    return conclusions + [Conclusion("involution varieties are isomorphic", rule)], []
+
+
+def _conic_product_rule(x, y, i3_zero):
+    qx = [c.alg.brauer_class for c in x.children]
+    qy = [c.alg.brauer_class for c in y.children]
+    if not any(c in qy for c in qx):
+        raise AssertionError("equal measures but no shared conic class")
+    shared = Conclusion(
+        "the sides share a common conic", "2-torsion subgroup generation forces a shared class"
+    )
+    if x.group.index_of(qx[0] + qx[1]) == 4:
+        albert = "unlinked quaternion pairs (Albert) force the pairwise matching"
+        return [shared, Conclusion("products are isomorphic", albert)], []
+    return [shared], [
+        "pair not asserted unlinked (index of the product class "
+        "is not 4); only the shared conic is concluded"
+    ]
+
+
+def _quadric_product_rule(x, y, i3_zero):
+    n = x.children[0].form_dim
+    m = len(x.children)
+    conclusions = [
+        Conclusion(f"the factor counts agree: m = {m}", "total dimension is m(n-2)"),
+        Conclusion("generated subgroups of the Clifford classes agree", SUBGROUP_RULE),
+    ]
+    both_i3 = i3_zero or all(c.i3_zero for c in x.children + y.children)
+    if m <= 5:
+        if n == 6:
+            rule = "factor matching plus cancellation via the six-dimensional classification"
+        elif both_i3:
+            rule = "factor matching plus cancellation via the I^3 = 0 classification"
+        else:
+            return conclusions, [NO_RULE.format("n")]
+    else:
+        failures = extra_condition_failures(m, n)
+        if failures:
+            return conclusions, [
+                f"no conclusion: the copy-count condition fails at l = {failures}"
+            ]
+        if not both_i3:
+            return conclusions, [
+                "no conclusion: isomorphism for m >= 6 needs the I^3 = 0 hypothesis"
+            ]
+        rule = (
+            "copy-count inequalities make the factor matching "
+            "injective under the I^3 = 0 classification"
+        )
+    return conclusions + [Conclusion("products are isomorphic", rule)], []
+
+
+# family -> rule; a rule maps (x, y, i3_zero) for a pair with equal measures
+# to its conclusions and notes.
+RULES = {
+    "severi-brauer": _severi_brauer_rule,
+    "grassmannian": _grassmannian_rule,
+    "quadric": _quadric_rule,
+    "involution": _involution_rule,
+    "conic-product": _conic_product_rule,
+    "quadric-product": _quadric_product_rule,
+}
+
+
 def deduce(
     x: VarietyDescriptor,
     y: VarietyDescriptor,
@@ -390,204 +527,7 @@ def deduce(
             ),
             **base,
         )
-
-    conclusions: list[Conclusion] = []
-    notes: list[str] = []
-    subgroup_rule = "measure equality preserves the generated Brauer subgroup"
-
-    if family == "severi-brauer":
-        n = x.alg.degree
-        conclusions.append(
-            Conclusion(f"degrees agree: deg = {n}", "rank measure equals the degree")
-        )
-        conclusions.append(
-            Conclusion("generated subgroups <[A]> agree", subgroup_rule)
-        )
-        per = x.alg.period()
-        if per <= 2:
-            conclusions.append(
-                Conclusion(
-                    "varieties are isomorphic",
-                    "a 2-torsion class with fixed degree determines the "
-                    "algebra (Wedderburn)",
-                )
-            )
-        elif per in (3, 4, 5, 6):
-            notes.append(
-                f"period {per}: varieties are birational by the known cases "
-                "of the Amitsur problem (Roquette; Tregub) - cited, not computed"
-            )
-    elif family == "grassmannian":
-        n = x.alg.degree
-        conclusions.append(
-            Conclusion(
-                f"degrees agree: deg = {n}, and d' = d or deg - d",
-                "binomial rank count",
-            )
-        )
-        conclusions.append(
-            Conclusion("generated subgroups <[A]> agree", subgroup_rule)
-        )
-        if x.alg.period() <= 2:
-            conclusions.append(
-                Conclusion(
-                    "varieties are isomorphic",
-                    "a 2-torsion class with fixed degree determines the "
-                    "algebra (Wedderburn)",
-                )
-            )
-    elif family == "quadric":
-        n = x.form_dim
-        conclusions.append(
-            Conclusion(f"form dimensions agree: n = {n}", "rank measure fixes n")
-        )
-        conclusions.append(
-            Conclusion(
-                "even Clifford classes agree",
-                "the class multiset determines the nonzero entry",
-            )
-        )
-        if x.clifford_class != y.clifford_class:
-            raise AssertionError("equal measures but unequal Clifford classes")
-        both_i3 = i3_zero or (x.i3_zero and y.i3_zero)
-        if n == 6:
-            conclusions.append(
-                Conclusion(
-                    "quadrics are isomorphic",
-                    "six-dimensional forms with trivial discriminant are "
-                    "similar iff their even Clifford classes agree",
-                )
-            )
-        elif both_i3:
-            conclusions.append(
-                Conclusion(
-                    "quadrics are isomorphic",
-                    "dimension, discriminant and Clifford invariant classify "
-                    "forms over fields with I^3 = 0",
-                )
-            )
-        else:
-            notes.append(
-                "no isomorphism rule applies (n != 6 and I^3 = 0 not asserted)"
-            )
-    elif family == "involution":
-        n = x.deg
-        conclusions.append(
-            Conclusion(f"degrees agree: deg = {n}", "rank measure equals the degree")
-        )
-        pair_x = sorted((x.cplus.sort_key(), x.cminus.sort_key()))
-        pair_y = sorted((y.cplus.sort_key(), y.cminus.sort_key()))
-        if pair_x != pair_y:
-            raise AssertionError("equal measures but unequal component pairs")
-        conclusions.append(
-            Conclusion(
-                "component-class pairs {c+, c-} agree",
-                "the class multiset determines the pair",
-            )
-        )
-        if n == 6:
-            conclusions.append(
-                Conclusion(
-                    "involution varieties are isomorphic",
-                    "degree-6 correspondence with six-dimensional forms",
-                )
-            )
-        elif i3_zero:
-            conclusions.append(
-                Conclusion(
-                    "involution varieties are isomorphic",
-                    "classification of the underlying forms when I^3 = 0",
-                )
-            )
-        else:
-            notes.append(
-                "no isomorphism rule applies (deg != 6 and I^3 = 0 not asserted)"
-            )
-    elif family == "conic-product":
-        qx = [c.alg.brauer_class for c in x.children]
-        qy = [c.alg.brauer_class for c in y.children]
-        common = [c for c in qx if c in qy]
-        if not common:
-            raise AssertionError("equal measures but no shared conic class")
-        conclusions.append(
-            Conclusion(
-                "the sides share a common conic",
-                "2-torsion subgroup generation forces a shared class",
-            )
-        )
-        pair_class = qx[0] + qx[1]
-        if x.group.index_of(pair_class) == 4:
-            conclusions.append(
-                Conclusion(
-                    "products are isomorphic",
-                    "unlinked quaternion pairs (Albert) force the pairwise "
-                    "matching",
-                )
-            )
-        else:
-            notes.append(
-                "pair not asserted unlinked (index of the product class "
-                "is not 4); only the shared conic is concluded"
-            )
-    elif family == "quadric-product":
-        n = x.children[0].form_dim
-        m = len(x.children)
-        conclusions.append(
-            Conclusion(
-                f"the factor counts agree: m = {m}",
-                "total dimension is m(n-2)",
-            )
-        )
-        conclusions.append(
-            Conclusion(
-                "generated subgroups of the Clifford classes agree",
-                subgroup_rule,
-            )
-        )
-        both_i3 = i3_zero or (
-            all(c.i3_zero for c in x.children) and all(c.i3_zero for c in y.children)
-        )
-        if n == 6 and m <= 5:
-            conclusions.append(
-                Conclusion(
-                    "products are isomorphic",
-                    "factor matching plus cancellation via the "
-                    "six-dimensional classification",
-                )
-            )
-        elif both_i3 and m <= 5:
-            conclusions.append(
-                Conclusion(
-                    "products are isomorphic",
-                    "factor matching plus cancellation via the I^3 = 0 "
-                    "classification",
-                )
-            )
-        elif m >= 6:
-            failures = extra_condition_failures(m, n)
-            if failures:
-                notes.append(
-                    "no conclusion: the copy-count condition fails at "
-                    f"l = {failures}"
-                )
-            elif both_i3:
-                conclusions.append(
-                    Conclusion(
-                        "products are isomorphic",
-                        "copy-count inequalities make the factor matching "
-                        "injective under the I^3 = 0 classification",
-                    )
-                )
-            else:
-                notes.append(
-                    "no conclusion: isomorphism for m >= 6 needs the "
-                    "I^3 = 0 hypothesis"
-                )
-        else:
-            notes.append(
-                "no isomorphism rule applies (n != 6 and I^3 = 0 not asserted)"
-            )
-
+    conclusions, notes = RULES[family](x, y, i3_zero)
     return DeductionReport(
         refuted=False,
         conclusions=tuple(conclusions),

@@ -12,10 +12,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .brauer import AbstractClass, AbstractGroup, class_primes
-from .measure_ring import RingElement, from_terms
+from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
 from .varieties import Quadric
@@ -47,10 +47,6 @@ class VerificationRun:
             "details": self.details,
             "version": VERSION,
         }
-
-
-def _multisets(elements: Sequence[AbstractClass], card: int):
-    return itertools.combinations_with_replacement(elements, card)
 
 
 def _state_key(classes: Iterable[AbstractClass]) -> tuple:
@@ -96,7 +92,7 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> Verificatio
     states_checked: dict[str, int] = {}
 
     for m in range(1, m_max + 1):
-        states = [tuple(ms) for ms in _multisets(elements, m)]
+        states = [tuple(ms) for ms in itertools.combinations_with_replacement(elements, m)]
         states_checked[str(m)] = len(states)
         index = {_state_key(s): i for i, s in enumerate(states)}
 
@@ -206,18 +202,15 @@ def verify_sum_cancellation(
     elements = list(group.elements())
     states: list[tuple[AbstractClass, ...]] = []
     for m in range(card_max + 1):
-        states.extend(tuple(ms) for ms in _multisets(elements, m))
-
-    def merged_signature(x, n):
-        # Signature of the concatenation; same computation the motive layer
-        # performs, on the concatenated tuple.
-        return MotiveSum.of(group, x + n).signature()
+        states.extend(tuple(ms) for ms in itertools.combinations_with_replacement(elements, m))
 
     base_sig = {i: MotiveSum.of(group, s).signature() for i, s in enumerate(states)}
     for n_state in states:
         buckets: dict[tuple, dict] = {}
         for i, x_state in enumerate(states):
-            key = merged_signature(x_state, n_state)
+            # Signature of the concatenation; same computation the motive
+            # layer performs, on the concatenated tuple.
+            key = MotiveSum.of(group, x_state + n_state).signature()
             bucket = buckets.setdefault(key, {})
             bucket.setdefault(base_sig[i], i)
             if len(bucket) > 1:
@@ -263,7 +256,7 @@ def _tensor_cancellation_holds(
     two_torsion = [c for c in elements if c.order() <= 2]
     states: list[tuple[AbstractClass, ...]] = []
     for m in range(1, card_max + 1):
-        states.extend(tuple(ms) for ms in _multisets(elements, m))
+        states.extend(tuple(ms) for ms in itertools.combinations_with_replacement(elements, m))
     for c in two_torsion:
         qc = Quadric(FormShadow(n_dim, c)).jt_classes()
         buckets: dict[tuple, dict] = {}
@@ -429,7 +422,7 @@ def verify_normal_form_confluence(
     rng = random.Random(seed)
     for t in range(trials):
         raw = _random_raw_element(group, rng)
-        expected = dict(from_terms(group, tuple(raw.items())).terms)
+        expected = dict(RingElement(group, tuple(raw.items())).terms)
         work = dict(raw)
         steps = 0
         while _rewrite_once(group, work, rng):

@@ -2,8 +2,9 @@
 
 Nothing here calls the library's closed forms.  Local solvability is decided
 by enumerating primitive solutions modulo a Hensel-sufficient prime power;
-box weights by direct partition enumeration; finite-group arithmetic and the
-isomorphism signature by coordinate loops over the expanded multiset.
+box weights by direct partition enumeration; finite-group arithmetic, the
+isomorphism signature and the per-prime isomorphism test by coordinate loops
+over the expanded multiset; sigma1 by its displayed two-term formula.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -169,6 +171,36 @@ def list_signature(coord_list, orders) -> tuple:
         counts = Counter(coords_p_part(c, orders, p) for c in coord_list)
         parts.append((p, tuple(sorted(counts.items()))))
     return (len(coord_list), tuple(parts))
+
+
+def counter_isomorphic(coords_x, coords_y, orders) -> bool:
+    """The per-prime isomorphism test: equal cardinality and, for every prime
+    dividing some class order on either side, equal Counters of p-parts."""
+    if len(coords_x) != len(coords_y):
+        return False
+    both = list(coords_x) + list(coords_y)
+    primes = {p for c in both for p in _primes_of(coords_order(c, orders))}
+    return all(
+        Counter(coords_p_part(c, orders, p) for c in coords_x)
+        == Counter(coords_p_part(c, orders, p) for c in coords_y)
+        for p in primes
+    )
+
+
+def sigma1_direct(parity: str, m: int, n: int, l: int) -> Fraction:
+    """sigma1 as displayed: both binomial terms of each step in one sum."""
+    q = Fraction(n - 2)
+    total = Fraction(0)
+    for r in range(l // 2 + 1):
+        even_part = math.comb(l, 2 * r)
+        odd_part = math.comb(l, 2 * r + 1)
+        if parity == "even":
+            total += even_part * 2 ** (2 * r + 1) * q ** (m - (2 * r + 1))
+            total += odd_part * Fraction(2) ** (m - l + (2 * r + 1)) * q ** (l - (2 * r + 1))
+        else:
+            total += even_part * q ** (m - (2 * r + 1))
+            total += odd_part * q ** (l - (2 * r + 1))
+    return total
 
 
 def gaussian_binomial(n: int, k: int) -> list:

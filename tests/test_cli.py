@@ -126,8 +126,46 @@ MALFORMED_DOCS = {
 }
 
 
+_RAT_SB = {"family": "severi-brauer", "alg": {"degree": 2, "class": {"invariants": [
+    {"place": "real", "inv": "1/2"}, {"place": 2, "inv": "1/2"}]}}}
+
+
+def _shadow8(i3):
+    shadow = {"dim": 8, "clifford_class": {"coords": [1, 0]}, "i3_zero": i3}
+    return {"family": "quadric", "shadow": shadow}
+
+
+MALFORMED_DOCS.update({
+    "index-oracle-not-array": _sb_doc(orders=(2, 2), coords=(1, 1), oracle=5),
+    "index-oracle-entry-not-object": _sb_doc(orders=(2, 2), coords=(1, 1), oracle=[5]),
+    "invariants-not-array": _variety_doc(
+        {"family": "severi-brauer", "alg": {"degree": 2, "class": {"invariants": 5}}},
+        {"kind": "rational"},
+    ),
+    "invariant-entry-not-object": _variety_doc(
+        {"family": "severi-brauer", "alg": {"degree": 2, "class": {"invariants": [5]}}},
+        {"kind": "rational"},
+    ),
+    "children-not-array": _variety_doc({"family": "product", "children": 5}),
+    "child-not-object": _variety_doc({"family": "product", "children": [5]}),
+    "invariant-float": _variety_doc(
+        {"family": "severi-brauer", "alg": {"degree": 2, "class": {"invariants": [
+            {"place": "real", "inv": 0.5}, {"place": 2, "inv": "1/2"}]}}},
+        {"kind": "rational"},
+    ),
+    "form-float": _variety_doc(
+        {"family": "quadric", "form": [1, 1, 1, -1, -1, -1.0]}, {"kind": "rational"}),
+    "form-bool": _variety_doc(
+        {"family": "quadric", "form": [1, 1, 1, -1, -1, True]}, {"kind": "rational"}),
+    "shadow-i3-string": _variety_doc(_shadow8("false"), {"kind": "abstract", "orders": [2, 2]}),
+    "shadow-i3-integer": _variety_doc(_shadow8(1), {"kind": "abstract", "orders": [2, 2]}),
+})
+
+
 class TestMalformedNumbers:
-    """JSON booleans are not integers, and a zero denominator is bad input."""
+    """JSON booleans are not integers, floats are not rationals, a zero
+    denominator is bad input, and a field that must be an array, an object or
+    a boolean is rejected with a message rather than a traceback."""
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
     def test_exit_one_with_one_line_message(self, capsys, name):
@@ -140,6 +178,44 @@ class TestMalformedNumbers:
     def test_boolean_degree_is_not_echoed(self, capsys):
         code, out, _ = run(capsys, "measure", json.dumps(_sb_doc(coords=(0,), degree=True)), "--format", "json")
         assert code == 1 and "true" not in out
+
+
+V4 = {"kind": "abstract", "orders": [2, 2]}
+
+MALFORMED_PAIR_DOCS = {
+    # "false" is a non-empty string; read as truthy it licensed the I^3 = 0 rule.
+    "request-i3-string": {
+        "group": V4, "x": _shadow8(False), "y": _shadow8(False), "i3_zero": "false"},
+    "request-i3-integer": {"group": V4, "x": _shadow8(False), "y": _shadow8(False), "i3_zero": 0},
+    "shadow-i3-string": {"group": V4, "x": _shadow8("false"), "y": _shadow8("false")},
+}
+
+
+class TestDeduceFlags:
+    """``i3_zero`` must be a JSON boolean, on the request and on each shadow."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PAIR_DOCS))
+    def test_non_boolean_is_exit_one(self, capsys, name):
+        code, out, err = run(capsys, "deduce", json.dumps(MALFORMED_PAIR_DOCS[name]))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "i3_zero" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, isomorphic", [(False, False), (True, True)])
+    def test_boolean_decides_the_i3_rule(self, capsys, flag, isomorphic):
+        doc = {"group": V4, "x": _shadow8(False), "y": _shadow8(False), "i3_zero": flag}
+        code, out, _ = run(capsys, "deduce", json.dumps(doc), "--format", "json")
+        statements = [c["statement"] for c in json.loads(out)["report"]["conclusions"]]
+        assert code == 0
+        assert ("quadrics are isomorphic" in statements) == isomorphic
+
+    def test_integer_rationals_are_accepted(self, capsys):
+        doc = {"group": {"kind": "rational"},
+               "x": {"family": "quadric", "form": [1, 1, 1, -1, -1, -1]},
+               "y": {"family": "quadric", "form": ["1", "1", "1", "-1", "-1", "-1"]}}
+        code, out, _ = run(capsys, "compare", json.dumps(doc), "--format", "json")
+        assert code == 0 and json.loads(out)["verdict"]["measures_equal"] is True
 
 
 class TestCompareAndDeduce:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coords_add, coords_p_part, counter_isomorphic
 from titsmeasure.brauer import AbstractGroup, GroupMismatchError
 from titsmeasure.motives import (
     MotiveSum,
@@ -95,6 +96,25 @@ class TestIsomorphism:
         if a.group != b.group:
             return
         assert is_isomorphic(a, b) == (a.signature() == b.signature())
+
+    @given(motive_sums(max_len=6), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_prime_counter_oracle(self, a, rnd, perturb):
+        # b trades p-parts between the summands of a prime by prime, so it
+        # is isomorphic to a; perturbing one summand usually breaks that.
+        g = a.group
+        xs = [c.coords for c in a.classes]
+        ys = [(0,) * len(g.orders) for _ in xs]
+        for p in g.primes():
+            parts = [coords_p_part(c, g.orders, p) for c in xs]
+            rnd.shuffle(parts)
+            ys = [coords_add(y, part, g.orders) for y, part in zip(ys, parts)]
+        if perturb:
+            ys[rnd.randrange(len(ys))] = tuple(rnd.randrange(n) for n in g.orders)
+        b = MotiveSum.of(g, [g.element(y) for y in ys])
+        expected = counter_isomorphic(xs, ys, g.orders)
+        assert expected or perturb
+        assert is_isomorphic(a, b) == expected
 
     @given(motive_sums(group=G12, max_len=3), motive_sums(group=G12, max_len=3))
     @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sigma1_direct
 from titsmeasure.sigma import (
     KINDS,
     RECURRENCE_FACTORS,
@@ -46,15 +47,15 @@ class TestAnchors:
 
 class TestClosedForms:
     def test_split_sums_add_up(self):
-        for n in (5, 6, 9, 12):
+        # sigma1 is built from the split pieces; the oracle sums the
+        # displayed two-term formula directly, past l = m and at n = 3, 4.
+        for n in (3, 4, 5, 6, 9, 12):
             for m in range(1, 7):
-                for l in range(m):
-                    assert sigma_fraction("1even", m, n, l) == sigma_fraction(
-                        "11even", m, n, l
-                    ) + sigma_fraction("12even", m, n, l)
-                    assert sigma_fraction("1odd", m, n, l) == sigma_fraction(
-                        "11odd", m, n, l
-                    ) + sigma_fraction("12odd", m, n, l)
+                for l in range(m + 3):
+                    for parity in ("even", "odd"):
+                        assert sigma_fraction("1" + parity, m, n, l) == sigma1_direct(
+                            parity, m, n, l
+                        )
 
     def test_l_two_displays(self):
         for n in range(3, 23):

@@ -7,7 +7,6 @@ import pytest
 
 from oracles import box_partition_weights, gaussian_binomial
 from titsmeasure.brauer import CSA, AbstractGroup, GroupMismatchError
-from titsmeasure.measure_ring import mul
 from titsmeasure.quadforms import FormShadow, QuadraticForm
 from titsmeasure.varieties import (
     Grassmannian,
@@ -126,7 +125,7 @@ class TestTables:
         a = sb(G4, [1], 4)
         b = sb(G4, [2], 2)
         lhs = tits_measure(Product((a, b))).jt
-        rhs = mul(tits_measure(a).jt, tits_measure(b).jt)
+        rhs = tits_measure(a).jt * tits_measure(b).jt
         assert lhs == rhs
 
     def test_product_rejects_mixed_groups(self):
