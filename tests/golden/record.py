@@ -184,6 +184,35 @@ CASES: dict[str, list[str]] = {
     "verify-confluence-z30-json": ["verify", "--suite", "normal-form-confluence", "--group", "30", "--trials", "40", "--format", "json"],
 }
 
+# rational forms: every dimension 3..10 (every n mod 8 correction), with
+# fractional entries, entries carrying p^2, 2-adic entries and primes
+# between 10^3 and 10^4; each form has trivial signed discriminant.
+Q_FORMS = {
+    3: ["3/4", "-5/18", "30"],
+    4: ["2", "6", "-2", "-6"],
+    5: ["1009", "-7919", "12", "50", "-47941626"],
+    6: ["-5/18", "45", "98", "3", "7", "21"],
+    7: ["2", "-3", "6", "1/9", "-1013", "2027", "-2053351"],
+    8: ["1", "1", "2", "-2", "3/4", "-12", "5", "5"],
+    9: ["-7", "-28", "11/25", "11", "13", "-13", "17", "-17", "1"],
+    10: ["3", "5", "-15", "2", "-2", "6", "9/49", "-1", "7", "42"],
+}
+for _n, _entries in Q_FORMS.items():
+    _fmt = () if _n % 3 == 0 else JSON
+    CASES[f"measure-rational-dim{_n}"] = [
+        "measure", _measure(RATIONAL, {"family": "quadric", "form": _entries}), *_fmt]
+
+# an isometric pair over Q: permuted, with one entry scaled by (3/2)^2
+QUAD5_Q = {"family": "quadric", "form": Q_FORMS[5]}
+QUAD5_Q_ISO = {"family": "quadric", "form": ["50", "-47941626", "27", "1009", "-7919"]}
+QUAD6_Q = {"family": "quadric", "form": Q_FORMS[6]}
+CASES["compare-rational-isometric-json"] = ["compare", _pair(RATIONAL, QUAD5_Q, QUAD5_Q_ISO), *JSON]
+CASES["deduce-rational-isometric-table"] = ["deduce", _pair(RATIONAL, QUAD5_Q, QUAD5_Q_ISO)]
+CASES["compare-rational-dim6-differ-table"] = ["compare", _pair(RATIONAL, QUAD6_A, QUAD6_Q)]
+CASES["deduce-rational-dim6-differ-json"] = ["deduce", _pair(RATIONAL, QUAD6_A, QUAD6_Q), *JSON]
+CASES["measure-rational-disc-nontrivial"] = [
+    "measure", _measure(RATIONAL, {"family": "quadric", "form": ["1", "2", "3", "5"]})]
+
 # sigma, every kind at two points, one with l past the anchor range
 for _kind in ("1even", "1odd", "2even", "2odd", "11even", "11odd", "12even", "12odd"):
     CASES[f"sigma-{_kind}-m7-json"] = ["sigma", _kind, "7", "9", "4", *JSON]

@@ -2,8 +2,8 @@
 
 The corpus (``golden/expected.json``) covers measure/compare/deduce over every
 family, abstract and rational models, table and json formats, every ``deduce``
-rule branch, every sigma kind, sigma-check, conic-family, plus all five verify
-suites on small groups.  ``golden/record.py`` regenerates it.
+rule branch, rational forms in every dimension 3-10, every sigma kind,
+sigma-check, conic-family, plus all five verify suites on small groups.  ``golden/record.py`` regenerates it.
 """
 
 import json
