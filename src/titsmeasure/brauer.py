@@ -29,35 +29,156 @@ from operator import attrgetter, methodcaller
 from typing import Iterable, Iterator, Sequence, Union
 
 
+class ResourceLimitError(RuntimeError):
+    """The requested work exceeds a documented resource frontier."""
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+# Trial division covers the primes below TRIAL_LIMIT, so a cofactor free of
+# them and below TRIAL_LIMIT^2 is prime.
+TRIAL_LIMIT = 1000
+_SMALL_PRIMES = _primes_below(TRIAL_LIMIT)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+
+# Strong-pseudoprime bounds: below bound, the first k prime bases decide
+# primality (Jaeschke 1993; Zhang and Tang 2003; Sorenson and Webster 2015).
+_MR_BOUNDS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+
+# Pollard-Brent steps (one squaring and one product mod n each) that one
+# ``prime_factors`` call may spend: about half a second of pure Python, which
+# splits any number whose second-largest prime factor is below ~10^10.
+RHO_BUDGET = 1 << 18
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test (Cohen, section 8.2).
+
+    Exact below 3.3 * 10^24.  Above that a composite is still proven by its
+    witness, but a number passing every base raises ``ResourceLimitError``.
+    """
+    if n < TRIAL_LIMIT:
+        return n in _SMALL_PRIME_SET
+    if any(n % p == 0 for p in _SMALL_PRIMES[:13]):
+        return False
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:k])
+    if all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:13]):
+        raise ResourceLimitError(
+            f"a {n.bit_length()}-bit probable prime is beyond the proven primality range"
+        )
+    return False
+
+
+def _spend(budget: list[int], steps: int, n: int) -> None:
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise ResourceLimitError(
+            f"factoring a {n.bit_length()}-bit integer exceeds the work budget"
+        )
+
+
+def _rho_split(n: int, budget: list[int]) -> int:
+    """A proper factor of a composite n free of small primes (Pollard rho with
+    Brent's cycle search and batched gcds, Cohen section 8.5)."""
+    root = math.isqrt(n)
+    if root * root == n:
+        return root
+    for c in range(1, n):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            _spend(budget, r, n)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(128, r - k)
+                _spend(budget, steps, n)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            # The batch overshot: retrace it one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError(f"no rho polynomial splits {n}")
+
+
 def prime_factors(n: int) -> dict[int, int]:
-    """Factor a positive integer by trial division: {prime: exponent}."""
+    """Factor a positive integer: {prime: exponent}, primes ascending.
+
+    Trial division by the primes below ``TRIAL_LIMIT``, then Miller-Rabin and
+    Pollard-Brent rho on what is left, within ``RHO_BUDGET`` steps; past the
+    budget it raises ``ResourceLimitError``.
+    """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            if n > 1:
+                out[n] = 1
+            return out
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    # Every prime factor left is above the table.
+    budget = [RHO_BUDGET]
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < TRIAL_LIMIT * TRIAL_LIMIT or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_split(m, budget)
+            pending += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 # Places of Q: the string "real" or a prime number.

@@ -16,12 +16,11 @@ import sys
 from typing import Any
 
 from . import jsonio
-from .brauer import AbstractGroup
+from .brauer import AbstractGroup, ResourceLimitError
 from .rationals import distinct_conic_family
 from .sigma import KINDS, RECURRENCE_FACTORS, recurrence_violations, sigma
 from .varieties import compare, deduce, tits_measure
 from .verify import (
-    ResourceLimitError,
     verify_normal_form_confluence,
     verify_quadric_product_matching,
     verify_relation_equivalence,

@@ -62,11 +62,30 @@ def parse_flag(payload: Any, key: str, context: str) -> bool:
     return value
 
 
+# Caps on a written rational, checked before ``Fraction`` expands it: a
+# decimal exponent is expanded in full, so "1e1000000" alone is a 3.3-Mbit
+# integer.
+MAX_RATIONAL_CHARS = 200
+MAX_DECIMAL_EXPONENT = 200
+
+
 def _fraction(value: Any, context: str) -> Fraction:
     """A rational given as a string or a JSON integer; floats are rejected
     because their binary expansion is not the number that was written."""
     if not (isinstance(value, str) or _is_int(value)):
         raise ValueError(f"{context}: expected a rational string or an integer, got {value!r}")
+    text = value if isinstance(value, str) else str(value)
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"{context}: a rational has at most {MAX_RATIONAL_CHARS} characters")
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_big = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+    except ValueError:
+        too_big = False  # not an exponent; Fraction rejects the string below
+    if too_big:
+        raise ValueError(
+            f"{context}: a decimal exponent has magnitude at most {MAX_DECIMAL_EXPONENT}"
+        )
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -1,5 +1,12 @@
 """Diagonal quadratic forms over Q and their even-Clifford Brauer classes.
 
+Each entry is factored once, into its square class (``square_classes``).
+The signed discriminant, the Hasse invariant and the n mod 8 correction all
+read those classes; the determinant's class is their product modulo squares,
+so the determinant itself is never factored.  The Hasse invariant and the
+even-Clifford class are each one ``quaternion_sum`` over pairs of classes,
+which evaluates the integer Hilbert core of ``rationals``.
+
 The closed-form Clifford invariant below (cases by n mod 8, mixing the Hasse
 invariant with the determinant) is pinned against an independent
 structure-constant oracle in ``clifford``; see the tests.
@@ -14,10 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, RationalClass
-from .rationals import as_fraction, quaternion_class, squarefree_part
+from .rationals import SquareClass, as_fraction, quaternion_sum, square_class
 
 
 @dataclass(frozen=True)
@@ -40,40 +49,52 @@ class QuadraticForm:
     def dim(self) -> int:
         return len(self.entries)
 
-    def det(self) -> Fraction:
-        return math.prod(self.entries, start=Fraction(1))
+    @cached_property
+    def square_classes(self) -> tuple[SquareClass, ...]:
+        """Each entry modulo squares, factored once per form."""
+        return tuple(square_class(a) for a in self.entries)
 
     def to_payload(self) -> list[str]:
         return [str(a) for a in self.entries]
+
+
+def _det_class(q: QuadraticForm) -> SquareClass:
+    """The square class of det(q): the product of the entry classes."""
+    sign, twos, odd = 1, 0, set()
+    for s, primes in q.square_classes:
+        sign *= -1 if s < 0 else 1
+        twos += s % 2 == 0
+        odd.symmetric_difference_update(primes)
+    primes = tuple(sorted(odd))
+    return sign * 2 ** (twos % 2) * math.prod(primes), primes
 
 
 def signed_discriminant(q: QuadraticForm) -> int:
     """(-1)^{n(n-1)/2} det(q) as a squarefree integer (1 means trivial)."""
     n = q.dim
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return squarefree_part(sign * q.det())
+    return sign * _det_class(q)[0]
 
 
 def hasse_invariant(q: QuadraticForm) -> RationalClass:
     """Sum of the quaternion classes (a_i, a_j) over i < j."""
-    total = RationalClass(())
-    for i in range(q.dim):
-        for j in range(i + 1, q.dim):
-            total = total + quaternion_class(q.entries[i], q.entries[j])
-    return total
+    return quaternion_sum(combinations(q.square_classes, 2))
 
 
-# Correction added to the Hasse invariant to obtain the even-Clifford class,
-# keyed by n mod 8 and fed the (unsigned) determinant.
-def _clifford_correction(n: int, det: Fraction) -> RationalClass:
+MINUS_ONE: SquareClass = (-1, ())
+
+
+# The pair whose quaternion class is added to the Hasse invariant to obtain
+# the even-Clifford class, keyed by n mod 8 and fed the (unsigned) determinant.
+def _clifford_correction(n: int, det: SquareClass) -> list[tuple[SquareClass, SquareClass]]:
     residue = n % 8
     if residue in (1, 2):
-        return RationalClass(())
+        return []
     if residue in (3, 4):
-        return quaternion_class(-1, -det)
+        return [(MINUS_ONE, (-det[0], det[1]))]
     if residue in (5, 6):
-        return quaternion_class(-1, -1)
-    return quaternion_class(-1, det)  # residue 7 or 0
+        return [(MINUS_ONE, MINUS_ONE)]
+    return [(MINUS_ONE, det)]  # residue 7 or 0
 
 
 def even_clifford_class(q: QuadraticForm) -> RationalClass:
@@ -90,7 +111,8 @@ def even_clifford_class(q: QuadraticForm) -> RationalClass:
             "even-dimensional form with nontrivial signed discriminant is "
             "outside the supported setting"
         )
-    return hasse_invariant(q) + _clifford_correction(n, q.det())
+    pairs = [*combinations(q.square_classes, 2), *_clifford_correction(n, _det_class(q))]
+    return quaternion_sum(pairs)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,20 @@
 """Hilbert symbols over Q and the quaternion classes they cut out in Br(Q).
 
-Closed formulas per place (real, 2, odd p), consuming exact rationals.  The
-test suite validates them against a brute-force solvability oracle for
-ax^2 + by^2 = z^2 over Z/p^k, so nothing here leans on the formulas being
-transcribed correctly.
+A rational is reduced once to its square class: a squarefree integer and
+the odd primes dividing it (``square_class``), which is all a Hilbert symbol
+can see.  One integer core evaluates the closed formula at a place (real, 2,
+odd p); ``hilbert_symbol`` feeds it numerator * denominator, which has the
+same square class, and sums of quaternion classes feed it square classes
+directly, at the places their factorizations name.  The test suite validates
+the core against a brute-force solvability oracle for ax^2 + by^2 = z^2 over
+Z/p^k, so nothing here leans on the formula being transcribed correctly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .brauer import (
     REAL_PLACE,
@@ -18,8 +22,14 @@ from .brauer import (
     RationalClass,
     check_place,
     is_prime,
+    place_sort_key,
     prime_factors,
 )
+
+# A rational modulo nonzero squares: (squarefree integer, its odd primes).
+SquareClass = tuple[int, tuple[int, ...]]
+
+HALF = Fraction(1, 2)
 
 
 def as_fraction(x) -> Fraction:
@@ -28,44 +38,43 @@ def as_fraction(x) -> Fraction:
     raise ValueError(f"expected an exact rational, got {x!r}")
 
 
-def valuation(x: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if x == 0:
-        raise ValueError("valuation of zero is undefined")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def squarefree_part(x) -> int:
-    """The squarefree integer representing x modulo nonzero squares."""
+def square_class(x) -> SquareClass:
+    """x modulo nonzero squares, from one factorization of num * den."""
     x = as_fraction(x)
     if x == 0:
         raise ValueError("zero has no square class")
     n = x.numerator * x.denominator
-    sign = -1 if n < 0 else 1
-    out = 1
-    for p, e in prime_factors(abs(n)).items():
-        if e % 2:
-            out *= p
-    return sign * out
+    odd = tuple(p for p, e in prime_factors(abs(n)).items() if e % 2)
+    s = -1 if n < 0 else 1
+    for p in odd:
+        s *= p
+    return s, tuple(p for p in odd if p != 2)
 
 
-def _unit_residue(x: Fraction, p: int, modulus: int) -> int:
-    """x mod modulus for a p-adic unit x (denominator invertible)."""
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
-
-
-def _legendre(u: Fraction, p: int) -> int:
-    """Legendre symbol of a p-adic unit at an odd prime, as +1 or -1."""
-    r = pow(_unit_residue(u, p, p), (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+def _hilbert(a: int, b: int, place: Place) -> int:
+    """The Hilbert symbol (a, b) at a place of Q, for nonzero integers."""
+    if place == REAL_PLACE:
+        return -1 if a < 0 and b < 0 else 1
+    p = place
+    alpha = beta = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    while b % p == 0:
+        b //= p
+        beta += 1
+    if p != 2:
+        sign = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+        if beta % 2 and pow(a, (p - 1) // 2, p) != 1:
+            sign = -sign
+        if alpha % 2 and pow(b, (p - 1) // 2, p) != 1:
+            sign = -sign
+        return sign
+    ru, rv = a % 8, b % 8
+    eps_u, eps_v = (ru - 1) // 2 % 2, (rv - 1) // 2 % 2
+    omega_u, omega_v = (ru * ru - 1) // 8 % 2, (rv * rv - 1) // 8 % 2
+    exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
+    return -1 if exponent % 2 else 1
 
 
 def hilbert_symbol(a, b, place: Place) -> int:
@@ -74,48 +83,49 @@ def hilbert_symbol(a, b, place: Place) -> int:
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero entries")
     place = check_place(place)
-    if place == REAL_PLACE:
-        return -1 if a < 0 and b < 0 else 1
-    p = place
-    alpha, beta = valuation(a, p), valuation(b, p)
-    u, v = a / Fraction(p) ** alpha, b / Fraction(p) ** beta
-    if p != 2:
-        sign = 1
-        if alpha * beta * ((p - 1) // 2) % 2:
-            sign = -sign
-        if beta % 2 and _legendre(u, p) == -1:
-            sign = -sign
-        if alpha % 2 and _legendre(v, p) == -1:
-            sign = -sign
-        return sign
-    ru, rv = _unit_residue(u, 2, 8), _unit_residue(v, 2, 8)
-    eps_u, eps_v = (ru - 1) // 2 % 2, (rv - 1) // 2 % 2
-    omega_u, omega_v = (ru * ru - 1) // 8 % 2, (rv * rv - 1) // 8 % 2
-    exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
-    return -1 if exponent % 2 else 1
+    return _hilbert(a.numerator * a.denominator, b.numerator * b.denominator, place)
+
+
+def _ramified(x: SquareClass, y: SquareClass) -> list[Place]:
+    """Places where (x, y) does not split: only the real place, 2 and the odd
+    primes of the square classes can ramify."""
+    (a, odd_a), (b, odd_b) = x, y
+    return [
+        v
+        for v in (REAL_PLACE, 2, *set(odd_a).union(odd_b))
+        if _hilbert(a, b, v) == -1
+    ]
 
 
 def ramified_places(a, b) -> tuple[Place, ...]:
     """Places where the quaternion algebra (a, b) does not split."""
-    a, b = as_fraction(a), as_fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("quaternion algebra needs nonzero entries")
-    candidates: list[Place] = [REAL_PLACE, 2]
-    odd = set()
-    for x in (a, b):
-        odd.update(p for p in prime_factors(abs(squarefree_part(x))) if p != 2)
-    candidates.extend(sorted(odd))
-    return tuple(v for v in candidates if hilbert_symbol(a, b, v) == -1)
+    return tuple(sorted(_ramified(square_class(a), square_class(b)), key=place_sort_key))
+
+
+def quaternion_sum(pairs: Iterable[tuple[SquareClass, SquareClass]]) -> RationalClass:
+    """Sum of the quaternion classes (x, y) over pairs of square classes.
+
+    The ramification parity is counted per place and one class is built at
+    the end.  Each pair must ramify at an even number of places (the product
+    formula); an odd count raises ``AssertionError``.
+    """
+    odd: set[Place] = set()
+    for x, y in pairs:
+        places = _ramified(x, y)
+        if len(places) % 2:
+            raise AssertionError(
+                f"({x[0]}, {y[0]}) ramifies at an odd number of places: {places}"
+            )
+        odd.symmetric_difference_update(places)
+    return RationalClass(tuple((v, HALF) for v in odd))
 
 
 def quaternion_class(a, b) -> RationalClass:
     """Brauer class of the quaternion algebra (a, b) over Q.
 
-    Local invariant 1/2 exactly at the ramified places; the built-in parity
-    check on RationalClass doubles as a product-formula assertion.
+    Local invariant 1/2 exactly at the ramified places.
     """
-    half = Fraction(1, 2)
-    return RationalClass(tuple((v, half) for v in ramified_places(a, b)))
+    return quaternion_sum([(square_class(a), square_class(b))])
 
 
 def distinct_conic_family(primes: Sequence[int]) -> list[RationalClass]:

@@ -13,7 +13,7 @@ measures first so a false assertion is flagged instead of silently used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
@@ -110,7 +110,13 @@ class Grassmannian:
 
 @dataclass(frozen=True)
 class Quadric:
+    """A projective quadric; its even-Clifford class is computed once, here.
+
+    Equality and hashing read ``form`` alone.
+    """
+
     form: Union[QuadraticForm, FormShadow]
+    clifford_class: BrauerClass = field(init=False, repr=False, compare=False)
 
     family = "quadric"
 
@@ -122,18 +128,16 @@ class Quadric:
                 raise ValueError(
                     "quadric family requires trivial signed discriminant"
                 )
-        elif not isinstance(self.form, FormShadow):
+            cls = even_clifford_class(self.form)
+        elif isinstance(self.form, FormShadow):
+            cls = self.form.clifford_class
+        else:
             raise ValueError("quadric takes a QuadraticForm or a FormShadow")
+        object.__setattr__(self, "clifford_class", cls)
 
     @property
     def form_dim(self) -> int:
         return self.form.dim
-
-    @property
-    def clifford_class(self) -> BrauerClass:
-        if isinstance(self.form, QuadraticForm):
-            return even_clifford_class(self.form)
-        return self.form.clifford_class
 
     @property
     def i3_zero(self) -> bool:

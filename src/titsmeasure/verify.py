@@ -14,16 +14,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .brauer import AbstractClass, AbstractGroup, class_primes
+from .brauer import AbstractClass, AbstractGroup, ResourceLimitError, class_primes
 from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
 from .varieties import Quadric
 from .version import VERSION
-
-
-class ResourceLimitError(RuntimeError):
-    """The requested enumeration exceeds the configured size frontier."""
 
 
 @dataclass(frozen=True)

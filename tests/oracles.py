@@ -4,7 +4,8 @@ Nothing here calls the library's closed forms.  Local solvability is decided
 by enumerating primitive solutions modulo a Hensel-sufficient prime power;
 box weights by direct partition enumeration; finite-group arithmetic, the
 isomorphism signature and the per-prime isomorphism test by coordinate loops
-over the expanded multiset; sigma1 by its displayed two-term formula.
+over the expanded multiset; sigma1 by its displayed two-term formula; the
+even-Clifford class by the pairwise Fraction formula over trial division.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+
+from titsmeasure.brauer import RationalClass
 
 
 def _is_squarefree(x: int) -> bool:
@@ -92,6 +95,100 @@ def hilbert_oracle(a: int, b: int, place) -> int:
     return -1
 
 
+def trial_factors(n: int) -> dict:
+    """{prime: exponent} of a positive integer by trial division."""
+    out: dict = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The even-Clifford class as the closed formula reads, pair by pair: the
+# Hilbert symbol by its per-place formula over Fractions, each quaternion
+# class (a_i, a_j) built and summed, then the n mod 8 correction.
+# ---------------------------------------------------------------------------
+
+
+def _valuation(x: Fraction, p: int) -> int:
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _unit_residue(x: Fraction, modulus: int) -> int:
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def hilbert_fraction(a: Fraction, b: Fraction, place) -> int:
+    """(a, b) at a place, from valuations and unit residues of Fractions."""
+    if place == "real":
+        return -1 if a < 0 and b < 0 else 1
+    p = place
+    alpha, beta = _valuation(a, p), _valuation(b, p)
+    u, v = a / Fraction(p) ** alpha, b / Fraction(p) ** beta
+    if p != 2:
+        sign = 1
+        if alpha * beta * ((p - 1) // 2) % 2:
+            sign = -sign
+        if beta % 2 and pow(_unit_residue(u, p), (p - 1) // 2, p) != 1:
+            sign = -sign
+        if alpha % 2 and pow(_unit_residue(v, p), (p - 1) // 2, p) != 1:
+            sign = -sign
+        return sign
+    ru, rv = _unit_residue(u, 8), _unit_residue(v, 8)
+    eps_u, eps_v = (ru - 1) // 2 % 2, (rv - 1) // 2 % 2
+    omega_u, omega_v = (ru * ru - 1) // 8 % 2, (rv * rv - 1) // 8 % 2
+    return -1 if (eps_u * eps_v + alpha * omega_v + beta * omega_u) % 2 else 1
+
+
+def pairwise_quaternion_class(a, b):
+    """The class (a, b), ramified where the Fraction formula gives -1."""
+    a, b = Fraction(a), Fraction(b)
+    odd = set()
+    for x in (a, b):
+        odd.update(p for p in trial_factors(abs(x.numerator * x.denominator)) if p != 2)
+    places = ["real", 2, *sorted(odd)]
+    return RationalClass(tuple(
+        (v, Fraction(1, 2)) for v in places if hilbert_fraction(a, b, v) == -1
+    ))
+
+
+def pairwise_hasse(entries):
+    """Sum over i < j of the quaternion classes (a_i, a_j)."""
+    total = RationalClass(())
+    for i, j in itertools.combinations(range(len(entries)), 2):
+        total = total + pairwise_quaternion_class(entries[i], entries[j])
+    return total
+
+
+def pairwise_clifford(entries):
+    """Hasse invariant plus the quaternion correction keyed by n mod 8."""
+    n = len(entries)
+    det = math.prod((Fraction(a) for a in entries), start=Fraction(1))
+    residue = n % 8
+    total = pairwise_hasse(entries)
+    if residue in (3, 4):
+        total = total + pairwise_quaternion_class(-1, -det)
+    elif residue in (5, 6):
+        total = total + pairwise_quaternion_class(-1, -1)
+    elif residue in (7, 0):
+        total = total + pairwise_quaternion_class(-1, det)
+    return total
+
+
 def squarefree_corpus(bound: int) -> list[int]:
     return [x for x in range(-bound, bound + 1) if x and _is_squarefree(x)]
 
@@ -145,17 +242,7 @@ def coords_neg(a, orders) -> tuple:
 
 
 def _primes_of(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return list(trial_factors(n))
 
 
 def list_signature(coord_list, orders) -> tuple:

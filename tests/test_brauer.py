@@ -1,17 +1,25 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import titsmeasure
+from oracles import trial_factors
+from titsmeasure import verify
 from titsmeasure.brauer import (
     CSA,
     RATIONALS,
     AbstractGroup,
     GroupMismatchError,
     RationalClass,
+    ResourceLimitError,
     coprime_indexes,
     generated_subgroup,
+    is_prime,
+    prime_factors,
 )
 
 G6 = AbstractGroup((6,))
@@ -79,6 +87,59 @@ class TestAbstractGroup:
     def test_mixed_group_arithmetic_rejected(self):
         with pytest.raises(GroupMismatchError):
             G6.element([1]) + G12.element([1])
+
+
+# Primes between 10^3 and 2 * 10^4: free of the trial-division table, so their
+# products go through Miller-Rabin and Pollard-Brent rho.
+MIDDLE_PRIMES = [p for p in range(1001, 20_000, 2) if trial_factors(p) == {p: 1}]
+M61, M89, M107 = 2**61 - 1, 2**89 - 1, 2**107 - 1  # Mersenne primes
+
+
+class TestFactoring:
+    @given(st.integers(1, 10**9 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_trial_division(self, n):
+        assert prime_factors(n) == trial_factors(n)
+        assert is_prime(n) == (trial_factors(n) == {n: 1})
+
+    @given(st.lists(st.sampled_from(MIDDLE_PRIMES), min_size=1, max_size=4),
+           st.integers(1, 1000))
+    @settings(max_examples=150, deadline=None)
+    def test_products_of_large_primes(self, primes, small):
+        n = math.prod(primes) * small
+        expected = dict(trial_factors(small))
+        for p in primes:
+            expected[p] = expected.get(p, 0) + 1
+        assert prime_factors(n) == dict(sorted(expected.items()))
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # The least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9
+        # and 12 prime bases.
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+
+    def test_large_primes(self):
+        start = time.perf_counter()
+        assert prime_factors(M61) == {M61: 1}
+        assert prime_factors(M61 * 1000003**2 * 12) == {2: 2, 3: 1, 1000003: 2, M61: 1}
+        assert time.perf_counter() - start < 1
+
+    def test_budget_exhausted_raises(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="work budget"):
+            prime_factors(M89 * M107)
+        assert time.perf_counter() - start < 3
+
+    def test_unproven_primality_raises(self):
+        # Past 3.3 * 10^24 a composite is still refuted by its witness.
+        assert not is_prime(M89 * M107)
+        with pytest.raises(ResourceLimitError, match="probable prime"):
+            is_prime(M89)
+
+    def test_resource_limit_error_is_reexported(self):
+        assert verify.ResourceLimitError is ResourceLimitError
+        assert titsmeasure.ResourceLimitError is ResourceLimitError
 
 
 class TestRationalClasses:

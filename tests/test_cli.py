@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -162,6 +163,27 @@ MALFORMED_DOCS.update({
 })
 
 
+def _form_doc(*entries):
+    return _variety_doc({"family": "quadric", "form": list(entries)}, {"kind": "rational"})
+
+
+# Rationals past the documented caps (jsonio.MAX_RATIONAL_CHARS and
+# MAX_DECIMAL_EXPONENT), rejected before Fraction expands them.
+MALFORMED_DOCS.update({
+    "form-huge-exponent": _form_doc("1e1000000", 1, 1),
+    "form-huge-negative-exponent": _form_doc("1", "-1E-1000000", "1"),
+    "form-huge-exponent-underscores": _form_doc("2.5e1_000_000", 1, 1),
+    "form-exponent-past-cap": _form_doc("1e201", 1, 1),
+    "form-long-string": _form_doc("1" * 201, 1, 1),
+    "form-long-integer": _form_doc(10**200, 1, 1),
+    "invariant-huge-exponent": _variety_doc(
+        {"family": "severi-brauer", "alg": {"degree": 2, "class": {"invariants": [
+            {"place": "real", "inv": "5e-1000000"}, {"place": 2, "inv": "1/2"}]}}},
+        {"kind": "rational"},
+    ),
+})
+
+
 class TestMalformedNumbers:
     """JSON booleans are not integers, floats are not rationals, a zero
     denominator is bad input, and a field that must be an array, an object or
@@ -175,9 +197,43 @@ class TestMalformedNumbers:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ["1e1000000", "-3.5E+999999", "7" * 10_000])
+    def test_oversized_rational_is_rejected_fast(self, capsys, entry):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "measure", json.dumps(_form_doc(entry, 1, 1)))
+        assert code == 1 and err.startswith("error: form: ")
+        assert time.perf_counter() - start < 0.1
+
+    def test_rationals_at_the_caps_are_accepted(self, capsys):
+        # 10^200, 10^-200 and a 200-character 10^198 factor at once.
+        doc = _form_doc("1e200", "-1e-200", "+1" + "0" * 198)
+        code, out, _ = run(capsys, "measure", json.dumps(doc), "--format", "json")
+        assert code == 0 and json.loads(out)["measure"]["dim"] == 1
+
     def test_boolean_degree_is_not_echoed(self, capsys):
         code, out, _ = run(capsys, "measure", json.dumps(_sb_doc(coords=(0,), degree=True)), "--format", "json")
         assert code == 1 and "true" not in out
+
+
+class TestFactoringBudget:
+    """Form entries are factored within a fixed budget: a large prime is
+    answered at once, a hard composite is exit 3 at the documented frontier."""
+
+    def test_mersenne_61_entry_is_answered(self, capsys):
+        m61 = str(2**61 - 1)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "measure", json.dumps(_form_doc(m61, -1, m61)), "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert code == 0 and json.loads(out)["measure"]["dim"] == 1
+
+    def test_product_of_two_large_primes_is_exit_three(self, capsys):
+        # Mersenne primes of 27 and 33 digits.
+        n = str((2**89 - 1) * (2**107 - 1))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "measure", json.dumps(_form_doc(n, -1, n)))
+        assert time.perf_counter() - start < 3
+        assert code == 3 and out == ""
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 V4 = {"kind": "abstract", "orders": [2, 2]}

@@ -1,8 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import pairwise_clifford, pairwise_hasse
+from titsmeasure import rationals
 from titsmeasure.brauer import AbstractGroup
 from titsmeasure.clifford import even_clifford_class_by_structure
 from titsmeasure.quadforms import (
@@ -74,6 +79,76 @@ class TestInvariants:
             if q.dim % 2 == 0 and signed_discriminant(scaled) != 1:
                 continue
             assert even_clifford_class(q) == even_clifford_class(scaled)
+
+
+# Entries sign * k * m^2 / d: k from a few primes and their products (so
+# multiples of 4 and of p^2 come from m), d a small denominator.
+_CORES = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30, 97, 101, 1009]
+entries = st.builds(
+    lambda sign, k, m, d: Fraction(sign * k * m * m, d),
+    st.sampled_from([-1, 1]),
+    st.sampled_from(_CORES),
+    st.integers(1, 12),
+    st.integers(1, 12),
+)
+
+
+@st.composite
+def rational_forms(draw):
+    """A form of dimension 3..10; even dimensions get a last entry making the
+    signed discriminant trivial, so the even-Clifford class is defined."""
+    n = draw(st.integers(3, 10))
+    xs = draw(st.lists(entries, min_size=n, max_size=n))
+    if n % 2 == 0:
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        xs[-1] = sign * math.prod(xs[:-1]) * draw(entries) ** 2
+    return QuadraticForm(tuple(xs))
+
+
+class TestAgainstPairwiseFormula:
+    """The per-place parity count agrees with summing each quaternion class
+    (a_i, a_j) from the Fraction Hilbert formula, as the invariant reads."""
+
+    @given(rational_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_hasse_invariant(self, q):
+        assert hasse_invariant(q) == pairwise_hasse(q.entries)
+
+    @given(rational_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_even_clifford_class(self, q):
+        assert even_clifford_class(q) == pairwise_clifford(q.entries)
+
+    def test_every_dimension_and_residue(self):
+        rng = random.Random(3)
+        for n in range(3, 11):
+            for _ in range(5):
+                xs = [Fraction(rng.choice([-1, 1]) * rng.choice(_CORES) * rng.randint(1, 6) ** 2,
+                               rng.randint(1, 9)) for _ in range(n - 1)]
+                sign = -1 if (n * (n - 1) // 2) % 2 else 1
+                q = QuadraticForm(tuple(xs) + (sign * math.prod(xs),))
+                assert signed_discriminant(q) == 1
+                assert even_clifford_class(q) == pairwise_clifford(q.entries)
+
+    def test_product_formula_guard_per_pair(self, monkeypatch):
+        core = rationals._hilbert
+
+        def flipped_at_three(a, b, v):
+            return -core(a, b, v) if v == 3 else core(a, b, v)
+
+        monkeypatch.setattr(rationals, "_hilbert", flipped_at_three)
+        with pytest.raises(AssertionError, match="odd number of places"):
+            hasse_invariant(QuadraticForm.of([3, 5, 7]))
+        with pytest.raises(AssertionError, match="odd number of places"):
+            even_clifford_class(QuadraticForm.of([1, 1, 3]))
+
+    def test_square_classes_factor_each_entry_once(self, monkeypatch):
+        calls = []
+        core = rationals.prime_factors
+        monkeypatch.setattr(rationals, "prime_factors", lambda n: calls.append(n) or core(n))
+        q = QuadraticForm.of(["3/4", "-5/18", 30])
+        signed_discriminant(q), hasse_invariant(q), even_clifford_class(q)
+        assert calls == [12, 90, 30]
 
 
 class TestStructureOracle:

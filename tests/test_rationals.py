@@ -10,7 +10,7 @@ from titsmeasure.rationals import (
     hilbert_symbol,
     quaternion_class,
     ramified_places,
-    squarefree_part,
+    square_class,
 )
 
 PLACES = ("real", 2, 3, 5, 7)
@@ -71,9 +71,10 @@ class TestHilbertSymbol:
 
 class TestQuaternionClasses:
     def test_squarefree_part(self):
-        assert squarefree_part(Fraction(8)) == 2
-        assert squarefree_part(Fraction(-12)) == -3
-        assert squarefree_part(Fraction(9, 4)) == 1
+        assert square_class(Fraction(8)) == (2, ())
+        assert square_class(Fraction(-12)) == (-3, (3,))
+        assert square_class(Fraction(9, 4)) == (1, ())
+        assert square_class(Fraction(-5, 18)) == (-10, (5,))
 
     def test_ramified_places_examples(self):
         assert ramified_places(-1, -1) == ("real", 2)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from collections import Counter
@@ -6,6 +7,7 @@ from collections import Counter
 import pytest
 
 from oracles import box_partition_weights, gaussian_binomial
+from titsmeasure import cli, varieties
 from titsmeasure.brauer import CSA, AbstractGroup, GroupMismatchError
 from titsmeasure.quadforms import FormShadow, QuadraticForm
 from titsmeasure.varieties import (
@@ -85,6 +87,27 @@ class TestTables:
         ms = q.jt_classes()
         assert len(ms) == 4  # rho = n - 1 for odd n
         assert q.dim == 3
+
+    def test_rational_quadric_computes_its_class_once(self, monkeypatch):
+        calls = []
+        closed_form = varieties.even_clifford_class
+        monkeypatch.setattr(
+            varieties, "even_clifford_class", lambda q: calls.append(q) or closed_form(q)
+        )
+        form = ["1009", "-7919", "12", "50", "-47941626"]
+        doc = {"group": {"kind": "rational"}, "variety": {"family": "quadric", "form": form}}
+        assert cli.main(["measure", json.dumps(doc), "--format", "json"]) == 0
+        assert len(calls) == 1
+        q = Quadric(QuadraticForm.of(form))
+        tits_measure(q), rank_measure(q), q.jt_classes(), q.group, compare(q, q)
+        assert len(calls) == 2
+
+    def test_quadric_equality_reads_the_form(self):
+        a = Quadric(QuadraticForm.of([1, 1, 1, 1, 1, -1]))
+        b = Quadric(QuadraticForm.of([1, 1, 1, 1, 1, -1]))
+        assert a == b and hash(a) == hash(b)
+        assert a != Quadric(QuadraticForm.of([1, 1, 1, 1, -1, 1]))
+        assert "clifford_class" not in repr(a)
 
     def test_quadric_shadow_table(self):
         s = FormShadow(8, V2.element([1, 0]), False)
