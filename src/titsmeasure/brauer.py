@@ -62,10 +62,12 @@ _MR_BOUNDS = (
     (318_665_857_834_031_151_167_461, 12),
     (3_317_044_064_679_887_385_961_981, 13),
 )
+_MR_BASES = _SMALL_PRIMES[:13]
 
 # Pollard-Brent steps (one squaring and one product mod n each) that one
-# ``prime_factors`` call may spend: about half a second of pure Python, which
-# splits any number whose second-largest prime factor is below ~10^10.
+# ``prime_factors`` call may spend: a few tenths of a second of pure Python,
+# enough to split any number whose second-largest prime factor is below
+# about 10^10.
 RHO_BUDGET = 1 << 18
 
 
@@ -92,12 +94,12 @@ def is_prime(n: int) -> bool:
     """
     if n < TRIAL_LIMIT:
         return n in _SMALL_PRIME_SET
-    if any(n % p == 0 for p in _SMALL_PRIMES[:13]):
+    if any(n % p == 0 for p in _MR_BASES):
         return False
     for bound, k in _MR_BOUNDS:
         if n < bound:
-            return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:k])
-    if all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:13]):
+            return all(_strong_probable_prime(n, a) for a in _MR_BASES[:k])
+    if all(_strong_probable_prime(n, a) for a in _MR_BASES):
         raise ResourceLimitError(
             f"a {n.bit_length()}-bit probable prime is beyond the proven primality range"
         )
