@@ -11,6 +11,7 @@ counterexample, 3 a configured resource frontier was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -43,13 +44,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
 
 
+def _parse_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def _load_document(text: str) -> Any:
     """INPUT is inline JSON when it looks like JSON, else a file path."""
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
-        return json.loads(stripped)
+        return _parse_json(stripped)
     with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh.read())
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -170,18 +178,21 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = _parse_json(fh.read())
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
     return cfg
 
 
-def _pick(args, cfg: dict, name: str, default):
+def _pick(args, cfg: dict, name: str, default: int) -> int:
     """Parameter precedence: CLI flag, then config file, then the default."""
     value = getattr(args, name.replace("-", "_"))
     if value is not None:
         return value
-    return cfg.get(name, default)
+    value = cfg.get(name, default)
+    if not jsonio.is_int(value):
+        raise ValueError(f"config: {name} must be an integer")
+    return value
 
 
 def _cmd_verify(args) -> int:
@@ -192,7 +203,9 @@ def _cmd_verify(args) -> int:
         spec = args.group if args.group is not None else cfg.get("group")
         if spec is None:
             raise ValueError(f"suite {suite} needs --group")
-        return _parse_group_spec(str(spec))
+        if not isinstance(spec, str):
+            raise ValueError('config: group must be a string such as "2,2"')
+        return _parse_group_spec(spec)
 
     if suite == "relation-equivalence":
         run = verify_relation_equivalence(need_group(), _pick(args, cfg, "m-max", 3))
@@ -250,7 +263,10 @@ def _cmd_conic_family(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser, built on the first call and shared by every later
+    ``main`` call in the process (parse_args keeps no state between calls)."""
     parser = _Parser(prog="titsmeasure", description=__doc__)
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -35,14 +35,14 @@ def _need(payload: Any, key: str, context: str):
     return payload[key]
 
 
-def _is_int(value: Any) -> bool:
+def is_int(value: Any) -> bool:
     """JSON integers only: ``true``/``false`` parse as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _need_int(payload: Any, key: str, context: str) -> int:
     value = _need(payload, key, context)
-    if not _is_int(value):
+    if not is_int(value):
         raise ValueError(f"{context}: {key} must be an integer")
     return value
 
@@ -72,7 +72,7 @@ MAX_DECIMAL_EXPONENT = 200
 def _fraction(value: Any, context: str) -> Fraction:
     """A rational given as a string or a JSON integer; floats are rejected
     because their binary expansion is not the number that was written."""
-    if not (isinstance(value, str) or _is_int(value)):
+    if not (isinstance(value, str) or is_int(value)):
         raise ValueError(f"{context}: expected a rational string or an integer, got {value!r}")
     text = value if isinstance(value, str) else str(value)
     if len(text) > MAX_RATIONAL_CHARS:
@@ -101,13 +101,13 @@ def parse_group(payload: Any) -> BrauerGroup:
     if kind != "abstract":
         raise ValueError(f"group: unknown kind {kind!r}")
     orders = _need(payload, "orders", "group")
-    if not isinstance(orders, list) or not all(_is_int(n) for n in orders):
+    if not isinstance(orders, list) or not all(is_int(n) for n in orders):
         raise ValueError("group: orders must be a list of integers")
     oracle = []
     entries = _need_list(payload, "index_oracle", "group") if "index_oracle" in payload else []
     for entry in entries:
         coords = _need(entry, "coords", "group.index_oracle")
-        if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
+        if not isinstance(coords, list) or not all(is_int(c) for c in coords):
             raise ValueError("group.index_oracle: coords must be a list of integers")
         idx = _need_int(entry, "index", "group.index_oracle")
         oracle.append((tuple(coords), idx))
@@ -117,7 +117,7 @@ def parse_group(payload: Any) -> BrauerGroup:
 def parse_class(payload: Any, group: BrauerGroup) -> BrauerClass:
     if group.kind == "abstract":
         coords = _need(payload, "coords", "class")
-        if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
+        if not isinstance(coords, list) or not all(is_int(c) for c in coords):
             raise ValueError("class: coords must be a list of integers")
         return group.element(coords)
     parsed = []

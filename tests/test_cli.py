@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -393,3 +397,147 @@ class TestOtherCommands:
     def test_unknown_subcommand_is_exit_one(self, capsys):
         code, _, _ = run(capsys, "bogus")
         assert code == 1
+
+
+def _deep_product(depth):
+    sb = '{"family": "severi-brauer", "alg": {"degree": 2, "class": {"coords": [1]}}}'
+    return '{"family": "product", "children": [' * depth + sb + "]}" * depth
+
+
+_GROUP_Z2 = '{"kind": "abstract", "orders": [2]}'
+
+# Raw JSON texts nested past what the decoder can follow; json.dumps cannot
+# build them, so they are written out rather than kept with MALFORMED_DOCS.
+DEEP_DOCS = {
+    "array-5000": "[" * 5000 + "]" * 5000,
+    "object-5000": '{"a": ' * 5000 + "1" + "}" * 5000,
+    "variety-5000": '{"group": ' + _GROUP_Z2 + ', "variety": ' + _deep_product(5000) + "}",
+    "pair-5000": '{"group": ' + _GROUP_Z2 + ', "x": ' + _deep_product(5000)
+                 + ', "y": ' + _deep_product(1) + "}",
+}
+
+
+class TestDeepNesting:
+    """A document nested deeper than the JSON decoder can follow is bad input."""
+
+    @pytest.mark.parametrize("command", ["measure", "compare", "deduce"])
+    @pytest.mark.parametrize("name", sorted(DEEP_DOCS))
+    @pytest.mark.parametrize("where", ["inline", "file"])
+    def test_exit_one_with_one_line_message(self, capsys, tmp_path, command, name, where):
+        text = DEEP_DOCS[name]
+        if where == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            text = str(path)
+        code, out, err = run(capsys, command, text)
+        assert code == 1 and out == ""
+        assert err == "error: JSON nested too deeply to parse\n"
+
+    def test_verify_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(DEEP_DOCS["object-5000"])
+        code, out, err = run(
+            capsys, "verify", "--suite", "relation-equivalence", "--group", "2", "--config", str(cfg)
+        )
+        assert code == 1 and out == ""
+        assert err == "error: JSON nested too deeply to parse\n"
+
+    @pytest.mark.parametrize("command", ["measure", "compare"])
+    def test_deepest_product_the_decoder_accepts_runs_to_the_end(self, capsys, command):
+        # Later stages recurse less deeply than the decoder, so the first
+        # depth it accepts, counting down, must be answered.
+        for depth in range(sys.getrecursionlimit() // 2, 0, -1):
+            variety = _deep_product(depth)
+            body = f'"variety": {variety}' if command == "measure" else f'"x": {variety}, "y": {variety}'
+            doc = '{"group": ' + _GROUP_Z2 + ", " + body + "}"
+            code, out, err = run(capsys, command, doc, "--format", "json")
+            if err != "error: JSON nested too deeply to parse\n":
+                break
+        assert depth > 100
+        assert code == 0 and out.count('"family": "product"') == depth * (1 if command == "measure" else 2)
+
+
+# (suite, config): each config value has the wrong JSON type.
+BAD_CONFIGS = {
+    "m-max-string": ("relation-equivalence", {"m-max": "3"}),
+    "m-max-float": ("relation-equivalence", {"m-max": 2.5}),
+    "m-max-bool": ("relation-equivalence", {"m-max": True}),
+    "m-max-null": ("relation-equivalence", {"m-max": None}),
+    "trials-string": ("sum-cancellation", {"trials": "5"}),
+    "seed-list": ("normal-form-confluence", {"seed": [1]}),
+    "n-float": ("tensor-cancellation", {"n": 6.0}),
+    "d-max-bool": ("quadric-product-matching", {"d-max": False}),
+    "family-limit-object": ("quadric-product-matching", {"family-limit": {}}),
+    "group-integer": ("relation-equivalence", {"group": 2}),
+    "group-list": ("relation-equivalence", {"group": [2, 2]}),
+}
+
+
+class TestVerifyConfigTypes:
+    """Config values must be JSON integers (not booleans), and ``group`` a string."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_wrong_type_is_exit_one(self, capsys, tmp_path, name):
+        suite, values = BAD_CONFIGS[name]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict({"group": "2"}, **values)))
+        code, out, err = run(capsys, "verify", "--suite", suite, "--config", str(cfg))
+        key = next(iter(values))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: config: {key} must be ") and err.count("\n") == 1
+
+    def test_flag_overrides_a_bad_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m-max": "3", "group": "2"}))
+        code, out, _ = run(
+            capsys, "verify", "--suite", "relation-equivalence", "--config", str(cfg), "--m-max", "2"
+        )
+        assert code == 0 and "outcome: pass" in out
+
+
+def _fresh(*argv):
+    """The same call in a new interpreter, where the parser is built anew."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "titsmeasure.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_I3_DOC = json.dumps({"group": V4, "x": _shadow8(False), "y": _shadow8(False)})
+
+
+class TestParserReuse:
+    """``main`` shares one parser; no parsed value may carry over to the next call."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("deduce", _I3_DOC, "--i3-zero"), ("deduce", _I3_DOC)),
+            (("deduce", json.dumps(PAIR_DOC), "--no-assume-equal"), ("deduce", json.dumps(PAIR_DOC))),
+            (("sigma", "--kind", "1even", "--m", "5", "--n", "6", "--l", "2"), ("sigma", "2even", "5", "6", "2")),
+            (("measure", json.dumps(MEASURE_DOC), "--format", "json"), ("measure", json.dumps(MEASURE_DOC))),
+            (("sigma", "--m", "x"), ("sigma", "1odd", "5", "6", "1")),
+            (("measure",), ("measure", json.dumps(MEASURE_DOC))),
+        ],
+        ids=["i3-zero", "assume-equal", "sigma-forms", "format", "sigma-usage-error", "usage-error"],
+    )
+    def test_second_call_matches_a_fresh_run(self, capsys, first, second):
+        run(capsys, *first)
+        assert run(capsys, *second) == _fresh(*second)
+
+    def test_config_does_not_carry_over(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 25, "seed": 3}))
+        args = ("verify", "--suite", "normal-form-confluence", "--group", "6", "--format", "json")
+        code, out, _ = run(capsys, *args, "--config", str(cfg))
+        assert code == 0 and json.loads(out)["params"]["trials"] == 25
+        assert run(capsys, *args) == _fresh(*args)
+
+    def test_usage_error_is_exit_one(self, capsys):
+        code, out, err = run(capsys, "sigma", "--m", "x")
+        assert code == 1 and out == "" and "invalid int value" in err
