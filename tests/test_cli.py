@@ -486,14 +486,6 @@ class TestVerifyConfigTypes:
         assert code == 1 and out == ""
         assert err.startswith(f"error: config: {key} must be ") and err.count("\n") == 1
 
-    def test_flag_overrides_a_bad_config_value(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"m-max": "3", "group": "2"}))
-        code, out, _ = run(
-            capsys, "verify", "--suite", "relation-equivalence", "--config", str(cfg), "--m-max", "2"
-        )
-        assert code == 0 and "outcome: pass" in out
-
 
 def _fresh(*argv):
     """The same call in a new interpreter, where the parser is built anew."""
@@ -537,7 +529,3 @@ class TestParserReuse:
         code, out, _ = run(capsys, *args, "--config", str(cfg))
         assert code == 0 and json.loads(out)["params"]["trials"] == 25
         assert run(capsys, *args) == _fresh(*args)
-
-    def test_usage_error_is_exit_one(self, capsys):
-        code, out, err = run(capsys, "sigma", "--m", "x")
-        assert code == 1 and out == "" and "invalid int value" in err
