@@ -12,8 +12,9 @@ Two interchangeable backends:
   finitely supported map from places of Q to exact residues in [0,1) summing
   to 0 mod 1.  Constructed by the Hilbert-symbol layer in ``rationals``.
 
-Both class kinds support addition, negation, order, p-primary parts and a
-canonical sort key, which is all the rest of the library relies on.
+Both class kinds support addition, negation, order, p-primary parts and
+``primes()``; ``group.class_key`` puts the classes of a model in canonical
+order.  That is all the rest of the library relies on.
 
 Index policy: by default the index of a class is its order (period), which is
 exact over number fields; abstract models may carry an oracle table asserting
@@ -226,6 +227,7 @@ class AbstractGroup:
 
     orders: tuple[int, ...]
     index_oracle: tuple[tuple[tuple[int, ...], int], ...] = ()
+    class_key = staticmethod(attrgetter("index"))  # canonical order, = coords order
 
     def __post_init__(self) -> None:
         if not all(isinstance(n, int) and n >= 1 for n in self.orders):
@@ -382,6 +384,8 @@ class AbstractGroup:
 class _RationalGroup:
     """Br(Q) backend marker; classes carry their own invariant data."""
 
+    class_key = staticmethod(methodcaller("sort_key"))  # canonical order
+
     @property
     def kind(self) -> str:
         return "rational"
@@ -495,8 +499,10 @@ class AbstractClass:
         out = table.get(self.index)
         return out if out is not None else g._fill_p_part(table, p, self.index)
 
-    def sort_key(self):
-        return self.coords
+    def primes(self) -> tuple[int, ...]:
+        """Primes dividing the order of the class, ascending."""
+        out = self.group._primes.get(self.index)
+        return out if out is not None else self.group._fill_primes(self.index)
 
     def to_payload(self) -> dict:
         return {"coords": list(self.coords)}
@@ -576,6 +582,10 @@ class RationalClass:
             for v, inv in self.invariants
         ))
 
+    def primes(self) -> tuple[int, ...]:
+        """Primes dividing the order of the class, ascending."""
+        return tuple(prime_factors(self.order()))
+
     def sort_key(self):
         return tuple(
             (*place_sort_key(v), inv.numerator, inv.denominator)
@@ -591,27 +601,6 @@ class RationalClass:
 
 
 BrauerClass = Union[AbstractClass, RationalClass]
-
-
-def class_primes(c: BrauerClass) -> tuple[int, ...]:
-    """Primes dividing the order of the class, ascending."""
-    if c.__class__ is AbstractClass:
-        g = c.group
-        out = g._primes.get(c.index)
-        return out if out is not None else g._fill_primes(c.index)
-    return tuple(sorted(prime_factors(c.order())))
-
-
-_BY_INDEX = attrgetter("index")
-_BY_SORT_KEY = methodcaller("sort_key")
-
-
-def class_sort_key(group: BrauerGroup):
-    """Key function putting the classes of one group model in canonical order.
-
-    Abstract classes sort by index, which orders them as ``sort_key`` does.
-    """
-    return _BY_INDEX if group.kind == "abstract" else _BY_SORT_KEY
 
 
 def generated_subgroup(

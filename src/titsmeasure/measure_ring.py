@@ -14,22 +14,14 @@ check this against raw breadth-first rewriting on finite models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-from .brauer import (
-    BrauerClass,
-    BrauerGroup,
-    GroupMismatchError,
-    class_primes,
-    class_sort_key,
-)
-
-Term = Tuple[BrauerClass, int]
+from .brauer import BrauerClass, BrauerGroup, GroupMismatchError
+from .motives import Count as Term, merge
 
 
 def _expand(c: BrauerClass) -> list[Term]:
     """Rewrite a single class into prime-power-order basis classes."""
-    primes = class_primes(c)
+    primes = c.primes()
     if not primes:
         return [(c, 1)]
     out: list[Term] = [(c.p_part(p), 1) for p in primes]
@@ -46,25 +38,14 @@ class RingElement:
     terms: tuple[Term, ...]
 
     def __post_init__(self) -> None:
-        raw: dict[BrauerClass, int] = {}
         for c, k in self.terms:
             if c.group != self.group:
                 raise GroupMismatchError("class outside the declared group model")
             if not isinstance(k, int):
                 raise ValueError(f"coefficients must be integers, got {k!r}")
-            raw[c] = raw.get(c, 0) + k
         # Each distinct class is rewritten once, weighted by its coefficient.
-        acc: dict[BrauerClass, int] = {}
-        for c, k in raw.items():
-            if k:
-                for b, j in _expand(c):
-                    acc[b] = acc.get(b, 0) + k * j
-        key = class_sort_key(self.group)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(((c, k) for c, k in acc.items() if k), key=lambda t: key(t[0]))),
-        )
+        expanded = [(b, k * j) for c, k in merge(self.group, self.terms) for b, j in _expand(c)]
+        object.__setattr__(self, "terms", merge(self.group, expanded))
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)

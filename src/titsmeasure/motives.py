@@ -8,22 +8,35 @@ cardinality and, prime by prime, the same multiset of p-primary parts; the
 Tate twists themselves carry no information here, so they are not stored.
 Every invariant walks the distinct classes weighted by multiplicity, so the
 cost follows the support, not the rank.
+``merge`` is the one multiset sum (also of ``measure_ring`` normal forms),
+in the order the group model defines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
-from .brauer import (
-    BrauerClass,
-    BrauerGroup,
-    GroupMismatchError,
-    class_primes,
-    class_sort_key,
-)
+from .brauer import BrauerClass, BrauerGroup, GroupMismatchError
 
 Count = tuple[BrauerClass, int]
+
+
+def merge(group: BrauerGroup, pairs: Iterable[Count]) -> tuple[Count, ...]:
+    """Add the multiplicities of equal classes, drop zeros, sort by
+    ``group.class_key`` (an int index for abstract classes: nothing hashed)."""
+    key = group.class_key
+    mult: dict = {}
+    rep: dict = {}
+    for c, k in pairs:
+        kc = key(c)
+        if kc in mult:
+            mult[kc] += k
+        else:
+            mult[kc] = k
+            rep[kc] = c
+    return tuple([(rep[kc], mult[kc]) for kc in sorted(mult) if mult[kc]])
 
 
 @dataclass(frozen=True)
@@ -39,29 +52,19 @@ class MotiveSum:
 
     def __post_init__(self) -> None:
         group = self.group
-        key = class_sort_key(group)
-        # Merge by canonical key: an int index for abstract classes, so no
-        # class object is hashed.
-        mult: dict = {}
-        rep: dict = {}
+        rank = 0
         for c, k in self.counts:
             if c.group is not group and c.group != group:
                 raise GroupMismatchError("class outside the declared group model")
             if not isinstance(k, int) or k < 0:
                 raise ValueError(f"multiplicities must be non-negative integers, got {k!r}")
-            kc = key(c)
-            if kc in mult:
-                mult[kc] += k
-            else:
-                mult[kc] = k
-                rep[kc] = c
-        counts = tuple([(rep[kc], mult[kc]) for kc in sorted(mult) if mult[kc]])
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_rank", sum(mult.values()))
+            rank += k
+        object.__setattr__(self, "counts", merge(group, self.counts))
+        object.__setattr__(self, "_rank", rank)
 
     @classmethod
     def of(cls, group: BrauerGroup, classes: Iterable[BrauerClass]) -> "MotiveSum":
-        return cls(group, tuple([(c, 1) for c in classes]))
+        return cls(group, tuple(zip(classes, repeat(1))))
 
     @property
     def classes(self) -> tuple[BrauerClass, ...]:
@@ -74,7 +77,7 @@ class MotiveSum:
     def primes(self) -> tuple[int, ...]:
         ps: set[int] = set()
         for c, _ in self.counts:
-            ps.update(class_primes(c))
+            ps.update(c.primes())
         return tuple(sorted(ps))
 
     def signature(self) -> tuple:
@@ -83,20 +86,10 @@ class MotiveSum:
         Cardinality plus, for each prime dividing some summand's order, the
         sorted multiset of p-parts.
         """
-        key = class_sort_key(self.group)
+        group, counts = self.group, self.counts
         parts = []
         for p in self.primes():
-            mult: dict = {}
-            rep: dict = {}
-            for c, k in self.counts:
-                q = c.p_part(p)
-                kq = key(q)
-                if kq in mult:
-                    mult[kq] += k
-                else:
-                    mult[kq] = k
-                    rep[kq] = q
-            parts.append((p, tuple([(rep[kq], mult[kq]) for kq in sorted(mult)])))
+            parts.append((p, merge(group, [(c.p_part(p), k) for c, k in counts])))
         return (self._rank, tuple(parts))
 
     def to_payload(self) -> dict:
@@ -120,13 +113,9 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     A convolution over the two supports: each pair of distinct classes is
     added once and weighted by the product of multiplicities.
     """
-    group = _common_group(x, y)
-    acc: dict[BrauerClass, int] = {}
-    for a, i in x.counts:
-        for b, j in y.counts:
-            s = a + b
-            acc[s] = acc.get(s, 0) + i * j
-    return MotiveSum(group, tuple(acc.items()))
+    return MotiveSum(_common_group(x, y), tuple([
+        (a + b, i * j) for a, i in x.counts for b, j in y.counts
+    ]))
 
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:

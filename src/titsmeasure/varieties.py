@@ -421,9 +421,7 @@ def _quadric_rule(x, y, i3_zero):
 
 
 def _involution_rule(x, y, i3_zero):
-    pair_x = sorted((x.cplus.sort_key(), x.cminus.sort_key()))
-    pair_y = sorted((y.cplus.sort_key(), y.cminus.sort_key()))
-    if pair_x != pair_y:
+    if (x.cplus, x.cminus) not in ((y.cplus, y.cminus), (y.cminus, y.cplus)):
         raise AssertionError("equal measures but unequal component pairs")
     conclusions = [
         Conclusion(f"degrees agree: deg = {x.deg}", "rank measure equals the degree"),

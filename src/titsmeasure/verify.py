@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .brauer import AbstractClass, AbstractGroup, ResourceLimitError, class_primes
+from .brauer import AbstractClass, AbstractGroup, ResourceLimitError
 from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
@@ -50,7 +50,11 @@ def _state_key(classes: Iterable[AbstractClass]) -> tuple:
 
 
 def _state_payload(classes: Iterable[AbstractClass]) -> list:
-    return [list(c.coords) for c in sorted(classes, key=lambda c: c.sort_key())]
+    return [list(c.coords) for c in sorted(classes, key=AbstractGroup.class_key)]
+
+
+def _terms_payload(terms: dict) -> list:
+    return [[list(c.coords), k] for c, k in sorted(terms.items(), key=lambda t: t[0].index)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +395,11 @@ def _random_raw_element(group: AbstractGroup, rng: random.Random) -> dict:
 
 def _rewrite_once(group: AbstractGroup, raw: dict, rng: random.Random) -> bool:
     """Apply one random coprime-split rewrite in place; False when none apply."""
-    candidates = [c for c, k in raw.items() if k and len(class_primes(c)) >= 2]
+    candidates = [c for c, k in raw.items() if k and len(c.primes()) >= 2]
     if not candidates:
         return False
     c = rng.choice(candidates)
-    primes = class_primes(c)
+    primes = c.primes()
     cut = rng.randint(1, len(primes) - 1)
     chosen = rng.sample(primes, cut)
     a = group.identity()
@@ -432,9 +436,9 @@ def verify_normal_form_confluence(
                 outcome="counterexample",
                 witness={
                     "trial": t,
-                    "start": [[list(c.coords), k] for c, k in sorted(raw.items(), key=lambda t: t[0].sort_key())],
-                    "reached": [[list(c.coords), k] for c, k in sorted(work.items(), key=lambda t: t[0].sort_key())],
-                    "expected": [[list(c.coords), k] for c, k in sorted(expected.items(), key=lambda t: t[0].sort_key())],
+                    "start": _terms_payload(raw),
+                    "reached": _terms_payload(work),
+                    "expected": _terms_payload(expected),
                 },
             )
     return VerificationRun(
