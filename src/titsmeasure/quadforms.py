@@ -115,6 +115,9 @@ def even_clifford_class(q: QuadraticForm) -> RationalClass:
     return quaternion_sum(pairs)
 
 
+I3_OVER_Q = "I^3(Q) != 0 (the signature detects it), so i3_zero cannot be asserted over Q"
+
+
 @dataclass(frozen=True)
 class FormShadow:
     """What deduction needs to know about a form, over any group model."""
@@ -128,6 +131,8 @@ class FormShadow:
             raise ValueError(f"shadow dimension must be an integer >= 3, got {self.dim}")
         if self.clifford_class.order() > 2:
             raise ValueError("even-Clifford class must be 2-torsion")
+        if self.i3_zero and self.group.kind == "rational":
+            raise ValueError(I3_OVER_Q)
 
     @property
     def group(self) -> BrauerGroup:

@@ -26,7 +26,8 @@ from .brauer import (
 )
 from .measure_ring import RingElement, augmentation, from_motive_sum
 from .motives import MotiveSum, is_isomorphic, tensor
-from .quadforms import FormShadow, QuadraticForm, even_clifford_class, signed_discriminant
+from .quadforms import I3_OVER_Q, FormShadow, QuadraticForm
+from .quadforms import even_clifford_class, signed_discriminant
 from .sigma import extra_condition_failures
 
 
@@ -509,8 +510,11 @@ def deduce(
     """Conclusions licensed by an asserted Grothendieck-class equality.
 
     ``i3_zero`` asserts the ambient field satisfies I^3 = 0 (a modeling flag,
-    never computed); quadric shadows may also carry it per form.
+    never computed); quadric shadows may also carry it per form.  Over Q it
+    is false, so asserting it there raises ``ValueError``.
     """
+    if i3_zero and x.group.kind == "rational":
+        raise ValueError(I3_OVER_Q)
     family = _family_key(x, y)
     verdict = compare(x, y)
     base = dict(family=family, assumed=assuming_equal, verdict=verdict)

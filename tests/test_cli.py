@@ -301,9 +301,55 @@ class TestCompareAndDeduce:
         assert code == 0 and report["conclusions"] == []
 
     def test_deduce_i3_flag_round_trips_from_document(self, capsys):
-        doc = dict(PAIR_DOC, i3_zero=True)
+        doc = {"group": V4, "x": _shadow8(False), "y": _shadow8(False), "i3_zero": True}
         code, out, _ = run(capsys, "deduce", json.dumps(doc), "--format", "json")
         assert code == 0
+        last = json.loads(out)["report"]["conclusions"][-1]
+        assert last["statement"] == "quadrics are isomorphic"
+
+
+RATIONAL = {"kind": "rational"}
+# 8<1> has no real points and 4<1> + 4<-1> is hyperbolic: equal measures,
+# not similar, and I^3(Q) != 0 is what the signature detects.
+EIGHT_ONES = {"group": RATIONAL,
+              "x": {"family": "quadric", "form": ["1"] * 8},
+              "y": {"family": "quadric", "form": ["1"] * 4 + ["-1"] * 4}}
+_QUATERNION = {"invariants": [{"place": "real", "inv": "1/2"}, {"place": 2, "inv": "1/2"}]}
+_RAT_INVOLUTION = {"family": "involution", "deg": 8, "alg_class": {"invariants": []},
+                   "cplus": _QUATERNION, "cminus": _QUATERNION}
+
+
+class TestI3OverRationals:
+    """I^3(Q) != 0, so asserting I^3 = 0 over the rational group is exit 1."""
+
+    def _rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: I^3(Q) != 0 ") and err.count("\n") == 1
+
+    def test_flag_on_eight_ones(self, capsys):
+        self._rejected(capsys, "deduce", json.dumps(EIGHT_ONES), "--i3-zero")
+
+    def test_document_field_on_eight_ones(self, capsys):
+        self._rejected(capsys, "deduce", json.dumps(dict(EIGHT_ONES, i3_zero=True)))
+
+    @pytest.mark.parametrize("command", ["measure", "deduce"])
+    def test_rational_shadow(self, capsys, command):
+        shadow = {"family": "quadric", "shadow": {
+            "dim": 8, "clifford_class": {"invariants": []}, "i3_zero": True}}
+        doc = ({"group": RATIONAL, "variety": shadow} if command == "measure"
+               else {"group": RATIONAL, "x": shadow, "y": shadow})
+        self._rejected(capsys, command, json.dumps(doc))
+
+    def test_flag_on_rational_involutions(self, capsys):
+        doc = {"group": RATIONAL, "x": _RAT_INVOLUTION, "y": _RAT_INVOLUTION}
+        self._rejected(capsys, "deduce", json.dumps(doc), "--i3-zero")
+
+    def test_without_the_flag_nothing_is_concluded(self, capsys):
+        code, out, _ = run(capsys, "deduce", json.dumps(EIGHT_ONES), "--format", "json")
+        report = json.loads(out)["report"]
+        assert code == 0 and report["notes"]
+        assert "quadrics are isomorphic" not in [c["statement"] for c in report["conclusions"]]
 
 
 class TestVerifyCommand:
