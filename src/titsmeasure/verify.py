@@ -45,6 +45,27 @@ class VerificationRun:
         }
 
 
+# Work frontiers, checked before a suite enumerates anything.  S, the number
+# of multiset states, sums C(|G| + m - 1, m) over the enumerated sizes m.
+# sum-cancellation compares all S^2 pairs of states, tensor-cancellation walks
+# the states once per 2-torsion class, and relation-equivalence tries
+# m_max (m_max - 1) pair rewrites per state, each against up to |G| splits.
+STATE_LIMIT = 250_000  # S^2 for sum-, S x 2-torsion for tensor-cancellation
+REWRITE_LIMIT = 2_000_000  # S x rewrites per state for relation-equivalence
+
+
+def _check_work(suite: str, group: AbstractGroup, sizes: range, work, limit: int) -> None:
+    """Raise ``ResourceLimitError`` once ``work(S)`` passes ``limit``."""
+    states = 0
+    for m in sizes:
+        states += math.comb(group.order + m - 1, m)
+        if work(states) > limit:
+            raise ResourceLimitError(
+                f"{suite} needs more than {limit} units of work; "
+                "use a smaller group or multiset size"
+            )
+
+
 def _state_key(classes: Iterable[AbstractClass]) -> tuple:
     return tuple(sorted(c.index for c in classes))
 
@@ -87,6 +108,9 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> Verificatio
         raise ResourceLimitError(
             f"relation equivalence needs group order <= 100, got {group.order}"
         )
+    rewrites = m_max * (m_max - 1) * group.order
+    _check_work("relation-equivalence", group, range(1, m_max + 1),
+                lambda s: s * rewrites, REWRITE_LIMIT)
     elements = list(group.elements())
     splits = {e.index: list(_coprime_splits(group, e)) for e in elements}
     states_checked: dict[str, int] = {}
@@ -199,6 +223,7 @@ def verify_sum_cancellation(
         "trials": trials,
         "seed": seed,
     }
+    _check_work("sum-cancellation", group, range(card_max + 1), lambda s: s * s, STATE_LIMIT)
     elements = list(group.elements())
     states: list[tuple[AbstractClass, ...]] = []
     for m in range(card_max + 1):
@@ -288,6 +313,9 @@ def verify_tensor_cancellation(
     params = {"group": group.to_payload(), "n_dim": n_dim, "card_max": card_max}
     if n_dim < 5:
         raise ValueError(f"tensor cancellation is asserted only for n >= 5, got {n_dim}")
+    two_torsion = 2 ** sum(n % 2 == 0 for n in group.orders)
+    _check_work("tensor-cancellation", group, range(1, card_max + 1),
+                lambda s: s * two_torsion, STATE_LIMIT)
     ok, witness = _tensor_cancellation_holds(group, n_dim, card_max)
     probe_ok, probe_witness = _tensor_cancellation_holds(group, 4, card_max)
     details = {

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from titsmeasure import cli, verify
 from titsmeasure.brauer import AbstractGroup
 from titsmeasure.quadforms import FormShadow
 from titsmeasure.varieties import Quadric
@@ -108,3 +111,49 @@ class TestConfluence:
         a = verify_normal_form_confluence(G6, trials=40, seed=2).to_payload()
         b = verify_normal_form_confluence(G6, trials=40, seed=2).to_payload()
         assert a == b
+
+
+HANGING_CALLS = [
+    ["relation-equivalence", "--group", "10,10", "--m-max", "4"],
+    ["sum-cancellation", "--group", "10,10", "--card-max", "4"],
+    ["tensor-cancellation", "--group", "10,10", "--card-max", "5"],
+]
+
+
+class TestWorkFrontiers:
+    """The suites count their multiset states before enumerating any."""
+
+    @pytest.mark.parametrize("argv", HANGING_CALLS, ids=[a[0] for a in HANGING_CALLS])
+    def test_past_the_frontier_is_exit_three_at_once(self, capsys, argv):
+        t0 = time.perf_counter()
+        code = cli.main(["verify", "--suite", *argv])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+        assert elapsed < 1
+
+    def test_huge_group_is_refused_before_enumeration(self):
+        with pytest.raises(ResourceLimitError):
+            verify_sum_cancellation(AbstractGroup((10**9,)), card_max=1)
+        with pytest.raises(ResourceLimitError):
+            verify_tensor_cancellation(AbstractGroup((10**9,)), 5, card_max=1)
+
+    def test_large_multisets_over_a_small_group_are_refused(self):
+        # Few states, but each tries m_max (m_max - 1) pair rewrites.
+        with pytest.raises(ResourceLimitError):
+            verify_relation_equivalence(AbstractGroup((2,)), 10**9)
+
+    def test_the_limit_itself_is_accepted(self, monkeypatch):
+        v2 = AbstractGroup((2, 2))  # 1 + 4 states of size <= 1, so 25 pairs
+        monkeypatch.setattr(verify, "STATE_LIMIT", 25)
+        assert verify_sum_cancellation(v2, card_max=1, trials=0).passed
+        monkeypatch.setattr(verify, "STATE_LIMIT", 24)
+        with pytest.raises(ResourceLimitError):
+            verify_sum_cancellation(v2, card_max=1, trials=0)
+        # 4 + 10 states of size 1..2, each with 2 * 1 * 4 rewrites: 112.
+        monkeypatch.setattr(verify, "REWRITE_LIMIT", 112)
+        assert verify_relation_equivalence(v2, 2).passed
+        monkeypatch.setattr(verify, "REWRITE_LIMIT", 111)
+        with pytest.raises(ResourceLimitError):
+            verify_relation_equivalence(v2, 2)
