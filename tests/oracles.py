@@ -321,3 +321,68 @@ def gaussian_binomial(n: int, k: int) -> list:
                 rem[i + j] -= coef * d
     assert not any(rem), "product formula did not divide exactly"
     return quot
+
+
+# ---------------------------------------------------------------------------
+# Multisets of rational Brauer classes, on plain invariant data: a class is a
+# tuple of (place, Fraction) pairs.  Equal classes are merged by a Counter,
+# and the canonical order puts the real place first, then primes ascending.
+# ---------------------------------------------------------------------------
+
+
+def _place_rank(v) -> tuple:
+    return (0, 0) if v == "real" else (1, v)
+
+
+def invariants_key(invs) -> tuple:
+    """Canonical sort key: the invariants in place order, compared in turn."""
+    ordered = sorted(invs, key=lambda pair: _place_rank(pair[0]))
+    return tuple((*_place_rank(v), inv.numerator, inv.denominator) for v, inv in ordered)
+
+
+def _canonical(invs) -> tuple:
+    return tuple(sorted(((v, inv) for v, inv in invs if inv), key=lambda p: _place_rank(p[0])))
+
+
+def counter_merge(pairs) -> list:
+    """(invariants, multiplicity) pairs summed by class, zeros dropped, sorted."""
+    total: Counter = Counter()
+    for invs, k in pairs:
+        total[_canonical(invs)] += k
+    return sorted(((c, k) for c, k in total.items() if k), key=lambda t: invariants_key(t[0]))
+
+
+def invariants_order(invs) -> int:
+    return math.lcm(*(inv.denominator for _, inv in invs), 1)
+
+
+def invariants_p_part(invs, p: int) -> tuple:
+    """Each invariant a/d replaced by the p-primary component of a in Z/d."""
+    return _canonical(
+        (v, Fraction(crt_p_component(inv.numerator, inv.denominator, p), inv.denominator))
+        for v, inv in invs
+    )
+
+
+def invariants_signature(pairs) -> tuple:
+    """Rank plus, per prime of some class order, the Counter of p-parts."""
+    merged = counter_merge(pairs)
+    primes = sorted({p for invs, _ in merged for p in trial_factors(invariants_order(invs))})
+    parts = tuple(
+        (p, tuple(counter_merge((invariants_p_part(invs, p), k) for invs, k in merged)))
+        for p in primes
+    )
+    return (sum(k for _, k in merged), parts)
+
+
+def invariants_normal_form(pairs) -> list:
+    """Each class rewritten to its p-primary parts minus (nu - 1) identities."""
+    out = []
+    for invs, k in pairs:
+        primes = list(trial_factors(invariants_order(invs)))
+        if not primes:
+            out.append(((), k))
+            continue
+        out += [(invariants_p_part(invs, p), k) for p in primes]
+        out.append(((), k * (1 - len(primes))))
+    return counter_merge(out)
