@@ -15,7 +15,6 @@ in the order the group model defines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 from .brauer import BrauerClass, BrauerGroup, GroupMismatchError
@@ -64,7 +63,7 @@ class MotiveSum:
 
     @classmethod
     def of(cls, group: BrauerGroup, classes: Iterable[BrauerClass]) -> "MotiveSum":
-        return cls(group, tuple(zip(classes, repeat(1))))
+        return cls(group, tuple([(c, 1) for c in classes]))
 
     @property
     def classes(self) -> tuple[BrauerClass, ...]:
