@@ -227,7 +227,7 @@ class AbstractGroup:
 
     orders: tuple[int, ...]
     index_oracle: tuple[tuple[tuple[int, ...], int], ...] = ()
-    class_key = staticmethod(attrgetter("index"))  # canonical order, = coords order
+    class_key = staticmethod(attrgetter("index"))  # canonical order: by coords
 
     def __post_init__(self) -> None:
         if not all(isinstance(n, int) and n >= 1 for n in self.orders):
