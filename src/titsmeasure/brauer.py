@@ -13,8 +13,9 @@ Two interchangeable backends:
   to 0 mod 1.  Constructed by the Hilbert-symbol layer in ``rationals``.
 
 Both class kinds support addition, negation, order, p-primary parts and
-``primes()``; ``group.class_key`` puts the classes of a model in canonical
-order.  That is all the rest of the library relies on.
+``primes()``.  Each model keys its classes: ``class_key`` (canonical order),
+``class_at`` (the class at a key), and the lookups ``key_primes[key]`` and
+``p_part_keys[p][key]`` that ``motives`` works on without building classes.
 
 Index policy: by default the index of a class is its order (period), which is
 exact over number fields; abstract models may carry an oracle table asserting
@@ -211,6 +212,19 @@ def _same_group(a: "BrauerClass", b: "BrauerClass") -> None:
         raise GroupMismatchError(f"mixed group models: {a.group} vs {b.group}")
 
 
+class _Table(dict):
+    """A dict that fills a missing entry from ``fill(key)`` on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class AbstractGroup:
     """Finite abelian group ⊕_i Z/orders[i] serving as a Brauer-group model.
@@ -221,8 +235,8 @@ class AbstractGroup:
     Element ``coords`` read as a mixed-radix number (first coordinate most
     significant) give the element's index, so index order is coordinate
     order.  The group owns lazily filled tables keyed by index: the interned
-    class, its order, its primes, its negation, pairwise sums and p-parts.
-    Only classes that are actually touched get entries.
+    class, its order, its primes, its negation, pairwise sums and the index
+    of each p-part.  Only classes that are actually touched get entries.
     """
 
     orders: tuple[int, ...]
@@ -242,12 +256,14 @@ class AbstractGroup:
         init(self, "orders", orders)
         init(self, "_size", size)
         init(self, "_strides", tuple(reversed(strides)))
-        init(self, "_classes", {})  # index -> interned AbstractClass
-        init(self, "_order", {})  # index -> order of the class
-        init(self, "_primes", {})  # index -> primes dividing that order
-        init(self, "_neg", {})  # index -> class of the negation
-        init(self, "_sum", {})  # i * size + j -> class of the sum
-        init(self, "_p_parts", {})  # prime -> {index: class of the p-part}
+        init(self, "_classes", _Table(self._make_class))  # index -> interned class
+        init(self, "class_at", self._classes.__getitem__)  # the class with a class_key
+        init(self, "_order", _Table(self._order_at))  # index -> order of the class
+        init(self, "key_primes", _Table(self._primes_at))  # index -> primes of that order
+        init(self, "_neg", _Table(self._neg_at))  # index -> class of the negation
+        init(self, "_sum", _Table(self._sum_at))  # i * size + j -> class of the sum
+        # prime -> {index: index of the p-primary part}
+        init(self, "p_part_keys", _Table(self._p_part_table))
         init(self, "_exponent_primes", None)
         canon = []
         for coords, idx in self.index_oracle:
@@ -282,18 +298,18 @@ class AbstractGroup:
         return "abstract"
 
     def identity(self) -> "AbstractClass":
-        return self._at(0)
+        return self._classes[0]
 
     def element(self, coords: Sequence[int]) -> "AbstractClass":
         if len(coords) != len(self.orders):
             raise ValueError(
                 f"expected {len(self.orders)} coordinates, got {len(coords)}"
             )
-        return self._at(self._index(int(c) for c in coords))
+        return self._classes[self._index(int(c) for c in coords)]
 
     def elements(self) -> Iterator["AbstractClass"]:
         for idx in range(self._size):
-            yield self._at(idx)
+            yield self._classes[idx]
 
     @property
     def order(self) -> int:
@@ -326,69 +342,67 @@ class AbstractGroup:
 
     # -- tables -----------------------------------------------------------
 
-    def _at(self, idx: int) -> "AbstractClass":
-        """The interned class with this index."""
-        cls = self._classes.get(idx)
-        if cls is None:
-            coords = []
-            rem = idx
-            for s in self._strides:
-                c, rem = divmod(rem, s)
-                coords.append(c)
-            cls = AbstractClass._interned(self, idx, tuple(coords))
-            self._classes[idx] = cls
-        return cls
+    def _make_class(self, idx: int) -> "AbstractClass":
+        coords = []
+        rem = idx
+        for s in self._strides:
+            c, rem = divmod(rem, s)
+            coords.append(c)
+        return AbstractClass._interned(self, idx, tuple(coords))
 
     def _index(self, coords: Iterable[int]) -> int:
         return sum((c % n) * s for c, n, s in zip(coords, self.orders, self._strides))
 
-    def _fill_order(self, idx: int) -> int:
-        coords = self._at(idx).coords
-        out = self._order[idx] = math.lcm(
-            *(n // math.gcd(n, c) for c, n in zip(coords, self.orders)), 1
-        )
-        return out
+    def _order_at(self, idx: int) -> int:
+        coords = self._classes[idx].coords
+        return math.lcm(*(n // math.gcd(n, c) for c, n in zip(coords, self.orders)), 1)
 
-    def _fill_primes(self, idx: int) -> tuple[int, ...]:
-        per = self._order.get(idx) or self._fill_order(idx)
-        out = self._primes[idx] = tuple(p for p in self.primes() if per % p == 0)
-        return out
+    def _primes_at(self, idx: int) -> tuple[int, ...]:
+        per = self._order[idx]
+        return tuple(p for p in self.primes() if per % p == 0)
 
-    def _fill_neg(self, idx: int) -> "AbstractClass":
-        out = self._neg[idx] = self._at(self._index(-c for c in self._at(idx).coords))
-        return out
+    def _neg_at(self, idx: int) -> "AbstractClass":
+        return self._classes[self._index(-c for c in self._classes[idx].coords)]
 
-    def _fill_sum(self, i: int, j: int) -> "AbstractClass":
-        a, b = self._at(i).coords, self._at(j).coords
-        out = self._at(self._index(x + y for x, y in zip(a, b)))
-        self._sum[i * self._size + j] = self._sum[j * self._size + i] = out
-        return out
+    def _sum_at(self, pair: int) -> "AbstractClass":
+        i, j = divmod(pair, self._size)
+        a, b = self._classes[i].coords, self._classes[j].coords
+        return self._classes[self._index(x + y for x, y in zip(a, b))]
 
-    def _p_part_table(self, p: int) -> dict:
-        table = self._p_parts.get(p)
-        if table is None:
-            if not is_prime(p):
-                raise ValueError(f"not a prime: {p}")
-            table = self._p_parts[p] = {}
-        return table
-
-    def _fill_p_part(self, table: dict, p: int, idx: int) -> "AbstractClass":
-        coords = self._at(idx).coords
-        out = table[idx] = self._at(
-            self._index(_crt_p_component(c, n, p) for c, n in zip(coords, self.orders))
-        )
-        return out
+    def _p_part_table(self, p: int) -> "_Table":
+        if not is_prime(p):
+            raise ValueError(f"not a prime: {p}")
+        return _Table(lambda idx: self._index(
+            _crt_p_component(c, n, p) for c, n in zip(self._classes[idx].coords, self.orders)
+        ))
 
 
 @dataclass(frozen=True)
 class _RationalGroup:
-    """Br(Q) backend marker; classes carry their own invariant data."""
+    """Br(Q) backend marker; classes carry their own invariant data.  Br(Q) is
+    infinite, so its key tables are fresh per use: nothing is kept."""
 
     class_key = staticmethod(methodcaller("sort_key"))  # canonical order
 
     @property
     def kind(self) -> str:
         return "rational"
+
+    def class_at(self, key: tuple) -> "RationalClass":
+        """The class whose ``sort_key`` is ``key``; its invariants are valid already."""
+        cls = object.__new__(RationalClass)
+        object.__setattr__(cls, "invariants", tuple(
+            (REAL_PLACE if rank == 0 else v, Fraction(a, b)) for rank, v, a, b in key
+        ))
+        return cls
+
+    @property
+    def key_primes(self) -> _Table:
+        return _Table(lambda key: self.class_at(key).primes())
+
+    @property
+    def p_part_keys(self) -> _Table:
+        return _Table(lambda p: _Table(lambda key: self.class_at(key).p_part(p).sort_key()))
 
     def identity(self) -> "RationalClass":
         return RationalClass(())
@@ -469,12 +483,10 @@ class AbstractClass:
         g = self.group
         if other.group is not g:
             _same_group(self, other)
-        out = g._sum.get(self.index * g._size + other.index)
-        return out if out is not None else g._fill_sum(self.index, other.index)
+        return g._sum[self.index * g._size + other.index]
 
     def __neg__(self) -> "AbstractClass":
-        out = self.group._neg.get(self.index)
-        return out if out is not None else self.group._fill_neg(self.index)
+        return self.group._neg[self.index]
 
     def __sub__(self, other: "AbstractClass") -> "AbstractClass":
         return self + (-other)
@@ -488,21 +500,15 @@ class AbstractClass:
         return self.index == 0
 
     def order(self) -> int:
-        out = self.group._order.get(self.index)
-        return out if out is not None else self.group._fill_order(self.index)
+        return self.group._order[self.index]
 
     def p_part(self, p: int) -> "AbstractClass":
         g = self.group
-        table = g._p_parts.get(p)
-        if table is None:
-            table = g._p_part_table(p)
-        out = table.get(self.index)
-        return out if out is not None else g._fill_p_part(table, p, self.index)
+        return g._classes[g.p_part_keys[p][self.index]]
 
     def primes(self) -> tuple[int, ...]:
         """Primes dividing the order of the class, ascending."""
-        out = self.group._primes.get(self.index)
-        return out if out is not None else self.group._fill_primes(self.index)
+        return self.group.key_primes[self.index]
 
     def to_payload(self) -> dict:
         return {"coords": list(self.coords)}

@@ -19,17 +19,6 @@ from .brauer import BrauerClass, BrauerGroup, GroupMismatchError
 from .motives import Count as Term, merge
 
 
-def _expand(c: BrauerClass) -> list[Term]:
-    """Rewrite a single class into prime-power-order basis classes."""
-    primes = c.primes()
-    if not primes:
-        return [(c, 1)]
-    out: list[Term] = [(c.p_part(p), 1) for p in primes]
-    if len(primes) > 1:
-        out.append((c.group.identity(), 1 - len(primes)))
-    return out
-
-
 @dataclass(frozen=True)
 class RingElement:
     """An element of the quotient ring, stored in normal form."""
@@ -38,14 +27,24 @@ class RingElement:
     terms: tuple[Term, ...]
 
     def __post_init__(self) -> None:
+        group = self.group
         for c, k in self.terms:
-            if c.group != self.group:
+            if c.group is not group and c.group != group:
                 raise GroupMismatchError("class outside the declared group model")
             if not isinstance(k, int):
                 raise ValueError(f"coefficients must be integers, got {k!r}")
         # Each distinct class is rewritten once, weighted by its coefficient.
-        expanded = [(b, k * j) for c, k in merge(self.group, self.terms) for b, j in _expand(c)]
-        object.__setattr__(self, "terms", merge(self.group, expanded))
+        key, primes, p_parts = group.class_key, group.key_primes, group.p_part_keys
+        expanded = []
+        for kc, k in merge([(key(c), k) for c, k in self.terms]):
+            ps = primes[kc]
+            if len(ps) < 2:
+                expanded.append((kc, k))
+            else:
+                expanded += [(p_parts[p][kc], k) for p in ps]
+                expanded.append((key(group.identity()), k * (1 - len(ps))))
+        at = group.class_at
+        object.__setattr__(self, "terms", tuple([(at(kc), k) for kc, k in merge(expanded)]))
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)

@@ -1,71 +1,93 @@
 """Multisets of Brauer classes standing for direct sums of twisted Tate motives.
 
-A ``MotiveSum`` records the Brauer classes of the simple summands as a
-canonical sorted tuple of (class, multiplicity) pairs; ``len`` is the number
-of summands counted with multiplicity and ``classes`` is the sorted
-expansion.  Two sums are isomorphic exactly when they have the same
-cardinality and, prime by prime, the same multiset of p-primary parts; the
-Tate twists themselves carry no information here, so they are not stored.
-Every invariant walks the distinct classes weighted by multiplicity, so the
-cost follows the support, not the rank.
-``merge`` is the one multiset sum (also of ``measure_ring`` normal forms),
-in the order the group model defines.
+A ``MotiveSum`` stores its simple summands as ``key_counts``: (class key,
+multiplicity) pairs sorted by key, the key being ``group.class_key`` (the
+index for abstract groups, ``RationalClass.sort_key`` over Q).  ``len`` is
+the rank.  ``counts`` and ``classes`` (the sorted expansion) look their class
+objects up with ``group.class_at`` when first read, once per sum.  Two sums
+are isomorphic exactly when they have the same rank and, prime by prime, the
+same multiset of p-primary parts; ``signature`` reads the primes and p-parts
+of each key from the group's tables (``key_primes``, ``p_part_keys``), so it
+builds no class.  Tate twists carry no information here and are not stored.
+Cost follows the distinct keys, not the rank.  ``merge`` is the one multiset
+sum (also of ``measure_ring`` normal forms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from operator import itemgetter
+from typing import Hashable, Iterable
 
 from .brauer import BrauerClass, BrauerGroup, GroupMismatchError
 
 Count = tuple[BrauerClass, int]
+KeyCount = tuple[Hashable, int]
+_nonzero = itemgetter(1)
 
 
-def merge(group: BrauerGroup, pairs: Iterable[Count]) -> tuple[Count, ...]:
-    """Add the multiplicities of equal classes, drop zeros, sort by
-    ``group.class_key`` (an int index for abstract classes: nothing hashed)."""
-    key = group.class_key
+def merge(pairs: Iterable[KeyCount]) -> tuple[KeyCount, ...]:
+    """Add the multiplicities of equal keys, drop zeros, sort by key."""
     mult: dict = {}
-    rep: dict = {}
-    for c, k in pairs:
-        kc = key(c)
-        if kc in mult:
-            mult[kc] += k
-        else:
-            mult[kc] = k
-            rep[kc] = c
-    return tuple([(rep[kc], mult[kc]) for kc in sorted(mult) if mult[kc]])
+    for kc, k in pairs:
+        mult[kc] = mult[kc] + k if kc in mult else k
+    return tuple(filter(_nonzero, sorted(mult.items())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MotiveSum:
     """A finite multiset of Brauer classes over a single group model.
 
-    ``counts`` may list a class more than once; construction merges the
-    entries, drops zero multiplicities and sorts by class.
+    ``counts`` may list a class more than once; construction merges equal
+    keys and drops zero multiplicities.  ``==`` and ``hash`` compare the
+    group and ``key_counts``.
     """
 
     group: BrauerGroup
-    counts: tuple[Count, ...]
+    key_counts: tuple[KeyCount, ...]
 
-    def __post_init__(self) -> None:
-        group = self.group
+    def __init__(self, group: BrauerGroup, counts: Iterable[Count]) -> None:
+        key = group.class_key
+        pairs = []
         rank = 0
-        for c, k in self.counts:
+        for c, k in counts:
             if c.group is not group and c.group != group:
                 raise GroupMismatchError("class outside the declared group model")
             if not isinstance(k, int) or k < 0:
                 raise ValueError(f"multiplicities must be non-negative integers, got {k!r}")
+            pairs.append((key(c), k))
             rank += k
-        object.__setattr__(self, "counts", merge(group, self.counts))
-        object.__setattr__(self, "_rank", rank)
+        self._fill(group, pairs, rank)
+
+    def _fill(self, group: BrauerGroup, pairs: list[KeyCount], rank: int) -> "MotiveSum":
+        # The one place the frozen fields are written.
+        fields = self.__dict__
+        fields["group"], fields["key_counts"], fields["_rank"] = group, merge(pairs), rank
+        return self
+
+    @classmethod
+    def _of_keys(cls, group: BrauerGroup, pairs: list[KeyCount], rank: int) -> "MotiveSum":
+        """A sum of rank ``rank`` from checked (key, multiplicity) pairs."""
+        return object.__new__(cls)._fill(group, pairs, rank)
 
     @classmethod
     def of(cls, group: BrauerGroup, classes: Iterable[BrauerClass]) -> "MotiveSum":
-        return cls(group, tuple([(c, 1) for c in classes]))
+        key = group.class_key
+        pairs = []
+        for c in classes:
+            if c.group is not group and c.group != group:
+                raise GroupMismatchError("class outside the declared group model")
+            pairs.append((key(c), 1))
+        return cls._of_keys(group, pairs, len(pairs))
 
-    @property
+    @cached_property
+    def counts(self) -> tuple[Count, ...]:
+        """The sorted (class, multiplicity) pairs."""
+        at = self.group.class_at
+        return tuple([(at(kc), k) for kc, k in self.key_counts])
+
+    @cached_property
     def classes(self) -> tuple[BrauerClass, ...]:
         """The sorted expansion, each class repeated by its multiplicity."""
         return tuple(c for c, k in self.counts for _ in range(k))
@@ -73,23 +95,22 @@ class MotiveSum:
     def __len__(self) -> int:
         return self._rank
 
-    def primes(self) -> tuple[int, ...]:
-        ps: set[int] = set()
-        for c, _ in self.counts:
-            ps.update(c.primes())
-        return tuple(sorted(ps))
-
     def signature(self) -> tuple:
         """Hashable invariant that decides isomorphism.
 
         Cardinality plus, for each prime dividing some summand's order, the
-        sorted multiset of p-parts.
+        merged (p-part key, multiplicity) pairs.
         """
-        group, counts = self.group, self.counts
-        parts = []
-        for p in self.primes():
-            parts.append((p, merge(group, [(c.p_part(p), k) for c, k in counts])))
-        return (self._rank, tuple(parts))
+        group, key_counts = self.group, self.key_counts
+        primes = group.key_primes
+        ps = sorted({p for kc, _ in key_counts for p in primes[kc]})
+        if len(ps) == 1:
+            # Every summand has p-power order, so it is its own p-part.
+            return (self._rank, ((ps[0], key_counts),))
+        p_parts = group.p_part_keys
+        return (self._rank, tuple([
+            (p, merge([(p_parts[p][kc], k) for kc, k in key_counts])) for p in ps
+        ]))
 
     def to_payload(self) -> dict:
         return {"classes": [{**c.to_payload(), "mult": k} for c, k in self.counts]}
@@ -103,7 +124,7 @@ def _common_group(x: MotiveSum, y: MotiveSum) -> BrauerGroup:
 
 def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     """Multiset union; models the direct sum of motives."""
-    return MotiveSum(_common_group(x, y), x.counts + y.counts)
+    return MotiveSum._of_keys(_common_group(x, y), x.key_counts + y.key_counts, x._rank + y._rank)
 
 
 def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
@@ -112,9 +133,12 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     A convolution over the two supports: each pair of distinct classes is
     added once and weighted by the product of multiplicities.
     """
-    return MotiveSum(_common_group(x, y), tuple([
-        (a + b, i * j) for a, i in x.counts for b, j in y.counts
-    ]))
+    group = _common_group(x, y)
+    key, at = group.class_key, group.class_at
+    xs, ys = ([(at(kc), k) for kc, k in s.key_counts] for s in (x, y))
+    return MotiveSum._of_keys(group, [
+        (key(a + b), i * j) for a, i in xs for b, j in ys
+    ], x._rank * y._rank)
 
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:

@@ -260,6 +260,27 @@ def list_signature(coord_list, orders) -> tuple:
     return (len(coord_list), tuple(parts))
 
 
+def class_signature(ms) -> tuple:
+    """The class-based isomorphism signature of a ``MotiveSum``: its rank and,
+    for each prime dividing some summand's order, the Counter of the
+    summands' p-parts, read from the class objects one by one."""
+    primes = sorted({p for c, _ in ms.counts for p in c.primes()})
+    parts = {}
+    for p in primes:
+        parts[p] = Counter()
+        for c, k in ms.counts:
+            parts[p][c.p_part(p)] += k
+    return len(ms), parts
+
+
+def decode_signature(group, signature) -> tuple:
+    """A key signature with each p-part key replaced by its class, order kept."""
+    rank, parts = signature
+    return rank, tuple(
+        (p, tuple((group.class_at(kc), k) for kc, k in part)) for p, part in parts
+    )
+
+
 def counter_isomorphic(coords_x, coords_y, orders) -> bool:
     """The per-prime isomorphism test: equal cardinality and, for every prime
     dividing some class order on either side, equal Counters of p-parts."""

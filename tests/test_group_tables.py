@@ -11,6 +11,7 @@ from oracles import (
     coords_neg,
     coords_order,
     coords_p_part,
+    decode_signature,
     list_signature,
 )
 from titsmeasure.brauer import AbstractClass, AbstractGroup
@@ -91,7 +92,7 @@ def test_signature_matches_list_algorithm(data):
     orders, coord_list = data
     g = AbstractGroup(orders)
     ms = MotiveSum.of(g, [g.element(c) for c in coord_list])
-    n, parts = ms.signature()
+    n, parts = decode_signature(g, ms.signature())
     as_coords = (n, tuple((p, tuple((c.coords, k) for c, k in sig)) for p, sig in parts))
     assert as_coords == list_signature(coord_list, orders)
     assert sorted(c.coords for c in ms.classes) == sorted(coord_list)

@@ -12,7 +12,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import counter_merge, invariants_normal_form, invariants_signature
+from oracles import (
+    counter_merge,
+    decode_signature,
+    invariants_normal_form,
+    invariants_signature,
+)
 from titsmeasure.brauer import RATIONALS, RationalClass
 from titsmeasure.measure_ring import RingElement
 from titsmeasure.motives import MotiveSum
@@ -54,7 +59,7 @@ def test_motive_sum_matches_counter_oracle(pairs):
 @given(_pairs(st.integers(0, 3)))
 @settings(max_examples=80, deadline=None)
 def test_signature_matches_counter_oracle(pairs):
-    rank, parts = MotiveSum(RATIONALS, tuple(pairs)).signature()
+    rank, parts = decode_signature(RATIONALS, MotiveSum(RATIONALS, tuple(pairs)).signature())
     plain = (rank, tuple((p, tuple(_plain(part))) for p, part in parts))
     assert plain == invariants_signature(_plain(pairs))
 
