@@ -66,6 +66,12 @@ def _check_work(suite: str, group: AbstractGroup, sizes: range, work, limit: int
             )
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    """Refuse a size or count that would leave a certificate with nothing checked."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _state_key(classes: Iterable[AbstractClass]) -> tuple:
     return tuple(sorted(c.index for c in classes))
 
@@ -104,6 +110,7 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> Verificatio
     with the partition by per-prime p-part signatures.
     """
     params = {"group": group.to_payload(), "m_max": m_max}
+    _at_least("m_max", m_max, 1)
     if group.order > 100:
         raise ResourceLimitError(
             f"relation equivalence needs group order <= 100, got {group.order}"
@@ -223,6 +230,8 @@ def verify_sum_cancellation(
         "trials": trials,
         "seed": seed,
     }
+    _at_least("card_max", card_max, 1)
+    _at_least("trials", trials, 0)
     _check_work("sum-cancellation", group, range(card_max + 1), lambda s: s * s, STATE_LIMIT)
     elements = list(group.elements())
     states: list[tuple[AbstractClass, ...]] = []
@@ -313,6 +322,7 @@ def verify_tensor_cancellation(
     params = {"group": group.to_payload(), "n_dim": n_dim, "card_max": card_max}
     if n_dim < 5:
         raise ValueError(f"tensor cancellation is asserted only for n >= 5, got {n_dim}")
+    _at_least("card_max", card_max, 1)
     two_torsion = 2 ** sum(n % 2 == 0 for n in group.orders)
     _check_work("tensor-cancellation", group, range(1, card_max + 1),
                 lambda s: s * two_torsion, STATE_LIMIT)
@@ -447,6 +457,7 @@ def verify_normal_form_confluence(
 ) -> VerificationRun:
     """Random rewrite sequences terminate at the canonical normal form."""
     params = {"group": group.to_payload(), "trials": trials, "seed": seed}
+    _at_least("trials", trials, 0)
     rng = random.Random(seed)
     for t in range(trials):
         raw = _random_raw_element(group, rng)

@@ -120,6 +120,27 @@ HANGING_CALLS = [
 ]
 
 
+# Sizes and counts that would leave nothing to check.
+VACUOUS_CALLS = [
+    ["relation-equivalence", "--group", "2", "--m-max", "0"],
+    ["relation-equivalence", "--group", "2", "--m-max", "-2"],
+    ["sum-cancellation", "--group", "2", "--card-max", "0"],
+    ["sum-cancellation", "--group", "2", "--card-max", "-1"],
+    ["sum-cancellation", "--group", "2", "--trials", "-5"],
+    ["tensor-cancellation", "--group", "2", "--card-max", "0"],
+    ["normal-form-confluence", "--group", "2", "--trials", "-3"],
+]
+
+
+@pytest.mark.parametrize("argv", VACUOUS_CALLS, ids=[" ".join(a) for a in VACUOUS_CALLS])
+def test_vacuous_frontier_is_exit_one(capsys, argv):
+    code = cli.main(["verify", "--suite", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"must be at least {0 if argv[-2] == '--trials' else 1}, got {argv[-1]}" in captured.err
+
+
 class TestWorkFrontiers:
     """The suites count their multiset states before enumerating any."""
 
