@@ -74,6 +74,15 @@ def test_key_signature_decodes_to_the_class_signature(ms):
     assert rank == len(ms) == len(ms.classes)
 
 
+def test_key_tables_stay_lazy_on_a_huge_group():
+    g = AbstractGroup((10**9,))
+    a, b = g.element([123456789]), g.element([2 * 5**9])
+    ms = MotiveSum.of(g, [a, b, a])
+    assert _as_counters(decode_signature(g, ms.signature())) == class_signature(ms)
+    assert ms.counts == ((b, 1), (a, 2))
+    assert len(g._classes) < 10 and all(len(t) <= 2 for t in g.p_part_keys.values())
+
+
 class TestValueSemantics:
     def _pair(self):
         g, h = AbstractGroup((2, 6)), AbstractGroup((2, 6))
