@@ -615,7 +615,8 @@ def generated_subgroup(
     """Subgroup generated by the given classes, as a frozen set of classes.
 
     The group model is inferred from the classes; for an empty sequence it
-    must be passed explicitly.
+    must be passed explicitly.  A generator g outside the subgroup H so far adds
+    the cosets H + k g for k = 1, 2, ... until k g lies in H: one sum per element.
     """
     if cs:
         group = cs[0].group
@@ -624,19 +625,14 @@ def generated_subgroup(
                 raise GroupMismatchError("mixed group models")
     elif group is None:
         raise ValueError("empty generating set needs an explicit group")
-    identity = group.identity()
-    known = {identity}
-    frontier = [identity]
-    gens = {c for c in cs} | {-c for c in cs}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x + g
-                if y not in known:
-                    known.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    known = {group.identity()}
+    for g in cs:
+        if g in known:
+            continue
+        base, step = list(known), g
+        while step not in known:
+            known.update([h + step for h in base])
+            step = step + g
     return frozenset(known)
 
 

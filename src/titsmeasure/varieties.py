@@ -13,8 +13,8 @@ measures first so a false assertion is flagged instead of silently used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Union
 
 from .brauer import (
@@ -31,19 +31,26 @@ from .quadforms import even_clifford_class, signed_discriminant
 from .sigma import extra_condition_failures
 
 
-@lru_cache(maxsize=None)
-def box_weight_counts(d: int, e: int) -> tuple[int, ...]:
-    """Number of Young diagrams in a d x e box by weight (Gaussian binomial)."""
-    if d == 0 or e == 0:
-        return (1,)
-    smaller = box_weight_counts(d - 1, e)
-    shifted = box_weight_counts(d, e - 1)
-    out = [0] * (d * e + 1)
-    for w, c in enumerate(smaller):
-        out[w] += c
-    for w, c in enumerate(shifted):
-        out[w + d] += c
-    return tuple(out)
+def folded_cell_counts(d: int, n: int, r: int) -> list[int]:
+    """Schubert cells of Gr(d, n) counted by weight mod r, for r | n.
+
+    At a primitive s-th root of unity, s | r, the Gaussian binomial
+    [n choose d]_q is f(r/s) = C(n/s, d/s) if s | d, else 0 (cyclic sieving;
+    Reiner-Stanton-White, JCTA 108, 2004).  The counts spread h(t) cells evenly
+    over the t multiples of r/t, where f(t) sums h(u) over u | t, so the cost
+    follows r and its divisors, not the C(n, d) cells.
+    """
+    divisors = [t for t in range(1, r + 1) if r % t == 0]
+    h: dict[int, int] = {}
+    spread = [0] * r
+    for t in divisors:
+        s = r // t
+        f = math.comb(n // s, d // s) if d % s == 0 else 0
+        h[t] = f - sum(h[u] for u in divisors if u < t and t % u == 0)
+        spread[::s] = [x + h[t] * s for x in spread[::s]]
+    if any(x % r for x in spread):
+        raise AssertionError("the folded cell counts are not integers")
+    return [x // r for x in spread]
 
 
 def _multiples(a: BrauerClass, count: int) -> list[BrauerClass]:
@@ -52,6 +59,13 @@ def _multiples(a: BrauerClass, count: int) -> list[BrauerClass]:
     for _ in range(count - 1):
         out.append(out[-1] + a)
     return out
+
+
+def _cell_sum(alg: CSA, d: int) -> MotiveSum:
+    """The cells of Gr(d, deg) as classes: a weight-w cell carries w[A]."""
+    a = alg.brauer_class
+    counts = folded_cell_counts(d, alg.degree, a.order())
+    return MotiveSum(a.group, tuple(zip(_multiples(a, len(counts)), counts)))
 
 
 @dataclass(frozen=True)
@@ -69,12 +83,7 @@ class SeveriBrauer:
         return self.alg.degree - 1
 
     def jt_classes(self) -> MotiveSum:
-        # Classes i[A] for 0 <= i < deg; ord([A]) divides deg, so each
-        # multiple of [A] occurs deg / ord([A]) times.
-        a = self.alg.brauer_class
-        per = a.order()
-        each = self.alg.degree // per
-        return MotiveSum(self.group, tuple((c, each) for c in _multiples(a, per)))
+        return _cell_sum(self.alg, 1)  # rank-1 right ideals: Gr(1, deg)
 
 
 @dataclass(frozen=True)
@@ -100,13 +109,7 @@ class Grassmannian:
         return self.d * (self.alg.degree - self.d)
 
     def jt_classes(self) -> MotiveSum:
-        # Weight-w cells carry the class w[A]; fold the weights mod ord([A]).
-        a = self.alg.brauer_class
-        per = a.order()
-        folded = [0] * per
-        for w, c in enumerate(box_weight_counts(self.d, self.alg.degree - self.d)):
-            folded[w % per] += c
-        return MotiveSum(self.group, tuple(zip(_multiples(a, per), folded)))
+        return _cell_sum(self.alg, self.d)
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,24 @@ def box_partition_weights(d: int, e: int) -> Counter:
     return out
 
 
+def bfs_subgroup(gens, identity) -> frozenset:
+    """The subgroup generated by ``gens``, closed breadth first from the
+    identity under adding each generator and its negation."""
+    steps = set(gens) | {-g for g in gens}
+    known = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in steps:
+                y = x + g
+                if y not in known:
+                    known.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(known)
+
+
 # ---------------------------------------------------------------------------
 # Reference arithmetic for finite abelian groups Z/n_1 x ... x Z/n_k, as
 # coordinate loops.  The library serves these from per-group tables.

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import titsmeasure
-from oracles import trial_factors
+from oracles import bfs_subgroup, trial_factors
 from titsmeasure import verify
 from titsmeasure.brauer import (
     CSA,
@@ -21,6 +21,7 @@ from titsmeasure.brauer import (
     is_prime,
     prime_factors,
 )
+from titsmeasure.rationals import quaternion_class
 
 G6 = AbstractGroup((6,))
 G12 = AbstractGroup((12,))
@@ -34,6 +35,24 @@ def group_and_element(draw):
     g = draw(groups)
     coords = [draw(st.integers(-20, 20)) for _ in g.orders]
     return g, g.element(coords)
+
+
+# Quaternion classes over Q: each of order 2, ramified at two places.
+QUATERNIONS = [
+    quaternion_class(a, b)
+    for a, b in ((-1, -1), (-1, 3), (2, 5), (3, 7), (-2, 13), (6, 11), (5, 17))
+]
+SUBGROUP_MODELS = [AbstractGroup(o) for o in ((12,), (2, 2, 2), (4, 6), (2, 4, 8))]
+
+
+@st.composite
+def subgroup_generators(draw):
+    """A group model and up to four generators, repeats allowed."""
+    group = draw(st.sampled_from(SUBGROUP_MODELS + [RATIONALS]))
+    if group is RATIONALS:
+        return group, draw(st.lists(st.sampled_from(QUATERNIONS), max_size=4))
+    coords = st.tuples(*(st.integers(0, n - 1) for n in group.orders))
+    return group, [group.element(c) for c in draw(st.lists(coords, max_size=4))]
 
 
 class TestAbstractGroup:
@@ -189,6 +208,12 @@ class TestSubgroupsAndAlgebras:
                         naive.add(y)
                         frontier = True
         assert got == naive
+
+    @settings(max_examples=300, deadline=None)
+    @given(subgroup_generators())
+    def test_generated_subgroup_matches_bfs(self, case):
+        group, gens = case
+        assert generated_subgroup(gens, group=group) == bfs_subgroup(gens, group.identity())
 
     def test_generated_subgroup_empty_needs_group(self):
         assert generated_subgroup([], group=G6) == {G6.identity()}

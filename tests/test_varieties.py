@@ -16,9 +16,9 @@ from titsmeasure.varieties import (
     Product,
     Quadric,
     SeveriBrauer,
-    box_weight_counts,
     compare,
     deduce,
+    folded_cell_counts,
     rank_measure,
     tits_measure,
 )
@@ -32,18 +32,41 @@ def sb(group, coords, degree):
     return SeveriBrauer(CSA(group.element(coords), degree))
 
 
+def _fold(weights, r):
+    """Fold (weight, count) pairs mod r."""
+    out = [0] * r
+    for w, c in weights:
+        out[w % r] += c
+    return out
+
+
+def _divisors(n):
+    return [r for r in range(1, n + 1) if n % r == 0]
+
+
 class TestBoxWeights:
+    """``folded_cell_counts`` against two independent counts of the cells."""
+
     def test_matches_partition_enumeration(self):
-        for d in range(0, 6):
-            for e in range(0, 6):
-                counts = box_weight_counts(d, e)
-                expected = box_partition_weights(d, e)
-                assert {w: c for w, c in enumerate(counts) if c} == dict(expected)
+        # Every r | n and 0 <= d <= n <= 18.  Enumerating the partitions up to
+        # n = 24 (2^25 of them) would take about 15 s; the product formula
+        # below covers that range.
+        for n in range(1, 19):
+            for d in range(n + 1):
+                weights = box_partition_weights(d, n - d).items()
+                for r in _divisors(n):
+                    assert folded_cell_counts(d, n, r) == _fold(weights, r), (d, n, r)
 
     def test_total_is_binomial(self):
-        from math import comb
-
-        assert sum(box_weight_counts(3, 4)) == comb(7, 3)
+        # Every r | n and 0 <= d <= n <= 24, against the Gaussian binomial by
+        # its product formula; the counts add up to C(n, d).
+        for n in range(1, 25):
+            for d in range(n + 1):
+                weights = list(enumerate(gaussian_binomial(n, d)))
+                for r in _divisors(n):
+                    got = folded_cell_counts(d, n, r)
+                    assert got == _fold(weights, r), (d, n, r)
+                    assert sum(got) == math.comb(n, d)
 
 
 class TestTables:
