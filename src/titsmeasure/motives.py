@@ -2,20 +2,22 @@
 
 A ``MotiveSum`` stores its simple summands as ``key_counts``: (class key,
 multiplicity) pairs sorted by key, the key being ``group.class_key`` (the
-index for abstract groups, ``RationalClass.sort_key`` over Q).  ``len`` is
-the rank.  ``counts`` and ``classes`` (the sorted expansion) look their class
-objects up with ``group.class_at`` when first read, once per sum.  Two sums
-are isomorphic exactly when they have the same rank and, prime by prime, the
-same multiset of p-primary parts; ``signature`` reads the primes and p-parts
-of each key from the group's tables (``key_primes``, ``p_part_keys``), so it
-builds no class.  Tate twists carry no information here and are not stored.
-Cost follows the distinct keys, not the rank.  ``merge`` is the one multiset
-sum (also of ``measure_ring`` normal forms).
+index for abstract groups, ``RationalClass.sort_key`` over Q).  ``rank`` is
+the sum of the multiplicities; ``len`` returns it too, up to 2^63 - 1, the
+most Python's ``len`` allows.  ``counts`` and ``classes`` (the sorted
+expansion) look their class objects up with ``group.class_at`` when first
+read, once per sum.  Two sums are isomorphic exactly when they have the same
+rank and, prime by prime, the same multiset of p-primary parts;
+``signature`` reads the primes and p-parts of each key from the group's
+tables (``key_primes``, ``p_part_keys``), so it builds no class.  Tate
+twists carry no information here and are not stored.  Cost follows the
+distinct keys, not the rank.  ``merge`` is the one multiset sum (also of
+``measure_ring`` normal forms).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable
@@ -46,6 +48,7 @@ class MotiveSum:
 
     group: BrauerGroup
     key_counts: tuple[KeyCount, ...]
+    rank: int = field(compare=False)  # the sum of the multiplicities
 
     def __init__(self, group: BrauerGroup, counts: Iterable[Count]) -> None:
         key = group.class_key
@@ -63,7 +66,7 @@ class MotiveSum:
     def _fill(self, group: BrauerGroup, pairs: list[KeyCount], rank: int) -> "MotiveSum":
         # The one place the frozen fields are written.
         fields = self.__dict__
-        fields["group"], fields["key_counts"], fields["_rank"] = group, merge(pairs), rank
+        fields["group"], fields["key_counts"], fields["rank"] = group, merge(pairs), rank
         return self
 
     @classmethod
@@ -93,7 +96,7 @@ class MotiveSum:
         return tuple(c for c, k in self.counts for _ in range(k))
 
     def __len__(self) -> int:
-        return self._rank
+        return self.rank
 
     def signature(self) -> tuple:
         """Hashable invariant that decides isomorphism.
@@ -106,9 +109,9 @@ class MotiveSum:
         ps = sorted({p for kc, _ in key_counts for p in primes[kc]})
         if len(ps) == 1:
             # Every summand has p-power order, so it is its own p-part.
-            return (self._rank, ((ps[0], key_counts),))
+            return (self.rank, ((ps[0], key_counts),))
         p_parts = group.p_part_keys
-        return (self._rank, tuple([
+        return (self.rank, tuple([
             (p, merge([(p_parts[p][kc], k) for kc, k in key_counts])) for p in ps
         ]))
 
@@ -124,7 +127,7 @@ def _common_group(x: MotiveSum, y: MotiveSum) -> BrauerGroup:
 
 def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     """Multiset union; models the direct sum of motives."""
-    return MotiveSum._of_keys(_common_group(x, y), x.key_counts + y.key_counts, x._rank + y._rank)
+    return MotiveSum._of_keys(_common_group(x, y), x.key_counts + y.key_counts, x.rank + y.rank)
 
 
 def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
@@ -138,7 +141,7 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     xs, ys = ([(at(kc), k) for kc, k in s.key_counts] for s in (x, y))
     return MotiveSum._of_keys(group, [
         (key(a + b), i * j) for a, i in xs for b, j in ys
-    ], x._rank * y._rank)
+    ], x.rank * y.rank)
 
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:

@@ -22,6 +22,7 @@ from .brauer import (
     BrauerClass,
     BrauerGroup,
     GroupMismatchError,
+    ResourceLimitError,
     generated_subgroup,
 )
 from .measure_ring import RingElement, augmentation, from_motive_sum
@@ -29,6 +30,22 @@ from .motives import MotiveSum, is_isomorphic, tensor
 from .quadforms import I3_OVER_Q, FormShadow, QuadraticForm
 from .quadforms import even_clifford_class, signed_discriminant
 from .sigma import extra_condition_failures
+
+
+# A measure prints one entry per distinct class: ord([A]) of them for a
+# Severi-Brauer or Grassmannian variety, and up to |S| x |s| for a product step
+# over two supports.  Past this many, measuring raises ``ResourceLimitError``
+# before it builds any class.
+MAX_CLASSES = 2**14
+# Python prints an int of at most 4,300 digits by default; a rank measure with
+# more digits is refused the same way.
+MAX_RANK_DIGITS = 4300
+_RANK_CAP = 10**MAX_RANK_DIGITS
+
+
+def _check_classes(what: str, count: int) -> None:
+    if count > MAX_CLASSES:
+        raise ResourceLimitError(f"{what} {count} is past the limit of {MAX_CLASSES} classes")
 
 
 def folded_cell_counts(d: int, n: int, r: int) -> list[int]:
@@ -40,6 +57,10 @@ def folded_cell_counts(d: int, n: int, r: int) -> list[int]:
     over the t multiples of r/t, where f(t) sums h(u) over u | t, so the cost
     follows r and its divisors, not the C(n, d) cells.
     """
+    _check_classes("class order", r)
+    k = min(d, n - d)  # C(n, k) >= (n/k)^k >= 2^(k b) for 2^b <= n/k: refuse before comb
+    if k and k * ((n // k).bit_length() - 1) >= _RANK_CAP.bit_length():
+        raise ResourceLimitError(f"rank C({n}, {d}) has more than {MAX_RANK_DIGITS} digits")
     divisors = [t for t in range(1, r + 1) if r % t == 0]
     h: dict[int, int] = {}
     spread = [0] * r
@@ -244,7 +265,9 @@ class Product:
     def jt_classes(self) -> MotiveSum:
         out = self.children[0].jt_classes()
         for child in self.children[1:]:
-            out = tensor(out, child.jt_classes())
+            factor = child.jt_classes()
+            _check_classes("product pair count", len(out.key_counts) * len(factor.key_counts))
+            out = tensor(out, factor)
         return out
 
 
@@ -269,8 +292,10 @@ class MeasureReport:
 
 def tits_measure(v: VarietyDescriptor) -> MeasureReport:
     ms = v.jt_classes()
+    rho = ms.rank
+    if rho >= _RANK_CAP:
+        raise ResourceLimitError(f"rank measure has more than {MAX_RANK_DIGITS} digits")
     jt = from_motive_sum(ms)
-    rho = len(ms)
     if augmentation(jt) != rho:
         raise AssertionError("augmentation drifted from the class count")
     return MeasureReport(jt=jt, jt_effective=ms, rho=rho, dim=v.dim)

@@ -55,6 +55,17 @@ class TestMotiveSum:
         t = tensor(a, b)
         assert sorted(c.coords[0] for c in t.classes) == [4, 5]
 
+    def test_rank_past_the_index_type(self):
+        # len() stops at 2^63 - 1; the rank attribute is exact beyond it.
+        big = MotiveSum(G6, ((G6.element([1]), 2**40), (G6.element([2]), 2**40)))
+        assert big.rank == len(big) == 2**41
+        square = tensor(big, big)
+        assert square.rank == 2**82
+        assert direct_sum(square, big).rank == 2**82 + 2**41
+        assert dict((c.coords[0], k) for c, k in square.counts) == {2: 2**80, 3: 2**81, 4: 2**80}
+        with pytest.raises(OverflowError):
+            len(square)
+
     def test_identity_is_tensor_unit(self):
         a = MotiveSum.of(G6, [G6.element([1]), G6.element([4])])
         unit = MotiveSum.of(G6, [G6.identity()])

@@ -8,9 +8,10 @@ import pytest
 
 from oracles import box_partition_weights, gaussian_binomial
 from titsmeasure import cli, varieties
-from titsmeasure.brauer import CSA, AbstractGroup, GroupMismatchError
+from titsmeasure.brauer import CSA, AbstractGroup, GroupMismatchError, ResourceLimitError
 from titsmeasure.quadforms import FormShadow, QuadraticForm
 from titsmeasure.varieties import (
+    MAX_CLASSES,
     Grassmannian,
     Involution,
     Product,
@@ -237,6 +238,123 @@ class TestLargeMeasures:
         got = {tuple(e["coords"]): e["mult"] for e in payload["jt_effective"]["classes"]}
         assert got == dict(expected)
         assert sum(got.values()) == report.rho
+
+
+    def test_grassmannian_450_of_900(self):
+        g = AbstractGroup((2,))
+        report, payload = self._timed_measure(Grassmannian(450, CSA(g.element([1]), 900)))
+        n0, n1 = (e["mult"] for e in payload["jt_effective"]["classes"])
+        assert report.rho == n0 + n1 == math.comb(900, 450)
+        assert n0 - n1 == math.comb(450, 225)  # the Gaussian binomial at q = -1
+
+    def test_grassmannian_3000_of_6000_mod_6(self):
+        g = AbstractGroup((6,))
+        report, payload = self._timed_measure(Grassmannian(3000, CSA(g.element([1]), 6000)))
+        counts = [e["mult"] for e in payload["jt_effective"]["classes"]]
+        assert report.rho == sum(counts) == math.comb(6000, 3000)
+        assert sum(counts[0::2]) - sum(counts[1::2]) == math.comb(3000, 1500)
+        # At a primitive cube root of unity the Gaussian binomial is C(2000, 1000).
+        assert counts[0] + counts[3] - counts[1] - counts[4] == math.comb(2000, 1000)
+        assert counts[1] + counts[4] == counts[2] + counts[5]
+
+    def test_compare_severi_brauer_order_1e4(self):
+        g = AbstractGroup((10**4,))
+        x, y = sb(g, [1], 10**4), sb(g, [3], 10**4)
+        t0 = time.perf_counter()
+        v = compare(x, y)
+        assert time.perf_counter() - t0 < 2.0
+        assert v.measures_equal and v.rho_equal and v.dims_equal and v.subgroups_equal
+        assert not compare(x, sb(g, [2], 10**4)).subgroups_equal
+
+    def test_severi_brauer_at_max_classes(self):
+        g = AbstractGroup((MAX_CLASSES,))
+        report, payload = self._timed_measure(sb(g, [1], 2 * MAX_CLASSES))
+        assert report.rho == 2 * MAX_CLASSES
+        assert [e["mult"] for e in payload["jt_effective"]["classes"]] == [2] * MAX_CLASSES
+
+    def test_severi_brauer_past_max_classes(self):
+        g = AbstractGroup((MAX_CLASSES + 1,))
+        with pytest.raises(ResourceLimitError, match="class order 16385"):
+            self._timed_measure(sb(g, [1], MAX_CLASSES + 1))
+
+    def test_product_pairs_at_and_past_max_classes(self):
+        # Factors of order 128 and 128 give 2^14 class pairs; 128 and 129 one
+        # row more.
+        g = AbstractGroup((128 * 129,))
+        at = Product((sb(g, [129], 128), sb(g, [129 * 5], 128)))
+        report, _ = self._timed_measure(at)
+        assert report.rho == 128 * 128
+        past = Product((sb(g, [129], 128), sb(g, [128], 129)))
+        with pytest.raises(ResourceLimitError, match="product pair count 16512"):
+            self._timed_measure(past)
+
+
+def _measure_argv(orders, variety):
+    doc = {"group": {"kind": "abstract", "orders": orders}, "variety": variety}
+    return ["measure", json.dumps(doc), "--format", "json"]
+
+
+def _gr_doc(d, degree, coords=(1,)):
+    alg = {"degree": degree, "class": {"coords": list(coords)}}
+    return {"family": "grassmannian", "d": d, "alg": alg}
+
+
+def _sb_doc(degree, coords=(1,)):
+    return {"family": "severi-brauer", "alg": {"degree": degree, "class": {"coords": list(coords)}}}
+
+
+def _shadow_doc(coords, dim=8):
+    shadow = {"clifford_class": {"coords": coords}, "dim": dim, "i3_zero": False}
+    return {"family": "quadric", "shadow": shadow}
+
+
+class TestMeasureFrontiers:
+    """Each input ends within 2 s in an answer or in exit 3, never a traceback."""
+
+    @staticmethod
+    def _run(capsys, argv):
+        t0 = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert elapsed < 2.0, f"took {elapsed:.2f} s"
+        return code, captured
+
+    @pytest.mark.parametrize(
+        "argv, rho",
+        [
+            # Past 2^63 - 1, where len() of the class multiset overflows.
+            (_measure_argv([2], {"family": "product", "children": [_shadow_doc([1])] * 22}), 8**22),
+            (_measure_argv([2], _gr_doc(40, 80)), math.comb(80, 40)),
+            (_measure_argv([2], _gr_doc(200, 400)), math.comb(400, 200)),
+            (_measure_argv([2], _gr_doc(450, 900)), math.comb(900, 450)),
+            (_measure_argv([6], _gr_doc(3000, 6000)), math.comb(6000, 3000)),
+        ],
+        ids=["22-quadric-shadows", "gr-40-80", "gr-200-400", "gr-450-900", "gr-3000-6000-z6"],
+    )
+    def test_answers_with_the_exact_rank(self, capsys, argv, rho):
+        code, captured = self._run(capsys, argv)
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["measure"]["rho"] == rho
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            _measure_argv([10**5], _sb_doc(10**5)),
+            _measure_argv([3 * 10**6], _sb_doc(3 * 10**6)),
+            _measure_argv([2], _gr_doc(10**6, 2 * 10**6)),
+            _measure_argv([2], {"family": "product", "children": [_shadow_doc([1])] * 4800}),
+            ["compare", json.dumps({
+                "group": {"kind": "abstract", "orders": [10**8]},
+                "x": _sb_doc(10**8), "y": _sb_doc(10**8, (3,)),
+            })],
+        ],
+        ids=["sb-1e5", "sb-3e6", "gr-1e6-2e6", "rank-past-4300-digits", "compare-sb-1e8"],
+    )
+    def test_past_a_frontier_is_exit_three(self, capsys, argv):
+        code, captured = self._run(capsys, argv)
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
 
 
 class TestCompare:
