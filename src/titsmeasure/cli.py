@@ -195,49 +195,40 @@ def _pick(args, cfg: dict, name: str, default: int) -> int:
     return value
 
 
+# suite -> (whether it takes --group, {option: (keyword, default)}), with the
+# options in the order they are read.  The suite's function is looked up by
+# name on each call, so a replaced ``verify_*`` attribute of this module is
+# the one that runs.
+SUITES = {
+    "relation-equivalence": (True, {"m-max": ("m_max", 3)}),
+    "sum-cancellation": (
+        True,
+        {"card-max": ("card_max", 3), "trials": ("trials", 200), "seed": ("seed", 7)},
+    ),
+    "tensor-cancellation": (True, {"n": ("n_dim", 6), "card-max": ("card_max", 3)}),
+    "quadric-product-matching": (
+        False,
+        {"d-max": ("d_max", 4), "m": ("m", 3), "n": ("n_dim", 6),
+         "family-limit": ("family_limit", 2_000_000)},
+    ),
+    "normal-form-confluence": (True, {"trials": ("trials", 1000), "seed": ("seed", 11)}),
+}
+
+
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    suite = args.suite
-
-    def need_group() -> AbstractGroup:
+    takes_group, options = SUITES[args.suite]
+    kwargs = {}
+    if takes_group:
         spec = args.group if args.group is not None else cfg.get("group")
         if spec is None:
-            raise ValueError(f"suite {suite} needs --group")
+            raise ValueError(f"suite {args.suite} needs --group")
         if not isinstance(spec, str):
             raise ValueError('config: group must be a string such as "2,2"')
-        return _parse_group_spec(spec)
-
-    if suite == "relation-equivalence":
-        run = verify_relation_equivalence(need_group(), _pick(args, cfg, "m-max", 3))
-    elif suite == "sum-cancellation":
-        run = verify_sum_cancellation(
-            need_group(),
-            card_max=_pick(args, cfg, "card-max", 3),
-            trials=_pick(args, cfg, "trials", 200),
-            seed=_pick(args, cfg, "seed", 7),
-        )
-    elif suite == "tensor-cancellation":
-        run = verify_tensor_cancellation(
-            need_group(),
-            _pick(args, cfg, "n", 6),
-            card_max=_pick(args, cfg, "card-max", 3),
-        )
-    elif suite == "quadric-product-matching":
-        run = verify_quadric_product_matching(
-            _pick(args, cfg, "d-max", 4),
-            _pick(args, cfg, "m", 3),
-            _pick(args, cfg, "n", 6),
-            family_limit=_pick(args, cfg, "family-limit", 2_000_000),
-        )
-    elif suite == "normal-form-confluence":
-        run = verify_normal_form_confluence(
-            need_group(),
-            trials=_pick(args, cfg, "trials", 1000),
-            seed=_pick(args, cfg, "seed", 11),
-        )
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-
+        kwargs["group"] = _parse_group_spec(spec)
+    for option, (keyword, default) in options.items():
+        kwargs[keyword] = _pick(args, cfg, option, default)
+    run = globals()["verify_" + args.suite.replace("-", "_")](**kwargs)
     _emit(run.to_payload(), args.format)
     return EXIT_OK if run.passed else EXIT_COUNTEREXAMPLE
 
@@ -310,17 +301,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_sigma_check)
 
     p = sub.add_parser("verify", parents=[fmt], help="run a brute-force checking suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=(
-            "relation-equivalence",
-            "sum-cancellation",
-            "tensor-cancellation",
-            "quadric-product-matching",
-            "normal-form-confluence",
-        ),
-    )
+    p.add_argument("--suite", required=True, choices=tuple(SUITES))
     p.add_argument("--group", help="cyclic orders, e.g. 2,2 or 12")
     p.add_argument("--n", type=int, help="quadric form dimension")
     p.add_argument("--m", type=int, help="number of product factors")

@@ -1,13 +1,15 @@
 """Brute-force replay of the structural lemmas on enumerated finite models.
 
 Each suite enumerates (or samples with a fixed seed) configurations on a
-finite abstract Brauer-group model, checks the claimed property, and returns a
+finite abstract Brauer-group model and searches them for a witness against
+the claimed property.  ``VerificationRun.of`` turns the search result into a
 certificate.  Counterexample witnesses are emitted in replayable form; reruns
 with the same parameters are byte-identical.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import random
@@ -29,6 +31,12 @@ class VerificationRun:
     outcome: str  # "pass" or "counterexample"
     witness: dict | None = None
     details: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, suite: str, params: dict, witness: dict | None, details: dict) -> VerificationRun:
+        """The certificate of a search: a counterexample exactly when it found a witness."""
+        outcome = "pass" if witness is None else "counterexample"
+        return cls(suite, params, outcome, witness, details)
 
     @property
     def passed(self) -> bool:
@@ -72,6 +80,23 @@ def _at_least(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _states(elements: list, sizes: Iterable[int]) -> list[tuple[AbstractClass, ...]]:
+    """Every multiset of ``elements`` of each size in ``sizes``, as sorted tuples."""
+    return [s for m in sizes for s in itertools.combinations_with_replacement(elements, m)]
+
+
+def _collision(pairs: Iterable[tuple]) -> list[int] | None:
+    """The first two positions whose image signatures agree while their own
+    signatures differ, from (image signature, own signature) pairs."""
+    buckets: dict[tuple, dict] = {}
+    for i, (image, own) in enumerate(pairs):
+        bucket = buckets.setdefault(image, {})
+        bucket.setdefault(own, i)
+        if len(bucket) > 1:
+            return sorted(bucket.values())
+    return None
+
+
 def _state_key(classes: Iterable[AbstractClass]) -> tuple:
     return tuple(sorted(c.index for c in classes))
 
@@ -95,10 +120,73 @@ def _coprime_splits(group: AbstractGroup, delta: AbstractClass):
         if a.is_identity():
             continue
         b = delta - a
-        if b.is_identity():
-            continue
-        if math.gcd(a.order(), b.order()) == 1:
+        if not b.is_identity() and math.gcd(a.order(), b.order()) == 1:
             yield a, b
+
+
+def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict | None:
+    """A multiset pair on which the two partitions disagree; with none, the
+    states checked per size go into ``details``."""
+    elements = list(group.elements())
+    splits = {e.index: list(_coprime_splits(group, e)) for e in elements}
+
+    def neighbors(state):
+        out = []
+        for i, j in itertools.combinations(range(len(state)), 2):
+            for base_i, other_i in ((i, j), (j, i)):
+                base, other = state[base_i], state[other_i]
+                for a, b in splits[(other - base).index]:
+                    rest = list(state)
+                    del rest[max(i, j)], rest[min(i, j)]
+                    rest.extend((base + a, base + b))
+                    out.append(_state_key(rest))
+        return out
+
+    states_checked: dict[str, int] = {}
+    for m in range(1, m_max + 1):
+        states = _states(elements, (m,))
+        states_checked[str(m)] = len(states)
+        index = {_state_key(s): i for i, s in enumerate(states)}
+
+        # BFS components under the split rewrites.
+        component = {}
+        for start in range(len(states)):
+            if start in component:
+                continue
+            component[start], queue = start, [start]
+            while queue:
+                for key in neighbors(states[queue.pop()]):
+                    nxt = index[key]
+                    if nxt not in component:
+                        component[nxt] = start
+                        queue.append(nxt)
+
+        signature = [MotiveSum.of(group, s).signature() for s in states]
+        by_component: dict[int, list] = {}
+        by_signature: dict[tuple, list] = {}
+        for i in range(len(states)):
+            by_component.setdefault(component[i], []).append(i)
+            by_signature.setdefault(signature[i], []).append(i)
+        # The partitions differ exactly when a signature block is split across
+        # components or a component spans several signatures.
+        for sig_block in by_signature.values():
+            comps = {component[i] for i in sig_block}
+            if len(comps) > 1:
+                picks = sorted(min(i for i in sig_block if component[i] == c) for c in comps)
+                return {
+                    "m": m,
+                    "same_signature_not_connected": [_state_payload(states[p]) for p in picks[:2]],
+                }
+        for comp_block in by_component.values():
+            if len({signature[i] for i in comp_block}) > 1:
+                return {
+                    "m": m,
+                    "connected_but_different_signature": [
+                        _state_payload(states[p]) for p in comp_block[:2]
+                    ],
+                }
+    details["states_checked"] = states_checked
+    return None
 
 
 def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> VerificationRun:
@@ -118,97 +206,43 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> Verificatio
     rewrites = m_max * (m_max - 1) * group.order
     _check_work("relation-equivalence", group, range(1, m_max + 1),
                 lambda s: s * rewrites, REWRITE_LIMIT)
-    elements = list(group.elements())
-    splits = {e.index: list(_coprime_splits(group, e)) for e in elements}
-    states_checked: dict[str, int] = {}
-
-    for m in range(1, m_max + 1):
-        states = [tuple(ms) for ms in itertools.combinations_with_replacement(elements, m)]
-        states_checked[str(m)] = len(states)
-        index = {_state_key(s): i for i, s in enumerate(states)}
-
-        def neighbors(state):
-            out = []
-            for i, j in itertools.combinations(range(len(state)), 2):
-                for base_i, other_i in ((i, j), (j, i)):
-                    base, other = state[base_i], state[other_i]
-                    for a, b in splits[(other - base).index]:
-                        rest = list(state)
-                        del rest[max(i, j)], rest[min(i, j)]
-                        rest.extend((base + a, base + b))
-                        out.append(_state_key(rest))
-            return out
-
-        # BFS components under the split rewrites.
-        component = {}
-        for start in range(len(states)):
-            if start in component:
-                continue
-            queue = [start]
-            component[start] = start
-            while queue:
-                cur = queue.pop()
-                for key in neighbors(states[cur]):
-                    nxt = index[key]
-                    if nxt not in component:
-                        component[nxt] = start
-                        queue.append(nxt)
-
-        signature = {
-            i: MotiveSum.of(group, s).signature() for i, s in enumerate(states)
-        }
-        by_component: dict[int, set] = {}
-        by_signature: dict[tuple, set] = {}
-        for i in range(len(states)):
-            by_component.setdefault(component[i], set()).add(i)
-            by_signature.setdefault(signature[i], set()).add(i)
-        blocks_a = {frozenset(v) for v in by_component.values()}
-        blocks_b = {frozenset(v) for v in by_signature.values()}
-        if blocks_a != blocks_b:
-            # A signature block split across components (or vice versa).
-            for sig_block in by_signature.values():
-                comps = {component[i] for i in sig_block}
-                if len(comps) > 1:
-                    picks = sorted(
-                        (min(i for i in sig_block if component[i] == c) for c in comps)
-                    )[:2]
-                    return VerificationRun(
-                        suite="relation-equivalence",
-                        params=params,
-                        outcome="counterexample",
-                        witness={
-                            "m": m,
-                            "same_signature_not_connected": [
-                                _state_payload(states[p]) for p in picks
-                            ],
-                        },
-                    )
-            for comp_block in by_component.values():
-                sigs = {signature[i] for i in comp_block}
-                if len(sigs) > 1:
-                    picks = sorted(comp_block)[:2]
-                    return VerificationRun(
-                        suite="relation-equivalence",
-                        params=params,
-                        outcome="counterexample",
-                        witness={
-                            "m": m,
-                            "connected_but_different_signature": [
-                                _state_payload(states[p]) for p in picks
-                            ],
-                        },
-                    )
-    return VerificationRun(
-        suite="relation-equivalence",
-        params=params,
-        outcome="pass",
-        details={"states_checked": states_checked},
-    )
+    details: dict = {}
+    witness = _relation_witness(group, m_max, details)
+    return VerificationRun.of("relation-equivalence", params, witness, details)
 
 
 # ---------------------------------------------------------------------------
 # Direct-sum cancellation.
 # ---------------------------------------------------------------------------
+
+def _sum_witness(group: AbstractGroup, card_max: int, trials: int, seed: int) -> dict | None:
+    elements = list(group.elements())
+    states = _states(elements, range(card_max + 1))
+    base_sig = [MotiveSum.of(group, s).signature() for s in states]
+    for n_state in states:
+        # Signature of the concatenation; same computation the motive layer
+        # performs, on the concatenated tuple.
+        hit = _collision(
+            (MotiveSum.of(group, x_state + n_state).signature(), base_sig[i])
+            for i, x_state in enumerate(states)
+        )
+        if hit:
+            x, y, n = states[hit[0]], states[hit[1]], n_state
+            return {"x": _state_payload(x), "y": _state_payload(y), "n": _state_payload(n)}
+
+    rng = random.Random(seed)
+    for _ in range(trials):
+        x = MotiveSum.of(group, [rng.choice(elements) for _ in range(rng.randint(0, card_max))])
+        y = MotiveSum.of(group, [rng.choice(elements) for _ in range(len(x))])
+        n = MotiveSum.of(group, [rng.choice(elements) for _ in range(rng.randint(0, card_max))])
+        if is_isomorphic(direct_sum(x, n), direct_sum(y, n)) != is_isomorphic(x, y):
+            return {
+                "x": _state_payload(x.classes),
+                "y": _state_payload(y.classes),
+                "n": _state_payload(n.classes),
+            }
+    return None
+
 
 def verify_sum_cancellation(
     group: AbstractGroup,
@@ -224,90 +258,34 @@ def verify_sum_cancellation(
     signature class of x.  Random part: seeded triples re-checked through the
     full multiset construction in both directions.
     """
-    params = {
-        "group": group.to_payload(),
-        "card_max": card_max,
-        "trials": trials,
-        "seed": seed,
-    }
+    params = {"group": group.to_payload(), "card_max": card_max, "trials": trials, "seed": seed}
     _at_least("card_max", card_max, 1)
     _at_least("trials", trials, 0)
     _check_work("sum-cancellation", group, range(card_max + 1), lambda s: s * s, STATE_LIMIT)
-    elements = list(group.elements())
-    states: list[tuple[AbstractClass, ...]] = []
-    for m in range(card_max + 1):
-        states.extend(tuple(ms) for ms in itertools.combinations_with_replacement(elements, m))
-
-    base_sig = {i: MotiveSum.of(group, s).signature() for i, s in enumerate(states)}
-    for n_state in states:
-        buckets: dict[tuple, dict] = {}
-        for i, x_state in enumerate(states):
-            # Signature of the concatenation; same computation the motive
-            # layer performs, on the concatenated tuple.
-            key = MotiveSum.of(group, x_state + n_state).signature()
-            bucket = buckets.setdefault(key, {})
-            bucket.setdefault(base_sig[i], i)
-            if len(bucket) > 1:
-                i1, i2 = sorted(bucket.values())
-                return VerificationRun(
-                    suite="sum-cancellation",
-                    params=params,
-                    outcome="counterexample",
-                    witness={
-                        "x": _state_payload(states[i1]),
-                        "y": _state_payload(states[i2]),
-                        "n": _state_payload(n_state),
-                    },
-                )
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x = MotiveSum.of(group, [rng.choice(elements) for _ in range(rng.randint(0, card_max))])
-        y = MotiveSum.of(group, [rng.choice(elements) for _ in range(len(x))])
-        n = MotiveSum.of(group, [rng.choice(elements) for _ in range(rng.randint(0, card_max))])
-        if is_isomorphic(direct_sum(x, n), direct_sum(y, n)) != is_isomorphic(x, y):
-            return VerificationRun(
-                suite="sum-cancellation",
-                params=params,
-                outcome="counterexample",
-                witness={
-                    "x": _state_payload(x.classes),
-                    "y": _state_payload(y.classes),
-                    "n": _state_payload(n.classes),
-                },
-            )
-    return VerificationRun(suite="sum-cancellation", params=params, outcome="pass")
+    witness = _sum_witness(group, card_max, trials, seed)
+    return VerificationRun.of("sum-cancellation", params, witness, {})
 
 
 # ---------------------------------------------------------------------------
 # Tensor cancellation by a quadric factor.
 # ---------------------------------------------------------------------------
 
-def _tensor_cancellation_holds(
-    group: AbstractGroup, n_dim: int, card_max: int
-) -> tuple[bool, dict | None]:
+def _tensor_witness(group: AbstractGroup, n_dim: int, card_max: int) -> dict | None:
     elements = list(group.elements())
     two_torsion = [c for c in elements if c.order() <= 2]
-    states: list[tuple[AbstractClass, ...]] = []
-    for m in range(1, card_max + 1):
-        states.extend(tuple(ms) for ms in itertools.combinations_with_replacement(elements, m))
+    states = _states(elements, range(1, card_max + 1))
     for c in two_torsion:
         qc = Quadric(FormShadow(n_dim, c)).jt_classes()
-        buckets: dict[tuple, dict] = {}
-        for i, x_state in enumerate(states):
-            x = MotiveSum.of(group, x_state)
-            key = tensor(x, qc).signature()
-            bucket = buckets.setdefault(key, {})
-            bucket.setdefault(x.signature(), i)
-            if len(bucket) > 1:
-                i1, i2 = sorted(bucket.values())
-                return False, {
-                    "c": list(c.coords),
-                    "n_dim": n_dim,
-                    "x": _state_payload(states[i1]),
-                    "y": _state_payload(states[i2]),
-                }
-    return True, None
+        xs = (MotiveSum.of(group, s) for s in states)
+        hit = _collision((tensor(x, qc).signature(), x.signature()) for x in xs)
+        if hit:
+            return {
+                "c": list(c.coords),
+                "n_dim": n_dim,
+                "x": _state_payload(states[hit[0]]),
+                "y": _state_payload(states[hit[1]]),
+            }
+    return None
 
 
 def verify_tensor_cancellation(
@@ -326,28 +304,47 @@ def verify_tensor_cancellation(
     two_torsion = 2 ** sum(n % 2 == 0 for n in group.orders)
     _check_work("tensor-cancellation", group, range(1, card_max + 1),
                 lambda s: s * two_torsion, STATE_LIMIT)
-    ok, witness = _tensor_cancellation_holds(group, n_dim, card_max)
-    probe_ok, probe_witness = _tensor_cancellation_holds(group, 4, card_max)
-    details = {
-        "n4_probe": {"holds": probe_ok, "witness": probe_witness},
-    }
-    if not ok:
-        return VerificationRun(
-            suite="tensor-cancellation",
-            params=params,
-            outcome="counterexample",
-            witness=witness,
-            details=details,
-        )
-    return VerificationRun(
-        suite="tensor-cancellation", params=params, outcome="pass", details=details
-    )
+    witness = _tensor_witness(group, n_dim, card_max)
+    probe = _tensor_witness(group, 4, card_max)
+    return VerificationRun.of("tensor-cancellation", params, witness,
+                              {"n4_probe": {"holds": probe is None, "witness": probe}})
 
 
 # ---------------------------------------------------------------------------
 # Quadric product matching: the subset-decomposition multiset determines the
 # family of Clifford classes, for m <= 5.
 # ---------------------------------------------------------------------------
+
+def _matching_witness(d_max: int, m: int, n_dim: int, details: dict) -> dict | None:
+    """Two families with one product decomposition; with none, the number of
+    families checked goes into ``details``."""
+    size = 1 << d_max
+    copies = 2 if n_dim % 2 == 0 else 1
+    q = n_dim - 2
+    # weight for subset index: subsets of {1..m} are bitmasks of width m.
+    weight = [copies ** bin(s).count("1") * q ** (m - bin(s).count("1")) for s in range(1 << m)]
+
+    seen: dict[bytes, tuple[int, ...]] = {}
+    for family in itertools.combinations_with_replacement(range(size), m):
+        xors = [0]
+        for e in family:
+            xors += [x ^ e for x in xors]
+        acc = [0] * size
+        for idx, x in enumerate(xors):
+            acc[x] += weight[idx]
+        other = seen.setdefault(array.array("q", acc).tobytes(), family)
+        if other != family:
+            return {
+                "family_a": [_bits(e, d_max) for e in other],
+                "family_b": [_bits(e, d_max) for e in family],
+            }
+    details["families"] = len(seen)
+    return None
+
+
+def _bits(e: int, width: int) -> list[int]:
+    return [(e >> i) & 1 for i in range(width)]
+
 
 def verify_quadric_product_matching(
     d_max: int, m: int, n_dim: int, *, family_limit: int = 2_000_000
@@ -367,54 +364,14 @@ def verify_quadric_product_matching(
         raise ValueError(f"product matching is proved for 1 <= m <= 5, got {m}")
     if d_max < 0 or d_max > 6:
         raise ResourceLimitError(f"d_max must be between 0 and 6, got {d_max}")
-    size = 1 << d_max
-    n_families = math.comb(size + m - 1, m)
+    n_families = math.comb((1 << d_max) + m - 1, m)
     if n_families > family_limit:
         raise ResourceLimitError(
             f"{n_families} families exceed the configured limit {family_limit}"
         )
-
-    copies = 2 if n_dim % 2 == 0 else 1
-    q = n_dim - 2
-    # weight for subset index: subsets of {1..m} are bitmasks of width m.
-    weight = [copies ** bin(s).count("1") * q ** (m - bin(s).count("1")) for s in range(1 << m)]
-
-    import array
-
-    seen: dict[bytes, tuple[int, ...]] = {}
-    count = 0
-    for family in itertools.combinations_with_replacement(range(size), m):
-        xors = [0]
-        for e in family:
-            xors += [x ^ e for x in xors]
-        acc = [0] * size
-        for idx, x in enumerate(xors):
-            acc[x] += weight[idx]
-        key = array.array("q", acc).tobytes()
-        other = seen.get(key)
-        if other is not None and other != family:
-            return VerificationRun(
-                suite="quadric-product-matching",
-                params=params,
-                outcome="counterexample",
-                witness={
-                    "family_a": [list(_bits(e, d_max)) for e in other],
-                    "family_b": [list(_bits(e, d_max)) for e in family],
-                },
-            )
-        if other is None:
-            seen[key] = family
-        count += 1
-    return VerificationRun(
-        suite="quadric-product-matching",
-        params=params,
-        outcome="pass",
-        details={"families": count},
-    )
-
-
-def _bits(e: int, width: int) -> tuple[int, ...]:
-    return tuple((e >> i) & 1 for i in range(width))
+    details: dict = {}
+    witness = _matching_witness(d_max, m, n_dim, details)
+    return VerificationRun.of("quadric-product-matching", params, witness, details)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +409,7 @@ def _rewrite_once(group: AbstractGroup, raw: dict, rng: random.Random) -> bool:
     return True
 
 
-def verify_normal_form_confluence(
-    group: AbstractGroup, trials: int = 1000, seed: int = 11
-) -> VerificationRun:
-    """Random rewrite sequences terminate at the canonical normal form."""
-    params = {"group": group.to_payload(), "trials": trials, "seed": seed}
-    _at_least("trials", trials, 1)  # the trials are all this suite checks
+def _confluence_witness(group: AbstractGroup, trials: int, seed: int) -> dict | None:
     rng = random.Random(seed)
     for t in range(trials):
         raw = _random_raw_element(group, rng)
@@ -469,17 +421,20 @@ def verify_normal_form_confluence(
             if steps > 10_000:
                 raise AssertionError("rewriting failed to terminate")
         if work != expected:
-            return VerificationRun(
-                suite="normal-form-confluence",
-                params=params,
-                outcome="counterexample",
-                witness={
-                    "trial": t,
-                    "start": _terms_payload(raw),
-                    "reached": _terms_payload(work),
-                    "expected": _terms_payload(expected),
-                },
-            )
-    return VerificationRun(
-        suite="normal-form-confluence", params=params, outcome="pass"
-    )
+            return {
+                "trial": t,
+                "start": _terms_payload(raw),
+                "reached": _terms_payload(work),
+                "expected": _terms_payload(expected),
+            }
+    return None
+
+
+def verify_normal_form_confluence(
+    group: AbstractGroup, trials: int = 1000, seed: int = 11
+) -> VerificationRun:
+    """Random rewrite sequences terminate at the canonical normal form."""
+    params = {"group": group.to_payload(), "trials": trials, "seed": seed}
+    _at_least("trials", trials, 1)  # the trials are all this suite checks
+    witness = _confluence_witness(group, trials, seed)
+    return VerificationRun.of("normal-form-confluence", params, witness, {})
