@@ -362,7 +362,9 @@ def verify_quadric_product_matching(
         raise ValueError(f"product matching applies to form dimension >= 5, got {n_dim}")
     if m < 1 or m > 5:
         raise ValueError(f"product matching is proved for 1 <= m <= 5, got {m}")
-    if d_max < 0 or d_max > 6:
+    _at_least("d_max", d_max, 0)
+    _at_least("family_limit", family_limit, 1)
+    if d_max > 6:
         raise ResourceLimitError(f"d_max must be between 0 and 6, got {d_max}")
     n_families = math.comb((1 << d_max) + m - 1, m)
     if n_families > family_limit:

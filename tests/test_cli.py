@@ -365,6 +365,23 @@ class TestVerifyCommand:
         )
         assert code == 3 and "resource limit" in err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--d-max", "-1", "d_max must be at least 0, got -1"),
+            ("--family-limit", "-5", "family_limit must be at least 1, got -5"),
+            ("--family-limit", "0", "family_limit must be at least 1, got 0"),
+        ],
+    )
+    def test_malformed_matching_frontier_is_exit_one(self, capsys, option, value, message):
+        code, out, err = run(capsys, "verify", "--suite", "quadric-product-matching", option, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_d_max_past_six_is_exit_three(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "quadric-product-matching", "--d-max", "7")
+        assert (code, out) == (3, "")
+        assert err == "resource limit: d_max must be between 0 and 6, got 7\n"
+
     def test_counterexample_is_exit_two(self, capsys, monkeypatch):
         fake = VerificationRun(
             suite="normal-form-confluence",
