@@ -41,6 +41,10 @@ MAX_CLASSES = 2**14
 # more digits is refused the same way.
 MAX_RANK_DIGITS = 4300
 _RANK_CAP = 10**MAX_RANK_DIGITS
+# A printed measure writes every multiplicity of ``jt`` and ``jt_effective`` in
+# decimal.  Past this many digits in all, serializing a measure raises
+# ``ResourceLimitError``; ``compare`` and ``deduce`` print no multiplicities.
+MAX_PRINTED_DIGITS = 10**6
 
 
 def _check_classes(what: str, count: int) -> None:
@@ -282,6 +286,15 @@ class MeasureReport:
     dim: int
 
     def to_payload(self) -> dict:
+        # Digits from the bit length (log10 2 ~ 0.30103): str() would take
+        # as long as the printing this refuses.
+        mults = [k for _, k in self.jt.terms] + [k for _, k in self.jt_effective.key_counts]
+        digits = sum(abs(k).bit_length() * 30103 // 100_000 + 1 for k in mults)
+        if digits > MAX_PRINTED_DIGITS:
+            raise ResourceLimitError(
+                f"measure prints about {digits} digits of multiplicities, "
+                f"past the limit of {MAX_PRINTED_DIGITS}"
+            )
         return {
             "jt": self.jt.to_payload(),
             "jt_effective": self.jt_effective.to_payload(),

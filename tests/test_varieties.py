@@ -344,17 +344,34 @@ class TestMeasureFrontiers:
             _measure_argv([3 * 10**6], _sb_doc(3 * 10**6)),
             _measure_argv([2], _gr_doc(10**6, 2 * 10**6)),
             _measure_argv([2], {"family": "product", "children": [_shadow_doc([1])] * 4800}),
+            # About 1.3e8 digits of multiplicities, past MAX_PRINTED_DIGITS.
+            _measure_argv([16384], _gr_doc(4096, 16384)),
             ["compare", json.dumps({
                 "group": {"kind": "abstract", "orders": [10**8]},
                 "x": _sb_doc(10**8), "y": _sb_doc(10**8, (3,)),
             })],
         ],
-        ids=["sb-1e5", "sb-3e6", "gr-1e6-2e6", "rank-past-4300-digits", "compare-sb-1e8"],
+        ids=[
+            "sb-1e5", "sb-3e6", "gr-1e6-2e6", "rank-past-4300-digits", "printed-digits-gr-4096-16384",
+            "compare-sb-1e8",
+        ],
     )
     def test_past_a_frontier_is_exit_three(self, capsys, argv):
         code, captured = self._run(capsys, argv)
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+
+    def test_compare_prints_no_multiplicities_so_is_answered_past_the_digit_budget(self, capsys):
+        # Gr(n - d, A^op) is isomorphic to Gr(d, A), so the measures agree.
+        doc = {
+            "group": {"kind": "abstract", "orders": [16384]},
+            "x": _gr_doc(4096, 16384), "y": _gr_doc(12288, 16384, (16383,)),
+        }
+        code, captured = self._run(capsys, ["compare", json.dumps(doc), "--format", "json"])
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["verdict"] == {
+            "measures_equal": True, "rho_equal": True, "dims_equal": True, "subgroups_equal": True,
+        }
 
 
 class TestCompare:
