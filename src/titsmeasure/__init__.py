@@ -13,6 +13,7 @@ from .brauer import (
     AbstractGroup,
     GroupMismatchError,
     RationalClass,
+    ResourceLimitError,
     coprime_indexes,
     generated_subgroup,
 )
@@ -47,7 +48,6 @@ from .varieties import (
     tits_measure,
 )
 from .verify import (
-    ResourceLimitError,
     verify_normal_form_confluence,
     verify_quadric_product_matching,
     verify_relation_equivalence,
@@ -63,6 +63,7 @@ __all__ = [
     "AbstractGroup",
     "GroupMismatchError",
     "RationalClass",
+    "ResourceLimitError",
     "coprime_indexes",
     "generated_subgroup",
     "RingElement",
@@ -98,7 +99,6 @@ __all__ = [
     "deduce",
     "rank_measure",
     "tits_measure",
-    "ResourceLimitError",
     "verify_normal_form_confluence",
     "verify_quadric_product_matching",
     "verify_relation_equivalence",

@@ -177,35 +177,7 @@ def parse_descriptor(payload: Any, group: BrauerGroup) -> VarietyDescriptor:
 
 
 def descriptor_payload(v: VarietyDescriptor) -> dict:
-    if isinstance(v, SeveriBrauer):
-        return {"family": v.family, "alg": v.alg.to_payload()}
-    if isinstance(v, Grassmannian):
-        return {"family": v.family, "d": v.d, "alg": v.alg.to_payload()}
-    if isinstance(v, Quadric):
-        if isinstance(v.form, QuadraticForm):
-            return {"family": v.family, "form": v.form.to_payload()}
-        return {
-            "family": v.family,
-            "shadow": {
-                "dim": v.form.dim,
-                "clifford_class": v.form.clifford_class.to_payload(),
-                "i3_zero": v.form.i3_zero,
-            },
-        }
-    if isinstance(v, Involution):
-        return {
-            "family": v.family,
-            "deg": v.deg,
-            "alg_class": v.alg_class.to_payload(),
-            "cplus": v.cplus.to_payload(),
-            "cminus": v.cminus.to_payload(),
-        }
-    if isinstance(v, Product):
-        return {
-            "family": v.family,
-            "children": [descriptor_payload(c) for c in v.children],
-        }
-    raise ValueError(f"unknown descriptor {v!r}")
+    return v.to_payload()
 
 
 def parse_measure_request(doc: Any) -> tuple[BrauerGroup, VarietyDescriptor]:

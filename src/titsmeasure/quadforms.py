@@ -138,6 +138,13 @@ class FormShadow:
     def group(self) -> BrauerGroup:
         return self.clifford_class.group
 
+    def to_payload(self) -> dict:
+        return {
+            "dim": self.dim,
+            "clifford_class": self.clifford_class.to_payload(),
+            "i3_zero": self.i3_zero,
+        }
+
 
 def shadow_of(q: QuadraticForm, *, i3_zero: bool = False) -> FormShadow:
     return FormShadow(q.dim, even_clifford_class(q), i3_zero)

@@ -110,6 +110,9 @@ class SeveriBrauer:
     def jt_classes(self) -> MotiveSum:
         return _cell_sum(self.alg, 1)  # rank-1 right ideals: Gr(1, deg)
 
+    def to_payload(self) -> dict:
+        return {"family": self.family, "alg": self.alg.to_payload()}
+
 
 @dataclass(frozen=True)
 class Grassmannian:
@@ -135,6 +138,9 @@ class Grassmannian:
 
     def jt_classes(self) -> MotiveSum:
         return _cell_sum(self.alg, self.d)
+
+    def to_payload(self) -> dict:
+        return {"family": self.family, "d": self.d, "alg": self.alg.to_payload()}
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,10 @@ class Quadric:
         zero = self.group.identity()
         copies = 2 if n % 2 == 0 else 1
         return MotiveSum(self.group, ((zero, n - 2), (c, copies)))
+
+    def to_payload(self) -> dict:
+        kind = "form" if isinstance(self.form, QuadraticForm) else "shadow"
+        return {"family": self.family, kind: self.form.to_payload()}
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,15 @@ class Involution:
             ((zero, half), (self.alg_class, half), (self.cplus, 1), (self.cminus, 1)),
         )
 
+    def to_payload(self) -> dict:
+        return {
+            "family": self.family,
+            "deg": self.deg,
+            "alg_class": self.alg_class.to_payload(),
+            "cplus": self.cplus.to_payload(),
+            "cminus": self.cminus.to_payload(),
+        }
+
 
 @dataclass(frozen=True)
 class Product:
@@ -273,6 +292,9 @@ class Product:
             _check_classes("product pair count", len(out.key_counts) * len(factor.key_counts))
             out = tensor(out, factor)
         return out
+
+    def to_payload(self) -> dict:
+        return {"family": self.family, "children": [c.to_payload() for c in self.children]}
 
 
 VarietyDescriptor = Union[SeveriBrauer, Grassmannian, Quadric, Involution, Product]

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from oracles import box_partition_weights, gaussian_binomial
-from titsmeasure import cli, varieties
+from titsmeasure import cli, jsonio, varieties
 from titsmeasure.brauer import CSA, AbstractGroup, GroupMismatchError, ResourceLimitError
 from titsmeasure.quadforms import FormShadow, QuadraticForm
 from titsmeasure.varieties import (
@@ -372,6 +372,26 @@ class TestMeasureFrontiers:
         assert json.loads(captured.out)["verdict"] == {
             "measures_equal": True, "rho_equal": True, "dims_equal": True, "subgroups_equal": True,
         }
+
+
+def _descriptors():
+    g = AbstractGroup((2, 4))
+    shadow = Quadric(FormShadow(8, g.element([1, 2]), True))
+    return {
+        "severi-brauer": sb(g, [1, 1], 4),
+        "grassmannian": Grassmannian(2, CSA(g.element([0, 1]), 4)),
+        "quadric-form": Quadric(QuadraticForm.of([1, 1, 1, -1, -1, -1])),
+        "quadric-shadow": shadow,
+        "involution": Involution(6, g.element([0, 2]), g.element([0, 1]), g.element([0, 3])),
+        "product": Product((shadow, Product((sb(g, [1, 0], 2), shadow)))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_descriptors()))
+def test_descriptor_payload_parses_back(name):
+    v = _descriptors()[name]
+    assert jsonio.descriptor_payload(v) == v.to_payload()
+    assert jsonio.parse_descriptor(json.loads(json.dumps(v.to_payload())), v.group) == v
 
 
 class TestCompare:
