@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -381,6 +382,16 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "quadric-product-matching", "--d-max", "7")
         assert (code, out) == (3, "")
         assert err == "resource limit: d_max must be between 0 and 6, got 7\n"
+
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    def test_suite_table_matches_the_suite_function(self, suite):
+        takes_group, options = cli.SUITES[suite]
+        params = inspect.signature(getattr(cli, "verify_" + suite.replace("-", "_"))).parameters
+        assert ("group" in params) == takes_group
+        for keyword, default in options.values():
+            assert keyword in params
+            if params[keyword].default is not inspect.Parameter.empty:
+                assert params[keyword].default == default
 
     def test_counterexample_is_exit_two(self, capsys, monkeypatch):
         fake = VerificationRun(

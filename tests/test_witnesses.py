@@ -4,9 +4,11 @@ The suites pass on every shipped configuration, so their counterexample
 branches never run there.  Each test here breaks the invariant a suite checks
 (the isomorphism signature, the isomorphism test or the normal form) and pins
 the exact JSON of the witness the suite then reports, so a change in how
-witness states are ordered or printed shows up as a byte difference.
+witness states are ordered or printed shows up as a byte difference.  The
+whole certificate is pinned too, so its params and details stay as they are.
 """
 
+import itertools
 import json
 
 import pytest
@@ -46,6 +48,63 @@ def _dump(run) -> str:
     return json.dumps({"outcome": run.outcome, "witness": run.witness}, sort_keys=True)
 
 
+def _full(run) -> str:
+    return json.dumps(run.to_payload(), sort_keys=True)
+
+
+_G_PARAMS = '"group": {"kind": "abstract", "orders": [2, 6]}'
+
+# The full certificate of each pinned counterexample, details and params included.
+CERTIFICATES = {
+    "relation-coarse": (
+        '{"details": {}, "outcome": "counterexample", '
+        '"params": {' + _G_PARAMS + ', "m_max": 2}, "suite": "relation-equivalence", '
+        '"version": "0.1.0", "witness": {"m": 1, '
+        '"same_signature_not_connected": [[[0, 0]], [[0, 1]]]}}'
+    ),
+    "relation-by-counts": (
+        '{"details": {}, "outcome": "counterexample", '
+        '"params": {' + _G_PARAMS + ', "m_max": 2}, "suite": "relation-equivalence", '
+        '"version": "0.1.0", "witness": {"connected_but_different_signature": '
+        '[[[0, 0], [0, 1]], [[0, 3], [0, 4]]], "m": 2}}'
+    ),
+    "sum-exhaustive": (
+        '{"details": {}, "outcome": "counterexample", '
+        '"params": {"card_max": 2, ' + _G_PARAMS + ', "seed": 3, "trials": 0}, '
+        '"suite": "sum-cancellation", "version": "0.1.0", '
+        '"witness": {"n": [[0, 0]], "x": [[0, 0], [0, 0]], "y": [[0, 0], [0, 1]]}}'
+    ),
+    "sum-random": (
+        '{"details": {}, "outcome": "counterexample", '
+        '"params": {"card_max": 2, ' + _G_PARAMS + ', "seed": 3, "trials": 50}, '
+        '"suite": "sum-cancellation", "version": "0.1.0", '
+        '"witness": {"n": [[0, 1], [1, 3]], "x": [[1, 3]], "y": [[1, 1]]}}'
+    ),
+    "tensor": (
+        '{"details": {"n4_probe": {"holds": false, "witness": '
+        '{"c": [0, 0], "n_dim": 4, "x": [[0, 0]], "y": [[0, 1]]}}}, '
+        '"outcome": "counterexample", '
+        '"params": {"card_max": 2, ' + _G_PARAMS + ', "n_dim": 5}, '
+        '"suite": "tensor-cancellation", "version": "0.1.0", '
+        '"witness": {"c": [0, 0], "n_dim": 5, "x": [[0, 0]], "y": [[0, 1]]}}'
+    ),
+    "matching": (
+        '{"details": {}, "outcome": "counterexample", '
+        '"params": {"d_max": 1, "m": 2, "n_dim": 6}, '
+        '"suite": "quadric-product-matching", "version": "0.1.0", '
+        '"witness": {"family_a": [[0], [1]], "family_b": [[1], [0]]}}'
+    ),
+    "confluence": (
+        '{"details": {}, "outcome": "counterexample", '
+        '"params": {' + _G_PARAMS + ', "seed": 4, "trials": 20}, '
+        '"suite": "normal-form-confluence", "version": "0.1.0", "witness": {'
+        '"expected": [[[0, 4], -3], [[1, 5], 1]], '
+        '"reached": [[[0, 0], -1], [[0, 2], 1], [[0, 4], -3], [[1, 3], 1]], '
+        '"start": [[[0, 4], -3], [[1, 5], 1]], "trial": 0}}'
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "signature, expected",
     [
@@ -62,9 +121,11 @@ def _dump(run) -> str:
     ],
     ids=["coarse", "by-counts"],
 )
-def test_relation_equivalence_witness(monkeypatch, signature, expected):
+def test_relation_equivalence_witness(request, monkeypatch, signature, expected):
     monkeypatch.setattr(MotiveSum, "signature", signature)
-    assert _dump(verify.verify_relation_equivalence(G, 2)) == expected
+    run = verify.verify_relation_equivalence(G, 2)
+    assert _dump(run) == expected
+    assert _full(run) == CERTIFICATES["relation-" + request.node.callspec.id]
 
 
 def test_sum_cancellation_exhaustive_witness(monkeypatch):
@@ -74,6 +135,7 @@ def test_sum_cancellation_exhaustive_witness(monkeypatch):
         '{"outcome": "counterexample", "witness": {"n": [[0, 0]], '
         '"x": [[0, 0], [0, 0]], "y": [[0, 0], [0, 1]]}}'
     )
+    assert _full(run) == CERTIFICATES["sum-exhaustive"]
 
 
 def test_sum_cancellation_random_witness(monkeypatch):
@@ -83,6 +145,7 @@ def test_sum_cancellation_random_witness(monkeypatch):
         '{"outcome": "counterexample", "witness": {"n": [[0, 1], [1, 3]], '
         '"x": [[1, 3]], "y": [[1, 1]]}}'
     )
+    assert _full(run) == CERTIFICATES["sum-random"]
 
 
 def test_tensor_cancellation_witness(monkeypatch):
@@ -92,6 +155,18 @@ def test_tensor_cancellation_witness(monkeypatch):
         '{"outcome": "counterexample", "witness": {"c": [0, 0], "n_dim": 5, '
         '"x": [[0, 0]], "y": [[0, 1]]}}'
     )
+    assert _full(run) == CERTIFICATES["tensor"]
+
+
+def test_quadric_product_matching_witness(monkeypatch):
+    # Two orders of one family share a decomposition, as two distinct
+    # families with one decomposition would.
+    monkeypatch.setattr(itertools, "combinations_with_replacement", lambda *_: iter([(0, 1), (1, 0)]))
+    run = verify.verify_quadric_product_matching(1, 2, 6)
+    assert _dump(run) == (
+        '{"outcome": "counterexample", "witness": {"family_a": [[0], [1]], "family_b": [[1], [0]]}}'
+    )
+    assert _full(run) == CERTIFICATES["matching"]
 
 
 def test_normal_form_confluence_witness(monkeypatch):
@@ -103,3 +178,4 @@ def test_normal_form_confluence_witness(monkeypatch):
         '"reached": [[[0, 0], -1], [[0, 2], 1], [[0, 4], -3], [[1, 3], 1]], '
         '"start": [[[0, 4], -3], [[1, 5], 1]], "trial": 0}}'
     )
+    assert _full(run) == CERTIFICATES["confluence"]
