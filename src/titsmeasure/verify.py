@@ -75,7 +75,7 @@ def _check_work(suite: str, group: AbstractGroup, sizes: range, work, limit: int
 
 
 def _at_least(name: str, value: int, least: int) -> None:
-    """Refuse a size or count that would leave a certificate with nothing checked."""
+    """Refuse a size or count below its range: malformed input, not a frontier."""
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
