@@ -25,7 +25,7 @@ larger indexes (used to model unlinked quaternion pairs over other fields).
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from operator import attrgetter, methodcaller
 from typing import Iterable, Iterator, Sequence, Union
@@ -207,9 +207,28 @@ class GroupMismatchError(ValueError):
     """Operands live in different Brauer-group models."""
 
 
-def _same_group(a: "BrauerClass", b: "BrauerClass") -> None:
-    if a.group != b.group:
-        raise GroupMismatchError(f"mixed group models: {a.group} vs {b.group}")
+def common_group(*items) -> "BrauerGroup":
+    """The group model of ``items`` (anything with a ``group``), which must share
+    one: compared by identity first, then by equality."""
+    group = items[0].group
+    for item in items[1:]:
+        if item.group is not group and item.group != group:
+            raise GroupMismatchError(f"mixed group models: {group} vs {item.group}")
+    return group
+
+
+def _payload_of(value):
+    if hasattr(value, "to_payload"):
+        return value.to_payload()
+    return [_payload_of(v) for v in value] if isinstance(value, tuple) else value
+
+
+def record_payload(record, **extra) -> dict:
+    """A dataclass record's payload: its init fields in order, each value's own
+    ``to_payload`` where it has one and a list for a tuple, then ``extra``."""
+    payload = {f.name: _payload_of(getattr(record, f.name)) for f in fields(record) if f.init}
+    payload.update(extra)
+    return payload
 
 
 class _Table(dict):
@@ -482,7 +501,7 @@ class AbstractClass:
     def __add__(self, other: "AbstractClass") -> "AbstractClass":
         g = self.group
         if other.group is not g:
-            _same_group(self, other)
+            common_group(self, other)
         return g._sum[self.index * g._size + other.index]
 
     def __neg__(self) -> "AbstractClass":
@@ -556,7 +575,7 @@ class RationalClass:
         return tuple(v for v, _ in self.invariants)
 
     def __add__(self, other: "RationalClass") -> "RationalClass":
-        _same_group(self, other)
+        common_group(self, other)
         acc: dict[Place, Fraction] = dict(self.invariants)
         for v, inv in other.invariants:
             acc[v] = (acc.get(v, Fraction(0)) + inv) % 1
@@ -619,10 +638,7 @@ def generated_subgroup(
     the cosets H + k g for k = 1, 2, ... until k g lies in H: one sum per element.
     """
     if cs:
-        group = cs[0].group
-        for c in cs[1:]:
-            if c.group != group:
-                raise GroupMismatchError("mixed group models")
+        group = common_group(*cs)
     elif group is None:
         raise ValueError("empty generating set needs an explicit group")
     known = {group.identity()}
@@ -672,6 +688,5 @@ class CSA:
 
 def coprime_indexes(a: CSA, b: CSA) -> bool:
     """True when ind(A) and ind(B) are coprime (the splitting hypothesis)."""
-    if a.group != b.group:
-        raise GroupMismatchError("mixed group models")
+    common_group(a, b)
     return math.gcd(a.index(), b.index()) == 1

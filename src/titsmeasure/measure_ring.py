@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brauer import BrauerClass, BrauerGroup, GroupMismatchError
+from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, common_group
 from .motives import Count as Term, merge
 
 
@@ -47,8 +47,7 @@ class RingElement:
         object.__setattr__(self, "terms", tuple([(at(kc), k) for kc, k in merge(expanded)]))
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.group, self.terms + other.terms)
+        return RingElement(common_group(self, other), self.terms + other.terms)
 
     def __neg__(self) -> "RingElement":
         return RingElement(self.group, tuple((c, -k) for c, k in self.terms))
@@ -57,20 +56,16 @@ class RingElement:
         return self + (-other)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
+        group = common_group(self, other)
         raw = [
             (c1 + c2, k1 * k2)
             for c1, k1 in self.terms
             for c2, k2 in other.terms
         ]
-        return RingElement(self.group, tuple(raw))
+        return RingElement(group, tuple(raw))
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _check(self, other: "RingElement") -> None:
-        if self.group != other.group:
-            raise GroupMismatchError("mixed group models")
 
     def to_payload(self) -> dict:
         return {
@@ -92,8 +87,7 @@ def augmentation(x: RingElement) -> int:
 
 def equal(x: RingElement, y: RingElement) -> bool:
     """Equality in the quotient ring: identical normal forms."""
-    if x.group != y.group:
-        raise GroupMismatchError("mixed group models")
+    common_group(x, y)
     return x.terms == y.terms
 
 

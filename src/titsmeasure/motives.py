@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable
 
-from .brauer import BrauerClass, BrauerGroup, GroupMismatchError
+from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, common_group
 
 Count = tuple[BrauerClass, int]
 KeyCount = tuple[Hashable, int]
@@ -119,15 +119,9 @@ class MotiveSum:
         return {"classes": [{**c.to_payload(), "mult": k} for c, k in self.counts]}
 
 
-def _common_group(x: MotiveSum, y: MotiveSum) -> BrauerGroup:
-    if x.group != y.group:
-        raise GroupMismatchError("mixed group models")
-    return x.group
-
-
 def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     """Multiset union; models the direct sum of motives."""
-    return MotiveSum._of_keys(_common_group(x, y), x.key_counts + y.key_counts, x.rank + y.rank)
+    return MotiveSum._of_keys(common_group(x, y), x.key_counts + y.key_counts, x.rank + y.rank)
 
 
 def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
@@ -136,7 +130,7 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     A convolution over the two supports: each pair of distinct classes is
     added once and weighted by the product of multiplicities.
     """
-    group = _common_group(x, y)
+    group = common_group(x, y)
     key, at = group.class_key, group.class_at
     xs, ys = ([(at(kc), k) for kc, k in s.key_counts] for s in (x, y))
     return MotiveSum._of_keys(group, [
@@ -146,7 +140,7 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:
     """Same cardinality and, for every prime, equal multisets of p-parts."""
-    _common_group(x, y)
+    common_group(x, y)
     return x.signature() == y.signature()
 
 

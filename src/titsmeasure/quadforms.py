@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, RationalClass
+from .brauer import BrauerClass, BrauerGroup, RationalClass, common_group, record_payload
 from .rationals import SquareClass, as_fraction, quaternion_sum, square_class
 
 
@@ -139,11 +139,7 @@ class FormShadow:
         return self.clifford_class.group
 
     def to_payload(self) -> dict:
-        return {
-            "dim": self.dim,
-            "clifford_class": self.clifford_class.to_payload(),
-            "i3_zero": self.i3_zero,
-        }
+        return record_payload(self)
 
 
 def shadow_of(q: QuadraticForm, *, i3_zero: bool = False) -> FormShadow:
@@ -157,8 +153,7 @@ def similar_under_classification(x: FormShadow, y: FormShadow) -> bool:
     both shadows assert I^3 = 0; then similarity is equivalent to equality of
     the even-Clifford classes.  Identical shadows are accepted outright.
     """
-    if x.group != y.group:
-        raise GroupMismatchError("mixed group models")
+    common_group(x, y)
     if x == y:
         return True
     if x.dim != y.dim:

@@ -21,9 +21,10 @@ from .brauer import (
     CSA,
     BrauerClass,
     BrauerGroup,
-    GroupMismatchError,
     ResourceLimitError,
+    common_group,
     generated_subgroup,
+    record_payload,
 )
 from .measure_ring import RingElement, augmentation, from_motive_sum
 from .motives import MotiveSum, is_isomorphic, tensor
@@ -111,7 +112,7 @@ class SeveriBrauer:
         return _cell_sum(self.alg, 1)  # rank-1 right ideals: Gr(1, deg)
 
     def to_payload(self) -> dict:
-        return {"family": self.family, "alg": self.alg.to_payload()}
+        return record_payload(self, family=self.family)
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class Grassmannian:
         return _cell_sum(self.alg, self.d)
 
     def to_payload(self) -> dict:
-        return {"family": self.family, "d": self.d, "alg": self.alg.to_payload()}
+        return record_payload(self, family=self.family)
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,7 @@ class Involution:
     def __post_init__(self) -> None:
         if self.deg % 2 or self.deg < 6:
             raise ValueError(f"involution degree must be even and >= 6, got {self.deg}")
-        g = self.alg_class.group
-        if self.cplus.group != g or self.cminus.group != g:
-            raise GroupMismatchError("component classes outside the algebra's group")
+        common_group(self.alg_class, self.cplus, self.cminus)
         if self.deg % 4 == 2:
             ok = (
                 2 * self.cplus == self.alg_class
@@ -254,13 +253,7 @@ class Involution:
         )
 
     def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "deg": self.deg,
-            "alg_class": self.alg_class.to_payload(),
-            "cplus": self.cplus.to_payload(),
-            "cminus": self.cminus.to_payload(),
-        }
+        return record_payload(self, family=self.family)
 
 
 @dataclass(frozen=True)
@@ -272,10 +265,7 @@ class Product:
     def __post_init__(self) -> None:
         if not self.children:
             raise ValueError("product needs at least one factor")
-        g = self.children[0].group
-        for child in self.children[1:]:
-            if child.group != g:
-                raise GroupMismatchError("product factors use mixed group models")
+        common_group(*self.children)
 
     @property
     def group(self) -> BrauerGroup:
@@ -317,12 +307,7 @@ class MeasureReport:
                 f"measure prints about {digits} digits of multiplicities, "
                 f"past the limit of {MAX_PRINTED_DIGITS}"
             )
-        return {
-            "jt": self.jt.to_payload(),
-            "jt_effective": self.jt_effective.to_payload(),
-            "rho": self.rho,
-            "dim": self.dim,
-        }
+        return record_payload(self)
 
 
 def tits_measure(v: VarietyDescriptor) -> MeasureReport:
@@ -348,17 +333,11 @@ class ComparisonVerdict:
     subgroups_equal: bool
 
     def to_payload(self) -> dict:
-        return {
-            "measures_equal": self.measures_equal,
-            "rho_equal": self.rho_equal,
-            "dims_equal": self.dims_equal,
-            "subgroups_equal": self.subgroups_equal,
-        }
+        return record_payload(self)
 
 
 def compare(x: VarietyDescriptor, y: VarietyDescriptor) -> ComparisonVerdict:
-    if x.group != y.group:
-        raise GroupMismatchError("mixed group models")
+    common_group(x, y)
     mx, my = tits_measure(x), tits_measure(y)
     sub_x = generated_subgroup([c for c, _ in mx.jt_effective.counts], group=x.group)
     sub_y = generated_subgroup([c for c, _ in my.jt_effective.counts], group=y.group)
@@ -376,7 +355,7 @@ class Conclusion:
     rule: str
 
     def to_payload(self) -> dict:
-        return {"statement": self.statement, "rule": self.rule}
+        return record_payload(self)
 
 
 @dataclass(frozen=True)
@@ -389,14 +368,7 @@ class DeductionReport:
     notes: tuple[str, ...] = ()
 
     def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "assumed": self.assumed,
-            "refuted": self.refuted,
-            "verdict": self.verdict.to_payload(),
-            "conclusions": [c.to_payload() for c in self.conclusions],
-            "notes": list(self.notes),
-        }
+        return record_payload(self)
 
 
 def _family_key(x: VarietyDescriptor, y: VarietyDescriptor) -> str:

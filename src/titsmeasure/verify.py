@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .brauer import AbstractClass, AbstractGroup, ResourceLimitError
+from .brauer import AbstractClass, AbstractGroup, ResourceLimitError, record_payload
 from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
@@ -43,14 +43,7 @@ class VerificationRun:
         return self.outcome == "pass"
 
     def to_payload(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "outcome": self.outcome,
-            "witness": self.witness,
-            "details": self.details,
-            "version": VERSION,
-        }
+        return record_payload(self, version=VERSION)
 
 
 # Work frontiers, checked before a suite enumerates anything.  S, the number

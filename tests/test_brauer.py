@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import titsmeasure
+import titsmeasure.measure_ring
 from oracles import bfs_subgroup, trial_factors
 from titsmeasure import verify
 from titsmeasure.brauer import (
@@ -16,10 +17,12 @@ from titsmeasure.brauer import (
     GroupMismatchError,
     RationalClass,
     ResourceLimitError,
+    common_group,
     coprime_indexes,
     generated_subgroup,
     is_prime,
     prime_factors,
+    record_payload,
 )
 from titsmeasure.rationals import quaternion_class
 
@@ -250,3 +253,63 @@ class TestSubgroupsAndAlgebras:
         g = AbstractGroup((2, 2), index_oracle=(((1, 1), 4),))
         with pytest.raises(ValueError):
             CSA(g.element([1, 1]), 2)  # index 4 cannot divide degree 2
+
+
+# Every multi-operand entry point, fed operands from Z/4 and Z/8: each asks
+# ``common_group`` whether the group models agree.
+Z4, Z8 = AbstractGroup((4,)), AbstractGroup((8,))
+A4, A8 = Z4.element([2]), Z8.element([4])  # both of order 2
+
+
+def _sb(a):
+    return titsmeasure.SeveriBrauer(CSA(a, 4))
+
+
+def _sum(a):
+    return titsmeasure.MotiveSum.of(a.group, [a])
+
+
+def _ring(a):
+    return titsmeasure.measure_ring.from_class(a)
+
+
+MIXED_OPERANDS = {
+    "class-add": lambda: A4 + A8,
+    "class-sub": lambda: A4 - A8,
+    "rational-add": lambda: quaternion_class(-1, 3) + A4,
+    "generated-subgroup": lambda: generated_subgroup([A4, A8]),
+    "coprime-indexes": lambda: coprime_indexes(CSA(A4, 2), CSA(A8, 4)),
+    "direct-sum": lambda: titsmeasure.direct_sum(_sum(A4), _sum(A8)),
+    "tensor": lambda: titsmeasure.tensor(_sum(A4), _sum(A8)),
+    "is-isomorphic": lambda: titsmeasure.is_isomorphic(_sum(A4), _sum(A8)),
+    "cancel-common": lambda: titsmeasure.cancel_common(_sum(A4), _sum(A4), _sum(A8)),
+    "ring-add": lambda: _ring(A4) + _ring(A8),
+    "ring-mul": lambda: _ring(A4) * _ring(A8),
+    "ring-equal": lambda: titsmeasure.measure_ring.equal(_ring(A4), _ring(A8)),
+    "similar": lambda: titsmeasure.similar_under_classification(
+        titsmeasure.FormShadow(6, A4), titsmeasure.FormShadow(6, A8)
+    ),
+    "involution": lambda: titsmeasure.Involution(6, A4, Z8.element([1]), Z8.element([3])),
+    "product": lambda: titsmeasure.Product((_sb(A4), _sb(A8))),
+    "compare": lambda: titsmeasure.compare(_sb(A4), _sb(A8)),
+    "deduce": lambda: titsmeasure.deduce(_sb(A4), _sb(A8), True),
+}
+
+
+class TestCommonGroup:
+    @pytest.mark.parametrize("name", sorted(MIXED_OPERANDS))
+    def test_mixed_group_models_raise(self, name):
+        with pytest.raises(GroupMismatchError, match=r"^mixed group models: "):
+            MIXED_OPERANDS[name]()
+
+    def test_equal_models_share_the_first(self):
+        twin = AbstractGroup((4,))
+        assert twin is not Z4
+        assert common_group(A4, twin.element([1])) is Z4
+        assert generated_subgroup([A4, twin.element([1])]) == generated_subgroup([Z4.element([1])])
+
+    def test_record_payload_is_the_init_fields_then_extra(self):
+        v = titsmeasure.Grassmannian(2, CSA(A4, 4))
+        payload = record_payload(v, family="grassmannian")
+        assert list(payload) == ["d", "alg", "family"]
+        assert payload["alg"] == {"degree": 4, "class": {"coords": [2]}}
