@@ -213,11 +213,21 @@ SUITES = {
     ),
     "normal-form-confluence": (True, {"trials": ("trials", 1000), "seed": ("seed", 11)}),
 }
+# Every option some suite reads.  A flag the chosen suite does not read is
+# refused; a config key is refused only when no suite reads it.
+_VERIFY_OPTIONS = ("group", *dict.fromkeys(o for _, options in SUITES.values() for o in options))
 
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     takes_group, options = SUITES[args.suite]
+    for option in _VERIFY_OPTIONS:
+        read = option in options or (option == "group" and takes_group)
+        if not read and getattr(args, option.replace("-", "_")) is not None:
+            raise ValueError(f"suite {args.suite} does not take --{option}")
+    for key in cfg:
+        if key not in _VERIFY_OPTIONS:
+            raise ValueError(f"config: no suite reads {key!r}")
     kwargs = {}
     if takes_group:
         spec = args.group if args.group is not None else cfg.get("group")

@@ -378,6 +378,39 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "quadric-product-matching", option, value)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("relation-equivalence", "--group", "2", "--m-max", "2", "--d-max", "9"), "--d-max"),
+            (("quadric-product-matching", "--group", "2,2", "--d-max", "1"), "--group"),
+            (("sum-cancellation", "--group", "2", "--n", "5"), "--n"),
+            (("tensor-cancellation", "--group", "2", "--trials", "3"), "--trials"),
+            (("normal-form-confluence", "--group", "2", "--card-max", "1"), "--card-max"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_unread_flag_is_exit_one(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", "--suite", *argv)
+        assert (code, out, err) == (1, "", f"error: suite {argv[0]} does not take {flag}\n")
+
+    @pytest.mark.parametrize("key", ["card_max", "trails", "format"])
+    def test_config_key_no_suite_reads_is_exit_one(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 5, key: 2}))
+        code, out, err = run(
+            capsys, "verify", "--suite", "normal-form-confluence", "--group", "2", "--config", str(cfg)
+        )
+        assert (code, out, err) == (1, "", f"error: config: no suite reads {key!r}\n")
+
+    def test_config_key_another_suite_reads_is_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d-max": 9, "n": 5, "family-limit": 1}))
+        code, out, _ = run(
+            capsys, "verify", "--suite", "relation-equivalence", "--group", "2",
+            "--config", str(cfg), "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["params"]["m_max"] == 3
+
     def test_d_max_past_six_is_exit_three(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "quadric-product-matching", "--d-max", "7")
         assert (code, out) == (3, "")
