@@ -19,9 +19,12 @@ exponent against a nonzero binomial coefficient.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
+
+from .brauer import ResourceLimitError
 
 
 # The summand of each split kind at step r, as a function of m, q = n - 2,
@@ -61,10 +64,44 @@ def _check_domain(m: int, n: int, l: int) -> None:
         raise ValueError(f"l must be >= 0, got {l}")
 
 
+# Python prints an int of at most 4,300 digits by default.  A sum whose
+# numerator or denominator may have more is refused before any summing, and
+# so is a call, or a grid of calls, whose summing work passes MAX_SUM_WORK.
+MAX_DIGITS = 4300
+# Work in digit-steps: each summand added costs the estimated digits of the
+# sum plus 100, the interpreter's share of a step on small values.  A unit
+# takes about 0.1 us on a 2-core VM (Python 3.11), so the limit is about 2 s.
+MAX_SUM_WORK = 20_000_000
+
+
+def _digits(m: int, n: int, l: int) -> int:
+    """An upper estimate of the digits in the numerator and the denominator of
+    any partial sum, from the bit lengths of its factors and never by ``str``:
+    each has at most (max(m, l) + 2) log2 n + (l + 2 - m)^+ log2 2(n - 2) bits."""
+    q, top = n - 2, min(max(m, l), 10 * MAX_DIGITS)  # a larger top is past the cap too
+    bits = (top + 2) * math.log2(n) + max(l + 2 - m, 0) * math.log2(2 * q)
+    return int(bits * 0.30103) + 1
+
+
+def _check_work(calls: Iterable[tuple[str, int, int, int]]) -> None:
+    """Refuse the sums (canonical kind, m, n, l) past ``MAX_DIGITS`` digits
+    or, together, past ``MAX_SUM_WORK``; raises ``ResourceLimitError``."""
+    work = 0
+    for kind, m, n, l in calls:
+        _check_domain(m, n, l)
+        digits = _digits(m, n, l)
+        if digits > MAX_DIGITS:
+            raise ResourceLimitError(f"sigma {kind}({m},{n},{l}) may pass {MAX_DIGITS} digits")
+        work += len(SPLITS.get(kind, (kind,))) * (l // 2 + 1) * (digits + 100)
+        if work > MAX_SUM_WORK:
+            raise ResourceLimitError(f"the sigma sums need more than {MAX_SUM_WORK} digit-steps")
+
+
 def sigma_fraction(kind: str, m: int, n: int, l: int) -> Fraction:
-    """The sum as an exact rational, defined for every l >= 0."""
+    """The sum as an exact rational, defined for every l >= 0; past the
+    frontiers of ``_check_work`` it raises ``ResourceLimitError``."""
     kind = _canon_kind(kind)
-    _check_domain(m, n, l)
+    _check_work([(kind, m, n, l)])
     q = Fraction(n - 2)
     parts = [SUMMANDS[part] for part in SPLITS.get(kind, (kind,))]
     total = Fraction(0)
@@ -98,44 +135,35 @@ RECURRENCE_FACTORS = {
 
 
 def recurrence_violations(
-    n_values: Iterable[int],
-    m_values: Iterable[int],
+    n_values: Sequence[int],
+    m_values: Sequence[int],
     kinds: Iterable[str] | None = None,
 ) -> list[dict]:
     """Check sigma(m-1) * factor == sigma(m) for the split kinds on a grid.
 
     Returns one record per failure; an empty list means every relation holds
-    exactly.  l ranges over 0..m-1 for each m.
+    exactly.  l ranges over 0..m-1 for each m.  The grid is read twice: its
+    work is checked as a whole before any summing.
     """
-    if kinds is None:
-        table = RECURRENCE_FACTORS
-    else:
-        table = {}
-        for kind in kinds:
-            k = _canon_kind(kind)
-            if k not in RECURRENCE_FACTORS:
-                raise ValueError(f"no one-step recurrence for sigma kind {kind!r}")
-            table[k] = RECURRENCE_FACTORS[k]
+    table = {}
+    for kind in RECURRENCE_FACTORS if kinds is None else kinds:
+        k = _canon_kind(kind)
+        if k not in RECURRENCE_FACTORS:
+            raise ValueError(f"no one-step recurrence for sigma kind {kind!r}")
+        table[k] = RECURRENCE_FACTORS[k]
+
+    def cells():
+        return ((n, m, l) for n in n_values for m in m_values if m >= 2 for l in range(m))
+
+    _check_work((kind, m - i, n, l) for n, m, l in cells() for kind in table for i in (1, 0))
     bad: list[dict] = []
-    for n in n_values:
-        for m in m_values:
-            if m < 2:
-                continue
-            for l in range(m):
-                for kind, factor in table.items():
-                    lhs = sigma_fraction(kind, m - 1, n, l)
-                    rhs = sigma_fraction(kind, m, n, l) / factor(n)
-                    if lhs != rhs:
-                        bad.append(
-                            {
-                                "kind": kind,
-                                "m": m,
-                                "n": n,
-                                "l": l,
-                                "lhs": str(lhs),
-                                "rhs": str(rhs),
-                            }
-                        )
+    for n, m, l in cells():
+        for kind, factor in table.items():
+            lhs = sigma_fraction(kind, m - 1, n, l)
+            rhs = sigma_fraction(kind, m, n, l) / factor(n)
+            if lhs != rhs:
+                bad.append({"kind": kind, "m": m, "n": n, "l": l,
+                            "lhs": str(lhs), "rhs": str(rhs)})
     return bad
 
 
@@ -151,13 +179,8 @@ def extra_condition_failures(m: int, n: int) -> list[int]:
         raise ValueError(
             f"the copy-count condition only gates the m >= 6 case, got m={m}"
         )
-    if n < 3:
-        raise ValueError(f"form dimension n must be >= 3, got {n}")
     suffix = "even" if n % 2 == 0 else "odd"
-    out = []
-    for l in range(2, m - 2):
-        if not sigma_fraction("1" + suffix, m, n, l) > sigma_fraction(
-            "2" + suffix, m, n, l
-        ):
-            out.append(l)
-    return out
+    ls = range(2, m - 2)
+    _check_work((k + suffix, m, n, l) for l in ls for k in "12")  # also n >= 3
+    return [l for l in ls
+            if not sigma_fraction("1" + suffix, m, n, l) > sigma_fraction("2" + suffix, m, n, l)]

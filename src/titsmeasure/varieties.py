@@ -30,7 +30,7 @@ from .measure_ring import RingElement, augmentation, from_motive_sum
 from .motives import MotiveSum, is_isomorphic, tensor
 from .quadforms import I3_OVER_Q, FormShadow, QuadraticForm
 from .quadforms import even_clifford_class, signed_discriminant
-from .sigma import extra_condition_failures
+from .sigma import MAX_DIGITS, extra_condition_failures
 
 
 # A measure prints one entry per distinct class: ord([A]) of them for a
@@ -38,9 +38,9 @@ from .sigma import extra_condition_failures
 # over two supports.  Past this many, measuring raises ``ResourceLimitError``
 # before it builds any class.
 MAX_CLASSES = 2**14
-# Python prints an int of at most 4,300 digits by default; a rank measure with
-# more digits is refused the same way.
-MAX_RANK_DIGITS = 4300
+# A rank measure with more digits than Python prints by default is refused
+# the same way, at the figure ``sigma`` refuses its values past.
+MAX_RANK_DIGITS = MAX_DIGITS
 _RANK_CAP = 10**MAX_RANK_DIGITS
 # A printed measure writes every multiplicity of ``jt`` and ``jt_effective`` in
 # decimal.  Past this many digits in all, serializing a measure raises

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sigma1_direct
+from titsmeasure.brauer import ResourceLimitError
 from titsmeasure.sigma import (
     KINDS,
     RECURRENCE_FACTORS,
@@ -14,6 +16,9 @@ from titsmeasure.sigma import (
     sigma,
     sigma_fraction,
 )
+
+# The module, not the function of the same name that the package exports.
+sigma_module = importlib.import_module("titsmeasure.sigma")
 
 
 class TestAnchors:
@@ -116,3 +121,43 @@ class TestExtraCondition:
     def test_large_n_always_holds(self):
         for m in (6, 7, 8, 9):
             assert extra_condition(m, 40)
+
+
+class TestFrontiers:
+    """Both sides of the digit cap and of the work limit, checked before summing."""
+
+    def test_digit_estimate_bounds_the_exact_value(self):
+        for kind in KINDS:
+            for m, n, l in ((1, 3, 300), (5, 6, 120), (40, 1001, 40), (120, 5, 3)):
+                value = sigma_fraction(kind, m, n, l)
+                size = max(len(str(value.numerator)), len(str(value.denominator)))
+                assert size <= sigma_module._digits(m, n, l)
+
+    def test_digit_cap(self):
+        m = 1
+        while sigma_module._digits(m + 1, 6, 2) <= sigma_module.MAX_DIGITS:
+            m += 1
+        assert sigma("1even", m, 6, 2) > 0
+        with pytest.raises(ResourceLimitError, match="may pass 4300 digits"):
+            sigma("1even", m + 1, 6, 2)
+
+    def test_work_limit(self, monkeypatch):
+        # 1even adds two summands at each of l // 2 + 1 = 2 steps.
+        work = 2 * 2 * (sigma_module._digits(5, 6, 2) + 100)
+        monkeypatch.setattr(sigma_module, "MAX_SUM_WORK", work)
+        assert sigma("1even", 5, 6, 2) == 768
+        monkeypatch.setattr(sigma_module, "MAX_SUM_WORK", work - 1)
+        with pytest.raises(ResourceLimitError, match="digit-steps"):
+            sigma("1even", 5, 6, 2)
+
+    def test_grid_work_is_checked_before_any_sum(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sigma_module, "sigma_fraction", lambda *a: calls.append(a))
+        with pytest.raises(ResourceLimitError):
+            recurrence_violations(range(5, 21), range(2, 61))
+        with pytest.raises(ResourceLimitError):
+            extra_condition_failures(2000, 5)
+        assert calls == []
+
+    def test_copy_count_condition_inside_the_limit(self):
+        assert extra_condition_failures(100, 5) == list(range(3, 98))
