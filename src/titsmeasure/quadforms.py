@@ -25,8 +25,17 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .brauer import BrauerClass, BrauerGroup, RationalClass, common_group, record_payload
+from .brauer import BrauerClass, BrauerGroup, RationalClass, ResourceLimitError
+from .brauer import common_group, record_payload
 from .rationals import SquareClass, as_fraction, quaternion_sum, square_class
+
+
+# Each entry is factored within its own rho budget, up to about 0.17 s for a
+# semiprime that needs the whole budget, and the Hasse invariant and the
+# Clifford class read all C(n, 2) pairs.  Past this dimension a form is
+# refused with ``ResourceLimitError`` before any entry is factored, so the
+# worst form still ends within about 2 s.
+MAX_FORM_DIM = 10
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,10 @@ class QuadraticForm:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if len(self.entries) > MAX_FORM_DIM:
+            raise ResourceLimitError(
+                f"form dimension {len(self.entries)} is past the limit of {MAX_FORM_DIM}"
+            )
         entries = tuple(as_fraction(a) for a in self.entries)
         if any(a == 0 for a in entries):
             raise ValueError("diagonal entries must be nonzero")

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import pairwise_clifford, pairwise_hasse
 from titsmeasure import rationals
-from titsmeasure.brauer import AbstractGroup
+from titsmeasure.brauer import AbstractGroup, ResourceLimitError
 from titsmeasure.clifford import even_clifford_class_by_structure
 from titsmeasure.quadforms import (
+    MAX_FORM_DIM,
     FormShadow,
     QuadraticForm,
     even_clifford_class,
@@ -43,6 +44,12 @@ class TestInvariants:
     def test_entries_must_be_nonzero(self):
         with pytest.raises(ValueError):
             QuadraticForm.of([1, 0, 1])
+
+    def test_dimension_cap_comes_before_any_factoring(self, monkeypatch):
+        assert QuadraticForm.of([1] * MAX_FORM_DIM).dim == MAX_FORM_DIM
+        monkeypatch.setattr(rationals, "prime_factors", None)  # any factoring would fail
+        with pytest.raises(ResourceLimitError, match="form dimension 11 is past the limit of 10"):
+            even_clifford_class(QuadraticForm.of([1] * (MAX_FORM_DIM + 1)))
 
     def test_signed_discriminant(self):
         assert signed_discriminant(QuadraticForm.of([1, 1, 1])) == -1
