@@ -636,3 +636,150 @@ class TestParserReuse:
         code, out, _ = run(capsys, *args, "--config", str(cfg))
         assert code == 0 and json.loads(out)["params"]["trials"] == 25
         assert run(capsys, *args) == _fresh(*args)
+
+
+# ---------------------------------------------------------------------------
+# Exit-1 branches: each input below is malformed or outside a documented
+# domain, and each must end in one ``error: ...`` line on stderr.
+# ---------------------------------------------------------------------------
+
+Z2 = {"kind": "abstract", "orders": [2]}
+RATIONAL = {"kind": "rational"}
+
+
+def _measure(group, variety):
+    return ("measure", json.dumps({"group": group, "variety": variety}))
+
+
+def _deduce(group, x, y):
+    return ("deduce", json.dumps({"group": group, "x": x, "y": y}))
+
+
+def _sb(degree, cls):
+    return {"family": "severi-brauer", "alg": {"degree": degree, "class": cls}}
+
+
+def _quadric(dim):
+    return {"family": "quadric", "shadow": {"dim": dim, "clifford_class": {"coords": [1]}}}
+
+
+def _products(*children):
+    return {"family": "product", "children": list(children)}
+
+
+_GR = {"family": "grassmannian", "d": 1, "alg": {"degree": 2, "class": {"coords": [1]}}}
+
+
+def _places(*places):
+    return {"invariants": [{"place": v, "inv": "1/2"} for v in places]}
+
+
+EXIT_ONE = {
+    "form-entry-word": _measure(RATIONAL, {"family": "quadric", "form": ["abc", "1", "1"]}),
+    "form-entry-fractional-exponent": _measure(
+        RATIONAL, {"family": "quadric", "form": ["1e1.5", "1", "1"]}
+    ),
+    "form-over-abstract-group": _measure(Z2, {"family": "quadric", "form": ["1", "1", "1"]}),
+    "quadric-without-form-or-shadow": _measure(Z2, {"family": "quadric"}),
+    "form-of-dimension-two": _measure(RATIONAL, {"family": "quadric", "form": ["1", "-1"]}),
+    "involution-degree-four": _measure(Z2, {
+        "family": "involution", "deg": 4,
+        "alg_class": {"coords": [0]}, "cplus": {"coords": [0]}, "cminus": {"coords": [0]},
+    }),
+    "empty-product": _measure(Z2, _products()),
+    "deduce-products-of-different-families": _deduce(
+        Z2, _products(_sb(2, {"coords": [1]}), _sb(2, {"coords": [1]})),
+        _products(_quadric(5), _quadric(5)),
+    ),
+    "deduce-products-of-dimension-four-quadrics": _deduce(
+        Z2, _products(_quadric(4), _quadric(4)), _products(_quadric(4), _quadric(4))
+    ),
+    "deduce-products-of-grassmannians": _deduce(Z2, _products(_GR, _GR), _products(_GR, _GR)),
+    "algebra-degree-zero": _measure(Z2, _sb(0, {"coords": [0]})),
+    "place-four": _measure(RATIONAL, _sb(2, _places(4, "real"))),
+    "place-word": _measure(RATIONAL, _sb(2, _places("foo", "real"))),
+    "duplicate-place": _measure(RATIONAL, _sb(2, _places(2, 2))),
+    "sigma-three-positionals": ("sigma", "1even", "5", "6"),
+    "conic-family-bad-prime": ("conic-family", "--primes", "3,x"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_ONE) + ["config-holding-a-list"])
+def test_malformed_input_is_one_error_line(capsys, tmp_path, name):
+    if name == "config-holding-a-list":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        argv = ("verify", "--suite", "normal-form-confluence", "--group", "2", "--config", str(cfg))
+    else:
+        argv = EXIT_ONE[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Frontiers of sigma, sigma-check, deduce of quadric products and rational
+# forms: past them, exit 3 at once, in a fresh interpreter.
+# ---------------------------------------------------------------------------
+
+def _product_pair(factors):
+    shadow = {"dim": 5, "clifford_class": {"coords": [1]}, "i3_zero": True}
+    side = _products(*[{"family": "quadric", "shadow": shadow}] * factors)
+    return json.dumps({"group": Z2, "x": side, "y": side})
+
+
+# Entries p, p over the first distinct odd primes, plus 1: a form of
+# dimension 2k + 1 with trivial signed discriminant.
+_ODD_PRIMES = [p for p in range(3, 2000, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2))]
+
+
+def _rational_form(k):
+    entries = [str(p) for p in _ODD_PRIMES[:k] for _ in range(2)] + ["1"]
+    return json.dumps({"group": RATIONAL, "variety": {"family": "quadric", "form": entries}})
+
+
+FRONTIER_PROBES = {
+    "sigma-l-12000": ("sigma", "1even", "5", "6", "12000"),
+    "sigma-l-20000": ("sigma", "1even", "5", "6", "20000"),
+    "sigma-m-100000": ("sigma", "1even", "100000", "6", "2"),
+    "sigma-check-m-60": ("sigma-check", "--m-max", "60"),
+    "sigma-check-m-200": ("sigma-check", "--m-max", "200"),
+    "sigma-check-n-5000": ("sigma-check", "--n-max", "5000"),
+    "deduce-2000-quadrics": ("deduce", _product_pair(2000)),
+    "form-dimension-601": ("measure", _rational_form(300)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONTIER_PROBES))
+def test_frontier_probe_is_exit_three_at_once(tmp_path, name):
+    argv = list(FRONTIER_PROBES[name])
+    if argv[0] in ("deduce", "measure"):  # too long for one command-line argument
+        (tmp_path / "doc.json").write_text(argv[1])
+        argv[1] = str(tmp_path / "doc.json")
+    t0 = time.perf_counter()
+    code, out, err = _fresh(*argv)
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: ") and err.count("\n") == 1, err
+    assert elapsed < 2
+
+
+class TestFrontierInsides:
+    """What sits inside the frontiers keeps answering."""
+
+    def test_sigma_with_large_m(self, capsys):
+        code, out, _ = run(capsys, "sigma", "1even", "3000", "6", "2")
+        assert code == 0 and len(out) == 1807
+
+    def test_deduce_of_products_of_a_hundred_quadrics(self, capsys):
+        code, out, _ = run(capsys, "deduce", _product_pair(100), "--format", "json")
+        assert code == 0
+        notes = json.loads(out)["report"]["notes"]
+        assert notes[0].startswith("no conclusion: the copy-count condition fails at l = [3, 4")
+
+    def test_form_dimension_cap(self, capsys):
+        code, out, _ = run(capsys, "measure", _rational_form(4), "--format", "json")
+        assert code == 0 and json.loads(out)["measure"]["dim"] == 7
+        code, out, err = run(capsys, "measure", _rational_form(5))
+        assert (code, out) == (3, "")
+        assert err == "resource limit: form dimension 11 is past the limit of 10\n"
