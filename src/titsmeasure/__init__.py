@@ -6,6 +6,8 @@ quotient ring is the measure.  Everything is exact integer and Fraction
 arithmetic, so equality verdicts are decisions, not approximations.
 """
 
+import types
+
 from .brauer import (
     CSA,
     RATIONALS,
@@ -56,53 +58,8 @@ from .verify import (
 )
 from .version import VERSION as __version__
 
-__all__ = [
-    "CSA",
-    "RATIONALS",
-    "AbstractClass",
-    "AbstractGroup",
-    "GroupMismatchError",
-    "RationalClass",
-    "ResourceLimitError",
-    "coprime_indexes",
-    "generated_subgroup",
-    "RingElement",
-    "augmentation",
-    "from_motive_sum",
-    "MotiveSum",
-    "cancel_common",
-    "direct_sum",
-    "is_isomorphic",
-    "tensor",
-    "FormShadow",
-    "QuadraticForm",
-    "even_clifford_class",
-    "even_clifford_class_by_structure",
-    "hasse_invariant",
-    "shadow_of",
-    "signed_discriminant",
-    "similar_under_classification",
-    "distinct_conic_family",
-    "hilbert_symbol",
-    "quaternion_class",
-    "ramified_places",
-    "extra_condition",
-    "recurrence_violations",
-    "sigma",
-    "sigma_fraction",
-    "Grassmannian",
-    "Involution",
-    "Product",
-    "Quadric",
-    "SeveriBrauer",
-    "compare",
-    "deduce",
-    "rank_measure",
-    "tits_measure",
-    "verify_normal_form_confluence",
-    "verify_quadric_product_matching",
-    "verify_relation_equivalence",
-    "verify_sum_cancellation",
-    "verify_tensor_cancellation",
-    "__version__",
-]
+# The public names are exactly the ones imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+) + ["__version__"]

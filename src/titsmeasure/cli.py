@@ -93,32 +93,21 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    group, x, y = jsonio.parse_pair_request(_load_document(args.input))
-    verdict = compare(x, y)
-    _emit(
-        {
-            "group": group.to_payload(),
-            "x": jsonio.descriptor_payload(x),
-            "y": jsonio.descriptor_payload(y),
-            "verdict": verdict.to_payload(),
-        },
-        args.format,
-    )
-    return EXIT_OK
-
-
-def _cmd_deduce(args) -> int:
+def _cmd_pair(args) -> int:
+    """compare or deduce: the two descriptors and the verdict or the report."""
     doc = _load_document(args.input)
     group, x, y = jsonio.parse_pair_request(doc)
-    i3_zero = jsonio.parse_flag(doc, "i3_zero", "request") or args.i3_zero
-    report = deduce(x, y, args.assume_equal, i3_zero=i3_zero)
+    if args.command == "compare":
+        key, record = "verdict", compare(x, y)
+    else:
+        i3_zero = jsonio.parse_flag(doc, "i3_zero", "request") or args.i3_zero
+        key, record = "report", deduce(x, y, args.assume_equal, i3_zero=i3_zero)
     _emit(
         {
             "group": group.to_payload(),
             "x": jsonio.descriptor_payload(x),
             "y": jsonio.descriptor_payload(y),
-            "report": report.to_payload(),
+            key: record.to_payload(),
         },
         args.format,
     )
@@ -281,7 +270,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", parents=[fmt], help="compare two varieties")
     p.add_argument("input", help="file path or inline JSON")
-    p.set_defaults(fn=_cmd_compare)
+    p.set_defaults(fn=_cmd_pair)
 
     p = sub.add_parser("deduce", parents=[fmt], help="geometric consequences of equal measures")
     p.add_argument("input", help="file path or inline JSON")
@@ -292,7 +281,7 @@ def build_parser() -> _Parser:
         help="treat measure equality as a hypothesis to exploit",
     )
     p.add_argument("--i3-zero", action="store_true", help="both sides have trivial I^3")
-    p.set_defaults(fn=_cmd_deduce)
+    p.set_defaults(fn=_cmd_pair)
 
     p = sub.add_parser("sigma", parents=[fmt], help="evaluate a copy-count sum")
     p.add_argument("args", nargs="*", metavar="KIND M N L")
