@@ -24,6 +24,7 @@ larger indexes (used to model unlinked quaternion pairs over other fields).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
@@ -217,16 +218,30 @@ def common_group(*items) -> "BrauerGroup":
     return group
 
 
+# The types a payload holds as they are.  Dispatching on the exact type is
+# several times cheaper than asking each value for a ``to_payload``.
+_JSON_TYPES = frozenset({bool, int, float, str, list, dict, type(None)})
+
+
+@functools.cache
+def _init_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
+
+
 def _payload_of(value):
-    if hasattr(value, "to_payload"):
-        return value.to_payload()
-    return [_payload_of(v) for v in value] if isinstance(value, tuple) else value
+    if type(value) in _JSON_TYPES:
+        return value
+    return [_payload_of(v) for v in value] if type(value) is tuple else value.to_payload()
 
 
 def record_payload(record, **extra) -> dict:
-    """A dataclass record's payload: its init fields in order, each value's own
-    ``to_payload`` where it has one and a list for a tuple, then ``extra``."""
-    payload = {f.name: _payload_of(getattr(record, f.name)) for f in fields(record) if f.init}
+    """A dataclass record's payload: its init fields in order, then ``extra``.
+    A JSON value stays as it is, a tuple becomes a list of payloads, and any
+    other value gives its own ``to_payload``."""
+    payload = {}
+    for name in _init_fields(type(record)):
+        value = getattr(record, name)
+        payload[name] = value if type(value) in _JSON_TYPES else _payload_of(value)
     payload.update(extra)
     return payload
 

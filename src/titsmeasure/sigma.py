@@ -78,21 +78,25 @@ def _digits(m: int, n: int, l: int) -> int:
     """An upper estimate of the digits in the numerator and the denominator of
     any partial sum, from the bit lengths of its factors and never by ``str``:
     each has at most (max(m, l) + 2) log2 n + (l + 2 - m)^+ log2 2(n - 2) bits."""
-    q, top = n - 2, min(max(m, l), 10 * MAX_DIGITS)  # a larger top is past the cap too
-    bits = (top + 2) * math.log2(n) + max(l + 2 - m, 0) * math.log2(2 * q)
+    top = m if m > l else l  # not max(): this runs before every sum
+    if top > 10 * MAX_DIGITS:
+        return 10 * MAX_DIGITS  # past the cap already; keeps the floats below finite
+    bits = (top + 2) * math.log2(n)
+    if l + 2 > m:
+        bits += (l + 2 - m) * math.log2(2 * (n - 2))
     return int(bits * 0.30103) + 1
 
 
-def _check_work(calls: Iterable[tuple[str, int, int, int]]) -> None:
-    """Refuse the sums (canonical kind, m, n, l) past ``MAX_DIGITS`` digits
+def _check_work(sums: Iterable[tuple[int, int, int, int]]) -> None:
+    """Refuse the sums (summands per step, m, n, l) past ``MAX_DIGITS`` digits
     or, together, past ``MAX_SUM_WORK``; raises ``ResourceLimitError``."""
     work = 0
-    for kind, m, n, l in calls:
+    for summands, m, n, l in sums:
         _check_domain(m, n, l)
         digits = _digits(m, n, l)
         if digits > MAX_DIGITS:
-            raise ResourceLimitError(f"sigma {kind}({m},{n},{l}) may pass {MAX_DIGITS} digits")
-        work += len(SPLITS.get(kind, (kind,))) * (l // 2 + 1) * (digits + 100)
+            raise ResourceLimitError(f"sigma({m},{n},{l}) may pass {MAX_DIGITS} digits")
+        work += summands * (l // 2 + 1) * (digits + 100)
         if work > MAX_SUM_WORK:
             raise ResourceLimitError(f"the sigma sums need more than {MAX_SUM_WORK} digit-steps")
 
@@ -101,9 +105,9 @@ def sigma_fraction(kind: str, m: int, n: int, l: int) -> Fraction:
     """The sum as an exact rational, defined for every l >= 0; past the
     frontiers of ``_check_work`` it raises ``ResourceLimitError``."""
     kind = _canon_kind(kind)
-    _check_work([(kind, m, n, l)])
-    q = Fraction(n - 2)
     parts = [SUMMANDS[part] for part in SPLITS.get(kind, (kind,))]
+    _check_work(((len(parts), m, n, l),))
+    q = Fraction(n - 2)
     total = Fraction(0)
     for r in range(l // 2 + 1):
         j, e, o = 2 * r + 1, comb(l, 2 * r), comb(l, 2 * r + 1)
@@ -155,7 +159,8 @@ def recurrence_violations(
     def cells():
         return ((n, m, l) for n in n_values for m in m_values if m >= 2 for l in range(m))
 
-    _check_work((kind, m - i, n, l) for n, m, l in cells() for kind in table for i in (1, 0))
+    # Each kind in the table is one summand; each cell sums at m - 1 and at m.
+    _check_work((len(table), m - i, n, l) for n, m, l in cells() for i in (1, 0))
     bad: list[dict] = []
     for n, m, l in cells():
         for kind, factor in table.items():
@@ -181,6 +186,6 @@ def extra_condition_failures(m: int, n: int) -> list[int]:
         )
     suffix = "even" if n % 2 == 0 else "odd"
     ls = range(2, m - 2)
-    _check_work((k + suffix, m, n, l) for l in ls for k in "12")  # also n >= 3
+    _check_work((3, m, n, l) for l in ls)  # sigma1 has two summands, sigma2 one; n >= 3
     return [l for l in ls
             if not sigma_fraction("1" + suffix, m, n, l) > sigma_fraction("2" + suffix, m, n, l)]

@@ -140,6 +140,9 @@ class TestFrontiers:
         assert sigma("1even", m, 6, 2) > 0
         with pytest.raises(ResourceLimitError, match="may pass 4300 digits"):
             sigma("1even", m + 1, 6, 2)
+        for huge in ((5, 6, 10**400), (10**400, 6, 2), (10**400, 6, 10**400)):
+            with pytest.raises(ResourceLimitError):
+                sigma("1even", *huge)
 
     def test_work_limit(self, monkeypatch):
         # 1even adds two summands at each of l // 2 + 1 = 2 steps.
