@@ -213,8 +213,9 @@ def common_group(*items) -> "BrauerGroup":
     one: compared by identity first, then by equality."""
     group = items[0].group
     for item in items[1:]:
-        if item.group is not group and item.group != group:
-            raise GroupMismatchError(f"mixed group models: {group} vs {item.group}")
+        other = item.group
+        if other is not group and other != group:
+            raise GroupMismatchError(f"mixed group models: {group} vs {other}")
     return group
 
 

@@ -644,7 +644,6 @@ class TestParserReuse:
 # ---------------------------------------------------------------------------
 
 Z2 = {"kind": "abstract", "orders": [2]}
-RATIONAL = {"kind": "rational"}
 
 
 def _measure(group, variety):
