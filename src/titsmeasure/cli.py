@@ -5,7 +5,7 @@ conic-family.  Documents come in as a file path or inline JSON; output is
 deterministic (stable key order, fixed seeds) so reruns are byte-identical.
 
 Exit codes: 0 success, 1 malformed input or domain error, 2 a check found a
-counterexample, 3 a configured resource frontier was exceeded.
+counterexample, 3 a resource frontier was exceeded.
 """
 
 from __future__ import annotations
@@ -173,34 +173,17 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _pick(args, cfg: dict, name: str, default: int) -> int:
-    """Parameter precedence: CLI flag, then config file, then the default."""
-    value = getattr(args, name.replace("-", "_"))
-    if value is not None:
-        return value
-    value = cfg.get(name, default)
-    if not jsonio.is_int(value):
-        raise ValueError(f"config: {name} must be an integer")
-    return value
-
-
-# suite -> (whether it takes --group, {option: (keyword, default)}), with the
-# options in the order they are read.  The suite's function is looked up by
-# name on each call, so a replaced ``verify_*`` attribute of this module is
-# the one that runs.
+# suite -> (whether it takes --group, {option: keyword}), with the options in
+# the order they are read.  Each default lives in the suite's ``verify_*``
+# signature: only the options the user set are passed.  The suite's function
+# is looked up by name on each call, so a replaced ``verify_*`` attribute of
+# this module is the one that runs.
 SUITES = {
-    "relation-equivalence": (True, {"m-max": ("m_max", 3)}),
-    "sum-cancellation": (
-        True,
-        {"card-max": ("card_max", 3), "trials": ("trials", 200), "seed": ("seed", 7)},
-    ),
-    "tensor-cancellation": (True, {"n": ("n_dim", 6), "card-max": ("card_max", 3)}),
-    "quadric-product-matching": (
-        False,
-        {"d-max": ("d_max", 4), "m": ("m", 3), "n": ("n_dim", 6),
-         "family-limit": ("family_limit", 2_000_000)},
-    ),
-    "normal-form-confluence": (True, {"trials": ("trials", 1000), "seed": ("seed", 11)}),
+    "relation-equivalence": (True, {"m-max": "m_max"}),
+    "sum-cancellation": (True, {"card-max": "card_max", "trials": "trials", "seed": "seed"}),
+    "tensor-cancellation": (True, {"n": "n_dim", "card-max": "card_max"}),
+    "quadric-product-matching": (False, {"d-max": "d_max", "m": "m", "n": "n_dim"}),
+    "normal-form-confluence": (True, {"trials": "trials", "seed": "seed"}),
 }
 # Every option some suite reads.  A flag the chosen suite does not read is
 # refused; a config key is refused only when no suite reads it.
@@ -225,8 +208,15 @@ def _cmd_verify(args) -> int:
         if not isinstance(spec, str):
             raise ValueError('config: group must be a string such as "2,2"')
         kwargs["group"] = _parse_group_spec(spec)
-    for option, (keyword, default) in options.items():
-        kwargs[keyword] = _pick(args, cfg, option, default)
+    # Precedence: the flag, then the config key, then the function's default.
+    for option, keyword in options.items():
+        value = getattr(args, option.replace("-", "_"))
+        if value is None and option in cfg:
+            value = cfg[option]
+            if not jsonio.is_int(value):
+                raise ValueError(f"config: {option} must be an integer")
+        if value is not None:
+            kwargs[keyword] = value
     run = globals()["verify_" + args.suite.replace("-", "_")](**kwargs)
     _emit(run.to_payload(), args.format)
     return EXIT_OK if run.passed else EXIT_COUNTEREXAMPLE
@@ -301,15 +291,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[fmt], help="run a brute-force checking suite")
     p.add_argument("--suite", required=True, choices=tuple(SUITES))
-    p.add_argument("--group", help="cyclic orders, e.g. 2,2 or 12")
-    p.add_argument("--n", type=int, help="quadric form dimension")
-    p.add_argument("--m", type=int, help="number of product factors")
-    p.add_argument("--m-max", type=int, help="multiset size frontier")
-    p.add_argument("--d-max", type=int, help="class coordinate frontier")
-    p.add_argument("--card-max", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--family-limit", type=int)
+    for option in _VERIFY_OPTIONS:  # docs/cli.md says what each one means
+        p.add_argument("--" + option, type=str if option == "group" else int)
     p.add_argument("--config", help="JSON file with frontier/seed defaults")
     p.set_defaults(fn=_cmd_verify)
 

@@ -120,8 +120,10 @@ def sigma(kind: str, m: int, n: int, l: int) -> int:
     """The sum as an integer; raises when the exact value is not integral."""
     value = sigma_fraction(kind, m, n, l)
     if value.denominator != 1:
+        # The value's digits may run to thousands, so only their size is named.
         raise ValueError(
-            f"sigma {kind}({m},{n},{l}) = {value} is not an integer on this input"
+            f"sigma {kind}({m},{n},{l}) is not an integer on this input: its reduced "
+            f"denominator has {value.denominator.bit_length()} bits"
         )
     return value.numerator
 

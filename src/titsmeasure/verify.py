@@ -51,20 +51,36 @@ class VerificationRun:
 # sum-cancellation compares all S^2 pairs of states, tensor-cancellation walks
 # the states once per 2-torsion class, and relation-equivalence tries
 # m_max (m_max - 1) pair rewrites per state, each against up to |G| splits.
+# The seeded random trials are counted apart: a sum-cancellation trial costs
+# card_max + 1 units, and a confluence trial max(nu, 1)^2, where nu is the
+# number of primes dividing the group exponent.  A unit takes at most about
+# 0.03 ms on a 2-core VM, so a call at TRIAL_LIMIT ends within about 3 s.
 STATE_LIMIT = 250_000  # S^2 for sum-, S x 2-torsion for tensor-cancellation
 REWRITE_LIMIT = 2_000_000  # S x rewrites per state for relation-equivalence
+FAMILY_LIMIT = 2_000_000  # S, the families, for quadric-product-matching
+TRIAL_LIMIT = 100_000  # trials x units per trial, for the seeded random trials
 
 
-def _check_work(suite: str, group: AbstractGroup, sizes: range, work, limit: int) -> None:
-    """Raise ``ResourceLimitError`` once ``work(S)`` passes ``limit``."""
+def _check_work(suite: str, elements: int, sizes: Iterable[int], work, limit: int) -> None:
+    """Raise ``ResourceLimitError`` once ``work(S)`` passes ``limit``, where S
+    counts the multisets of ``elements`` things of each size in ``sizes``."""
     states = 0
     for m in sizes:
-        states += math.comb(group.order + m - 1, m)
+        states += math.comb(elements + m - 1, m)
         if work(states) > limit:
             raise ResourceLimitError(
                 f"{suite} needs more than {limit} units of work; "
                 "use a smaller group or multiset size"
             )
+
+
+def _check_trials(suite: str, trials: int, cost: int) -> None:
+    """Raise ``ResourceLimitError`` when ``trials`` trials of ``cost`` units
+    each pass ``TRIAL_LIMIT``."""
+    if trials * cost > TRIAL_LIMIT:
+        raise ResourceLimitError(
+            f"{suite} needs more than {TRIAL_LIMIT} units of trial work; use fewer trials"
+        )
 
 
 def _at_least(name: str, value: int, least: int) -> None:
@@ -182,7 +198,7 @@ def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict |
     return None
 
 
-def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> VerificationRun:
+def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> VerificationRun:
     """The split relations generate exactly per-prime multiset equality.
 
     For every multiset size up to m_max, the partition of multisets into
@@ -197,7 +213,7 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int) -> Verificatio
             f"relation equivalence needs group order <= 100, got {group.order}"
         )
     rewrites = m_max * (m_max - 1) * group.order
-    _check_work("relation-equivalence", group, range(1, m_max + 1),
+    _check_work("relation-equivalence", group.order, range(1, m_max + 1),
                 lambda s: s * rewrites, REWRITE_LIMIT)
     details: dict = {}
     witness = _relation_witness(group, m_max, details)
@@ -254,7 +270,8 @@ def verify_sum_cancellation(
     params = {"group": group.to_payload(), "card_max": card_max, "trials": trials, "seed": seed}
     _at_least("card_max", card_max, 1)
     _at_least("trials", trials, 0)
-    _check_work("sum-cancellation", group, range(card_max + 1), lambda s: s * s, STATE_LIMIT)
+    _check_work("sum-cancellation", group.order, range(card_max + 1), lambda s: s * s, STATE_LIMIT)
+    _check_trials("sum-cancellation", trials, card_max + 1)
     witness = _sum_witness(group, card_max, trials, seed)
     return VerificationRun.of("sum-cancellation", params, witness, {})
 
@@ -282,7 +299,7 @@ def _tensor_witness(group: AbstractGroup, n_dim: int, card_max: int) -> dict | N
 
 
 def verify_tensor_cancellation(
-    group: AbstractGroup, n_dim: int, *, card_max: int = 3
+    group: AbstractGroup, n_dim: int = 6, *, card_max: int = 3
 ) -> VerificationRun:
     """Tensoring by a quadric multiset is injective on iso classes (n >= 5).
 
@@ -295,7 +312,7 @@ def verify_tensor_cancellation(
         raise ValueError(f"tensor cancellation is asserted only for n >= 5, got {n_dim}")
     _at_least("card_max", card_max, 1)
     two_torsion = 2 ** sum(n % 2 == 0 for n in group.orders)
-    _check_work("tensor-cancellation", group, range(1, card_max + 1),
+    _check_work("tensor-cancellation", group.order, range(1, card_max + 1),
                 lambda s: s * two_torsion, STATE_LIMIT)
     witness = _tensor_witness(group, n_dim, card_max)
     probe = _tensor_witness(group, 4, card_max)
@@ -339,9 +356,7 @@ def _bits(e: int, width: int) -> list[int]:
     return [(e >> i) & 1 for i in range(width)]
 
 
-def verify_quadric_product_matching(
-    d_max: int, m: int, n_dim: int, *, family_limit: int = 2_000_000
-) -> VerificationRun:
+def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) -> VerificationRun:
     """Distinct class families give distinct product decompositions.
 
     Enumerates all size-m multisets of classes in (Z/2)^d_max; for each, the
@@ -356,14 +371,9 @@ def verify_quadric_product_matching(
     if m < 1 or m > 5:
         raise ValueError(f"product matching is proved for 1 <= m <= 5, got {m}")
     _at_least("d_max", d_max, 0)
-    _at_least("family_limit", family_limit, 1)
     if d_max > 6:
         raise ResourceLimitError(f"d_max must be between 0 and 6, got {d_max}")
-    n_families = math.comb((1 << d_max) + m - 1, m)
-    if n_families > family_limit:
-        raise ResourceLimitError(
-            f"{n_families} families exceed the configured limit {family_limit}"
-        )
+    _check_work("quadric-product-matching", 1 << d_max, (m,), lambda s: s, FAMILY_LIMIT)
     details: dict = {}
     witness = _matching_witness(d_max, m, n_dim, details)
     return VerificationRun.of("quadric-product-matching", params, witness, details)
@@ -375,9 +385,8 @@ def verify_quadric_product_matching(
 
 def _random_raw_element(group: AbstractGroup, rng: random.Random) -> dict:
     out: dict = {}
-    elements = list(group.elements())
     for _ in range(rng.randint(1, 4)):
-        c = rng.choice(elements)
+        c = group.class_at(rng.randrange(group.order))
         k = rng.choice([-3, -2, -1, 1, 2, 3])
         out[c] = out.get(c, 0) + k
     return {c: k for c, k in out.items() if k}
@@ -431,5 +440,6 @@ def verify_normal_form_confluence(
     """Random rewrite sequences terminate at the canonical normal form."""
     params = {"group": group.to_payload(), "trials": trials, "seed": seed}
     _at_least("trials", trials, 1)  # the trials are all this suite checks
+    _check_trials("normal-form-confluence", trials, max(len(group.primes()), 1) ** 2)
     witness = _confluence_witness(group, trials, seed)
     return VerificationRun.of("normal-form-confluence", params, witness, {})

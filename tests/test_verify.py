@@ -89,9 +89,14 @@ class TestQuadricProductMatching:
     def test_odd_dimension_variant(self):
         assert verify_quadric_product_matching(2, 2, 5).passed
 
-    def test_family_limit_enforced(self):
+    def test_family_limit_enforced(self, monkeypatch):
+        # C(64 + 4, 5) families; refused before the first is built.
+        def no_enumeration(*args):
+            raise AssertionError("enumerated past the frontier")
+
+        monkeypatch.setattr(verify, "_matching_witness", no_enumeration)
         with pytest.raises(ResourceLimitError):
-            verify_quadric_product_matching(4, 4, 6, family_limit=10)
+            verify_quadric_product_matching(6, 5, 6)
 
     def test_dimension_frontier(self):
         with pytest.raises(ValueError):
@@ -112,12 +117,21 @@ class TestConfluence:
         b = verify_normal_form_confluence(G6, trials=40, seed=2).to_payload()
         assert a == b
 
+    def test_huge_group_builds_only_the_drawn_classes(self):
+        g = AbstractGroup((10**9,))
+        assert verify_normal_form_confluence(g, trials=1000).passed
+        assert len(g._classes) < 20_000
 
-HANGING_CALLS = [
-    ["relation-equivalence", "--group", "10,10", "--m-max", "4"],
-    ["sum-cancellation", "--group", "10,10", "--card-max", "4"],
-    ["tensor-cancellation", "--group", "10,10", "--card-max", "5"],
-]
+
+HANGING_CALLS = {
+    "relation-equivalence": ["--group", "10,10", "--m-max", "4"],
+    "sum-cancellation": ["--group", "10,10", "--card-max", "4"],
+    "tensor-cancellation": ["--group", "10,10", "--card-max", "5"],
+    "quadric-product-matching": ["--d-max", "6", "--m", "5"],
+    # 100,000 trials of 2 units, and of 2^2 units: past TRIAL_LIMIT.
+    "sum-cancellation-trials": ["--group", "2,6", "--card-max", "1", "--trials", "100000"],
+    "normal-form-confluence-trials": ["--group", "2,6", "--trials", "100000"],
+}
 
 
 # Sizes and counts that would leave nothing to check.
@@ -145,12 +159,13 @@ def test_vacuous_frontier_is_exit_one(capsys, argv):
 
 
 class TestWorkFrontiers:
-    """The suites count their multiset states before enumerating any."""
+    """The suites count their multiset states and trials before running any."""
 
-    @pytest.mark.parametrize("argv", HANGING_CALLS, ids=[a[0] for a in HANGING_CALLS])
-    def test_past_the_frontier_is_exit_three_at_once(self, capsys, argv):
+    @pytest.mark.parametrize("name", HANGING_CALLS)
+    def test_past_the_frontier_is_exit_three_at_once(self, capsys, name):
+        suite = name.removesuffix("-trials")
         t0 = time.perf_counter()
-        code = cli.main(["verify", "--suite", *argv])
+        code = cli.main(["verify", "--suite", suite, *HANGING_CALLS[name]])
         elapsed = time.perf_counter() - t0
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
@@ -169,6 +184,15 @@ class TestWorkFrontiers:
             verify_relation_equivalence(AbstractGroup((2,)), 10**9)
 
     def test_the_limit_itself_is_accepted(self, monkeypatch):
+        # 50 trials of card_max + 1 = 2 units; 25 trials of nu^2 = 4 units on Z/6.
+        monkeypatch.setattr(verify, "TRIAL_LIMIT", 100)
+        assert verify_sum_cancellation(G6, card_max=1, trials=50).passed
+        assert verify_normal_form_confluence(G6, trials=25).passed
+        monkeypatch.setattr(verify, "TRIAL_LIMIT", 99)
+        with pytest.raises(ResourceLimitError):
+            verify_sum_cancellation(G6, card_max=1, trials=50)
+        with pytest.raises(ResourceLimitError):
+            verify_normal_form_confluence(G6, trials=25)
         v2 = AbstractGroup((2, 2))  # 1 + 4 states of size <= 1, so 25 pairs
         monkeypatch.setattr(verify, "STATE_LIMIT", 25)
         assert verify_sum_cancellation(v2, card_max=1, trials=0).passed
@@ -181,3 +205,9 @@ class TestWorkFrontiers:
         monkeypatch.setattr(verify, "REWRITE_LIMIT", 111)
         with pytest.raises(ResourceLimitError):
             verify_relation_equivalence(v2, 2)
+        # C(4 + 2 - 1, 2) = 10 families of two classes in (Z/2)^2.
+        monkeypatch.setattr(verify, "FAMILY_LIMIT", 10)
+        assert verify_quadric_product_matching(2, 2, 6).passed
+        monkeypatch.setattr(verify, "FAMILY_LIMIT", 9)
+        with pytest.raises(ResourceLimitError):
+            verify_quadric_product_matching(2, 2, 6)
