@@ -382,10 +382,11 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "quadric-product-matching", option, value)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_family_limit_is_not_an_option(self, capsys):
+    @pytest.mark.parametrize("value", ["-5", "0", "5"])
+    def test_family_limit_is_not_an_option(self, capsys, value):
         # The family frontier is the fixed verify.FAMILY_LIMIT.
         code, out, err = run(
-            capsys, "verify", "--suite", "quadric-product-matching", "--family-limit", "5"
+            capsys, "verify", "--suite", "quadric-product-matching", "--family-limit", value
         )
         assert (code, out) == (1, "")
         assert "unrecognized arguments" in err and "Traceback" not in err
