@@ -163,16 +163,6 @@ def _cmd_sigma_check(args) -> int:
     return EXIT_OK if not violations else EXIT_COUNTEREXAMPLE
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = _parse_json(fh.read())
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
-
-
 # suite -> (whether it takes --group, {option: keyword}), with the options in
 # the order they are read.  Each default lives in the suite's ``verify_*``
 # signature: only the options the user set are passed.  The suite's function
@@ -185,36 +175,24 @@ SUITES = {
     "quadric-product-matching": (False, {"d-max": "d_max", "m": "m", "n": "n_dim"}),
     "normal-form-confluence": (True, {"trials": "trials", "seed": "seed"}),
 }
-# Every option some suite reads.  A flag the chosen suite does not read is
-# refused; a config key is refused only when no suite reads it.
+# Every option some suite reads, each a flag of ``verify``.  A flag the chosen
+# suite does not read is refused.
 _VERIFY_OPTIONS = ("group", *dict.fromkeys(o for _, options in SUITES.values() for o in options))
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
     takes_group, options = SUITES[args.suite]
     for option in _VERIFY_OPTIONS:
         read = option in options or (option == "group" and takes_group)
         if not read and getattr(args, option.replace("-", "_")) is not None:
             raise ValueError(f"suite {args.suite} does not take --{option}")
-    for key in cfg:
-        if key not in _VERIFY_OPTIONS:
-            raise ValueError(f"config: no suite reads {key!r}")
     kwargs = {}
     if takes_group:
-        spec = args.group if args.group is not None else cfg.get("group")
-        if spec is None:
+        if args.group is None:
             raise ValueError(f"suite {args.suite} needs --group")
-        if not isinstance(spec, str):
-            raise ValueError('config: group must be a string such as "2,2"')
-        kwargs["group"] = _parse_group_spec(spec)
-    # Precedence: the flag, then the config key, then the function's default.
+        kwargs["group"] = _parse_group_spec(args.group)
     for option, keyword in options.items():
         value = getattr(args, option.replace("-", "_"))
-        if value is None and option in cfg:
-            value = cfg[option]
-            if not jsonio.is_int(value):
-                raise ValueError(f"config: {option} must be an integer")
         if value is not None:
             kwargs[keyword] = value
     run = globals()["verify_" + args.suite.replace("-", "_")](**kwargs)
@@ -293,7 +271,6 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", required=True, choices=tuple(SUITES))
     for option in _VERIFY_OPTIONS:  # docs/cli.md says what each one means
         p.add_argument("--" + option, type=str if option == "group" else int)
-    p.add_argument("--config", help="JSON file with frontier/seed defaults")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("conic-family", parents=[fmt], help="pairwise distinct conic classes")

@@ -48,24 +48,36 @@ class VerificationRun:
 
 # Work frontiers, checked before a suite enumerates anything.  S, the number
 # of multiset states, sums C(|G| + m - 1, m) over the enumerated sizes m.
-# sum-cancellation compares all S^2 pairs of states, tensor-cancellation walks
-# the states once per 2-torsion class, and relation-equivalence tries
-# m_max (m_max - 1) pair rewrites per state, each against up to |G| splits.
+# sum-cancellation compares all S^2 pairs of states.  tensor-cancellation
+# walks the states once per 2-torsion class, at n and again at n = 4; a step
+# (up to 0.07 ms on large groups) counts TENSOR_STEP units.
+# relation-equivalence tries m_max (m_max - 1) pair rewrites per state, each
+# against up to |G| splits.  quadric-product-matching keys each family by
+# 2^d_max counts below n_dim^m, in 64 bits.  A state's cost also grows with
+# its size, so no suite enumerates multisets past SIZE_LIMIT.  Each limit
+# keeps an accepted call within about 5 s on a 2-core VM.
 # The seeded random trials are counted apart: a sum-cancellation trial costs
 # card_max + 1 units, and a confluence trial max(nu, 1)^2, where nu is the
 # number of primes dividing the group exponent.  A unit takes at most about
 # 0.03 ms on a 2-core VM, so a call at TRIAL_LIMIT ends within about 3 s.
-STATE_LIMIT = 250_000  # S^2 for sum-, S x 2-torsion for tensor-cancellation
+STATE_LIMIT = 250_000  # S^2 for sum-, 2 S x 2-torsion x TENSOR_STEP for tensor-
+TENSOR_STEP = 4
 REWRITE_LIMIT = 2_000_000  # S x rewrites per state for relation-equivalence
-FAMILY_LIMIT = 2_000_000  # S, the families, for quadric-product-matching
+FAMILY_LIMIT = 16_000_000  # S x 2^d_max for quadric-product-matching
 TRIAL_LIMIT = 100_000  # trials x units per trial, for the seeded random trials
+SIZE_LIMIT = 200  # classes in one enumerated multiset
 
 
 def _check_work(suite: str, elements: int, sizes: Iterable[int], work, limit: int) -> None:
     """Raise ``ResourceLimitError`` once ``work(S)`` passes ``limit``, where S
-    counts the multisets of ``elements`` things of each size in ``sizes``."""
+    counts the multisets of ``elements`` things of each size in ``sizes``, or
+    once a size passes ``SIZE_LIMIT``."""
     states = 0
     for m in sizes:
+        if m > SIZE_LIMIT:
+            raise ResourceLimitError(
+                f"{suite} enumerates multisets of at most {SIZE_LIMIT} classes"
+            )
         states += math.comb(elements + m - 1, m)
         if work(states) > limit:
             raise ResourceLimitError(
@@ -313,7 +325,7 @@ def verify_tensor_cancellation(
     _at_least("card_max", card_max, 1)
     two_torsion = 2 ** sum(n % 2 == 0 for n in group.orders)
     _check_work("tensor-cancellation", group.order, range(1, card_max + 1),
-                lambda s: s * two_torsion, STATE_LIMIT)
+                lambda s: 2 * s * two_torsion * TENSOR_STEP, STATE_LIMIT)
     witness = _tensor_witness(group, n_dim, card_max)
     probe = _tensor_witness(group, 4, card_max)
     return VerificationRun.of("tensor-cancellation", params, witness,
@@ -373,7 +385,9 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
     _at_least("d_max", d_max, 0)
     if d_max > 6:
         raise ResourceLimitError(f"d_max must be between 0 and 6, got {d_max}")
-    _check_work("quadric-product-matching", 1 << d_max, (m,), lambda s: s, FAMILY_LIMIT)
+    if n_dim ** m >= 1 << 63:
+        raise ResourceLimitError(f"product matching needs n_dim^m < 2^63, got {n_dim}^{m}")
+    _check_work("quadric-product-matching", 1 << d_max, (m,), lambda s: s << d_max, FAMILY_LIMIT)
     details: dict = {}
     witness = _matching_witness(d_max, m, n_dim, details)
     return VerificationRun.of("quadric-product-matching", params, witness, details)

@@ -406,23 +406,17 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", *argv)
         assert (code, out, err) == (1, "", f"error: suite {argv[0]} does not take {flag}\n")
 
-    @pytest.mark.parametrize("key", ["card_max", "trails", "format"])
-    def test_config_key_no_suite_reads_is_exit_one(self, capsys, tmp_path, key):
+    @pytest.mark.parametrize("content", ['{"trials": 5, "seed": 3}', None], ids=["object", "missing"])
+    def test_config_is_not_an_option(self, capsys, tmp_path, content):
+        # Every verify option is a flag; a config file is refused unread.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 5, key: 2}))
+        if content is not None:
+            cfg.write_text(content)
         code, out, err = run(
             capsys, "verify", "--suite", "normal-form-confluence", "--group", "2", "--config", str(cfg)
         )
-        assert (code, out, err) == (1, "", f"error: config: no suite reads {key!r}\n")
-
-    def test_config_key_another_suite_reads_is_accepted(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"d-max": 9, "n": 5}))
-        code, out, _ = run(
-            capsys, "verify", "--suite", "relation-equivalence", "--group", "2",
-            "--config", str(cfg), "--format", "json",
-        )
-        assert code == 0 and json.loads(out)["params"]["m_max"] == 3
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err and "Traceback" not in err
 
     def test_d_max_past_six_is_exit_three(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "quadric-product-matching", "--d-max", "7")
@@ -465,17 +459,16 @@ class TestVerifyCommand:
         )
         assert code == 1
 
-    def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 25, "seed": 3, "group": "6"}))
+    def test_set_flags_override_and_unset_ones_take_the_default(self, capsys):
         code, out, _ = run(
             capsys,
-            "verify", "--suite", "normal-form-confluence",
-            "--config", str(cfg), "--trials", "10", "--format", "json",
+            "verify", "--suite", "sum-cancellation", "--group", "6",
+            "--card-max", "1", "--trials", "10", "--format", "json",
         )
         assert code == 0
         params = json.loads(out)["params"]
-        assert params["trials"] == 10 and params["seed"] == 3
+        seed = inspect.signature(cli.verify_sum_cancellation).parameters["seed"].default
+        assert (params["card_max"], params["trials"], params["seed"]) == (1, 10, seed)
 
     def test_reruns_are_byte_identical(self, capsys):
         args = ("verify", "--suite", "sum-cancellation", "--group", "2,2", "--format", "json")
@@ -552,15 +545,6 @@ class TestDeepNesting:
         assert code == 1 and out == ""
         assert err == "error: JSON nested too deeply to parse\n"
 
-    def test_verify_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(DEEP_DOCS["object-5000"])
-        code, out, err = run(
-            capsys, "verify", "--suite", "relation-equivalence", "--group", "2", "--config", str(cfg)
-        )
-        assert code == 1 and out == ""
-        assert err == "error: JSON nested too deeply to parse\n"
-
     @pytest.mark.parametrize("command", ["measure", "compare"])
     def test_deepest_product_the_decoder_accepts_runs_to_the_end(self, capsys, command):
         # Later stages recurse less deeply than the decoder, so the first
@@ -574,36 +558,6 @@ class TestDeepNesting:
                 break
         assert depth > 100
         assert code == 0 and out.count('"family": "product"') == depth * (1 if command == "measure" else 2)
-
-
-# (suite, config): each config value has the wrong JSON type.
-BAD_CONFIGS = {
-    "m-max-string": ("relation-equivalence", {"m-max": "3"}),
-    "m-max-float": ("relation-equivalence", {"m-max": 2.5}),
-    "m-max-bool": ("relation-equivalence", {"m-max": True}),
-    "m-max-null": ("relation-equivalence", {"m-max": None}),
-    "trials-string": ("sum-cancellation", {"trials": "5"}),
-    "seed-list": ("normal-form-confluence", {"seed": [1]}),
-    "n-float": ("tensor-cancellation", {"n": 6.0}),
-    "d-max-bool": ("quadric-product-matching", {"d-max": False}),
-    "m-object": ("quadric-product-matching", {"m": {}}),
-    "group-integer": ("relation-equivalence", {"group": 2}),
-    "group-list": ("relation-equivalence", {"group": [2, 2]}),
-}
-
-
-class TestVerifyConfigTypes:
-    """Config values must be JSON integers (not booleans), and ``group`` a string."""
-
-    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
-    def test_wrong_type_is_exit_one(self, capsys, tmp_path, name):
-        suite, values = BAD_CONFIGS[name]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict({"group": "2"}, **values)))
-        code, out, err = run(capsys, "verify", "--suite", suite, "--config", str(cfg))
-        key = next(iter(values))
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: config: {key} must be ") and err.count("\n") == 1
 
 
 def _fresh(*argv):
@@ -641,11 +595,9 @@ class TestParserReuse:
         run(capsys, *first)
         assert run(capsys, *second) == _fresh(*second)
 
-    def test_config_does_not_carry_over(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 25, "seed": 3}))
+    def test_verify_flags_do_not_carry_over(self, capsys):
         args = ("verify", "--suite", "normal-form-confluence", "--group", "6", "--format", "json")
-        code, out, _ = run(capsys, *args, "--config", str(cfg))
+        code, out, _ = run(capsys, *args, "--trials", "25", "--seed", "3")
         assert code == 0 and json.loads(out)["params"]["trials"] == 25
         assert run(capsys, *args) == _fresh(*args)
 
@@ -715,15 +667,9 @@ EXIT_ONE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXIT_ONE) + ["config-holding-a-list"])
-def test_malformed_input_is_one_error_line(capsys, tmp_path, name):
-    if name == "config-holding-a-list":
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        argv = ("verify", "--suite", "normal-form-confluence", "--group", "2", "--config", str(cfg))
-    else:
-        argv = EXIT_ONE[name]
-    code, out, err = run(capsys, *argv)
+@pytest.mark.parametrize("name", sorted(EXIT_ONE))
+def test_malformed_input_is_one_error_line(capsys, name):
+    code, out, err = run(capsys, *EXIT_ONE[name])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

@@ -128,6 +128,14 @@ HANGING_CALLS = {
     "sum-cancellation": ["--group", "10,10", "--card-max", "4"],
     "tensor-cancellation": ["--group", "10,10", "--card-max", "5"],
     "quadric-product-matching": ["--d-max", "6", "--m", "5"],
+    # 100,000 states of one class, each walked twice per 2-torsion class.
+    "tensor-cancellation-z100000": ["--group", "100000", "--card-max", "1"],
+    # Few states over the trivial group, but each holds up to 201 classes.
+    "tensor-cancellation-size-201": ["--group", "1", "--card-max", "201"],
+    # 766,480 families, each keyed by 2^6 counts.
+    "quadric-product-matching-d6-m4": ["--d-max", "6", "--m", "4"],
+    # Counts up to 6209^5, past a 64-bit key.
+    "quadric-product-matching-n6209": ["--d-max", "2", "--m", "5", "--n", "6209"],
     # 100,000 trials of 2 units, and of 2^2 units: past TRIAL_LIMIT.
     "sum-cancellation-trials": ["--group", "2,6", "--card-max", "1", "--trials", "100000"],
     "normal-form-confluence-trials": ["--group", "2,6", "--trials", "100000"],
@@ -163,7 +171,7 @@ class TestWorkFrontiers:
 
     @pytest.mark.parametrize("name", HANGING_CALLS)
     def test_past_the_frontier_is_exit_three_at_once(self, capsys, name):
-        suite = name.removesuffix("-trials")
+        suite = next(s for s in cli.SUITES if name.startswith(s))
         t0 = time.perf_counter()
         code = cli.main(["verify", "--suite", suite, *HANGING_CALLS[name]])
         elapsed = time.perf_counter() - t0
@@ -205,9 +213,48 @@ class TestWorkFrontiers:
         monkeypatch.setattr(verify, "REWRITE_LIMIT", 111)
         with pytest.raises(ResourceLimitError):
             verify_relation_equivalence(v2, 2)
-        # C(4 + 2 - 1, 2) = 10 families of two classes in (Z/2)^2.
-        monkeypatch.setattr(verify, "FAMILY_LIMIT", 10)
+        # 4 states of size 1, walked at n and at n = 4 for each of the 4
+        # 2-torsion classes: 32 steps of TENSOR_STEP units.
+        monkeypatch.setattr(verify, "STATE_LIMIT", 32 * verify.TENSOR_STEP)
+        assert verify_tensor_cancellation(v2, 6, card_max=1).passed
+        monkeypatch.setattr(verify, "STATE_LIMIT", 32 * verify.TENSOR_STEP - 1)
+        with pytest.raises(ResourceLimitError):
+            verify_tensor_cancellation(v2, 6, card_max=1)
+        # C(4 + 2 - 1, 2) = 10 families of two classes in (Z/2)^2, each
+        # keyed by 2^2 counts: 40 units.
+        monkeypatch.setattr(verify, "FAMILY_LIMIT", 40)
         assert verify_quadric_product_matching(2, 2, 6).passed
-        monkeypatch.setattr(verify, "FAMILY_LIMIT", 9)
+        monkeypatch.setattr(verify, "FAMILY_LIMIT", 39)
         with pytest.raises(ResourceLimitError):
             verify_quadric_product_matching(2, 2, 6)
+
+    @pytest.mark.parametrize(
+        "call, accepted",
+        [
+            # 2 x 31,249 x 1 x 4 = 249,992 and 2 x 31,251 x 1 x 4 = 250,008 units.
+            (lambda: verify_tensor_cancellation(AbstractGroup((31249,)), card_max=1), True),
+            (lambda: verify_tensor_cancellation(AbstractGroup((31251,)), card_max=1), False),
+            # Criterion 8's largest tensor call: 164 states x 8 classes x 2 x 4.
+            (lambda: verify_tensor_cancellation(V3, 5, card_max=3), True),
+            (lambda: verify_tensor_cancellation(AbstractGroup((1,)), card_max=200), True),
+            (lambda: verify_tensor_cancellation(AbstractGroup((1,)), card_max=201), False),
+            (lambda: verify_sum_cancellation(AbstractGroup((1,)), card_max=201), False),
+            # 376,992 x 2^5 = 12,063,744 and 766,480 x 2^6 = 49,054,720 units.
+            (lambda: verify_quadric_product_matching(5, 5, 6), True),
+            (lambda: verify_quadric_product_matching(6, 4, 6), False),
+            (lambda: verify_quadric_product_matching(2, 5, 6208), True),
+            (lambda: verify_quadric_product_matching(2, 5, 6209), False),
+        ],
+        ids=["tensor-z31249", "tensor-z31251", "tensor-criterion-8", "tensor-size-200",
+             "tensor-size-201", "sum-size-201", "matching-d5-m5", "matching-d6-m4",
+             "matching-n6208", "matching-n6209"],
+    )
+    def test_each_side_of_the_fixed_limits(self, monkeypatch, call, accepted):
+        # The enumeration is stubbed out: only the count before it is tested.
+        for name in ("_tensor_witness", "_sum_witness", "_matching_witness"):
+            monkeypatch.setattr(verify, name, lambda *args: None)
+        if accepted:
+            assert call().passed
+        else:
+            with pytest.raises(ResourceLimitError):
+                call()
