@@ -60,7 +60,7 @@ class VerificationRun:
 # card_max + 1 units, and a confluence trial max(nu, 1)^2, where nu is the
 # number of primes dividing the group exponent.  A unit takes at most about
 # 0.03 ms on a 2-core VM, so a call at TRIAL_LIMIT ends within about 3 s.
-STATE_LIMIT = 250_000  # S^2 for sum-, 2 S x 2-torsion x TENSOR_STEP for tensor-
+STATE_LIMIT = 250_000  # S^2 for sum-, 2 S x 2-torsion x TENSOR_STEP for tensor-cancellation
 TENSOR_STEP = 4
 REWRITE_LIMIT = 2_000_000  # S x rewrites per state for relation-equivalence
 FAMILY_LIMIT = 16_000_000  # S x 2^d_max for quadric-product-matching
