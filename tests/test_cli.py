@@ -32,6 +32,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refuse_config(capsys, tmp_path, text, *argv):
+    """``verify ARGV --config FILE`` is a usage error whatever FILE holds.
+
+    Every verify option is a flag: argparse refuses ``--config`` before the
+    file is opened, with the usage and one error line. ``text`` is written to
+    FILE, or FILE is absent when it is None.
+    """
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run(capsys, "verify", *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: unrecognized arguments: --config {cfg}\n")
+    assert sum("error:" in line for line in err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestSigma:
     def test_flag_form(self, capsys):
         code, out, _ = run(capsys, "sigma", "--kind", "1even", "--m", "5", "--n", "6", "--l", "2")
@@ -408,15 +424,14 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("content", ['{"trials": 5, "seed": 3}', None], ids=["object", "missing"])
     def test_config_is_not_an_option(self, capsys, tmp_path, content):
-        # Every verify option is a flag; a config file is refused unread.
-        cfg = tmp_path / "cfg.json"
-        if content is not None:
-            cfg.write_text(content)
-        code, out, err = run(
-            capsys, "verify", "--suite", "normal-form-confluence", "--group", "2", "--config", str(cfg)
+        refuse_config(capsys, tmp_path, content, "--suite", "normal-form-confluence", "--group", "2")
+
+    @pytest.mark.parametrize("key", ["card_max", "trails", "format"])
+    def test_config_key_no_suite_reads_is_exit_one(self, capsys, tmp_path, key):
+        refuse_config(
+            capsys, tmp_path, json.dumps({"trials": 5, key: 2}),
+            "--suite", "normal-form-confluence", "--group", "2",
         )
-        assert (code, out) == (1, "")
-        assert "unrecognized arguments" in err and "Traceback" not in err
 
     def test_d_max_past_six_is_exit_three(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "quadric-product-matching", "--d-max", "7")
@@ -545,6 +560,12 @@ class TestDeepNesting:
         assert code == 1 and out == ""
         assert err == "error: JSON nested too deeply to parse\n"
 
+    def test_verify_config(self, capsys, tmp_path):
+        # Refused as a usage error before the decoder sees the file.
+        refuse_config(
+            capsys, tmp_path, DEEP_DOCS["object-5000"], "--suite", "relation-equivalence", "--group", "2"
+        )
+
     @pytest.mark.parametrize("command", ["measure", "compare"])
     def test_deepest_product_the_decoder_accepts_runs_to_the_end(self, capsys, command):
         # Later stages recurse less deeply than the decoder, so the first
@@ -558,6 +579,30 @@ class TestDeepNesting:
                 break
         assert depth > 100
         assert code == 0 and out.count('"family": "product"') == depth * (1 if command == "measure" else 2)
+
+
+# (suite, config): each config value has the wrong JSON type for the flag it
+# names. The file is refused unread, as any --config is.
+BAD_CONFIGS = {
+    "m-max-string": ("relation-equivalence", {"m-max": "3"}),
+    "m-max-float": ("relation-equivalence", {"m-max": 2.5}),
+    "m-max-bool": ("relation-equivalence", {"m-max": True}),
+    "m-max-null": ("relation-equivalence", {"m-max": None}),
+    "trials-string": ("sum-cancellation", {"trials": "5"}),
+    "seed-list": ("normal-form-confluence", {"seed": [1]}),
+    "n-float": ("tensor-cancellation", {"n": 6.0}),
+    "d-max-bool": ("quadric-product-matching", {"d-max": False}),
+    "m-object": ("quadric-product-matching", {"m": {}}),
+    "group-integer": ("relation-equivalence", {"group": 2}),
+    "group-list": ("relation-equivalence", {"group": [2, 2]}),
+}
+
+
+class TestVerifyConfigTypes:
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_wrong_type_is_exit_one(self, capsys, tmp_path, name):
+        suite, values = BAD_CONFIGS[name]
+        refuse_config(capsys, tmp_path, json.dumps(dict({"group": "2"}, **values)), "--suite", suite)
 
 
 def _fresh(*argv):
@@ -667,8 +712,12 @@ EXIT_ONE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXIT_ONE))
-def test_malformed_input_is_one_error_line(capsys, name):
+@pytest.mark.parametrize("name", sorted(EXIT_ONE) + ["config-holding-a-list"])
+def test_malformed_input_is_one_error_line(capsys, tmp_path, name):
+    if name == "config-holding-a-list":
+        # A usage error: argparse prints the usage above its one error line.
+        refuse_config(capsys, tmp_path, "[1, 2]", "--suite", "normal-form-confluence", "--group", "2")
+        return
     code, out, err = run(capsys, *EXIT_ONE[name])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
