@@ -60,9 +60,49 @@ def _load_document(text: str) -> Any:
         return _parse_json(fh.read())
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_parts(value: Any, newline: str, out: list) -> None:
+    """Append to ``out`` what ``json.dumps(value, indent=2, sort_keys=True)``
+    prints for ``value`` after ``newline`` (a newline and its indent), without
+    the stdlib's pure-Python indent encoder.  Keys are str; floats are finite."""
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(int.__repr__(value))  # past 4,300 digits, json's ValueError
+    elif kind is dict or kind is list or kind is tuple:
+        opening, closing = "{}" if kind is dict else "[]"
+        if not value:
+            out.append(opening + closing)
+            return
+        inner = newline + "  "
+        sep, comma = opening + inner, "," + inner
+        if kind is dict:
+            for key in sorted(value):
+                out.append(sep + _escape(key) + ": ")
+                _json_parts(value[key], inner, out)
+                sep = comma
+        else:
+            for item in value:
+                out.append(sep)
+                _json_parts(item, inner, out)
+                sep = comma
+        out.append(newline + closing)
+    elif kind is float:
+        out.append(float.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        out: list = []
+        _json_parts(payload, "\n", out)
+        print("".join(out))
         return
     for key in sorted(payload):
         value = payload[key]

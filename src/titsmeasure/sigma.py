@@ -149,8 +149,12 @@ def recurrence_violations(
 
     Returns one record per failure; an empty list means every relation holds
     exactly.  l ranges over 0..m-1 for each m.  The grid is read twice: its
-    work is checked as a whole before any summing.
+    work is checked as a whole before any summing.  An empty grid, or an m
+    below 2 (which has no step to check), raises ``ValueError``.
     """
+    for axis, values in (("n", n_values), ("m", m_values)):
+        if not values:
+            raise ValueError(f"empty sigma-check grid: {axis}-min is past {axis}-max")
     table = {}
     for kind in RECURRENCE_FACTORS if kinds is None else kinds:
         k = _canon_kind(kind)
@@ -159,7 +163,12 @@ def recurrence_violations(
         table[k] = RECURRENCE_FACTORS[k]
 
     def cells():
-        return ((n, m, l) for n in n_values for m in m_values if m >= 2 for l in range(m))
+        # m is checked as it is met, so a long m range costs no pass of its own.
+        for n in n_values:
+            for m in m_values:
+                if m < 2:
+                    raise ValueError(f"sigma-check m starts at 2, got m = {m}")
+                yield from ((n, m, l) for l in range(m))
 
     # Each kind in the table is one summand; each cell sums at m - 1 and at m.
     _check_work((len(table), m - i, n, l) for n, m, l in cells() for i in (1, 0))

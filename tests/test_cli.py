@@ -708,6 +708,9 @@ EXIT_ONE = {
     "place-word": _measure(RATIONAL, _sb(2, _places("foo", "real"))),
     "duplicate-place": _measure(RATIONAL, _sb(2, _places(2, 2))),
     "sigma-three-positionals": ("sigma", "1even", "5", "6"),
+    "sigma-check-empty-n-range": ("sigma-check", "--n-min", "10", "--n-max", "5"),
+    "sigma-check-empty-m-range": ("sigma-check", "--m-max", "1"),
+    "sigma-check-m-below-two": ("sigma-check", "--m-min", "-3"),
     "conic-family-bad-prime": ("conic-family", "--primes", "3,x"),
 }
 

@@ -95,6 +95,19 @@ class TestRecurrences:
         with pytest.raises(ValueError):
             recurrence_violations(range(5, 7), range(2, 4), ["1even"])
 
+    @pytest.mark.parametrize(
+        "n_values, m_values, message",
+        [
+            (range(10, 6), range(2, 4), "n-min is past n-max"),
+            (range(5, 7), range(2, 2), "m-min is past m-max"),
+            (range(5, 7), range(-3, 4), "m starts at 2, got m = -3"),
+            (range(5, 7), [3, 1], "m starts at 2, got m = 1"),
+        ],
+    )
+    def test_empty_or_vacuous_grid_is_refused(self, n_values, m_values, message):
+        with pytest.raises(ValueError, match=message):
+            recurrence_violations(n_values, m_values)
+
     @given(st.integers(5, 30), st.integers(2, 9))
     @settings(max_examples=60, deadline=None)
     def test_one_step_recurrence_pointwise(self, n, m):
