@@ -188,7 +188,7 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_sigma_check(args) -> int:
-    kinds = tuple(args.kinds.split(",")) if args.kinds else tuple(RECURRENCE_FACTORS)
+    kinds = tuple(args.kinds.split(",")) if args.kinds is not None else tuple(RECURRENCE_FACTORS)
     n_values = range(args.n_min, args.n_max + 1)
     m_values = range(args.m_min, args.m_max + 1)
     violations = recurrence_violations(n_values, m_values, kinds)

@@ -149,8 +149,9 @@ def recurrence_violations(
 
     Returns one record per failure; an empty list means every relation holds
     exactly.  l ranges over 0..m-1 for each m.  The grid is read twice: its
-    work is checked as a whole before any summing.  An empty grid, or an m
-    below 2 (which has no step to check), raises ``ValueError``.
+    work is checked as a whole before any summing.  An empty grid, an m
+    below 2 (which has no step to check) or an empty kinds list raises
+    ``ValueError``.
     """
     for axis, values in (("n", n_values), ("m", m_values)):
         if not values:
@@ -161,6 +162,8 @@ def recurrence_violations(
         if k not in RECURRENCE_FACTORS:
             raise ValueError(f"no one-step recurrence for sigma kind {kind!r}")
         table[k] = RECURRENCE_FACTORS[k]
+    if not table:
+        raise ValueError("sigma-check needs at least one kind")
 
     def cells():
         # m is checked as it is met, so a long m range costs no pass of its own.

@@ -711,6 +711,7 @@ EXIT_ONE = {
     "sigma-check-empty-n-range": ("sigma-check", "--n-min", "10", "--n-max", "5"),
     "sigma-check-empty-m-range": ("sigma-check", "--m-max", "1"),
     "sigma-check-m-below-two": ("sigma-check", "--m-min", "-3"),
+    "sigma-check-empty-kinds": ("sigma-check", "--kinds", ""),
     "conic-family-bad-prime": ("conic-family", "--primes", "3,x"),
 }
 

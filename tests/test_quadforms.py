@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pairwise_clifford, pairwise_hasse
-from titsmeasure import rationals
+from titsmeasure import clifford, rationals
 from titsmeasure.brauer import AbstractGroup, ResourceLimitError
 from titsmeasure.clifford import even_clifford_class_by_structure
 from titsmeasure.quadforms import (
@@ -171,11 +171,38 @@ class TestStructureOracle:
             q = random_form(rng, rng.choice([3, 4, 5, 6]))
             assert even_clifford_class_by_structure(q) == even_clifford_class(q)
 
-    def test_component_choice_is_immaterial(self):
-        q = QuadraticForm.of([1, 1, 1, -1, -1, -1])
+    # Forms of dimension 4 and 6 with trivial signed discriminant.
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1, 1, 1, 1],
+            [1, -1, 2, -2],
+            [-1, -1, 3, 3],
+            [2, 3, 5, 30],
+            [-1, -3, 7, 21],
+            [1, 1, 1, -1, -1, -1],
+            [1, 1, 1, 1, 1, -1],
+            [1, 2, 3, 5, 1, -30],
+            [-1, 3, -5, 7, 2, -210],
+        ],
+        ids=lambda entries: ",".join(map(str, entries)),
+    )
+    def test_component_choice_is_immaterial(self, entries):
+        q = QuadraticForm.of(entries)
+        assert signed_discriminant(q) == 1
         plus = even_clifford_class_by_structure(q, component_sign=1)
         minus = even_clifford_class_by_structure(q, component_sign=-1)
         assert plus == minus == even_clifford_class(q)
+
+    # With every reordering sign dropped the table is commutative: the oracle
+    # must name the failed check, never return a class.
+    @pytest.mark.parametrize(
+        "entries", [[1, 2, 3], [1, -1, 2, -2], [1, 2, 3, 5, 7]], ids=("n3", "n4", "n5")
+    )
+    def test_commutative_table_fails_a_check(self, monkeypatch, entries):
+        monkeypatch.setattr(clifford, "_tau", lambda s, t: 0)
+        with pytest.raises(AssertionError, match="does not anticommute"):
+            even_clifford_class_by_structure(QuadraticForm.of(entries))
 
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):

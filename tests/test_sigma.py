@@ -108,6 +108,10 @@ class TestRecurrences:
         with pytest.raises(ValueError, match=message):
             recurrence_violations(n_values, m_values)
 
+    def test_empty_kind_list_is_refused(self):
+        with pytest.raises(ValueError, match="at least one kind"):
+            recurrence_violations(range(5, 7), range(2, 4), [])
+
     @given(st.integers(5, 30), st.integers(2, 9))
     @settings(max_examples=60, deadline=None)
     def test_one_step_recurrence_pointwise(self, n, m):
