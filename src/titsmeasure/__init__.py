@@ -20,24 +20,17 @@ from .brauer import (
     generated_subgroup,
 )
 from .measure_ring import RingElement, augmentation, from_motive_sum
-from .motives import MotiveSum, cancel_common, direct_sum, is_isomorphic, tensor
+from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import (
     FormShadow,
     QuadraticForm,
     even_clifford_class,
     hasse_invariant,
-    shadow_of,
     signed_discriminant,
-    similar_under_classification,
 )
 from .clifford import even_clifford_class_by_structure
-from .rationals import (
-    distinct_conic_family,
-    hilbert_symbol,
-    quaternion_class,
-    ramified_places,
-)
-from .sigma import extra_condition, recurrence_violations, sigma, sigma_fraction
+from .rationals import distinct_conic_family, hilbert_symbol, quaternion_class
+from .sigma import recurrence_violations, sigma, sigma_fraction
 from .varieties import (
     Grassmannian,
     Involution,
@@ -46,7 +39,6 @@ from .varieties import (
     SeveriBrauer,
     compare,
     deduce,
-    rank_measure,
     tits_measure,
 )
 from .verify import (

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from operator import attrgetter, methodcaller
 from typing import Iterable, Iterator, Sequence, Union
 
 
@@ -276,7 +276,7 @@ class AbstractGroup:
 
     orders: tuple[int, ...]
     index_oracle: tuple[tuple[tuple[int, ...], int], ...] = ()
-    class_key = staticmethod(attrgetter("index"))  # canonical order: by coords
+    class_key = staticmethod(operator.attrgetter("index"))  # canonical order: by coords
 
     def __post_init__(self) -> None:
         if not all(isinstance(n, int) and n >= 1 for n in self.orders):
@@ -417,7 +417,7 @@ class _RationalGroup:
     """Br(Q) backend marker; classes carry their own invariant data.  Br(Q) is
     infinite, so its key tables are fresh per use: nothing is kept."""
 
-    class_key = staticmethod(methodcaller("sort_key"))  # canonical order
+    class_key = staticmethod(operator.methodcaller("sort_key"))  # canonical order
 
     @property
     def kind(self) -> str:
@@ -425,11 +425,9 @@ class _RationalGroup:
 
     def class_at(self, key: tuple) -> "RationalClass":
         """The class whose ``sort_key`` is ``key``; its invariants are valid already."""
-        cls = object.__new__(RationalClass)
-        object.__setattr__(cls, "invariants", tuple(
-            (REAL_PLACE if rank == 0 else v, Fraction(a, b)) for rank, v, a, b in key
-        ))
-        return cls
+        return RationalClass._of({
+            REAL_PLACE if rank == 0 else v: Fraction(a, b) for rank, v, a, b in key
+        })
 
     @property
     def key_primes(self) -> _Table:
@@ -440,7 +438,7 @@ class _RationalGroup:
         return _Table(lambda p: _Table(lambda key: self.class_at(key).p_part(p).sort_key()))
 
     def identity(self) -> "RationalClass":
-        return RationalClass(())
+        return RationalClass._of({})
 
     def index_of(self, cls: "RationalClass") -> int:
         # Over a number field period equals index.
@@ -549,9 +547,7 @@ class AbstractClass:
         return {"coords": list(self.coords)}
 
 
-def _validate_invariants(
-    invariants: Iterable[tuple[Place, Fraction]],
-) -> tuple[tuple[Place, Fraction], ...]:
+def _validate_invariants(invariants: Iterable[tuple[Place, Fraction]]) -> dict[Place, Fraction]:
     seen: dict[Place, Fraction] = {}
     for v, inv in invariants:
         v = check_place(v)
@@ -565,7 +561,7 @@ def _validate_invariants(
     total = sum(seen.values(), Fraction(0))
     if total.denominator != 1:
         raise ValueError(f"local invariants must sum to 0 mod 1, got {total}")
-    return tuple(sorted(seen.items(), key=lambda kv: place_sort_key(kv[0])))
+    return seen
 
 
 @dataclass(frozen=True)
@@ -575,7 +571,18 @@ class RationalClass:
     invariants: tuple[tuple[Place, Fraction], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "invariants", _validate_invariants(self.invariants))
+        valid = RationalClass._of(_validate_invariants(self.invariants))
+        object.__setattr__(self, "invariants", valid.invariants)
+
+    @classmethod
+    def _of(cls, residues: dict[Place, Fraction]) -> "RationalClass":
+        """The class with these residues, built from valid classes: places of
+        Q, residues in [0, 1) summing to 0 mod 1.  Zero residues drop out."""
+        self = object.__new__(cls)
+        nonzero = [(v, inv) for v, inv in residues.items() if inv]
+        nonzero.sort(key=lambda item: place_sort_key(item[0]))
+        object.__setattr__(self, "invariants", tuple(nonzero))
+        return self
 
     @property
     def group(self) -> _RationalGroup:
@@ -595,16 +602,17 @@ class RationalClass:
         acc: dict[Place, Fraction] = dict(self.invariants)
         for v, inv in other.invariants:
             acc[v] = (acc.get(v, Fraction(0)) + inv) % 1
-        return RationalClass(tuple(acc.items()))
+        return RationalClass._of(acc)
 
     def __neg__(self) -> "RationalClass":
-        return RationalClass(tuple((v, (-inv) % 1) for v, inv in self.invariants))
+        return RationalClass._of({v: (-inv) % 1 for v, inv in self.invariants})
 
     def __sub__(self, other: "RationalClass") -> "RationalClass":
         return self + (-other)
 
     def __mul__(self, k: int) -> "RationalClass":
-        return RationalClass(tuple((v, (k * inv) % 1) for v, inv in self.invariants))
+        k = operator.index(k)  # an integer multiple of a valid class is valid
+        return RationalClass._of({v: (k * inv) % 1 for v, inv in self.invariants})
 
     __rmul__ = __mul__
 
@@ -618,10 +626,10 @@ class RationalClass:
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
         # An invariant a/d is the class of a in Z/d; zero components drop out.
-        return RationalClass(tuple(
-            (v, Fraction(_crt_p_component(inv.numerator, inv.denominator, p), inv.denominator))
+        return RationalClass._of({
+            v: Fraction(_crt_p_component(inv.numerator, inv.denominator, p), inv.denominator)
             for v, inv in self.invariants
-        ))
+        })
 
     def primes(self) -> tuple[int, ...]:
         """Primes dividing the order of the class, ascending."""

@@ -47,6 +47,13 @@ def _need_int(payload: Any, key: str, context: str) -> int:
     return value
 
 
+def _need_ints(payload: Any, key: str, context: str) -> list[int]:
+    value = _need(payload, key, context)
+    if not isinstance(value, list) or not all(is_int(v) for v in value):
+        raise ValueError(f"{context}: {key} must be a list of integers")
+    return value
+
+
 def _need_list(payload: Any, key: str, context: str) -> list:
     value = _need(payload, key, context)
     if not isinstance(value, list):
@@ -100,15 +107,11 @@ def parse_group(payload: Any) -> BrauerGroup:
         return RATIONALS
     if kind != "abstract":
         raise ValueError(f"group: unknown kind {kind!r}")
-    orders = _need(payload, "orders", "group")
-    if not isinstance(orders, list) or not all(is_int(n) for n in orders):
-        raise ValueError("group: orders must be a list of integers")
+    orders = _need_ints(payload, "orders", "group")
     oracle = []
     entries = _need_list(payload, "index_oracle", "group") if "index_oracle" in payload else []
     for entry in entries:
-        coords = _need(entry, "coords", "group.index_oracle")
-        if not isinstance(coords, list) or not all(is_int(c) for c in coords):
-            raise ValueError("group.index_oracle: coords must be a list of integers")
+        coords = _need_ints(entry, "coords", "group.index_oracle")
         idx = _need_int(entry, "index", "group.index_oracle")
         oracle.append((tuple(coords), idx))
     return AbstractGroup(tuple(orders), tuple(oracle))
@@ -116,10 +119,7 @@ def parse_group(payload: Any) -> BrauerGroup:
 
 def parse_class(payload: Any, group: BrauerGroup) -> BrauerClass:
     if group.kind == "abstract":
-        coords = _need(payload, "coords", "class")
-        if not isinstance(coords, list) or not all(is_int(c) for c in coords):
-            raise ValueError("class: coords must be a list of integers")
-        return group.element(coords)
+        return group.element(_need_ints(payload, "coords", "class"))
     parsed = []
     for item in _need_list(payload, "invariants", "class"):
         place = _need(item, "place", "class.invariants")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, common_group
+from .brauer import BrauerGroup, GroupMismatchError, common_group
 from .motives import Count as Term, merge
 
 
@@ -64,20 +64,12 @@ class RingElement:
         ]
         return RingElement(group, tuple(raw))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def to_payload(self) -> dict:
         return {
             "terms": [
                 {"class": c.to_payload(), "coeff": k} for c, k in self.terms
             ]
         }
-
-
-def from_class(c: BrauerClass) -> RingElement:
-    """The basis element [c]."""
-    return RingElement(c.group, ((c, 1),))
 
 
 def augmentation(x: RingElement) -> int:

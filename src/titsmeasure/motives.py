@@ -143,18 +143,3 @@ def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:
     common_group(x, y)
     return x.signature() == y.signature()
 
-
-def cancel_common(x: MotiveSum, y: MotiveSum, n: MotiveSum) -> bool:
-    """Decide x ≅ y and check it agrees with (x ⊕ n) ≅ (y ⊕ n).
-
-    Cancelling a common direct summand never changes the answer; this asserts
-    that fact on the given triple as a guard and returns the cancelled verdict.
-    """
-    before = is_isomorphic(direct_sum(x, n), direct_sum(y, n))
-    after = is_isomorphic(x, y)
-    if before != after:
-        raise AssertionError(
-            "direct-sum cancellation failed on this triple; "
-            "the isomorphism invariant is inconsistent"
-        )
-    return after

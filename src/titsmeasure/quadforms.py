@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .brauer import BrauerClass, BrauerGroup, RationalClass, ResourceLimitError
-from .brauer import common_group, record_payload
+from .brauer import record_payload
 from .rationals import SquareClass, as_fraction, quaternion_sum, square_class
 
 
@@ -154,25 +154,3 @@ class FormShadow:
     def to_payload(self) -> dict:
         return record_payload(self)
 
-
-def shadow_of(q: QuadraticForm, *, i3_zero: bool = False) -> FormShadow:
-    return FormShadow(q.dim, even_clifford_class(q), i3_zero)
-
-
-def similar_under_classification(x: FormShadow, y: FormShadow) -> bool:
-    """Decide similarity of the underlying forms where classification applies.
-
-    Applicable when the dimensions agree and either the dimension is 6 or
-    both shadows assert I^3 = 0; then similarity is equivalent to equality of
-    the even-Clifford classes.  Identical shadows are accepted outright.
-    """
-    common_group(x, y)
-    if x == y:
-        return True
-    if x.dim != y.dim:
-        raise ValueError(
-            f"shadows have different dimensions: {x.dim} vs {y.dim}"
-        )
-    if x.dim == 6 or (x.i3_zero and y.i3_zero):
-        return x.clifford_class == y.clifford_class
-    raise ValueError("classification rule inapplicable")

@@ -22,7 +22,6 @@ from .brauer import (
     RationalClass,
     check_place,
     is_prime,
-    place_sort_key,
     prime_factors,
 )
 
@@ -97,11 +96,6 @@ def _ramified(x: SquareClass, y: SquareClass) -> list[Place]:
     ]
 
 
-def ramified_places(a, b) -> tuple[Place, ...]:
-    """Places where the quaternion algebra (a, b) does not split."""
-    return tuple(sorted(_ramified(square_class(a), square_class(b)), key=place_sort_key))
-
-
 def quaternion_sum(pairs: Iterable[tuple[SquareClass, SquareClass]]) -> RationalClass:
     """Sum of the quaternion classes (x, y) over pairs of square classes.
 
@@ -117,7 +111,7 @@ def quaternion_sum(pairs: Iterable[tuple[SquareClass, SquareClass]]) -> Rational
                 f"({x[0]}, {y[0]}) ramifies at an odd number of places: {places}"
             )
         odd.symmetric_difference_update(places)
-    return RationalClass(tuple((v, HALF) for v in odd))
+    return RationalClass._of(dict.fromkeys(odd, HALF))
 
 
 def quaternion_class(a, b) -> RationalClass:

@@ -186,14 +186,10 @@ def recurrence_violations(
     return bad
 
 
-def extra_condition(m: int, n: int) -> bool:
-    """Whether sigma1 > sigma2 for every 2 <= l <= m-3 (parity of n picks the
-    variant).  Only meaningful for m >= 6; smaller m raises."""
-    return not extra_condition_failures(m, n)
-
-
 def extra_condition_failures(m: int, n: int) -> list[int]:
-    """The l values in 2..m-3 where the strict inequality fails."""
+    """The l values in 2..m-3 where sigma1 > sigma2 fails (the parity of n
+    picks the variant); the condition holds when there are none.  Only
+    meaningful for m >= 6; smaller m raises."""
     if m < 6:
         raise ValueError(
             f"the copy-count condition only gates the m >= 6 case, got m={m}"

@@ -4,7 +4,7 @@ Four families plus finite products.  Each descriptor knows the multiset of
 Brauer classes of its distinguished algebras; from that we get
 
 - the class-sum measure into the group-ring quotient (``tits_measure``), and
-- the integer rank measure (``rank_measure``), its augmentation.
+- the integer rank measure, its augmentation (``tits_measure(v).rho``).
 
 ``deduce`` turns an asserted Grothendieck-class equality into the conclusions
 the classification literature licenses per family, checking the computed
@@ -319,10 +319,6 @@ def tits_measure(v: VarietyDescriptor) -> MeasureReport:
     if augmentation(jt) != rho:
         raise AssertionError("augmentation drifted from the class count")
     return MeasureReport(jt=jt, jt_effective=ms, rho=rho, dim=v.dim)
-
-
-def rank_measure(v: VarietyDescriptor) -> int:
-    return tits_measure(v).rho
 
 
 @dataclass(frozen=True)

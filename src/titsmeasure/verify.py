@@ -198,12 +198,13 @@ def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict |
                     "m": m,
                     "same_signature_not_connected": [_state_payload(states[p]) for p in picks[:2]],
                 }
-        for comp_block in by_component.values():
-            if len({signature[i] for i in comp_block}) > 1:
+        for first, *rest in by_component.values():
+            other = next((i for i in rest if signature[i] != signature[first]), None)
+            if other is not None:
                 return {
                     "m": m,
                     "connected_but_different_signature": [
-                        _state_payload(states[p]) for p in comp_block[:2]
+                        _state_payload(states[p]) for p in (first, other)
                     ],
                 }
     details["states_checked"] = states_checked

@@ -16,11 +16,10 @@ from titsmeasure.quadforms import (
     QuadraticForm,
     even_clifford_class,
     hasse_invariant,
-    shadow_of,
     signed_discriminant,
-    similar_under_classification,
 )
 from titsmeasure.rationals import quaternion_class
+from titsmeasure.varieties import NO_RULE, Quadric, deduce, tits_measure
 
 ENTRIES = [-7, -5, -3, -2, -1, 1, 2, 3, 5, 7]
 
@@ -222,44 +221,50 @@ class TestShadows:
 
     def test_shadow_of_concrete_form(self):
         q = QuadraticForm.of([1, 1, 1, -1, -1, -1])
-        s = shadow_of(q)
+        s = FormShadow(q.dim, even_clifford_class(q))
         assert s.dim == 6
         assert s.clifford_class == even_clifford_class(q)
         assert not s.i3_zero
+        assert tits_measure(Quadric(s)) == tits_measure(Quadric(q))
+
+
+def _similar(x: FormShadow, y: FormShadow):
+    """``deduce``'s verdict on two quadric shadows asserted to have equal
+    classes: True (isomorphic), False (refuted) or None (no rule applies)."""
+    report = deduce(Quadric(x), Quadric(y), True)
+    if report.refuted:
+        return False
+    if any(c.statement == "quadrics are isomorphic" for c in report.conclusions):
+        return True
+    assert report.notes == (NO_RULE.format("n"),)
+    return None
 
 
 class TestClassification:
-    def test_identical_forms_always_similar(self):
-        g = AbstractGroup((2,))
-        s = FormShadow(8, g.element([1]), False)
-        assert similar_under_classification(s, s)
+    """The classification rule of ``varieties.RULES["quadric"]``."""
 
     def test_dimension_mismatch_rejected(self):
         g = AbstractGroup((2,))
-        with pytest.raises(ValueError):
-            similar_under_classification(
-                FormShadow(5, g.element([1]), False),
-                FormShadow(6, g.element([1]), False),
-            )
+        assert _similar(FormShadow(5, g.element([1])), FormShadow(6, g.element([1]))) is False
 
     def test_dim_six_rule(self):
         g = AbstractGroup((2, 2))
         a = FormShadow(6, g.element([1, 0]), False)
         b = FormShadow(6, g.element([1, 0]), False)
         c = FormShadow(6, g.element([0, 1]), False)
-        assert similar_under_classification(a, b)
-        assert not similar_under_classification(a, c)
+        assert _similar(a, b) is True
+        assert _similar(a, c) is False
 
     def test_i3_zero_rule(self):
         g = AbstractGroup((2,))
         a = FormShadow(9, g.element([1]), True)
         b = FormShadow(9, g.element([1]), True)
-        assert similar_under_classification(a, b)
+        assert _similar(a, b) is True
+        assert _similar(a, FormShadow(9, g.identity(), True)) is False
 
     def test_inapplicable_without_hypotheses(self):
-        # distinct shadows, dim != 6, no I^3 hypothesis: no rule applies
+        # equal measures, dim != 6, no I^3 hypothesis: no rule applies
         g = AbstractGroup((2,))
         a = FormShadow(9, g.element([1]), False)
-        b = FormShadow(9, g.identity(), False)
-        with pytest.raises(ValueError):
-            similar_under_classification(a, b)
+        assert _similar(a, a) is None
+        assert _similar(a, FormShadow(9, g.element([1]), True)) is None

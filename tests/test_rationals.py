@@ -9,7 +9,6 @@ from titsmeasure.rationals import (
     distinct_conic_family,
     hilbert_symbol,
     quaternion_class,
-    ramified_places,
     square_class,
 )
 
@@ -77,9 +76,9 @@ class TestQuaternionClasses:
         assert square_class(Fraction(-5, 18)) == (-10, (5,))
 
     def test_ramified_places_examples(self):
-        assert ramified_places(-1, -1) == ("real", 2)
-        assert ramified_places(-1, 3) == (2, 3)
-        assert ramified_places(1, 7) == ()
+        assert quaternion_class(-1, -1).ramified_places() == ("real", 2)
+        assert quaternion_class(-1, 3).ramified_places() == (2, 3)
+        assert quaternion_class(1, 7).ramified_places() == ()
 
     def test_quaternion_class_invariants(self):
         c = quaternion_class(-1, 3)

@@ -10,7 +10,6 @@ from titsmeasure.brauer import ResourceLimitError
 from titsmeasure.sigma import (
     KINDS,
     RECURRENCE_FACTORS,
-    extra_condition,
     extra_condition_failures,
     recurrence_violations,
     sigma,
@@ -125,19 +124,17 @@ class TestRecurrences:
 class TestExtraCondition:
     def test_small_m_is_out_of_scope(self):
         with pytest.raises(ValueError):
-            extra_condition(5, 6)
+            extra_condition_failures(5, 6)
 
     def test_holds_at_six_six(self):
-        assert extra_condition(6, 6)
         assert extra_condition_failures(6, 6) == []
 
     def test_fails_at_eight_five(self):
-        assert not extra_condition(8, 5)
         assert extra_condition_failures(8, 5) == [3, 4, 5]
 
     def test_large_n_always_holds(self):
         for m in (6, 7, 8, 9):
-            assert extra_condition(m, 40)
+            assert not extra_condition_failures(m, 40)
 
 
 class TestFrontiers:

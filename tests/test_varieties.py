@@ -20,7 +20,6 @@ from titsmeasure.varieties import (
     compare,
     deduce,
     folded_cell_counts,
-    rank_measure,
     tits_measure,
 )
 
@@ -75,19 +74,19 @@ class TestTables:
         v = sb(G4, [1], 4)
         assert sorted(c.coords[0] for c in v.jt_classes().classes) == [0, 1, 2, 3]
         assert v.dim == 3
-        assert rank_measure(v) == 4
+        assert tits_measure(v).rho == 4
 
     def test_split_severi_brauer(self):
         v = sb(G4, [0], 3)
         assert all(c.is_identity() for c in v.jt_classes().classes)
-        assert rank_measure(v) == 3
+        assert tits_measure(v).rho == 3
 
     def test_grassmannian_table(self):
         v = Grassmannian(2, CSA(G4.element([1]), 4))
         weights = sorted(c.coords[0] for c in v.jt_classes().classes)
         assert weights == [0, 0, 1, 2, 2, 3]  # 0,1,2,2,3,4 reduced mod 4
         assert v.dim == 4
-        assert rank_measure(v) == 6
+        assert tits_measure(v).rho == 6
 
     def test_grassmannian_parameter_range(self):
         with pytest.raises(ValueError):
@@ -123,7 +122,7 @@ class TestTables:
         assert cli.main(["measure", json.dumps(doc), "--format", "json"]) == 0
         assert len(calls) == 1
         q = Quadric(QuadraticForm.of(form))
-        tits_measure(q), rank_measure(q), q.jt_classes(), q.group, compare(q, q)
+        tits_measure(q), tits_measure(q).rho, q.jt_classes(), q.group, compare(q, q)
         assert len(calls) == 2
 
     def test_quadric_equality_reads_the_form(self):
@@ -136,7 +135,7 @@ class TestTables:
     def test_quadric_shadow_table(self):
         s = FormShadow(8, V2.element([1, 0]), False)
         q = Quadric(s)
-        assert rank_measure(q) == 8
+        assert tits_measure(q).rho == 8
         assert q.dim == 6
 
     def test_involution_table(self):
@@ -147,7 +146,7 @@ class TestTables:
             counts[c.coords[0]] = counts.get(c.coords[0], 0) + 1
         assert counts == {0: 2, 2: 2, 1: 1, 3: 1}
         assert v.dim == 6
-        assert rank_measure(v) == 6
+        assert tits_measure(v).rho == 6
 
     def test_involution_relations_enforced(self):
         with pytest.raises(ValueError):
@@ -166,7 +165,7 @@ class TestTables:
         b = sb(G4, [2], 2)
         p = Product((a, b))
         assert p.dim == a.dim + b.dim
-        assert rank_measure(p) == rank_measure(a) * rank_measure(b)
+        assert tits_measure(p).rho == tits_measure(a).rho * tits_measure(b).rho
 
     def test_product_measure_is_multiplicative(self):
         a = sb(G4, [1], 4)

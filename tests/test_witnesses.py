@@ -33,6 +33,10 @@ def _true_below_three(self):
     return TRUE_SIGNATURE(self) if len(self) <= 2 else (len(self),)
 
 
+def _apart_at_234(self):
+    return (TRUE_SIGNATURE(self), self.key_counts == ((2, 1), (3, 1), (4, 1)))
+
+
 def _iso_by_length_then_counts(x, y):
     return x.counts == y.counts if len(x) + len(y) >= 4 else len(x) == len(y)
 
@@ -67,6 +71,13 @@ CERTIFICATES = {
         '"params": {' + _G_PARAMS + ', "m_max": 2}, "suite": "relation-equivalence", '
         '"version": "0.1.0", "witness": {"connected_but_different_signature": '
         '[[[0, 0], [0, 1]], [[0, 3], [0, 4]]], "m": 2}}'
+    ),
+    "relation-apart-at-234": (
+        '{"details": {}, "outcome": "counterexample", '
+        '"params": {"group": {"kind": "abstract", "orders": [6]}, "m_max": 3}, '
+        '"suite": "relation-equivalence", "version": "0.1.0", '
+        '"witness": {"connected_but_different_signature": '
+        '[[[0], [1], [2]], [[2], [3], [4]]], "m": 3}}'
     ),
     "sum-exhaustive": (
         '{"details": {}, "outcome": "counterexample", '
@@ -126,6 +137,19 @@ def test_relation_equivalence_witness(request, monkeypatch, signature, expected)
     run = verify.verify_relation_equivalence(G, 2)
     assert _dump(run) == expected
     assert _full(run) == CERTIFICATES["relation-" + request.node.callspec.id]
+
+
+def test_relation_witness_states_differ_in_signature(monkeypatch):
+    # Over Z/6 only {2, 3, 4} is told apart from its component, whose first
+    # two states {0, 1, 2} and {0, 4, 5} share a signature; the witness pairs
+    # the component's first state with the first state of another signature.
+    monkeypatch.setattr(MotiveSum, "signature", _apart_at_234)
+    run = verify.verify_relation_equivalence(AbstractGroup((6,)), 3)
+    assert _dump(run) == (
+        '{"outcome": "counterexample", "witness": {"connected_but_different_signature": '
+        '[[[0], [1], [2]], [[2], [3], [4]]], "m": 3}}'
+    )
+    assert _full(run) == CERTIFICATES["relation-apart-at-234"]
 
 
 def test_sum_cancellation_exhaustive_witness(monkeypatch):
