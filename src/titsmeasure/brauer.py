@@ -45,10 +45,10 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(p for p in range(n) if sieve[p])
 
 
-# Trial division covers the primes below TRIAL_LIMIT, so a cofactor free of
-# them and below TRIAL_LIMIT^2 is prime.
-TRIAL_LIMIT = 1000
-_SMALL_PRIMES = _primes_below(TRIAL_LIMIT)
+# Trial division covers the primes below TRIAL_DIVISION_BOUND, so a cofactor
+# free of them and below TRIAL_DIVISION_BOUND^2 is prime.
+TRIAL_DIVISION_BOUND = 1000
+_SMALL_PRIMES = _primes_below(TRIAL_DIVISION_BOUND)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 # Strong-pseudoprime bounds: below bound, the first k prime bases decide
@@ -95,7 +95,7 @@ def is_prime(n: int) -> bool:
     Exact below 3.3 * 10^24.  Above that a composite is still proven by its
     witness, but a number passing every base raises ``ResourceLimitError``.
     """
-    if n < TRIAL_LIMIT:
+    if n < TRIAL_DIVISION_BOUND:
         return n in _SMALL_PRIME_SET
     if any(n % p == 0 for p in _MR_BASES):
         return False
@@ -155,9 +155,9 @@ def _rho_split(n: int, budget: list[int]) -> int:
 def prime_factors(n: int) -> dict[int, int]:
     """Factor a positive integer: {prime: exponent}, primes ascending.
 
-    Trial division by the primes below ``TRIAL_LIMIT``, then Miller-Rabin and
-    Pollard-Brent rho on what is left, within ``RHO_BUDGET`` steps; past the
-    budget it raises ``ResourceLimitError``.
+    Trial division by the primes below ``TRIAL_DIVISION_BOUND``, then
+    Miller-Rabin and Pollard-Brent rho on what is left, within ``RHO_BUDGET``
+    steps; past the budget it raises ``ResourceLimitError``.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
@@ -178,7 +178,7 @@ def prime_factors(n: int) -> dict[int, int]:
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
-        if m < TRIAL_LIMIT * TRIAL_LIMIT or is_prime(m):
+        if m < TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             d = _rho_split(m, budget)
@@ -556,8 +556,7 @@ def _validate_invariants(invariants: Iterable[tuple[Place, Fraction]]) -> dict[P
             raise ValueError(f"duplicate place {v!r}")
         if v == REAL_PLACE and inv not in (Fraction(0), Fraction(1, 2)):
             raise ValueError(f"real invariant must be 0 or 1/2, got {inv}")
-        if inv:
-            seen[v] = inv
+        seen[v] = inv  # zero too, so a later entry at v is a duplicate
     total = sum(seen.values(), Fraction(0))
     if total.denominator != 1:
         raise ValueError(f"local invariants must sum to 0 mod 1, got {total}")

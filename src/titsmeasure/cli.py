@@ -38,9 +38,9 @@ EXIT_RESOURCE = 3
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, which collides with the
-    # counterexample code; route usage errors to the malformed-input code.
+    # counterexample code; route usage errors to the malformed-input code,
+    # as one line without the usage block.
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
 
 

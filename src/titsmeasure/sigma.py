@@ -8,42 +8,42 @@ dimension n:
     sigma1_*(m, n, l)  lowest  possible copy count on one side,
     sigma2_*(m, n, l)  highest possible copy count on the other side.
 
-``sigma1`` is defined as ``sigma11 + sigma12``, so ``SUMMANDS`` states the
-summand of each of the six split kinds once and ``SPLITS`` names the two
-pieces of each ``sigma1``.  The split pieces satisfy clean one-step
-recurrences in m which drive the induction for the product-of-quadrics
-comparison theorem.  All internal arithmetic is over Fraction because the
-recurrences are exercised at grid edges where (n-2) appears with a negative
-exponent against a nonzero binomial coefficient.
+``sigma1`` is defined as ``sigma11 + sigma12``, so ``CLOSED`` states each of
+the six split kinds once and ``SPLITS`` names the two pieces of each
+``sigma1``.  Each split kind sums C(l, 2r) or C(l, 2r + 1) times powers of
+q = n - 2 and 2 over r <= l // 2: the even or odd part of a binomial
+expansion (Concrete Mathematics, 5.1), so it is a few integer powers.  The
+split pieces satisfy one-step recurrences in m which drive the induction for
+the product-of-quadrics comparison theorem.  At grid edges q and 2 appear
+with negative exponents, so each value is one exact Fraction over q^a 2^t.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from .brauer import ResourceLimitError
 
 
-# The summand of each split kind at step r, as a function of m, q = n - 2,
-# l, j = 2r + 1, e = C(l, 2r) and o = C(l, 2r + 1); each sum runs over
-# 0 <= r <= l // 2.  q is a Fraction, as is the 2 in 12even, so the negative
-# exponents that occur at grid edges stay exact.
-SUMMANDS = {
-    "2even": lambda m, q, l, j, e, o: (e * 2 ** (j + 1) + o * 2**j) * q ** (m - (j + 1)),
-    "2odd": lambda m, q, l, j, e, o: (e + o) * q ** (m - (j + 1)),
-    "11even": lambda m, q, l, j, e, o: e * 2**j * q ** (m - j),
-    "11odd": lambda m, q, l, j, e, o: e * q ** (m - j),
-    "12even": lambda m, q, l, j, e, o: o * Fraction(2) ** (m - l + j) * q ** (l - j),
-    "12odd": lambda m, q, l, j, e, o: o * q ** (l - j),
+# Each split kind in closed form, with E = ((q+b)^l + (q-b)^l) / 2 and
+# O = ((q+b)^l - (q-b)^l) / 2, b = 2 for the even kinds and 1 for the odd
+# ones.  w(i, j) is q^i 2^j times the common denominator q^a 2^t, an integer
+# for every exponent used here.
+CLOSED = {
+    "2even": lambda w, m, l, e, o: w(m - 2 - l, 2) * e + w(m - 1 - l) * o,
+    "2odd": lambda w, m, l, e, o: w(m - 2 - l) * e + w(m - 1 - l) * o,
+    "11even": lambda w, m, l, e, o: w(m - 1 - l, 1) * e,
+    "11odd": lambda w, m, l, e, o: w(m - 1 - l) * e,
+    "12even": lambda w, m, l, e, o: w(0, m - l) * o,
+    "12odd": lambda w, m, l, e, o: w(0) * o,
 }
 
 # sigma1 is by definition sigma11 + sigma12.
 SPLITS = {"1even": ("11even", "12even"), "1odd": ("11odd", "12odd")}
 
-KINDS = (*SPLITS, *SUMMANDS)
+KINDS = (*SPLITS, *CLOSED)
 
 
 def _canon_kind(kind: str) -> str:
@@ -68,9 +68,9 @@ def _check_domain(m: int, n: int, l: int) -> None:
 # numerator or denominator may have more is refused before any summing, and
 # so is a call, or a grid of calls, whose summing work passes MAX_SUM_WORK.
 MAX_DIGITS = 4300
-# Work in digit-steps: each summand added costs the estimated digits of the
-# sum plus 100, the interpreter's share of a step on small values.  A unit
-# takes about 0.1 us on a 2-core VM (Python 3.11), so the limit is about 2 s.
+# Work in digit-steps of the literal sum over r: each summand costs the
+# estimated digits of the sum plus 100.  The closed form costs far less: a
+# call at the limit takes under 1 ms on a 2-core VM (Python 3.11).
 MAX_SUM_WORK = 20_000_000
 
 
@@ -105,15 +105,15 @@ def sigma_fraction(kind: str, m: int, n: int, l: int) -> Fraction:
     """The sum as an exact rational, defined for every l >= 0; past the
     frontiers of ``_check_work`` it raises ``ResourceLimitError``."""
     kind = _canon_kind(kind)
-    parts = [SUMMANDS[part] for part in SPLITS.get(kind, (kind,))]
+    parts = SPLITS.get(kind, (kind,))
     _check_work(((len(parts), m, n, l),))
-    q = Fraction(n - 2)
-    total = Fraction(0)
-    for r in range(l // 2 + 1):
-        j, e, o = 2 * r + 1, comb(l, 2 * r), comb(l, 2 * r + 1)
-        for summand in parts:
-            total += summand(m, q, l, j, e, o)
-    return total
+    q, b = n - 2, 2 if kind.endswith("even") else 1
+    plus, minus = (q + b) ** l, (q - b) ** l
+    e, o = (plus + minus) >> 1, (plus - minus) >> 1
+    a, t = max(0, l + 2 - m), max(0, l - m)  # clear q^(m-2-l) and 2^(m-l)
+    def w(i: int, j: int = 0) -> int:
+        return q ** (i + a) << (j + t)
+    return Fraction(sum(CLOSED[part](w, m, l, e, o) for part in parts), w(0))
 
 
 def sigma(kind: str, m: int, n: int, l: int) -> int:

@@ -4,8 +4,9 @@ Nothing here calls the library's closed forms.  Local solvability is decided
 by enumerating primitive solutions modulo a Hensel-sufficient prime power;
 box weights by direct partition enumeration; finite-group arithmetic, the
 isomorphism signature and the per-prime isomorphism test by coordinate loops
-over the expanded multiset; sigma1 by its displayed two-term formula; the
-even-Clifford class by the pairwise Fraction formula over trial division.
+over the expanded multiset; sigma1 by its displayed two-term formula; every
+sigma kind by its literal sum over r; the even-Clifford class by the pairwise
+Fraction formula over trial division.
 """
 
 from __future__ import annotations
@@ -326,6 +327,36 @@ def sigma1_direct(parity: str, m: int, n: int, l: int) -> Fraction:
         else:
             total += even_part * q ** (m - (2 * r + 1))
             total += odd_part * q ** (l - (2 * r + 1))
+    return total
+
+
+# The summand of each split kind at step r, as a function of m, q = n - 2,
+# l, j = 2r + 1, e = C(l, 2r) and o = C(l, 2r + 1); each sum runs over
+# 0 <= r <= l // 2.  q is a Fraction, as is the 2 in 12even, so the negative
+# exponents that occur at grid edges stay exact.
+SUMMANDS = {
+    "2even": lambda m, q, l, j, e, o: (e * 2 ** (j + 1) + o * 2**j) * q ** (m - (j + 1)),
+    "2odd": lambda m, q, l, j, e, o: (e + o) * q ** (m - (j + 1)),
+    "11even": lambda m, q, l, j, e, o: e * 2**j * q ** (m - j),
+    "11odd": lambda m, q, l, j, e, o: e * q ** (m - j),
+    "12even": lambda m, q, l, j, e, o: o * Fraction(2) ** (m - l + j) * q ** (l - j),
+    "12odd": lambda m, q, l, j, e, o: o * q ** (l - j),
+}
+
+# sigma1 is by definition sigma11 + sigma12.
+LITERAL_SPLITS = {"1even": ("11even", "12even"), "1odd": ("11odd", "12odd")}
+
+
+def sigma_literal(kind: str, m: int, n: int, l: int) -> Fraction:
+    """Any of the eight sigma kinds (canonical spelling) as the literal sum
+    over r of its summands, in Fraction steps."""
+    parts = [SUMMANDS[part] for part in LITERAL_SPLITS.get(kind, (kind,))]
+    q = Fraction(n - 2)
+    total = Fraction(0)
+    for r in range(l // 2 + 1):
+        j, e, o = 2 * r + 1, math.comb(l, 2 * r), math.comb(l, 2 * r + 1)
+        for summand in parts:
+            total += summand(m, q, l, j, e, o)
     return total
 
 

@@ -218,6 +218,13 @@ class TestRationalClasses:
         with pytest.raises(ValueError):
             RationalClass(((2, Fraction(1, 2)),))
 
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_duplicate_place_is_refused_whatever_its_residue(self, zero_first):
+        entries = [(2, Fraction(1, 2)), (3, Fraction(1, 2))]
+        entries.insert(0 if zero_first else 2, (2, Fraction(0)))
+        with pytest.raises(ValueError, match="duplicate place 2"):
+            RationalClass(tuple(entries))
+
     def test_real_invariant_restricted(self):
         with pytest.raises(ValueError):
             RationalClass((("real", Fraction(1, 3)), (3, Fraction(2, 3))))

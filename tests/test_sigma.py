@@ -2,10 +2,10 @@ import importlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import sigma1_direct
+from oracles import LITERAL_SPLITS, SUMMANDS, sigma1_direct, sigma_literal
 from titsmeasure.brauer import ResourceLimitError
 from titsmeasure.sigma import (
     KINDS,
@@ -83,6 +83,36 @@ class TestClosedForms:
             for m in range(2, 10):
                 assert sigma("1even", m, n, 1) > sigma("2even", m, n, 1)
                 assert sigma("1odd", m, n, 1) > sigma("2odd", m, n, 1)
+
+
+class TestLiteralOracle:
+    """The closed forms against the literal sums over r, past l = m (negative
+    exponents of q and 2) and at n = 3, 4 (q - b is 0 or negative)."""
+
+    def test_every_kind_on_the_full_grid(self):
+        # 8 kinds x m 1..15 x n 3..13 x l 0..15: 21,120 values.  sigma1's
+        # literal sum is the sum of its two literal split sums.
+        for m in range(1, 16):
+            for n in range(3, 14):
+                for l in range(16):
+                    literal = {kind: sigma_literal(kind, m, n, l) for kind in SUMMANDS}
+                    for kind, parts in LITERAL_SPLITS.items():
+                        literal[kind] = sum(literal[part] for part in parts)
+                    assert sorted(literal) == sorted(KINDS)
+                    for kind, value in literal.items():
+                        assert sigma_fraction(kind, m, n, l) == value, (kind, m, n, l)
+
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(1, 40),
+        st.one_of(st.sampled_from([3, 4]), st.integers(3, 60)),
+        st.integers(0, 50),
+    )
+    @example("12even", 1, 3, 40)  # 2^(m - l) and q^(m - 2 - l) far below zero
+    @example("2even", 2, 4, 9)  # q - b = 0
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_sum(self, kind, m, n, l):
+        assert sigma_fraction(kind, m, n, l) == sigma_literal(kind, m, n, l)
 
 
 class TestRecurrences:
