@@ -5,17 +5,19 @@ Two interchangeable backends:
 - ``AbstractGroup``: a finite abelian group ``Z/n_1 x ... x Z/n_k`` whose
   elements stand for Brauer classes.  Everything is enumerable, which is what
   the verification suites need.  Each element has a mixed-radix index, and
-  the group object fills tables keyed by it on demand (interned class,
-  order, primes, negation, sums, p-parts), so class arithmetic is a lookup
-  and memory follows the classes actually touched.
+  the group fills tables from index to index on demand (negation, sums,
+  p-parts; also coords, order and primes), so class arithmetic is a lookup,
+  memory follows the indices actually touched, and ``AbstractClass`` is a
+  (group, index) value built at the edges, never interned.
 - ``RATIONALS`` / ``RationalClass``: Br(Q) presented by local invariants, a
   finitely supported map from places of Q to exact residues in [0,1) summing
   to 0 mod 1.  Constructed by the Hilbert-symbol layer in ``rationals``.
 
 Both class kinds support addition, negation, order, p-primary parts and
 ``primes()``.  Each model keys its classes: ``class_key`` (canonical order),
-``class_at`` (the class at a key), and the lookups ``key_primes[key]`` and
-``p_part_keys[p][key]`` that ``motives`` works on without building classes.
+``class_at`` (the class at a key), and the lookups ``key_primes[key]``,
+``p_part_keys[p][key]`` and ``add_keys(a, b)`` that ``motives`` works on
+without building classes.
 
 Index policy: by default the index of a class is its order (period), which is
 exact over number fields; abstract models may carry an oracle table asserting
@@ -269,9 +271,12 @@ class AbstractGroup:
 
     Element ``coords`` read as a mixed-radix number (first coordinate most
     significant) give the element's index, so index order is coordinate
-    order.  The group owns lazily filled tables keyed by index: the interned
-    class, its order, its primes, its negation, pairwise sums and the index
-    of each p-part.  Only classes that are actually touched get entries.
+    order.  The group owns lazily filled tables from an index to the index
+    of its negation, of each sum and of each p-part, and to its coords, order
+    and primes.  Only indices actually touched get entries.  The fillers
+    close over the orders and strides, not over the group, so a group holds
+    no reference to itself and dies with its last user; ``AbstractClass``
+    values are built from indices at the edges and are not interned.
     """
 
     orders: tuple[int, ...]
@@ -282,36 +287,57 @@ class AbstractGroup:
         if not all(isinstance(n, int) and n >= 1 for n in self.orders):
             raise ValueError(f"cyclic orders must be positive integers: {self.orders}")
         orders = tuple(int(n) for n in self.orders)
-        strides = []
-        size = 1
-        for n in reversed(orders):
-            strides.append(size)
-            size *= n
+        size = math.prod(orders)
+        strides = [math.prod(orders[k + 1:]) for k in range(len(orders))]
+
+        def index(cs: Iterable[int]) -> int:
+            return sum((c % n) * s for c, n, s in zip(cs, orders, strides))
+
+        def sum_at(ij: int) -> int:
+            i, j = divmod(ij, size)
+            return index(map(operator.add, coords[i], coords[j]))
+
+        def p_part_table(p: int) -> _Table:
+            if not is_prime(p):
+                raise ValueError(f"not a prime: {p}")
+            return _Table(lambda i: index(
+                _crt_p_component(c, n, p) for c, n in zip(coords[i], orders)
+            ))
+
+        # Digit k of an index is its coordinate k: index // strides[k] mod orders[k].
+        coords = _Table(lambda i: tuple(i // s % n for s, n in zip(strides, orders)))
+        order = _Table(lambda i: math.lcm(
+            *(n // math.gcd(n, i // s % n) for s, n in zip(strides, orders))
+        ))
+        exponent = math.lcm(*orders)
+        factored = _Table(lambda n: tuple(prime_factors(n)))  # asked for the exponent only
         init = object.__setattr__
         init(self, "orders", orders)
         init(self, "_size", size)
-        init(self, "_strides", tuple(reversed(strides)))
-        init(self, "_classes", _Table(self._make_class))  # index -> interned class
-        init(self, "class_at", self._classes.__getitem__)  # the class with a class_key
-        init(self, "_order", _Table(self._order_at))  # index -> order of the class
-        init(self, "key_primes", _Table(self._primes_at))  # index -> primes of that order
-        init(self, "_neg", _Table(self._neg_at))  # index -> class of the negation
-        init(self, "_sum", _Table(self._sum_at))  # i * size + j -> class of the sum
-        # prime -> {index: index of the p-primary part}
-        init(self, "p_part_keys", _Table(self._p_part_table))
-        init(self, "_exponent_primes", None)
+        init(self, "_coords", coords)  # index -> coords
+        init(self, "_index", index)  # coords -> index
+        init(self, "exponent", exponent)
+        init(self, "_factored", factored)
+        init(self, "_order", order)  # index -> order of the class
+        # index -> primes of that order
+        init(self, "key_primes", _Table(
+            lambda i: tuple(p for p in factored[exponent] if order[i] % p == 0)
+        ))
+        init(self, "_neg", _Table(lambda i: index([-c for c in coords[i]])))  # index -> negation
+        init(self, "_sum", _Table(sum_at))  # i * size + j -> index of the sum
+        init(self, "p_part_keys", _Table(p_part_table))  # prime -> {index: index of the p-part}
         canon = []
-        for coords, idx in self.index_oracle:
-            cls = self.element(coords)
-            per = cls.order()
+        for cs, idx in self.index_oracle:
+            i = self.element(cs).index
+            per = order[i]
             if idx % per != 0 or set(prime_factors(idx)) != set(prime_factors(per)):
                 raise ValueError(
-                    f"index oracle entry {idx} for {coords} incompatible with period {per}"
+                    f"index oracle entry {idx} for {cs} incompatible with period {per}"
                 )
-            canon.append((cls.coords, int(idx)))
+            canon.append((coords[i], int(idx)))
         oracle = tuple(sorted(canon))
         init(self, "index_oracle", oracle)
-        init(self, "_oracle", {self.element(c).index: idx for c, idx in oracle})
+        init(self, "_oracle", {index(c): idx for c, idx in oracle})
         init(self, "_hash", hash((orders, oracle)))
 
     def __eq__(self, other) -> bool:
@@ -332,34 +358,33 @@ class AbstractGroup:
     def kind(self) -> str:
         return "abstract"
 
+    def class_at(self, idx: int) -> "AbstractClass":
+        """The class with ``class_key`` (index) ``idx``; the one place a class
+        is built from an index."""
+        cls = object.__new__(AbstractClass)
+        object.__setattr__(cls, "group", self)
+        object.__setattr__(cls, "index", idx)
+        return cls
+
     def identity(self) -> "AbstractClass":
-        return self._classes[0]
+        return self.class_at(0)
+
+    def add_keys(self, i: int, j: int) -> int:
+        """The index of the sum of the classes at indices ``i`` and ``j``."""
+        return self._sum[i * self._size + j]
 
     def element(self, coords: Sequence[int]) -> "AbstractClass":
-        if len(coords) != len(self.orders):
-            raise ValueError(
-                f"expected {len(self.orders)} coordinates, got {len(coords)}"
-            )
-        return self._classes[self._index(int(c) for c in coords)]
+        return AbstractClass(self, coords)
 
     def elements(self) -> Iterator["AbstractClass"]:
-        for idx in range(self._size):
-            yield self._classes[idx]
+        return map(self.class_at, range(self._size))
 
     @property
     def order(self) -> int:
         return self._size
 
-    @property
-    def exponent(self) -> int:
-        return math.lcm(*self.orders) if self.orders else 1
-
     def primes(self) -> tuple[int, ...]:
-        if self._exponent_primes is None:
-            object.__setattr__(
-                self, "_exponent_primes", tuple(sorted(prime_factors(self.exponent)))
-            )
-        return self._exponent_primes
+        return self._factored[self.exponent]
 
     def index_of(self, cls: "AbstractClass") -> int:
         if cls.group != self:
@@ -374,42 +399,6 @@ class AbstractGroup:
                 for coords, idx in self.index_oracle
             ]
         return payload
-
-    # -- tables -----------------------------------------------------------
-
-    def _make_class(self, idx: int) -> "AbstractClass":
-        coords = []
-        rem = idx
-        for s in self._strides:
-            c, rem = divmod(rem, s)
-            coords.append(c)
-        return AbstractClass._interned(self, idx, tuple(coords))
-
-    def _index(self, coords: Iterable[int]) -> int:
-        return sum((c % n) * s for c, n, s in zip(coords, self.orders, self._strides))
-
-    def _order_at(self, idx: int) -> int:
-        coords = self._classes[idx].coords
-        return math.lcm(*(n // math.gcd(n, c) for c, n in zip(coords, self.orders)), 1)
-
-    def _primes_at(self, idx: int) -> tuple[int, ...]:
-        per = self._order[idx]
-        return tuple(p for p in self.primes() if per % p == 0)
-
-    def _neg_at(self, idx: int) -> "AbstractClass":
-        return self._classes[self._index(-c for c in self._classes[idx].coords)]
-
-    def _sum_at(self, pair: int) -> "AbstractClass":
-        i, j = divmod(pair, self._size)
-        a, b = self._classes[i].coords, self._classes[j].coords
-        return self._classes[self._index(x + y for x, y in zip(a, b))]
-
-    def _p_part_table(self, p: int) -> "_Table":
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
-        return _Table(lambda idx: self._index(
-            _crt_p_component(c, n, p) for c, n in zip(self._classes[idx].coords, self.orders)
-        ))
 
 
 @dataclass(frozen=True)
@@ -436,6 +425,10 @@ class _RationalGroup:
     @property
     def p_part_keys(self) -> _Table:
         return _Table(lambda p: _Table(lambda key: self.class_at(key).p_part(p).sort_key()))
+
+    def add_keys(self, a: tuple, b: tuple) -> tuple:
+        """The key of the sum of the classes at keys ``a`` and ``b``."""
+        return (self.class_at(a) + self.class_at(b)).sort_key()
 
     def identity(self) -> "RationalClass":
         return RationalClass._of({})
@@ -469,26 +462,23 @@ def _crt_p_component(c: int, n: int, p: int) -> int:
 
 
 class AbstractClass:
-    """An element of an ``AbstractGroup``, interned per group by its index.
+    """An element of an ``AbstractGroup``: the value (group, index).
 
-    Equality is by value (group and coords); ``order``, ``p_part``, ``+``,
-    ``-`` and hashing are lookups in the group's tables.
+    ``AbstractClass(group, coords)`` reduces the coords modulo the orders.
+    Equality is by value (group and index); ``order``, ``p_part``, ``+`` and
+    ``-`` are lookups in the group's index tables, and ``coords`` is read
+    back from the index.
     """
 
-    __slots__ = ("group", "coords", "index", "_hash")
+    __slots__ = ("group", "index")
 
-    def __new__(cls, group: AbstractGroup, coords: Sequence[int]) -> "AbstractClass":
-        return group.element(coords)
-
-    @classmethod
-    def _interned(cls, group: AbstractGroup, idx: int, coords: tuple[int, ...]):
-        self = object.__new__(cls)
-        init = object.__setattr__
-        init(self, "group", group)
-        init(self, "coords", coords)
-        init(self, "index", idx)
-        init(self, "_hash", hash((group.orders, idx)))
-        return self
+    def __init__(self, group: AbstractGroup, coords: Sequence[int]) -> None:
+        if len(coords) != len(group.orders):
+            raise ValueError(
+                f"expected {len(group.orders)} coordinates, got {len(coords)}"
+            )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "index", group._index([int(c) for c in coords]))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -502,6 +492,10 @@ class AbstractClass:
     def __repr__(self) -> str:
         return f"AbstractClass(group={self.group!r}, coords={self.coords!r})"
 
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return self.group._coords[self.index]
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -510,22 +504,23 @@ class AbstractClass:
         return self.index == other.index and self.group == other.group
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.group.orders, self.index))
 
     def __add__(self, other: "AbstractClass") -> "AbstractClass":
         g = self.group
         if other.group is not g:
             common_group(self, other)
-        return g._sum[self.index * g._size + other.index]
+        return g.class_at(g._sum[self.index * g._size + other.index])
 
     def __neg__(self) -> "AbstractClass":
-        return self.group._neg[self.index]
+        g = self.group
+        return g.class_at(g._neg[self.index])
 
     def __sub__(self, other: "AbstractClass") -> "AbstractClass":
         return self + (-other)
 
     def __mul__(self, k: int) -> "AbstractClass":
-        return self.group.element(tuple(k * c for c in self.coords))
+        return AbstractClass(self.group, [k * c for c in self.coords])
 
     __rmul__ = __mul__
 
@@ -537,7 +532,7 @@ class AbstractClass:
 
     def p_part(self, p: int) -> "AbstractClass":
         g = self.group
-        return g._classes[g.p_part_keys[p][self.index]]
+        return g.class_at(g.p_part_keys[p][self.index])
 
     def primes(self) -> tuple[int, ...]:
         """Primes dividing the order of the class, ascending."""

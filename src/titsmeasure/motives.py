@@ -5,7 +5,7 @@ multiplicity) pairs sorted by key, the key being ``group.class_key`` (the
 index for abstract groups, ``RationalClass.sort_key`` over Q).  ``rank`` is
 the sum of the multiplicities; ``len`` returns it too, up to 2^63 - 1, the
 most Python's ``len`` allows.  ``counts`` and ``classes`` (the sorted
-expansion) look their class objects up with ``group.class_at`` when first
+expansion) build their class objects with ``group.class_at`` when first
 read, once per sum.  Two sums are isomorphic exactly when they have the same
 rank and, prime by prime, the same multiset of p-primary parts;
 ``signature`` reads the primes and p-parts of each key from the group's
@@ -76,13 +76,7 @@ class MotiveSum:
 
     @classmethod
     def of(cls, group: BrauerGroup, classes: Iterable[BrauerClass]) -> "MotiveSum":
-        key = group.class_key
-        pairs = []
-        for c in classes:
-            if c.group is not group and c.group != group:
-                raise GroupMismatchError("class outside the declared group model")
-            pairs.append((key(c), 1))
-        return cls._of_keys(group, pairs, len(pairs))
+        return cls(group, [(c, 1) for c in classes])
 
     @cached_property
     def counts(self) -> tuple[Count, ...]:
@@ -127,14 +121,13 @@ def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:
 def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     """Pairwise class sums with multiplicity products; models the product.
 
-    A convolution over the two supports: each pair of distinct classes is
-    added once and weighted by the product of multiplicities.
+    A convolution over the two supports: each pair of distinct keys is added
+    once, by ``group.add_keys``, and weighted by the product of multiplicities.
     """
     group = common_group(x, y)
-    key, at = group.class_key, group.class_at
-    xs, ys = ([(at(kc), k) for kc, k in s.key_counts] for s in (x, y))
+    add = group.add_keys
     return MotiveSum._of_keys(group, [
-        (key(a + b), i * j) for a, i in xs for b, j in ys
+        (add(a, b), i * j) for a, i in x.key_counts for b, j in y.key_counts
     ], x.rank * y.rank)
 
 

@@ -105,8 +105,13 @@ def sigma_fraction(kind: str, m: int, n: int, l: int) -> Fraction:
     """The sum as an exact rational, defined for every l >= 0; past the
     frontiers of ``_check_work`` it raises ``ResourceLimitError``."""
     kind = _canon_kind(kind)
+    _check_work(((len(SPLITS.get(kind, (kind,))), m, n, l),))
+    return _closed(kind, m, n, l)
+
+
+def _closed(kind: str, m: int, n: int, l: int) -> Fraction:
+    """``sigma_fraction`` of a canonical kind at a cell ``_check_work`` accepted."""
     parts = SPLITS.get(kind, (kind,))
-    _check_work(((len(parts), m, n, l),))
     q, b = n - 2, 2 if kind.endswith("even") else 1
     plus, minus = (q + b) ** l, (q - b) ** l
     e, o = (plus + minus) >> 1, (plus - minus) >> 1
@@ -174,12 +179,13 @@ def recurrence_violations(
                 yield from ((n, m, l) for l in range(m))
 
     # Each kind in the table is one summand; each cell sums at m - 1 and at m.
+    # Accepted as a whole, every cell is evaluated without a second check.
     _check_work((len(table), m - i, n, l) for n, m, l in cells() for i in (1, 0))
     bad: list[dict] = []
     for n, m, l in cells():
         for kind, factor in table.items():
-            lhs = sigma_fraction(kind, m - 1, n, l)
-            rhs = sigma_fraction(kind, m, n, l) / factor(n)
+            lhs = _closed(kind, m - 1, n, l)
+            rhs = _closed(kind, m, n, l) / factor(n)
             if lhs != rhs:
                 bad.append({"kind": kind, "m": m, "n": n, "l": l,
                             "lhs": str(lhs), "rhs": str(rhs)})
@@ -197,5 +203,4 @@ def extra_condition_failures(m: int, n: int) -> list[int]:
     suffix = "even" if n % 2 == 0 else "odd"
     ls = range(2, m - 2)
     _check_work((3, m, n, l) for l in ls)  # sigma1 has two summands, sigma2 one; n >= 3
-    return [l for l in ls
-            if not sigma_fraction("1" + suffix, m, n, l) > sigma_fraction("2" + suffix, m, n, l)]
+    return [l for l in ls if not _closed("1" + suffix, m, n, l) > _closed("2" + suffix, m, n, l)]

@@ -2,7 +2,10 @@
 
 Each suite enumerates (or samples with a fixed seed) configurations on a
 finite abstract Brauer-group model and searches them for a witness against
-the claimed property.  ``VerificationRun.of`` turns the search result into a
+the claimed property.  A multiset state is a sorted tuple of class indices,
+and the group's index tables do the arithmetic; classes are built only where
+a layer takes them (a quadric's Clifford class, a ring element's terms) and
+for witness payloads.  ``VerificationRun.of`` turns the search result into a
 certificate.  Counterexample witnesses are emitted in replayable form; reruns
 with the same parameters are byte-identical.
 """
@@ -16,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .brauer import AbstractClass, AbstractGroup, ResourceLimitError, record_payload
+from .brauer import AbstractGroup, ResourceLimitError, record_payload
 from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
@@ -101,9 +104,16 @@ def _at_least(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def _states(elements: list, sizes: Iterable[int]) -> list[tuple[AbstractClass, ...]]:
-    """Every multiset of ``elements`` of each size in ``sizes``, as sorted tuples."""
-    return [s for m in sizes for s in itertools.combinations_with_replacement(elements, m)]
+def _states(group: AbstractGroup, sizes: Iterable[int]) -> list[tuple[int, ...]]:
+    """Every multiset of the group's classes of each size in ``sizes``, as
+    sorted tuples of indices."""
+    indices = range(group.order)
+    return [s for m in sizes for s in itertools.combinations_with_replacement(indices, m)]
+
+
+def _sum_of(group: AbstractGroup, state) -> MotiveSum:
+    """The motive sum of a multiset of class indices."""
+    return MotiveSum._of_keys(group, [(i, 1) for i in state], len(state))
 
 
 def _collision(pairs: Iterable[tuple]) -> list[int] | None:
@@ -118,16 +128,12 @@ def _collision(pairs: Iterable[tuple]) -> list[int] | None:
     return None
 
 
-def _state_key(classes: Iterable[AbstractClass]) -> tuple:
-    return tuple(sorted(c.index for c in classes))
+def _state_payload(group: AbstractGroup, state: Iterable[int]) -> list:
+    return [list(group.class_at(i).coords) for i in sorted(state)]
 
 
-def _state_payload(classes: Iterable[AbstractClass]) -> list:
-    return [list(c.coords) for c in sorted(classes, key=AbstractGroup.class_key)]
-
-
-def _terms_payload(terms: dict) -> list:
-    return [[list(c.coords), k] for c, k in sorted(terms.items(), key=lambda t: t[0].index)]
+def _terms_payload(group: AbstractGroup, terms: dict[int, int]) -> list:
+    return [[list(group.class_at(i).coords), k] for i, k in sorted(terms.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -135,39 +141,40 @@ def _terms_payload(terms: dict) -> list:
 # coprime-splitting relations, compared as partitions of fixed-size multisets.
 # ---------------------------------------------------------------------------
 
-def _coprime_splits(group: AbstractGroup, delta: AbstractClass):
-    """All (a, a') with a + a' = delta, both nonzero, coprime orders."""
-    for a in group.elements():
-        if a.is_identity():
-            continue
-        b = delta - a
-        if not b.is_identity() and math.gcd(a.order(), b.order()) == 1:
-            yield a, b
+def _coprime_splits(group: AbstractGroup, delta: int) -> list[tuple[int, int]]:
+    """All index pairs (a, a') with a + a' = delta, both nonzero, coprime orders."""
+    size, add, neg, order = group.order, group._sum, group._neg, group._order
+    out = []
+    for a in range(1, size):
+        b = add[delta * size + neg[a]]
+        if b and math.gcd(order[a], order[b]) == 1:
+            out.append((a, b))
+    return out
 
 
 def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict | None:
     """A multiset pair on which the two partitions disagree; with none, the
     states checked per size go into ``details``."""
-    elements = list(group.elements())
-    splits = {e.index: list(_coprime_splits(group, e)) for e in elements}
+    size, add, neg = group.order, group._sum, group._neg
+    splits = [_coprime_splits(group, e) for e in range(size)]
 
     def neighbors(state):
         out = []
         for i, j in itertools.combinations(range(len(state)), 2):
             for base_i, other_i in ((i, j), (j, i)):
                 base, other = state[base_i], state[other_i]
-                for a, b in splits[(other - base).index]:
+                for a, b in splits[add[other * size + neg[base]]]:
                     rest = list(state)
                     del rest[max(i, j)], rest[min(i, j)]
-                    rest.extend((base + a, base + b))
-                    out.append(_state_key(rest))
+                    rest.extend((add[base * size + a], add[base * size + b]))
+                    out.append(tuple(sorted(rest)))
         return out
 
     states_checked: dict[str, int] = {}
     for m in range(1, m_max + 1):
-        states = _states(elements, (m,))
+        states = _states(group, (m,))
         states_checked[str(m)] = len(states)
-        index = {_state_key(s): i for i, s in enumerate(states)}
+        index = {s: i for i, s in enumerate(states)}
 
         # BFS components under the split rewrites.
         component = {}
@@ -182,7 +189,7 @@ def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict |
                         component[nxt] = start
                         queue.append(nxt)
 
-        signature = [MotiveSum.of(group, s).signature() for s in states]
+        signature = [_sum_of(group, s).signature() for s in states]
         by_component: dict[int, list] = {}
         by_signature: dict[tuple, list] = {}
         for i in range(len(states)):
@@ -194,19 +201,13 @@ def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict |
             comps = {component[i] for i in sig_block}
             if len(comps) > 1:
                 picks = sorted(min(i for i in sig_block if component[i] == c) for c in comps)
-                return {
-                    "m": m,
-                    "same_signature_not_connected": [_state_payload(states[p]) for p in picks[:2]],
-                }
+                pair = [_state_payload(group, states[p]) for p in picks[:2]]
+                return {"m": m, "same_signature_not_connected": pair}
         for first, *rest in by_component.values():
             other = next((i for i in rest if signature[i] != signature[first]), None)
             if other is not None:
-                return {
-                    "m": m,
-                    "connected_but_different_signature": [
-                        _state_payload(states[p]) for p in (first, other)
-                    ],
-                }
+                pair = [_state_payload(group, states[p]) for p in (first, other)]
+                return {"m": m, "connected_but_different_signature": pair}
     details["states_checked"] = states_checked
     return None
 
@@ -238,31 +239,28 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> Verific
 # ---------------------------------------------------------------------------
 
 def _sum_witness(group: AbstractGroup, card_max: int, trials: int, seed: int) -> dict | None:
-    elements = list(group.elements())
-    states = _states(elements, range(card_max + 1))
-    base_sig = [MotiveSum.of(group, s).signature() for s in states]
+    states = _states(group, range(card_max + 1))
+    base_sig = [_sum_of(group, s).signature() for s in states]
     for n_state in states:
         # Signature of the concatenation; same computation the motive layer
         # performs, on the concatenated tuple.
         hit = _collision(
-            (MotiveSum.of(group, x_state + n_state).signature(), base_sig[i])
+            (_sum_of(group, x_state + n_state).signature(), base_sig[i])
             for i, x_state in enumerate(states)
         )
         if hit:
             x, y, n = states[hit[0]], states[hit[1]], n_state
-            return {"x": _state_payload(x), "y": _state_payload(y), "n": _state_payload(n)}
+            return {name: _state_payload(group, s) for name, s in (("x", x), ("y", y), ("n", n))}
 
     rng = random.Random(seed)
+    indices = range(group.order)
     for _ in range(trials):
-        x = MotiveSum.of(group, [rng.choice(elements) for _ in range(rng.randint(0, card_max))])
-        y = MotiveSum.of(group, [rng.choice(elements) for _ in range(len(x))])
-        n = MotiveSum.of(group, [rng.choice(elements) for _ in range(rng.randint(0, card_max))])
-        if is_isomorphic(direct_sum(x, n), direct_sum(y, n)) != is_isomorphic(x, y):
-            return {
-                "x": _state_payload(x.classes),
-                "y": _state_payload(y.classes),
-                "n": _state_payload(n.classes),
-            }
+        x = [rng.choice(indices) for _ in range(rng.randint(0, card_max))]
+        y = [rng.choice(indices) for _ in range(len(x))]
+        n = [rng.choice(indices) for _ in range(rng.randint(0, card_max))]
+        xs, ys, ns = (_sum_of(group, s) for s in (x, y, n))
+        if is_isomorphic(direct_sum(xs, ns), direct_sum(ys, ns)) != is_isomorphic(xs, ys):
+            return {name: _state_payload(group, s) for name, s in (("x", x), ("y", y), ("n", n))}
     return None
 
 
@@ -294,19 +292,18 @@ def verify_sum_cancellation(
 # ---------------------------------------------------------------------------
 
 def _tensor_witness(group: AbstractGroup, n_dim: int, card_max: int) -> dict | None:
-    elements = list(group.elements())
-    two_torsion = [c for c in elements if c.order() <= 2]
-    states = _states(elements, range(1, card_max + 1))
-    for c in two_torsion:
+    two_torsion = [i for i in range(group.order) if group._order[i] <= 2]
+    states = _states(group, range(1, card_max + 1))
+    for c in map(group.class_at, two_torsion):
         qc = Quadric(FormShadow(n_dim, c)).jt_classes()
-        xs = (MotiveSum.of(group, s) for s in states)
+        xs = (_sum_of(group, s) for s in states)
         hit = _collision((tensor(x, qc).signature(), x.signature()) for x in xs)
         if hit:
             return {
                 "c": list(c.coords),
                 "n_dim": n_dim,
-                "x": _state_payload(states[hit[0]]),
-                "y": _state_payload(states[hit[1]]),
+                "x": _state_payload(group, states[hit[0]]),
+                "y": _state_payload(group, states[hit[1]]),
             }
     return None
 
@@ -398,33 +395,35 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
 # Normal-form confluence: random rewrite orders all reach the same endpoint.
 # ---------------------------------------------------------------------------
 
-def _random_raw_element(group: AbstractGroup, rng: random.Random) -> dict:
+def _random_raw_element(group: AbstractGroup, rng: random.Random) -> dict[int, int]:
+    """A random element of the group ring, as {class index: coefficient}."""
     out: dict = {}
     for _ in range(rng.randint(1, 4)):
-        c = group.class_at(rng.randrange(group.order))
+        i = rng.randrange(group.order)
         k = rng.choice([-3, -2, -1, 1, 2, 3])
-        out[c] = out.get(c, 0) + k
-    return {c: k for c, k in out.items() if k}
+        out[i] = out.get(i, 0) + k
+    return {i: k for i, k in out.items() if k}
 
 
-def _rewrite_once(group: AbstractGroup, raw: dict, rng: random.Random) -> bool:
+def _rewrite_once(group: AbstractGroup, raw: dict[int, int], rng: random.Random) -> bool:
     """Apply one random coprime-split rewrite in place; False when none apply."""
-    candidates = [c for c, k in raw.items() if k and len(c.primes()) >= 2]
+    size, add, neg, primes_of = group.order, group._sum, group._neg, group.key_primes
+    candidates = [c for c, k in raw.items() if k and len(primes_of[c]) >= 2]
     if not candidates:
         return False
     c = rng.choice(candidates)
-    primes = c.primes()
+    primes = primes_of[c]
     cut = rng.randint(1, len(primes) - 1)
     chosen = rng.sample(primes, cut)
-    a = group.identity()
+    a = 0
     for p in chosen:
-        a = a + c.p_part(p)
-    b = c - a
+        a = add[a * size + group.p_part_keys[p][c]]
+    b = add[c * size + neg[a]]
     sign = 1 if raw[c] > 0 else -1
-    for cls, delta in ((c, -sign), (a, sign), (b, sign), (group.identity(), -sign)):
-        raw[cls] = raw.get(cls, 0) + delta
-        if not raw[cls]:
-            del raw[cls]
+    for i, delta in ((c, -sign), (a, sign), (b, sign), (0, -sign)):
+        raw[i] = raw.get(i, 0) + delta
+        if not raw[i]:
+            del raw[i]
     return True
 
 
@@ -432,7 +431,8 @@ def _confluence_witness(group: AbstractGroup, trials: int, seed: int) -> dict | 
     rng = random.Random(seed)
     for t in range(trials):
         raw = _random_raw_element(group, rng)
-        expected = dict(RingElement(group, tuple(raw.items())).terms)
+        terms = RingElement(group, tuple((group.class_at(i), k) for i, k in raw.items())).terms
+        expected = {c.index: k for c, k in terms}
         work = dict(raw)
         steps = 0
         while _rewrite_once(group, work, rng):
@@ -442,9 +442,9 @@ def _confluence_witness(group: AbstractGroup, trials: int, seed: int) -> dict | 
         if work != expected:
             return {
                 "trial": t,
-                "start": _terms_payload(raw),
-                "reached": _terms_payload(work),
-                "expected": _terms_payload(expected),
+                "start": _terms_payload(group, raw),
+                "reached": _terms_payload(group, work),
+                "expected": _terms_payload(group, expected),
             }
     return None
 

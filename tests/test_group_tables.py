@@ -1,6 +1,8 @@
 """The table-backed group core against the coordinate-loop reference formulas."""
 
+import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -44,18 +46,37 @@ def test_tables_match_reference_on_every_element(orders):
             assert (a - b).coords == coords_add(a.coords, coords_neg(b.coords, orders), orders)
 
 
-def test_classes_are_interned_and_equal_by_value():
+def test_classes_are_equal_by_value():
     g, h = AbstractGroup((12,)), AbstractGroup((12,))
     a = g.element([5])
-    assert a is g.element([17]) is AbstractClass(g, (5,))
-    assert a is g.element([2]) + g.element([3])
+    for same in (g.element([17]), AbstractClass(g, (5,)), g.element([2]) + g.element([3]), g.class_at(5)):
+        assert same == a and hash(same) == hash(a) and same.index == 5 and same.coords == (5,)
     # An equal group built separately gives equal classes with equal hashes.
     b = h.element([5])
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b)
     assert a + h.element([1]) == g.element([6])
-    assert len({a, b}) == 1
+    assert len({a, b, g.element([17])}) == 1
     assert a != AbstractGroup((12,), ((((1,), 12),))).element([5])
-    assert pickle.loads(pickle.dumps(a)) == a
+    for c in (a, g.element([0]), AbstractGroup((2, 6)).element([1, 4])):
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy == c and hash(copy) == hash(c) and copy.coords == c.coords
+
+
+def test_dropped_group_dies_without_the_cycle_collector():
+    gc.disable()
+    try:
+        g = AbstractGroup((12,), ((((1,), 12),)))
+        a, b = g.element([5]), g.element([4])
+        assert (a + b, -a, a - b, 3 * a) == tuple(map(g.element, ([9], [7], [1], [3])))
+        assert (a.order(), a.primes(), g.primes()) == (12, (2, 3), (2, 3))
+        assert (a.p_part(2), a.p_part(3)) == (g.element([9]), g.element([8]))
+        assert g.index_of(g.element([1])) == 12 and list(g.elements())[7] == g.element([7])
+        assert MotiveSum.of(g, [a, b, a]).signature()
+        ref = weakref.ref(g)
+        del g, a, b
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_classes_are_immutable():
@@ -76,7 +97,7 @@ def test_large_cyclic_group_stays_lazy():
     a = g.element([123456789])
     assert a.order() == 10**9
     assert a.p_part(2) + a.p_part(5) == a
-    assert len(g._classes) < 10
+    assert len(g._order) < 10 and len(g._sum) < 10
 
 
 @st.composite

@@ -80,7 +80,7 @@ def test_key_tables_stay_lazy_on_a_huge_group():
     ms = MotiveSum.of(g, [a, b, a])
     assert _as_counters(decode_signature(g, ms.signature())) == class_signature(ms)
     assert ms.counts == ((b, 1), (a, 2))
-    assert len(g._classes) < 10 and all(len(t) <= 2 for t in g.p_part_keys.values())
+    assert len(g.key_primes) < 10 and all(len(t) <= 2 for t in g.p_part_keys.values())
 
 
 class TestValueSemantics:
