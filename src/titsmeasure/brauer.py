@@ -17,7 +17,8 @@ Both class kinds support addition, negation, order, p-primary parts and
 ``primes()``.  Each model keys its classes: ``class_key`` (canonical order),
 ``class_at`` (the class at a key), and the lookups ``key_primes[key]``,
 ``p_part_keys[p][key]`` and ``add_keys(a, b)`` that ``motives`` works on
-without building classes.
+without building classes; ``AbstractGroup`` adds ``neg_keys[key]`` and
+``key_order[key]``, which ``verify`` walks its index states with.
 
 Index policy: by default the index of a class is its order (period), which is
 exact over number fields; abstract models may carry an oracle table asserting
@@ -318,12 +319,12 @@ class AbstractGroup:
         init(self, "_index", index)  # coords -> index
         init(self, "exponent", exponent)
         init(self, "_factored", factored)
-        init(self, "_order", order)  # index -> order of the class
+        init(self, "key_order", order)  # index -> order of the class
         # index -> primes of that order
         init(self, "key_primes", _Table(
             lambda i: tuple(p for p in factored[exponent] if order[i] % p == 0)
         ))
-        init(self, "_neg", _Table(lambda i: index([-c for c in coords[i]])))  # index -> negation
+        init(self, "neg_keys", _Table(lambda i: index([-c for c in coords[i]])))  # index -> negation
         init(self, "_sum", _Table(sum_at))  # i * size + j -> index of the sum
         init(self, "p_part_keys", _Table(p_part_table))  # prime -> {index: index of the p-part}
         canon = []
@@ -427,8 +428,15 @@ class _RationalGroup:
         return _Table(lambda p: _Table(lambda key: self.class_at(key).p_part(p).sort_key()))
 
     def add_keys(self, a: tuple, b: tuple) -> tuple:
-        """The key of the sum of the classes at keys ``a`` and ``b``."""
-        return (self.class_at(a) + self.class_at(b)).sort_key()
+        """The key of the sum of the classes at keys ``a`` and ``b``, built
+        from the keys: residues n/d add place by place mod 1, in lowest terms."""
+        acc = {(r, v): (n, d) for r, v, n, d in a}
+        for r, v, n, d in b:
+            n0, d0 = acc.get((r, v), (0, 1))
+            n, d = (n0 * d + n * d0) % (d0 * d), d0 * d
+            g = math.gcd(n, d)
+            acc[r, v] = (n // g, d // g)
+        return tuple(sorted((*v, n, d) for v, (n, d) in acc.items() if n))
 
     def identity(self) -> "RationalClass":
         return RationalClass._of({})
@@ -497,8 +505,6 @@ class AbstractClass:
         return self.group._coords[self.index]
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if other.__class__ is not AbstractClass:
             return NotImplemented
         return self.index == other.index and self.group == other.group
@@ -514,7 +520,7 @@ class AbstractClass:
 
     def __neg__(self) -> "AbstractClass":
         g = self.group
-        return g.class_at(g._neg[self.index])
+        return g.class_at(g.neg_keys[self.index])
 
     def __sub__(self, other: "AbstractClass") -> "AbstractClass":
         return self + (-other)
@@ -528,7 +534,7 @@ class AbstractClass:
         return self.index == 0
 
     def order(self) -> int:
-        return self.group._order[self.index]
+        return self.group.key_order[self.index]
 
     def p_part(self, p: int) -> "AbstractClass":
         g = self.group

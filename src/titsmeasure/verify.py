@@ -143,10 +143,10 @@ def _terms_payload(group: AbstractGroup, terms: dict[int, int]) -> list:
 
 def _coprime_splits(group: AbstractGroup, delta: int) -> list[tuple[int, int]]:
     """All index pairs (a, a') with a + a' = delta, both nonzero, coprime orders."""
-    size, add, neg, order = group.order, group._sum, group._neg, group._order
+    add, neg, order = group.add_keys, group.neg_keys, group.key_order
     out = []
-    for a in range(1, size):
-        b = add[delta * size + neg[a]]
+    for a in range(1, group.order):
+        b = add(delta, neg[a])
         if b and math.gcd(order[a], order[b]) == 1:
             out.append((a, b))
     return out
@@ -155,18 +155,18 @@ def _coprime_splits(group: AbstractGroup, delta: int) -> list[tuple[int, int]]:
 def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict | None:
     """A multiset pair on which the two partitions disagree; with none, the
     states checked per size go into ``details``."""
-    size, add, neg = group.order, group._sum, group._neg
-    splits = [_coprime_splits(group, e) for e in range(size)]
+    add, neg = group.add_keys, group.neg_keys
+    splits = [_coprime_splits(group, e) for e in range(group.order)]
 
     def neighbors(state):
         out = []
         for i, j in itertools.combinations(range(len(state)), 2):
             for base_i, other_i in ((i, j), (j, i)):
                 base, other = state[base_i], state[other_i]
-                for a, b in splits[add[other * size + neg[base]]]:
+                for a, b in splits[add(other, neg[base])]:
                     rest = list(state)
                     del rest[max(i, j)], rest[min(i, j)]
-                    rest.extend((add[base * size + a], add[base * size + b]))
+                    rest.extend((add(base, a), add(base, b)))
                     out.append(tuple(sorted(rest)))
         return out
 
@@ -292,7 +292,7 @@ def verify_sum_cancellation(
 # ---------------------------------------------------------------------------
 
 def _tensor_witness(group: AbstractGroup, n_dim: int, card_max: int) -> dict | None:
-    two_torsion = [i for i in range(group.order) if group._order[i] <= 2]
+    two_torsion = [i for i in range(group.order) if group.key_order[i] <= 2]
     states = _states(group, range(1, card_max + 1))
     for c in map(group.class_at, two_torsion):
         qc = Quadric(FormShadow(n_dim, c)).jt_classes()
@@ -407,7 +407,7 @@ def _random_raw_element(group: AbstractGroup, rng: random.Random) -> dict[int, i
 
 def _rewrite_once(group: AbstractGroup, raw: dict[int, int], rng: random.Random) -> bool:
     """Apply one random coprime-split rewrite in place; False when none apply."""
-    size, add, neg, primes_of = group.order, group._sum, group._neg, group.key_primes
+    add, neg, primes_of = group.add_keys, group.neg_keys, group.key_primes
     candidates = [c for c, k in raw.items() if k and len(primes_of[c]) >= 2]
     if not candidates:
         return False
@@ -417,8 +417,8 @@ def _rewrite_once(group: AbstractGroup, raw: dict[int, int], rng: random.Random)
     chosen = rng.sample(primes, cut)
     a = 0
     for p in chosen:
-        a = add[a * size + group.p_part_keys[p][c]]
-    b = add[c * size + neg[a]]
+        a = add(a, group.p_part_keys[p][c])
+    b = add(c, neg[a])
     sign = 1 if raw[c] > 0 else -1
     for i, delta in ((c, -sign), (a, sign), (b, sign), (0, -sign)):
         raw[i] = raw.get(i, 0) + delta

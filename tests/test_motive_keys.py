@@ -74,6 +74,13 @@ def test_key_signature_decodes_to_the_class_signature(ms):
     assert rank == len(ms) == len(ms.classes)
 
 
+@given(st.one_of(abstract_sums(), rational_sums()))
+@settings(max_examples=100, deadline=None)
+def test_tensor_adds_keys_as_the_classes_add(ms):
+    pairs = [(a + b, i * j) for a, i in ms.counts for b, j in ms.counts]
+    assert tensor(ms, ms) == MotiveSum(ms.group, pairs)
+
+
 def test_key_tables_stay_lazy_on_a_huge_group():
     g = AbstractGroup((10**9,))
     a, b = g.element([123456789]), g.element([2 * 5**9])

@@ -200,6 +200,7 @@ class TestFrontiers:
     def test_grid_work_is_checked_before_any_sum(self, monkeypatch):
         calls = []
         monkeypatch.setattr(sigma_module, "sigma_fraction", lambda *a: calls.append(a))
+        monkeypatch.setattr(sigma_module, "_closed", lambda *a: calls.append(a))
         with pytest.raises(ResourceLimitError):
             recurrence_violations(range(5, 21), range(2, 61))
         with pytest.raises(ResourceLimitError):

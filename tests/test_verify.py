@@ -120,7 +120,7 @@ class TestConfluence:
     def test_huge_group_builds_only_the_drawn_classes(self):
         g = AbstractGroup((10**9,))
         assert verify_normal_form_confluence(g, trials=1000).passed
-        assert len(g._order) < 20_000
+        assert len(g.key_order) < 20_000
 
 
 HANGING_CALLS = {
