@@ -516,7 +516,7 @@ class AbstractClass:
         g = self.group
         if other.group is not g:
             common_group(self, other)
-        return g.class_at(g._sum[self.index * g._size + other.index])
+        return g.class_at(g.add_keys(self.index, other.index))
 
     def __neg__(self) -> "AbstractClass":
         g = self.group

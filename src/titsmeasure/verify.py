@@ -49,53 +49,38 @@ class VerificationRun:
         return record_payload(self, version=VERSION)
 
 
-# Work frontiers, checked before a suite enumerates anything.  S, the number
-# of multiset states, sums C(|G| + m - 1, m) over the enumerated sizes m.
-# sum-cancellation compares all S^2 pairs of states.  tensor-cancellation
-# walks the states once per 2-torsion class, at n and again at n = 4; a step
-# (up to 0.07 ms on large groups) counts TENSOR_STEP units.
-# relation-equivalence tries m_max (m_max - 1) pair rewrites per state, each
-# against up to |G| splits.  quadric-product-matching keys each family by
-# 2^d_max counts below n_dim^m, in 64 bits.  A state's cost also grows with
-# its size, so no suite enumerates multisets past SIZE_LIMIT.  Each limit
-# keeps an accepted call within about 5 s on a 2-core VM.
-# The seeded random trials are counted apart: a sum-cancellation trial costs
-# card_max + 1 units, and a confluence trial max(nu, 1)^2, where nu is the
-# number of primes dividing the group exponent.  A unit takes at most about
-# 0.03 ms on a 2-core VM, so a call at TRIAL_LIMIT ends within about 3 s.
-STATE_LIMIT = 250_000  # S^2 for sum-, 2 S x 2-torsion x TENSOR_STEP for tensor-cancellation
-TENSOR_STEP = 4
-REWRITE_LIMIT = 2_000_000  # S x rewrites per state for relation-equivalence
-FAMILY_LIMIT = 16_000_000  # S x 2^d_max for quadric-product-matching
-TRIAL_LIMIT = 100_000  # trials x units per trial, for the seeded random trials
-SIZE_LIMIT = 200  # classes in one enumerated multiset
+# Work frontier.  Before it enumerates anything, each suite prices its run
+# as the operations it performs times a weight per operation, in one unit
+# of about 0.2 us (Python 3.11 on a 2-core VM), and exits 3 once the price
+# passes WORK_LIMIT; the slowest accepted call of each suite runs about 3 s.
+# S_m = C(|G| + m - 1, m) counts the multisets of m classes, S sums S_m over
+# the enumerated sizes, and nu is the number of primes dividing the group
+# exponent.  Building a sum of up to L classes and its signature weighs
+# max(nu, 1) (25 + L) units.  Each suite states its formula where it checks
+# it; the totals grow size by size, so a huge size is refused at its first
+# step past the limit.
+WORK_LIMIT = 15_000_000
 
 
-def _check_work(suite: str, elements: int, sizes: Iterable[int], work, limit: int) -> None:
-    """Raise ``ResourceLimitError`` once ``work(S)`` passes ``limit``, where S
-    counts the multisets of ``elements`` things of each size in ``sizes``, or
-    once a size passes ``SIZE_LIMIT``."""
-    states = 0
-    for m in sizes:
-        if m > SIZE_LIMIT:
+def _check_work(suite: str, totals: Iterable[int]) -> None:
+    """Raise ``ResourceLimitError`` as soon as a running total of the suite's
+    work passes ``WORK_LIMIT``."""
+    for work in totals:
+        if work > WORK_LIMIT:
             raise ResourceLimitError(
-                f"{suite} enumerates multisets of at most {SIZE_LIMIT} classes"
-            )
-        states += math.comb(elements + m - 1, m)
-        if work(states) > limit:
-            raise ResourceLimitError(
-                f"{suite} needs more than {limit} units of work; "
-                "use a smaller group or multiset size"
+                f"{suite} needs more than {WORK_LIMIT} units of work; "
+                "use a smaller group, size or trial count"
             )
 
 
-def _check_trials(suite: str, trials: int, cost: int) -> None:
-    """Raise ``ResourceLimitError`` when ``trials`` trials of ``cost`` units
-    each pass ``TRIAL_LIMIT``."""
-    if trials * cost > TRIAL_LIMIT:
-        raise ResourceLimitError(
-            f"{suite} needs more than {TRIAL_LIMIT} units of trial work; use fewer trials"
-        )
+def _state_totals(group: AbstractGroup, sizes: Iterable[int]) -> Iterable[int]:
+    """The running count S of multisets of the group's classes over ``sizes``."""
+    return itertools.accumulate(math.comb(group.order + m - 1, m) for m in sizes)
+
+
+def _sum_weight(group: AbstractGroup, size: int) -> int:
+    """The units of building a sum of up to ``size`` classes and its signature."""
+    return max(len(group.primes()), 1) * (25 + size)
 
 
 def _at_least(name: str, value: int, least: int) -> None:
@@ -118,13 +103,13 @@ def _sum_of(group: AbstractGroup, state) -> MotiveSum:
 
 def _collision(pairs: Iterable[tuple]) -> list[int] | None:
     """The first two positions whose image signatures agree while their own
-    signatures differ, from (image signature, own signature) pairs."""
-    buckets: dict[tuple, dict] = {}
+    signatures differ, from (image signature, own signature) pairs.  Each
+    image keeps the first (own signature, position) it met."""
+    first: dict[tuple, tuple] = {}
     for i, (image, own) in enumerate(pairs):
-        bucket = buckets.setdefault(image, {})
-        bucket.setdefault(own, i)
-        if len(bucket) > 1:
-            return sorted(bucket.values())
+        seen = first.setdefault(image, (own, i))
+        if seen[0] != own:
+            return [seen[1], i]
     return None
 
 
@@ -152,24 +137,26 @@ def _coprime_splits(group: AbstractGroup, delta: int) -> list[tuple[int, int]]:
     return out
 
 
+def _rewrites(group: AbstractGroup, splits: list, state: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The states one pair rewrite {b, o} -> {b + a, b + a'} away from
+    ``state``, where ``splits[o - b]`` lists the splits (a, a')."""
+    add, neg = group.add_keys, group.neg_keys
+    out = []
+    for i, j in itertools.combinations(range(len(state)), 2):
+        for base_i, other_i in ((i, j), (j, i)):
+            base, other = state[base_i], state[other_i]
+            for a, b in splits[add(other, neg[base])]:
+                rest = list(state)
+                del rest[max(i, j)], rest[min(i, j)]
+                rest.extend((add(base, a), add(base, b)))
+                out.append(tuple(sorted(rest)))
+    return out
+
+
 def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict | None:
     """A multiset pair on which the two partitions disagree; with none, the
     states checked per size go into ``details``."""
-    add, neg = group.add_keys, group.neg_keys
     splits = [_coprime_splits(group, e) for e in range(group.order)]
-
-    def neighbors(state):
-        out = []
-        for i, j in itertools.combinations(range(len(state)), 2):
-            for base_i, other_i in ((i, j), (j, i)):
-                base, other = state[base_i], state[other_i]
-                for a, b in splits[add(other, neg[base])]:
-                    rest = list(state)
-                    del rest[max(i, j)], rest[min(i, j)]
-                    rest.extend((add(base, a), add(base, b)))
-                    out.append(tuple(sorted(rest)))
-        return out
-
     states_checked: dict[str, int] = {}
     for m in range(1, m_max + 1):
         states = _states(group, (m,))
@@ -183,7 +170,7 @@ def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict |
                 continue
             component[start], queue = start, [start]
             while queue:
-                for key in neighbors(states[queue.pop()]):
+                for key in _rewrites(group, splits, states[queue.pop()]):
                     nxt = index[key]
                     if nxt not in component:
                         component[nxt] = start
@@ -222,13 +209,14 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> Verific
     """
     params = {"group": group.to_payload(), "m_max": m_max}
     _at_least("m_max", m_max, 1)
-    if group.order > 100:
-        raise ResourceLimitError(
-            f"relation equivalence needs group order <= 100, got {group.order}"
-        )
-    rewrites = m_max * (m_max - 1) * group.order
-    _check_work("relation-equivalence", group.order, range(1, m_max + 1),
-                lambda s: s * rewrites, REWRITE_LIMIT)
+    # The |G|^2 split candidates, then per state of size m its sum, m (m - 1)
+    # ordered pairs and up to 2^nu - 2 rewrites of m classes per pair (the
+    # splits of a difference follow its primes).
+    order, splits = group.order, max(2 ** len(group.primes()) - 2, 0)
+    _check_work("relation-equivalence", itertools.accumulate((
+        math.comb(order + m - 1, m)
+        * (_sum_weight(group, m) + 50 + m * (m - 1) * (2 + splits * (6 + m)))
+        for m in range(1, m_max + 1)), initial=15 * order * order))
     details: dict = {}
     witness = _relation_witness(group, m_max, details)
     return VerificationRun.of("relation-equivalence", params, witness, details)
@@ -281,8 +269,10 @@ def verify_sum_cancellation(
     params = {"group": group.to_payload(), "card_max": card_max, "trials": trials, "seed": seed}
     _at_least("card_max", card_max, 1)
     _at_least("trials", trials, 0)
-    _check_work("sum-cancellation", group.order, range(card_max + 1), lambda s: s * s, STATE_LIMIT)
-    _check_trials("sum-cancellation", trials, card_max + 1)
+    # S + S^2 sums of up to 2 card_max classes, and 5 sums per trial.
+    weight = _sum_weight(group, 2 * card_max)
+    _check_work("sum-cancellation", ((s + s * s + 5 * trials) * weight
+                                     for s in _state_totals(group, range(card_max + 1))))
     witness = _sum_witness(group, card_max, trials, seed)
     return VerificationRun.of("sum-cancellation", params, witness, {})
 
@@ -321,9 +311,13 @@ def verify_tensor_cancellation(
     if n_dim < 5:
         raise ValueError(f"tensor cancellation is asserted only for n >= 5, got {n_dim}")
     _at_least("card_max", card_max, 1)
+    # Per 2-torsion class, at n and at n = 4, S steps: a sum of up to card_max
+    # classes, its tensor with the quadric's (up to 2 card_max classes, each
+    # added on a table that may be cold) and both signatures.
     two_torsion = 2 ** sum(n % 2 == 0 for n in group.orders)
-    _check_work("tensor-cancellation", group.order, range(1, card_max + 1),
-                lambda s: 2 * s * two_torsion * TENSOR_STEP, STATE_LIMIT)
+    weight = _sum_weight(group, card_max) + _sum_weight(group, 2 * card_max) + 48 * card_max
+    _check_work("tensor-cancellation", (2 * two_torsion * s * weight
+                                        for s in _state_totals(group, range(1, card_max + 1))))
     witness = _tensor_witness(group, n_dim, card_max)
     probe = _tensor_witness(group, 4, card_max)
     return VerificationRun.of("tensor-cancellation", params, witness,
@@ -385,7 +379,10 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
         raise ResourceLimitError(f"d_max must be between 0 and 6, got {d_max}")
     if n_dim ** m >= 1 << 63:
         raise ResourceLimitError(f"product matching needs n_dim^m < 2^63, got {n_dim}^{m}")
-    _check_work("quadric-product-matching", 1 << d_max, (m,), lambda s: s << d_max, FAMILY_LIMIT)
+    # C(2^d_max + m - 1, m) families, each with 2^m subset sums and a key of
+    # 2^d_max counts.
+    families = math.comb((1 << d_max) + m - 1, m)
+    _check_work("quadric-product-matching", [families * (8 + (1 << m) // 2 + (1 << d_max) // 4)])
     details: dict = {}
     witness = _matching_witness(d_max, m, n_dim, details)
     return VerificationRun.of("quadric-product-matching", params, witness, details)
@@ -455,6 +452,7 @@ def verify_normal_form_confluence(
     """Random rewrite sequences terminate at the canonical normal form."""
     params = {"group": group.to_payload(), "trials": trials, "seed": seed}
     _at_least("trials", trials, 1)  # the trials are all this suite checks
-    _check_trials("normal-form-confluence", trials, max(len(group.primes()), 1) ** 2)
+    # A trial rewrites up to 4 terms into their p-parts, on tables that may be cold.
+    _check_work("normal-form-confluence", [trials * 100 * (len(group.primes()) + 1) ** 2])
     witness = _confluence_witness(group, trials, seed)
     return VerificationRun.of("normal-form-confluence", params, witness, {})

@@ -410,7 +410,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("value", ["-5", "0", "5"])
     def test_family_limit_is_not_an_option(self, capsys, value):
-        # The family frontier is the fixed verify.FAMILY_LIMIT.
+        # The family frontier is priced against the fixed verify.WORK_LIMIT.
         code, out, err = run(
             capsys, "verify", "--suite", "quadric-product-matching", "--family-limit", value
         )

@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -32,8 +33,10 @@ class TestRelationEquivalence:
         assert verify_relation_equivalence(V2, 3).passed
 
     def test_large_group_hits_frontier(self):
+        # 1,565,620 states of size 3 over Z/210, each with 6 pairs of up to
+        # 14 rewrites; --m-max 2 over Z/210 is accepted.
         with pytest.raises(ResourceLimitError):
-            verify_relation_equivalence(AbstractGroup((210,)), 2)
+            verify_relation_equivalence(AbstractGroup((210,)), 3)
 
     def test_certificate_shape(self):
         payload = verify_relation_equivalence(G6, 2).to_payload()
@@ -125,18 +128,20 @@ class TestConfluence:
 
 HANGING_CALLS = {
     "relation-equivalence": ["--group", "10,10", "--m-max", "4"],
+    # A split table of 10^12 candidates, priced before it is built.
+    "relation-equivalence-z1000000": ["--group", "1000000", "--m-max", "1"],
     "sum-cancellation": ["--group", "10,10", "--card-max", "4"],
     "tensor-cancellation": ["--group", "10,10", "--card-max", "5"],
     "quadric-product-matching": ["--d-max", "6", "--m", "5"],
-    # 100,000 states of one class, each walked twice per 2-torsion class.
+    # 100,000 states over two primes, each walked twice per 2-torsion class.
     "tensor-cancellation-z100000": ["--group", "100000", "--card-max", "1"],
-    # Few states over the trivial group, but each holds up to 201 classes.
-    "tensor-cancellation-size-201": ["--group", "1", "--card-max", "201"],
+    # Few states over the trivial group, but each weighs its 1,000 classes.
+    "tensor-cancellation-size-1000": ["--group", "1", "--card-max", "1000"],
     # 766,480 families, each keyed by 2^6 counts.
     "quadric-product-matching-d6-m4": ["--d-max", "6", "--m", "4"],
     # Counts up to 6209^5, past a 64-bit key.
     "quadric-product-matching-n6209": ["--d-max", "2", "--m", "5", "--n", "6209"],
-    # 100,000 trials of 2 units, and of 2^2 units: past TRIAL_LIMIT.
+    # 100,000 trials of 5 sums over two primes, and of 900 units.
     "sum-cancellation-trials": ["--group", "2,6", "--card-max", "1", "--trials", "100000"],
     "normal-form-confluence-trials": ["--group", "2,6", "--trials", "100000"],
 }
@@ -192,69 +197,194 @@ class TestWorkFrontiers:
             verify_relation_equivalence(AbstractGroup((2,)), 10**9)
 
     def test_the_limit_itself_is_accepted(self, monkeypatch):
-        # 50 trials of card_max + 1 = 2 units; 25 trials of nu^2 = 4 units on Z/6.
-        monkeypatch.setattr(verify, "TRIAL_LIMIT", 100)
-        assert verify_sum_cancellation(G6, card_max=1, trials=50).passed
-        assert verify_normal_form_confluence(G6, trials=25).passed
-        monkeypatch.setattr(verify, "TRIAL_LIMIT", 99)
-        with pytest.raises(ResourceLimitError):
-            verify_sum_cancellation(G6, card_max=1, trials=50)
-        with pytest.raises(ResourceLimitError):
-            verify_normal_form_confluence(G6, trials=25)
-        v2 = AbstractGroup((2, 2))  # 1 + 4 states of size <= 1, so 25 pairs
-        monkeypatch.setattr(verify, "STATE_LIMIT", 25)
-        assert verify_sum_cancellation(v2, card_max=1, trials=0).passed
-        monkeypatch.setattr(verify, "STATE_LIMIT", 24)
-        with pytest.raises(ResourceLimitError):
-            verify_sum_cancellation(v2, card_max=1, trials=0)
-        # 4 + 10 states of size 1..2, each with 2 * 1 * 4 rewrites: 112.
-        monkeypatch.setattr(verify, "REWRITE_LIMIT", 112)
-        assert verify_relation_equivalence(v2, 2).passed
-        monkeypatch.setattr(verify, "REWRITE_LIMIT", 111)
-        with pytest.raises(ResourceLimitError):
-            verify_relation_equivalence(v2, 2)
-        # 4 states of size 1, walked at n and at n = 4 for each of the 4
-        # 2-torsion classes: 32 steps of TENSOR_STEP units.
-        monkeypatch.setattr(verify, "STATE_LIMIT", 32 * verify.TENSOR_STEP)
-        assert verify_tensor_cancellation(v2, 6, card_max=1).passed
-        monkeypatch.setattr(verify, "STATE_LIMIT", 32 * verify.TENSOR_STEP - 1)
-        with pytest.raises(ResourceLimitError):
-            verify_tensor_cancellation(v2, 6, card_max=1)
-        # C(4 + 2 - 1, 2) = 10 families of two classes in (Z/2)^2, each
-        # keyed by 2^2 counts: 40 units.
-        monkeypatch.setattr(verify, "FAMILY_LIMIT", 40)
-        assert verify_quadric_product_matching(2, 2, 6).passed
-        monkeypatch.setattr(verify, "FAMILY_LIMIT", 39)
-        with pytest.raises(ResourceLimitError):
-            verify_quadric_product_matching(2, 2, 6)
+        # Each call priced by hand from its suite's formula, one per suite and
+        # weight: a call at exactly WORK_LIMIT runs, one unit less refuses it.
+        # A sum of up to L classes and its signature weighs max(nu, 1) (25 + L).
+        v2, z6, z2, z1 = AbstractGroup((2, 2)), G6, AbstractGroup((2,)), AbstractGroup((1,))
+        priced = [
+            # 16 split candidates; 4 states of size 1 and 10 of size 2, each
+            # pair of which has no split over (Z/2)^2.
+            (15 * 16 + 4 * (26 + 50) + 10 * (27 + 50 + 2 * 2),
+             lambda: verify_relation_equivalence(v2, 2)),
+            # nu = 2 over Z/6: 2 (25 + m) per sum, and up to 2 splits per pair.
+            (15 * 36 + 6 * (52 + 50) + 21 * (54 + 50 + 2 * (2 + 2 * (6 + 2))),
+             lambda: verify_relation_equivalence(z6, 2)),
+            # S = 1 + 2 states of size <= 1: S + S^2 sums of up to 2 classes.
+            (12 * 27, lambda: verify_sum_cancellation(z2, card_max=1, trials=0)),
+            (56 * 2 * 27, lambda: verify_sum_cancellation(z6, card_max=1, trials=0)),
+            (240 * 29, lambda: verify_sum_cancellation(v2, card_max=2, trials=0)),
+            (6 * 27, lambda: verify_sum_cancellation(z1, card_max=1, trials=0)),
+            # 5 sums per trial.
+            ((12 + 5 * 10) * 27, lambda: verify_sum_cancellation(z2, card_max=1, trials=10)),
+            # 4 states, at n and at n = 4 for each of 4 2-torsion classes.
+            (32 * (26 + 27 + 48), lambda: verify_tensor_cancellation(v2, 6, card_max=1)),
+            (24 * (52 + 54 + 48), lambda: verify_tensor_cancellation(z6, 6, card_max=1)),
+            (112 * (27 + 29 + 96), lambda: verify_tensor_cancellation(v2, 6, card_max=2)),
+            # C(4 + m - 1, m) families of 8 + 2^m / 2 + 2^2 / 4 units.
+            (10 * 11, lambda: verify_quadric_product_matching(2, 2, 6)),
+            (20 * 13, lambda: verify_quadric_product_matching(2, 3, 6)),
+            # 100 (nu + 1)^2 units a trial.
+            (25 * 900, lambda: verify_normal_form_confluence(z6, trials=25)),
+            (25 * 400, lambda: verify_normal_form_confluence(z2, trials=25)),
+            (10 * 100, lambda: verify_normal_form_confluence(z1, trials=10)),
+        ]
+        for units, call in priced:
+            monkeypatch.setattr(verify, "WORK_LIMIT", units)
+            assert call().passed
+            monkeypatch.setattr(verify, "WORK_LIMIT", units - 1)
+            with pytest.raises(ResourceLimitError):
+                call()
 
     @pytest.mark.parametrize(
         "call, accepted",
         [
-            # 2 x 31,249 x 1 x 4 = 249,992 and 2 x 31,251 x 1 x 4 = 250,008 units.
+            # nu = 1 and 31,249 states: 2 x 31,249 x (26 + 27 + 48) units.
             (lambda: verify_tensor_cancellation(AbstractGroup((31249,)), card_max=1), True),
-            (lambda: verify_tensor_cancellation(AbstractGroup((31251,)), card_max=1), False),
-            # Criterion 8's largest tensor call: 164 states x 8 classes x 2 x 4.
+            # Refused by the old per-state limit, but 31,251 = 3 x 11 x 947
+            # prices 2 x 31,251 x (78 + 81 + 48) = 12,937,914 units.
+            (lambda: verify_tensor_cancellation(AbstractGroup((31251,)), card_max=1), True),
+            # Criterion 8's largest tensor call: 164 states x 8 classes x 2.
             (lambda: verify_tensor_cancellation(V3, 5, card_max=3), True),
             (lambda: verify_tensor_cancellation(AbstractGroup((1,)), card_max=200), True),
-            (lambda: verify_tensor_cancellation(AbstractGroup((1,)), card_max=201), False),
+            # Refused by the old size limit; now priced like any size.
+            (lambda: verify_tensor_cancellation(AbstractGroup((1,)), card_max=201), True),
             (lambda: verify_sum_cancellation(AbstractGroup((1,)), card_max=201), False),
-            # 376,992 x 2^5 = 12,063,744 and 766,480 x 2^6 = 49,054,720 units.
+            # 376,992 families x 32 = 12,063,744 and 766,480 x 32 units.
             (lambda: verify_quadric_product_matching(5, 5, 6), True),
             (lambda: verify_quadric_product_matching(6, 4, 6), False),
             (lambda: verify_quadric_product_matching(2, 5, 6208), True),
             (lambda: verify_quadric_product_matching(2, 5, 6209), False),
+            # The |G|^2 split table: 15 x 997^2 + 997 x 76 = 14,985,907 units,
+            # and 15,041,856 over Z/998.
+            (lambda: verify_relation_equivalence(AbstractGroup((997,)), 1), True),
+            (lambda: verify_relation_equivalence(AbstractGroup((998,)), 1), False),
+            # nu: m-max 3 over Z/83 (nu = 1, no splits) is accepted, over
+            # Z/60 (nu = 3, up to 6 splits a pair) refused.
+            (lambda: verify_relation_equivalence(AbstractGroup((83,)), 3), True),
+            (lambda: verify_relation_equivalence(AbstractGroup((60,)), 3), False),
+            # Multiset size: m (m - 1) pairs a state, over Z/2.
+            (lambda: verify_relation_equivalence(AbstractGroup((2,)), 73), True),
+            (lambda: verify_relation_equivalence(AbstractGroup((2,)), 74), False),
+            # nu: 744^2 pairs of weight 27 over Z/743, 531^2 of 3 x 27 over Z/530.
+            (lambda: verify_sum_cancellation(AbstractGroup((743,)), card_max=1, trials=0), True),
+            (lambda: verify_sum_cancellation(AbstractGroup((530,)), card_max=1, trials=0), False),
+            # Multiset size over the trivial group: (c + 1) (c + 2) (25 + 2c).
+            (lambda: verify_sum_cancellation(AbstractGroup((1,)), card_max=190, trials=0), True),
+            (lambda: verify_sum_cancellation(AbstractGroup((1,)), card_max=191, trials=0), False),
+            # Trials: (12 + 5 t) x 27 units over Z/2.
+            (lambda: verify_sum_cancellation(AbstractGroup((2,)), card_max=1, trials=111108), True),
+            (lambda: verify_sum_cancellation(AbstractGroup((2,)), card_max=1, trials=111109), False),
+            # nu: 2 x 74,257 x 101 units over Z/74257, 2 x 40,983 x 207 over
+            # Z/40983 = 3 x 19 x 719.
+            (lambda: verify_tensor_cancellation(AbstractGroup((74257,)), card_max=1), True),
+            (lambda: verify_tensor_cancellation(AbstractGroup((40983,)), card_max=1), False),
+            # Multiset size over the trivial group: 2c (50 + 51c).
+            (lambda: verify_tensor_cancellation(AbstractGroup((1,)), card_max=382), True),
+            (lambda: verify_tensor_cancellation(AbstractGroup((1,)), card_max=383), False),
+            # nu: 1,000 trials over the primorials of 31 (nu = 11) and 37.
+            (lambda: verify_normal_form_confluence(AbstractGroup((200560490130,))), True),
+            (lambda: verify_normal_form_confluence(AbstractGroup((7420738134810,))), False),
+            # Trials: 900 units each over Z/10^9.
+            (lambda: verify_normal_form_confluence(AbstractGroup((10**9,)), trials=16666), True),
+            (lambda: verify_normal_form_confluence(AbstractGroup((10**9,)), trials=16667), False),
         ],
         ids=["tensor-z31249", "tensor-z31251", "tensor-criterion-8", "tensor-size-200",
              "tensor-size-201", "sum-size-201", "matching-d5-m5", "matching-d6-m4",
-             "matching-n6208", "matching-n6209"],
+             "matching-n6208", "matching-n6209", "relation-z997", "relation-z998",
+             "relation-nu1-m3", "relation-nu3-m3", "relation-size-73", "relation-size-74",
+             "sum-nu1", "sum-nu3", "sum-size-190", "sum-size-191", "sum-trials-111108",
+             "sum-trials-111109", "tensor-nu1", "tensor-nu3", "tensor-size-382",
+             "tensor-size-383", "confluence-nu11", "confluence-nu12",
+             "confluence-trials-16666", "confluence-trials-16667"],
     )
     def test_each_side_of_the_fixed_limits(self, monkeypatch, call, accepted):
-        # The enumeration is stubbed out: only the count before it is tested.
-        for name in ("_tensor_witness", "_sum_witness", "_matching_witness"):
+        # The enumeration is stubbed out: only the price before it is tested.
+        for name in ("_relation_witness", "_sum_witness", "_tensor_witness",
+                     "_matching_witness", "_confluence_witness"):
             monkeypatch.setattr(verify, name, lambda *args: None)
         if accepted:
             assert call().passed
         else:
             with pytest.raises(ResourceLimitError):
                 call()
+
+
+def _states(group, sizes):
+    return sum(math.comb(group.order + m - 1, m) for m in sizes)
+
+
+def _counted(monkeypatch, name):
+    """Wrap ``verify.<name>`` and return the list of (args, result) of its calls."""
+    calls = []
+    real = getattr(verify, name)
+
+    def counting(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(verify, name, counting)
+    return calls
+
+
+class TestPricedCounts:
+    """Each formula's count term is the number of operations the run performs."""
+
+    @pytest.mark.parametrize("orders, m_max", [((1,), 4), ((6,), 3), ((2, 2), 3), ((12,), 2), ((30,), 2)])
+    def test_relation_equivalence(self, monkeypatch, orders, m_max):
+        group = AbstractGroup(orders)
+        tables, sums, rewrites = (_counted(monkeypatch, name)
+                                  for name in ("_coprime_splits", "_sum_of", "_rewrites"))
+        assert verify_relation_equivalence(group, m_max).passed
+        # |G| differences, each scanning the |G| - 1 nonzero parts: at most |G|^2.
+        assert len(tables) == group.order
+        assert len(sums) == len(rewrites) == _states(group, range(1, m_max + 1))
+        splits = max(2 ** len(group.primes()) - 2, 0)
+        for (_, _, state), out in rewrites:
+            m = len(state)
+            assert len(out) <= m * (m - 1) * splits
+
+    @pytest.mark.parametrize("orders, card_max, trials",
+                             [((1,), 1, 0), ((2,), 2, 5), ((6,), 1, 10), ((2, 2), 2, 3), ((5,), 2, 7)])
+    def test_sum_cancellation(self, monkeypatch, orders, card_max, trials):
+        group = AbstractGroup(orders)
+        sums, direct = _counted(monkeypatch, "_sum_of"), _counted(monkeypatch, "direct_sum")
+        assert verify_sum_cancellation(group, card_max=card_max, trials=trials).passed
+        s = _states(group, range(card_max + 1))
+        assert len(sums) + len(direct) == s + s * s + 5 * trials
+        assert max(len(state) for (_, state), _ in sums) <= 2 * card_max
+        assert all(out.rank <= 2 * card_max for _, out in direct)
+
+    @pytest.mark.parametrize("orders, n_dim, card_max", [((3,), 6, 2), ((5,), 5, 1), ((2, 2), 6, 2), ((6,), 5, 1)])
+    def test_tensor_cancellation(self, monkeypatch, orders, n_dim, card_max):
+        group = AbstractGroup(orders)
+        sums = _counted(monkeypatch, "_sum_of")
+        walks = []
+        real_walk = verify._tensor_witness
+
+        def walk(*args):
+            before = len(sums)
+            found = real_walk(*args)
+            walks.append((len(sums) - before, found))
+            return found
+
+        monkeypatch.setattr(verify, "_tensor_witness", walk)
+        assert verify_tensor_cancellation(group, n_dim, card_max=card_max).passed
+        # Priced: 2 x (2-torsion classes) x S; a walk stops early only at a witness.
+        steps = sum(1 for i in range(group.order) if group.key_order[i] <= 2) * _states(
+            group, range(1, card_max + 1))
+        assert len(walks) == 2
+        for count, found in walks:
+            assert count == steps if found is None else count <= steps
+        assert max(len(state) for (_, state), _ in sums) <= card_max
+
+    @pytest.mark.parametrize("d_max, m", [(0, 1), (2, 2), (3, 3), (1, 5)])
+    def test_quadric_product_matching(self, d_max, m):
+        run = verify_quadric_product_matching(d_max, m, 6)
+        assert run.details["families"] == math.comb((1 << d_max) + m - 1, m)
+
+    @pytest.mark.parametrize("orders, trials", [((1,), 5), ((6,), 20), ((210,), 10)])
+    def test_normal_form_confluence(self, monkeypatch, orders, trials):
+        drawn = _counted(monkeypatch, "_random_raw_element")
+        assert verify_normal_form_confluence(AbstractGroup(orders), trials=trials).passed
+        assert len(drawn) == trials
