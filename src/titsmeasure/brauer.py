@@ -39,6 +39,22 @@ class ResourceLimitError(RuntimeError):
     """The requested work exceeds a documented resource frontier."""
 
 
+# Work frontier.  Before it starts, a costly call (a ``verify`` suite, a
+# ``sigma-check`` grid) prices its run as the operations it performs times a
+# weight per operation, in one unit of about 0.2 us (Python 3.11 on a 2-core
+# VM), and is refused once the price passes WORK_LIMIT; the slowest accepted
+# call of each kind runs about 3 s.
+WORK_LIMIT = 15_000_000
+
+
+def check_work(what: str, totals: Iterable[int]) -> None:
+    """Raise ``ResourceLimitError`` as soon as a running total of the work of
+    ``what`` passes ``WORK_LIMIT``."""
+    for work in totals:
+        if work > WORK_LIMIT:
+            raise ResourceLimitError(f"{what} needs more than {WORK_LIMIT} units of work")
+
+
 def _primes_below(n: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * n
     sieve[:2] = b"\x00\x00"

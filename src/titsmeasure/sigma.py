@@ -16,15 +16,18 @@ expansion (Concrete Mathematics, 5.1), so it is a few integer powers.  The
 split pieces satisfy one-step recurrences in m which drive the induction for
 the product-of-quadrics comparison theorem.  At grid edges q and 2 appear
 with negative exponents, so each value is one exact Fraction over q^a 2^t.
+A value that may pass ``MAX_DIGITS`` digits is refused before any summing,
+and a ``recurrence_violations`` grid is priced in ``brauer``'s work unit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .brauer import ResourceLimitError
+from .brauer import ResourceLimitError, check_work
 
 
 # Each split kind in closed form, with E = ((q+b)^l + (q-b)^l) / 2 and
@@ -53,25 +56,11 @@ def _canon_kind(kind: str) -> str:
     return k
 
 
-def _check_domain(m: int, n: int, l: int) -> None:
-    if not (isinstance(m, int) and isinstance(n, int) and isinstance(l, int)):
-        raise ValueError("m, n, l must be integers")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 3:
-        raise ValueError(f"form dimension n must be >= 3, got {n}")
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-
-
 # Python prints an int of at most 4,300 digits by default.  A sum whose
-# numerator or denominator may have more is refused before any summing, and
-# so is a call, or a grid of calls, whose summing work passes MAX_SUM_WORK.
+# numerator or denominator may have more is refused before any summing.  Under
+# the cap a value takes under 0.5 ms (Python 3.11, 2-core VM), so only a grid
+# of values is priced as well, against ``brauer.WORK_LIMIT``.
 MAX_DIGITS = 4300
-# Work in digit-steps of the literal sum over r: each summand costs the
-# estimated digits of the sum plus 100.  The closed form costs far less: a
-# call at the limit takes under 1 ms on a 2-core VM (Python 3.11).
-MAX_SUM_WORK = 20_000_000
 
 
 def _digits(m: int, n: int, l: int) -> int:
@@ -87,30 +76,33 @@ def _digits(m: int, n: int, l: int) -> int:
     return int(bits * 0.30103) + 1
 
 
-def _check_work(sums: Iterable[tuple[int, int, int, int]]) -> None:
-    """Refuse the sums (summands per step, m, n, l) past ``MAX_DIGITS`` digits
-    or, together, past ``MAX_SUM_WORK``; raises ``ResourceLimitError``."""
-    work = 0
-    for summands, m, n, l in sums:
-        _check_domain(m, n, l)
-        digits = _digits(m, n, l)
-        if digits > MAX_DIGITS:
-            raise ResourceLimitError(f"sigma({m},{n},{l}) may pass {MAX_DIGITS} digits")
-        work += summands * (l // 2 + 1) * (digits + 100)
-        if work > MAX_SUM_WORK:
-            raise ResourceLimitError(f"the sigma sums need more than {MAX_SUM_WORK} digit-steps")
+def _check_digits(m: int, n: int, l: int) -> int:
+    """The digit estimate of sigma(m, n, l): malformed input raises
+    ``ValueError``, an estimate past ``MAX_DIGITS`` ``ResourceLimitError``."""
+    if not (isinstance(m, int) and isinstance(n, int) and isinstance(l, int)):
+        raise ValueError("m, n, l must be integers")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if n < 3:
+        raise ValueError(f"form dimension n must be >= 3, got {n}")
+    if l < 0:
+        raise ValueError(f"l must be >= 0, got {l}")
+    digits = _digits(m, n, l)
+    if digits > MAX_DIGITS:
+        raise ResourceLimitError(f"sigma({m},{n},{l}) may pass {MAX_DIGITS} digits")
+    return digits
 
 
 def sigma_fraction(kind: str, m: int, n: int, l: int) -> Fraction:
-    """The sum as an exact rational, defined for every l >= 0; past the
-    frontiers of ``_check_work`` it raises ``ResourceLimitError``."""
+    """The sum as an exact rational, defined for every l >= 0; past
+    ``MAX_DIGITS`` it raises ``ResourceLimitError``."""
     kind = _canon_kind(kind)
-    _check_work(((len(SPLITS.get(kind, (kind,))), m, n, l),))
+    _check_digits(m, n, l)
     return _closed(kind, m, n, l)
 
 
 def _closed(kind: str, m: int, n: int, l: int) -> Fraction:
-    """``sigma_fraction`` of a canonical kind at a cell ``_check_work`` accepted."""
+    """``sigma_fraction`` of a canonical kind at a cell ``_check_digits`` accepted."""
     parts = SPLITS.get(kind, (kind,))
     q, b = n - 2, 2 if kind.endswith("even") else 1
     plus, minus = (q + b) ** l, (q - b) ** l
@@ -153,9 +145,9 @@ def recurrence_violations(
     """Check sigma(m-1) * factor == sigma(m) for the split kinds on a grid.
 
     Returns one record per failure; an empty list means every relation holds
-    exactly.  l ranges over 0..m-1 for each m.  The grid is read twice: its
-    work is checked as a whole before any summing.  An empty grid, an m
-    below 2 (which has no step to check) or an empty kinds list raises
+    exactly.  l ranges over 0..m-1 for each m.  The grid is priced row by
+    row against ``brauer.WORK_LIMIT`` before any summing.  An empty grid, an
+    m below 2 (which has no step to check) or an empty kinds list raises
     ``ValueError``.
     """
     for axis, values in (("n", n_values), ("m", m_values)):
@@ -170,19 +162,23 @@ def recurrence_violations(
     if not table:
         raise ValueError("sigma-check needs at least one kind")
 
-    def cells():
-        # m is checked as it is met, so a long m range costs no pass of its own.
+    def rows():
+        # Row (n, m) makes a call per kind at m - 1 and at m for each l < m,
+        # each of w(d) = 40 + d / 10 + d^2 / 25,000 units, d the row's largest
+        # digit estimate (at l = m - 1): fitted to the costliest kinds, 8 us a
+        # call at small d and 200 us at 4,300 digits.  w(d) <= 3/4 (d + 100)
+        # must hold up to MAX_DIGITS: it keeps accepted every grid within
+        # 2 * 10^7 steps of d + 100 a summand, the literal sum's old price.
         for n in n_values:
             for m in m_values:
                 if m < 2:
                     raise ValueError(f"sigma-check m starts at 2, got m = {m}")
-                yield from ((n, m, l) for l in range(m))
+                digits = max(_check_digits(m - 1, n, m - 1), _check_digits(m, n, m - 1))
+                yield 2 * len(table) * m * (40 + digits // 10 + digits * digits // 25_000)
 
-    # Each kind in the table is one summand; each cell sums at m - 1 and at m.
-    # Accepted as a whole, every cell is evaluated without a second check.
-    _check_work((len(table), m - i, n, l) for n, m, l in cells() for i in (1, 0))
+    check_work("the sigma-check grid", itertools.accumulate(rows()))
     bad: list[dict] = []
-    for n, m, l in cells():
+    for n, m, l in ((n, m, l) for n in n_values for m in m_values for l in range(m)):
         for kind, factor in table.items():
             lhs = _closed(kind, m - 1, n, l)
             rhs = _closed(kind, m, n, l) / factor(n)
@@ -202,5 +198,5 @@ def extra_condition_failures(m: int, n: int) -> list[int]:
         )
     suffix = "even" if n % 2 == 0 else "odd"
     ls = range(2, m - 2)
-    _check_work((3, m, n, l) for l in ls)  # sigma1 has two summands, sigma2 one; n >= 3
+    _check_digits(m, n, m - 3)  # for every l below m - 2 the estimate is that of l = m - 3
     return [l for l in ls if not _closed("1" + suffix, m, n, l) > _closed("2" + suffix, m, n, l)]

@@ -40,8 +40,7 @@ from .sigma import MAX_DIGITS, extra_condition_failures
 MAX_CLASSES = 2**14
 # A rank measure with more digits than Python prints by default is refused
 # the same way, at the figure ``sigma`` refuses its values past.
-MAX_RANK_DIGITS = MAX_DIGITS
-_RANK_CAP = 10**MAX_RANK_DIGITS
+_RANK_CAP = 10**MAX_DIGITS
 # A printed measure writes every multiplicity of ``jt`` and ``jt_effective`` in
 # decimal.  Past this many digits in all, serializing a measure raises
 # ``ResourceLimitError``; ``compare`` and ``deduce`` print no multiplicities.
@@ -65,7 +64,7 @@ def folded_cell_counts(d: int, n: int, r: int) -> list[int]:
     _check_classes("class order", r)
     k = min(d, n - d)  # C(n, k) >= (n/k)^k >= 2^(k b) for 2^b <= n/k: refuse before comb
     if k and k * ((n // k).bit_length() - 1) >= _RANK_CAP.bit_length():
-        raise ResourceLimitError(f"rank C({n}, {d}) has more than {MAX_RANK_DIGITS} digits")
+        raise ResourceLimitError(f"rank C({n}, {d}) has more than {MAX_DIGITS} digits")
     divisors = [t for t in range(1, r + 1) if r % t == 0]
     h: dict[int, int] = {}
     spread = [0] * r
@@ -314,7 +313,7 @@ def tits_measure(v: VarietyDescriptor) -> MeasureReport:
     ms = v.jt_classes()
     rho = ms.rank
     if rho >= _RANK_CAP:
-        raise ResourceLimitError(f"rank measure has more than {MAX_RANK_DIGITS} digits")
+        raise ResourceLimitError(f"rank measure has more than {MAX_DIGITS} digits")
     jt = from_motive_sum(ms)
     if augmentation(jt) != rho:
         raise AssertionError("augmentation drifted from the class count")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .brauer import AbstractGroup, ResourceLimitError, record_payload
+from .brauer import AbstractGroup, ResourceLimitError, check_work, record_payload
 from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
@@ -49,28 +49,13 @@ class VerificationRun:
         return record_payload(self, version=VERSION)
 
 
-# Work frontier.  Before it enumerates anything, each suite prices its run
-# as the operations it performs times a weight per operation, in one unit
-# of about 0.2 us (Python 3.11 on a 2-core VM), and exits 3 once the price
-# passes WORK_LIMIT; the slowest accepted call of each suite runs about 3 s.
-# S_m = C(|G| + m - 1, m) counts the multisets of m classes, S sums S_m over
-# the enumerated sizes, and nu is the number of primes dividing the group
-# exponent.  Building a sum of up to L classes and its signature weighs
-# max(nu, 1) (25 + L) units.  Each suite states its formula where it checks
-# it; the totals grow size by size, so a huge size is refused at its first
-# step past the limit.
-WORK_LIMIT = 15_000_000
-
-
-def _check_work(suite: str, totals: Iterable[int]) -> None:
-    """Raise ``ResourceLimitError`` as soon as a running total of the suite's
-    work passes ``WORK_LIMIT``."""
-    for work in totals:
-        if work > WORK_LIMIT:
-            raise ResourceLimitError(
-                f"{suite} needs more than {WORK_LIMIT} units of work; "
-                "use a smaller group, size or trial count"
-            )
+# Each suite prices its run before it enumerates anything and checks the
+# price with ``brauer.check_work``.  S_m = C(|G| + m - 1, m) counts the
+# multisets of m classes, S sums S_m over the enumerated sizes, and nu is the
+# number of primes dividing the group exponent.  Building a sum of up to L
+# classes and its signature weighs max(nu, 1) (25 + L) units.  Each suite
+# states its formula where it checks it; the totals grow size by size, so a
+# huge size is refused at its first step past the limit.
 
 
 def _state_totals(group: AbstractGroup, sizes: Iterable[int]) -> Iterable[int]:
@@ -126,15 +111,18 @@ def _terms_payload(group: AbstractGroup, terms: dict[int, int]) -> list:
 # coprime-splitting relations, compared as partitions of fixed-size multisets.
 # ---------------------------------------------------------------------------
 
-def _coprime_splits(group: AbstractGroup, delta: int) -> list[tuple[int, int]]:
-    """All index pairs (a, a') with a + a' = delta, both nonzero, coprime orders."""
-    add, neg, order = group.add_keys, group.neg_keys, group.key_order
-    out = []
+def _coprime_splits(group: AbstractGroup) -> list[list[tuple[int, int]]]:
+    """For each index delta, the index pairs (a, a') with a + a' = delta, both
+    nonzero with coprime orders, in ascending a; only such pairs are added."""
+    add, order = group.add_keys, group.key_order
+    coprime = {}  # order -> the nonzero indices of an order coprime to it
+    for o in {order[a] for a in range(1, group.order)}:
+        coprime[o] = [b for b in range(1, group.order) if math.gcd(o, order[b]) == 1]
+    splits: list[list[tuple[int, int]]] = [[] for _ in range(group.order)]
     for a in range(1, group.order):
-        b = add(delta, neg[a])
-        if b and math.gcd(order[a], order[b]) == 1:
-            out.append((a, b))
-    return out
+        for b in coprime[order[a]]:
+            splits[add(a, b)].append((a, b))
+    return splits
 
 
 def _rewrites(group: AbstractGroup, splits: list, state: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -156,7 +144,7 @@ def _rewrites(group: AbstractGroup, splits: list, state: tuple[int, ...]) -> lis
 def _relation_witness(group: AbstractGroup, m_max: int, details: dict) -> dict | None:
     """A multiset pair on which the two partitions disagree; with none, the
     states checked per size go into ``details``."""
-    splits = [_coprime_splits(group, e) for e in range(group.order)]
+    splits = _coprime_splits(group)
     states_checked: dict[str, int] = {}
     for m in range(1, m_max + 1):
         states = _states(group, (m,))
@@ -213,7 +201,7 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> Verific
     # ordered pairs and up to 2^nu - 2 rewrites of m classes per pair (the
     # splits of a difference follow its primes).
     order, splits = group.order, max(2 ** len(group.primes()) - 2, 0)
-    _check_work("relation-equivalence", itertools.accumulate((
+    check_work("relation-equivalence", itertools.accumulate((
         math.comb(order + m - 1, m)
         * (_sum_weight(group, m) + 50 + m * (m - 1) * (2 + splits * (6 + m)))
         for m in range(1, m_max + 1)), initial=15 * order * order))
@@ -271,7 +259,7 @@ def verify_sum_cancellation(
     _at_least("trials", trials, 0)
     # S + S^2 sums of up to 2 card_max classes, and 5 sums per trial.
     weight = _sum_weight(group, 2 * card_max)
-    _check_work("sum-cancellation", ((s + s * s + 5 * trials) * weight
+    check_work("sum-cancellation", ((s + s * s + 5 * trials) * weight
                                      for s in _state_totals(group, range(card_max + 1))))
     witness = _sum_witness(group, card_max, trials, seed)
     return VerificationRun.of("sum-cancellation", params, witness, {})
@@ -316,7 +304,7 @@ def verify_tensor_cancellation(
     # added on a table that may be cold) and both signatures.
     two_torsion = 2 ** sum(n % 2 == 0 for n in group.orders)
     weight = _sum_weight(group, card_max) + _sum_weight(group, 2 * card_max) + 48 * card_max
-    _check_work("tensor-cancellation", (2 * two_torsion * s * weight
+    check_work("tensor-cancellation", (2 * two_torsion * s * weight
                                         for s in _state_totals(group, range(1, card_max + 1))))
     witness = _tensor_witness(group, n_dim, card_max)
     probe = _tensor_witness(group, 4, card_max)
@@ -382,7 +370,7 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
     # C(2^d_max + m - 1, m) families, each with 2^m subset sums and a key of
     # 2^d_max counts.
     families = math.comb((1 << d_max) + m - 1, m)
-    _check_work("quadric-product-matching", [families * (8 + (1 << m) // 2 + (1 << d_max) // 4)])
+    check_work("quadric-product-matching", [families * (8 + (1 << m) // 2 + (1 << d_max) // 4)])
     details: dict = {}
     witness = _matching_witness(d_max, m, n_dim, details)
     return VerificationRun.of("quadric-product-matching", params, witness, details)
@@ -453,6 +441,6 @@ def verify_normal_form_confluence(
     params = {"group": group.to_payload(), "trials": trials, "seed": seed}
     _at_least("trials", trials, 1)  # the trials are all this suite checks
     # A trial rewrites up to 4 terms into their p-parts, on tables that may be cold.
-    _check_work("normal-form-confluence", [trials * 100 * (len(group.primes()) + 1) ** 2])
+    check_work("normal-form-confluence", [trials * 100 * (len(group.primes()) + 1) ** 2])
     witness = _confluence_witness(group, trials, seed)
     return VerificationRun.of("normal-form-confluence", params, witness, {})

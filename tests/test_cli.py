@@ -410,7 +410,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("value", ["-5", "0", "5"])
     def test_family_limit_is_not_an_option(self, capsys, value):
-        # The family frontier is priced against the fixed verify.WORK_LIMIT.
+        # The family frontier is priced against the fixed brauer.WORK_LIMIT.
         code, out, err = run(
             capsys, "verify", "--suite", "quadric-product-matching", "--family-limit", value
         )
@@ -779,7 +779,7 @@ FRONTIER_PROBES = {
     "sigma-check-m-60": ("sigma-check", "--m-max", "60"),
     "sigma-check-m-200": ("sigma-check", "--m-max", "200"),
     "sigma-check-n-5000": ("sigma-check", "--n-max", "5000"),
-    "deduce-2000-quadrics": ("deduce", _product_pair(2000)),
+    "deduce-6150-quadrics": ("deduce", _product_pair(6150)),
     "form-dimension-601": ("measure", _rational_form(300)),
 }
 
@@ -810,6 +810,14 @@ class TestFrontierInsides:
         assert code == 0
         notes = json.loads(out)["report"]["notes"]
         assert notes[0].startswith("no conclusion: the copy-count condition fails at l = [3, 4")
+
+    def test_deduce_of_products_of_two_thousand_quadrics(self, capsys):
+        # Bounded by the digits of the copy-count sums alone: up to 6,149
+        # factors of form dimension 5 are answered.
+        code, out, _ = run(capsys, "deduce", _product_pair(2000), "--format", "json")
+        assert code == 0
+        notes = json.loads(out)["report"]["notes"]
+        assert notes == [f"no conclusion: the copy-count condition fails at l = {list(range(3, 1998))}"]
 
     def test_form_dimension_cap(self, capsys):
         code, out, _ = run(capsys, "measure", _rational_form(4), "--format", "json")

@@ -1,4 +1,5 @@
 import importlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import LITERAL_SPLITS, SUMMANDS, sigma1_direct, sigma_literal
+from titsmeasure import brauer
 from titsmeasure.brauer import ResourceLimitError
 from titsmeasure.sigma import (
     KINDS,
@@ -168,7 +170,7 @@ class TestExtraCondition:
 
 
 class TestFrontiers:
-    """Both sides of the digit cap and of the work limit, checked before summing."""
+    """Both sides of the digit cap and of the grid's work limit, checked before summing."""
 
     def test_digit_estimate_bounds_the_exact_value(self):
         for kind in KINDS:
@@ -188,24 +190,73 @@ class TestFrontiers:
             with pytest.raises(ResourceLimitError):
                 sigma("1even", *huge)
 
-    def test_work_limit(self, monkeypatch):
-        # 1even adds two summands at each of l // 2 + 1 = 2 steps.
-        work = 2 * 2 * (sigma_module._digits(5, 6, 2) + 100)
-        monkeypatch.setattr(sigma_module, "MAX_SUM_WORK", work)
-        assert sigma("1even", 5, 6, 2) == 768
-        monkeypatch.setattr(sigma_module, "MAX_SUM_WORK", work - 1)
-        with pytest.raises(ResourceLimitError, match="digit-steps"):
-            sigma("1even", 5, 6, 2)
-
     def test_grid_work_is_checked_before_any_sum(self, monkeypatch):
         calls = []
         monkeypatch.setattr(sigma_module, "sigma_fraction", lambda *a: calls.append(a))
         monkeypatch.setattr(sigma_module, "_closed", lambda *a: calls.append(a))
-        with pytest.raises(ResourceLimitError):
-            recurrence_violations(range(5, 21), range(2, 61))
-        with pytest.raises(ResourceLimitError):
-            extra_condition_failures(2000, 5)
+        # The first sigma-check --m-max and deduce factor count refused.
+        with pytest.raises(ResourceLimitError, match="units of work"):
+            recurrence_violations(range(5, 21), range(2, 60))
+        with pytest.raises(ResourceLimitError, match="may pass 4300 digits"):
+            extra_condition_failures(6150, 5)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "call, accepted",
+        [
+            (lambda: recurrence_violations(range(5, 21), range(2, 59)), True),
+            (lambda: recurrence_violations(range(5, 21), range(2, 60)), False),
+            (lambda: extra_condition_failures(6149, 5), True),
+            (lambda: extra_condition_failures(6150, 5), False),
+            (lambda: extra_condition_failures(9010, 3), True),
+            (lambda: extra_condition_failures(9011, 3), False),
+        ],
+        ids=["grid-m58", "grid-m59", "condition-m6149", "condition-m6150",
+             "condition-n3-m9010", "condition-n3-m9011"],
+    )
+    def test_each_side_of_the_frontiers(self, monkeypatch, call, accepted):
+        # The sums are stubbed out: only the checks before them are tested.
+        monkeypatch.setattr(sigma_module, "_closed", lambda *a: 0)
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ResourceLimitError):
+                call()
+
+    def test_the_limit_itself_is_accepted(self, monkeypatch):
+        # Rows (20, 2) and (20, 400) of one kind: 2 m calls a row, each at
+        # 40 + d // 10 + d^2 // 25,000 units, d the digits of the row's largest
+        # value, at l = m - 1: (m + 1) log2 20 + 2 log2 36 bits.
+        assert [sigma_module._digits(m - 1, 20, m - 1) for m in (2, 400)] == [8, 525]
+        units = 2 * 2 * 40 + 2 * 400 * (40 + 52 + 11)
+        monkeypatch.setattr(brauer, "WORK_LIMIT", units)
+        assert recurrence_violations([20], [2, 400], ["2even"]) == []
+        monkeypatch.setattr(brauer, "WORK_LIMIT", units - 1)
+        with pytest.raises(ResourceLimitError, match="units of work"):
+            recurrence_violations([20], [2, 400], ["2even"])
+
+    @pytest.mark.parametrize(
+        "n_values, m_values, kinds",
+        [(range(5, 8), range(2, 6), None), ([9], [3, 7], ["11odd", "2even"]), ([5, 30], [4], ["12odd"])],
+    )
+    def test_priced_count_is_the_closed_calls(self, monkeypatch, n_values, m_values, kinds):
+        calls, real = [], sigma_module._closed
+        monkeypatch.setattr(sigma_module, "_closed", lambda *a: calls.append(a) or real(*a))
+        assert recurrence_violations(n_values, m_values, kinds) == []
+        # Two calls per kind and cell, m cells a row.
+        kinds_count = len(RECURRENCE_FACTORS if kinds is None else kinds)
+        assert len(calls) == 2 * kinds_count * len(n_values) * sum(m_values)
+
+    @pytest.mark.parametrize("n_values, m_values", [(range(5, 21), range(2, 10**6)),
+                                                    (range(3, 10**12), [2])])
+    def test_a_huge_grid_is_refused_at_once(self, monkeypatch, n_values, m_values):
+        assert len(n_values) * sum(m_values) >= 10**12  # cells
+        calls = []
+        monkeypatch.setattr(sigma_module, "_closed", lambda *a: calls.append(a))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="units of work"):
+            recurrence_violations(n_values, m_values)
+        assert time.perf_counter() - start < 0.1 and calls == []
 
     def test_copy_count_condition_inside_the_limit(self):
         assert extra_condition_failures(100, 5) == list(range(3, 98))

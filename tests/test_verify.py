@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from titsmeasure import cli, verify
+from titsmeasure import brauer, cli, verify
 from titsmeasure.brauer import AbstractGroup
 from titsmeasure.quadforms import FormShadow
 from titsmeasure.varieties import Quadric
@@ -229,9 +229,9 @@ class TestWorkFrontiers:
             (10 * 100, lambda: verify_normal_form_confluence(z1, trials=10)),
         ]
         for units, call in priced:
-            monkeypatch.setattr(verify, "WORK_LIMIT", units)
+            monkeypatch.setattr(brauer, "WORK_LIMIT", units)
             assert call().passed
-            monkeypatch.setattr(verify, "WORK_LIMIT", units - 1)
+            monkeypatch.setattr(brauer, "WORK_LIMIT", units - 1)
             with pytest.raises(ResourceLimitError):
                 call()
 
@@ -336,13 +336,22 @@ class TestPricedCounts:
         tables, sums, rewrites = (_counted(monkeypatch, name)
                                   for name in ("_coprime_splits", "_sum_of", "_rewrites"))
         assert verify_relation_equivalence(group, m_max).passed
-        # |G| differences, each scanning the |G| - 1 nonzero parts: at most |G|^2.
-        assert len(tables) == group.order
+        # One table for every difference, from at most |G|^2 coprime pairs.
+        assert len(tables) == 1
         assert len(sums) == len(rewrites) == _states(group, range(1, m_max + 1))
         splits = max(2 ** len(group.primes()) - 2, 0)
         for (_, _, state), out in rewrites:
             m = len(state)
             assert len(out) <= m * (m - 1) * splits
+
+    @pytest.mark.parametrize("orders", [(1,), (6,), (2, 2), (12,), (2, 3, 5), (4, 9)])
+    def test_split_table_lists_each_difference_by_ascending_part(self, orders):
+        group = AbstractGroup(orders)
+        add, neg, order = group.add_keys, group.neg_keys, group.key_order
+        splits = verify._coprime_splits(group)
+        for delta in range(group.order):
+            scan = [(a, add(delta, neg[a])) for a in range(1, group.order)]
+            assert splits[delta] == [(a, b) for a, b in scan if b and math.gcd(order[a], order[b]) == 1]
 
     @pytest.mark.parametrize("orders, card_max, trials",
                              [((1,), 1, 0), ((2,), 2, 5), ((6,), 1, 10), ((2, 2), 2, 3), ((5,), 2, 7)])
