@@ -11,14 +11,16 @@ Two interchangeable backends:
   (group, index) value built at the edges, never interned.
 - ``RATIONALS`` / ``RationalClass``: Br(Q) presented by local invariants, a
   finitely supported map from places of Q to exact residues in [0,1) summing
-  to 0 mod 1.  Constructed by the Hilbert-symbol layer in ``rationals``.
+  to 0 mod 1, keyed by the residues as integers.  Constructed by the
+  Hilbert-symbol layer in ``rationals``.
 
 Both class kinds support addition, negation, order, p-primary parts and
-``primes()``.  Each model keys its classes: ``class_key`` (canonical order),
-``class_at`` (the class at a key), and the lookups ``key_primes[key]``,
-``p_part_keys[p][key]`` and ``add_keys(a, b)`` that ``motives`` works on
-without building classes; ``AbstractGroup`` adds ``neg_keys[key]`` and
-``key_order[key]``, which ``verify`` walks its index states with.
+``primes()``, done by the group on keys.  Each model keys its classes:
+``class_key`` (canonical order), ``class_at`` (the class at a key), and the
+lookups ``key_primes[key]``, ``p_part_keys[p][key]`` and ``add_keys(a, b)``
+that ``motives`` works on without building classes; ``AbstractGroup`` adds
+``neg_keys[key]`` and ``key_order[key]``, which ``verify`` walks its index
+states with.
 
 Index policy: by default the index of a class is its order (period), which is
 exact over number fields; abstract models may carry an oracle table asserting
@@ -299,6 +301,7 @@ class AbstractGroup:
     orders: tuple[int, ...]
     index_oracle: tuple[tuple[tuple[int, ...], int], ...] = ()
     class_key = staticmethod(operator.attrgetter("index"))  # canonical order: by coords
+    kind = "abstract"
 
     def __post_init__(self) -> None:
         if not all(isinstance(n, int) and n >= 1 for n in self.orders):
@@ -371,10 +374,6 @@ class AbstractGroup:
         # Rebuild from the fields; the tables refill on demand.
         return (AbstractGroup, (self.orders, self.index_oracle))
 
-    @property
-    def kind(self) -> str:
-        return "abstract"
-
     def class_at(self, idx: int) -> "AbstractClass":
         """The class with ``class_key`` (index) ``idx``; the one place a class
         is built from an index."""
@@ -418,44 +417,61 @@ class AbstractGroup:
         return payload
 
 
+def _lowest_terms(entries: Iterable[tuple]) -> tuple:
+    """Key entries (rank, place, a, d) with a/d in lowest terms, zeros dropped."""
+    return tuple((r, v, a // g, d // g) for r, v, a, d in entries if a for g in [math.gcd(a, d)])
+
+
 @dataclass(frozen=True)
 class _RationalGroup:
-    """Br(Q) backend marker; classes carry their own invariant data.  Br(Q) is
-    infinite, so its key tables are fresh per use: nothing is kept."""
+    """Br(Q) on keys: a class's key lists its nonzero local invariants as
+    (*place_sort_key(place), a, d) in place order, a/d in lowest terms.  The
+    group owns the class arithmetic, in integers.  Br(Q) is infinite, so its
+    key tables are fresh per use: nothing is kept."""
 
-    class_key = staticmethod(operator.methodcaller("sort_key"))  # canonical order
-
-    @property
-    def kind(self) -> str:
-        return "rational"
+    class_key = staticmethod(operator.attrgetter("key"))  # canonical order: by places
+    kind = "rational"
 
     def class_at(self, key: tuple) -> "RationalClass":
-        """The class whose ``sort_key`` is ``key``; its invariants are valid already."""
-        return RationalClass._of({
-            REAL_PLACE if rank == 0 else v: Fraction(a, b) for rank, v, a, b in key
-        })
-
-    @property
-    def key_primes(self) -> _Table:
-        return _Table(lambda key: self.class_at(key).primes())
-
-    @property
-    def p_part_keys(self) -> _Table:
-        return _Table(lambda p: _Table(lambda key: self.class_at(key).p_part(p).sort_key()))
+        """The class with key ``key``; the one place a class is built from a key."""
+        cls = object.__new__(RationalClass)
+        object.__setattr__(cls, "key", key)
+        return cls
 
     def add_keys(self, a: tuple, b: tuple) -> tuple:
-        """The key of the sum of the classes at keys ``a`` and ``b``, built
-        from the keys: residues n/d add place by place mod 1, in lowest terms."""
+        """The key of the sum of the classes at keys ``a`` and ``b``: residues
+        n/d add place by place mod 1."""
         acc = {(r, v): (n, d) for r, v, n, d in a}
         for r, v, n, d in b:
             n0, d0 = acc.get((r, v), (0, 1))
-            n, d = (n0 * d + n * d0) % (d0 * d), d0 * d
-            g = math.gcd(n, d)
-            acc[r, v] = (n // g, d // g)
-        return tuple(sorted((*v, n, d) for v, (n, d) in acc.items() if n))
+            acc[r, v] = (n0 * d + n * d0) % (d0 * d), d0 * d
+        return _lowest_terms(sorted((*v, n, d) for v, (n, d) in acc.items()))
+
+    @staticmethod
+    def multiple_key(key: tuple, k: int) -> tuple:
+        return _lowest_terms((r, v, a * k % d, d) for r, v, a, d in key)
+
+    @staticmethod
+    def p_part_key(key: tuple, p: int) -> tuple:
+        if not is_prime(p):
+            raise ValueError(f"not a prime: {p}")
+        # A residue a/d is the class of a in Z/d.
+        return _lowest_terms((r, v, _crt_p_component(a, d, p), d) for r, v, a, d in key)
+
+    @staticmethod
+    def order_of_key(key: tuple) -> int:
+        return math.lcm(*(d for *_, d in key), 1)
+
+    @property
+    def key_primes(self) -> _Table:
+        return _Table(lambda key: tuple(prime_factors(self.order_of_key(key))))
+
+    @property
+    def p_part_keys(self) -> _Table:
+        return _Table(lambda p: _Table(lambda key: self.p_part_key(key, p)))
 
     def identity(self) -> "RationalClass":
-        return RationalClass._of({})
+        return self.class_at(())
 
     def index_of(self, cls: "RationalClass") -> int:
         # Over a number field period equals index.
@@ -488,10 +504,10 @@ def _crt_p_component(c: int, n: int, p: int) -> int:
 class AbstractClass:
     """An element of an ``AbstractGroup``: the value (group, index).
 
-    ``AbstractClass(group, coords)`` reduces the coords modulo the orders.
-    Equality is by value (group and index); ``order``, ``p_part``, ``+`` and
-    ``-`` are lookups in the group's index tables, and ``coords`` is read
-    back from the index.
+    ``AbstractClass(group, coords)`` reduces integer coords modulo the
+    orders.  Equality is by value (group and index); ``order``, ``p_part``,
+    ``+`` and ``-`` are lookups in the group's index tables, and ``coords``
+    is read back from the index.
     """
 
     __slots__ = ("group", "index")
@@ -502,7 +518,7 @@ class AbstractClass:
                 f"expected {len(group.orders)} coordinates, got {len(coords)}"
             )
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", group._index([int(c) for c in coords]))
+        object.__setattr__(self, "index", group._index([operator.index(c) for c in coords]))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -542,6 +558,7 @@ class AbstractClass:
         return self + (-other)
 
     def __mul__(self, k: int) -> "AbstractClass":
+        k = operator.index(k)
         return AbstractClass(self.group, [k * c for c in self.coords])
 
     __rmul__ = __mul__
@@ -564,7 +581,8 @@ class AbstractClass:
         return {"coords": list(self.coords)}
 
 
-def _validate_invariants(invariants: Iterable[tuple[Place, Fraction]]) -> dict[Place, Fraction]:
+def _validate_invariants(invariants: Iterable[tuple[Place, Fraction]]) -> tuple:
+    """The key of the class with these (place, residue) pairs from outside."""
     seen: dict[Place, Fraction] = {}
     for v, inv in invariants:
         v = check_place(v)
@@ -577,92 +595,63 @@ def _validate_invariants(invariants: Iterable[tuple[Place, Fraction]]) -> dict[P
     total = sum(seen.values(), Fraction(0))
     if total.denominator != 1:
         raise ValueError(f"local invariants must sum to 0 mod 1, got {total}")
-    return seen
+    return _lowest_terms(sorted(
+        (*place_sort_key(v), inv.numerator, inv.denominator) for v, inv in seen.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RationalClass:
-    """A Brauer class of Q given by its nonzero local invariants."""
+    """A Brauer class of Q: the value ``key`` (see ``RATIONALS``), built
+    from checked (place, residue) pairs.  The arithmetic is the group's on
+    keys, and ``invariants`` is read back from the key."""
 
-    invariants: tuple[tuple[Place, Fraction], ...]
+    key: tuple
+    group = RATIONALS
 
-    def __post_init__(self) -> None:
-        valid = RationalClass._of(_validate_invariants(self.invariants))
-        object.__setattr__(self, "invariants", valid.invariants)
-
-    @classmethod
-    def _of(cls, residues: dict[Place, Fraction]) -> "RationalClass":
-        """The class with these residues, built from valid classes: places of
-        Q, residues in [0, 1) summing to 0 mod 1.  Zero residues drop out."""
-        self = object.__new__(cls)
-        nonzero = [(v, inv) for v, inv in residues.items() if inv]
-        nonzero.sort(key=lambda item: place_sort_key(item[0]))
-        object.__setattr__(self, "invariants", tuple(nonzero))
-        return self
+    def __init__(self, invariants: Iterable[tuple[Place, Fraction]]) -> None:
+        object.__setattr__(self, "key", _validate_invariants(invariants))
 
     @property
-    def group(self) -> _RationalGroup:
-        return RATIONALS
+    def invariants(self) -> tuple[tuple[Place, Fraction], ...]:
+        return tuple((REAL_PLACE if r == 0 else v, Fraction(a, d)) for r, v, a, d in self.key)
 
     def invariant_at(self, v: Place) -> Fraction:
-        for place, inv in self.invariants:
-            if place == v:
-                return inv
-        return Fraction(0)
+        return dict(self.invariants).get(v, Fraction(0))
 
     def ramified_places(self) -> tuple[Place, ...]:
         return tuple(v for v, _ in self.invariants)
 
     def __add__(self, other: "RationalClass") -> "RationalClass":
         common_group(self, other)
-        acc: dict[Place, Fraction] = dict(self.invariants)
-        for v, inv in other.invariants:
-            acc[v] = (acc.get(v, Fraction(0)) + inv) % 1
-        return RationalClass._of(acc)
+        return RATIONALS.class_at(RATIONALS.add_keys(self.key, other.key))
 
     def __neg__(self) -> "RationalClass":
-        return RationalClass._of({v: (-inv) % 1 for v, inv in self.invariants})
+        return RATIONALS.class_at(RATIONALS.multiple_key(self.key, -1))
 
     def __sub__(self, other: "RationalClass") -> "RationalClass":
         return self + (-other)
 
     def __mul__(self, k: int) -> "RationalClass":
-        k = operator.index(k)  # an integer multiple of a valid class is valid
-        return RationalClass._of({v: (k * inv) % 1 for v, inv in self.invariants})
+        # An integer multiple of a valid class is valid.
+        return RATIONALS.class_at(RATIONALS.multiple_key(self.key, operator.index(k)))
 
     __rmul__ = __mul__
 
     def is_identity(self) -> bool:
-        return not self.invariants
+        return not self.key
 
     def order(self) -> int:
-        return math.lcm(*(inv.denominator for _, inv in self.invariants), 1)
+        return RATIONALS.order_of_key(self.key)
 
     def p_part(self, p: int) -> "RationalClass":
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
-        # An invariant a/d is the class of a in Z/d; zero components drop out.
-        return RationalClass._of({
-            v: Fraction(_crt_p_component(inv.numerator, inv.denominator, p), inv.denominator)
-            for v, inv in self.invariants
-        })
+        return RATIONALS.class_at(RATIONALS.p_part_key(self.key, p))
 
     def primes(self) -> tuple[int, ...]:
         """Primes dividing the order of the class, ascending."""
-        return tuple(prime_factors(self.order()))
-
-    def sort_key(self):
-        return tuple(
-            (*place_sort_key(v), inv.numerator, inv.denominator)
-            for v, inv in self.invariants
-        )
+        return RATIONALS.key_primes[self.key]
 
     def to_payload(self) -> dict:
-        return {
-            "invariants": [
-                {"place": v, "inv": str(inv)} for v, inv in self.invariants
-            ]
-        }
+        return {"invariants": [{"place": v, "inv": str(inv)} for v, inv in self.invariants]}
 
 
 BrauerClass = Union[AbstractClass, RationalClass]

@@ -2,11 +2,11 @@
 
 A ``MotiveSum`` stores its simple summands as ``key_counts``: (class key,
 multiplicity) pairs sorted by key, the key being ``group.class_key`` (the
-index for abstract groups, ``RationalClass.sort_key`` over Q).  ``rank`` is
-the sum of the multiplicities; ``len`` returns it too, up to 2^63 - 1, the
-most Python's ``len`` allows.  ``counts`` and ``classes`` (the sorted
-expansion) build their class objects with ``group.class_at`` when first
-read, once per sum.  Two sums are isomorphic exactly when they have the same
+index for abstract groups, the residue tuple ``RationalClass.key`` over Q).
+``rank`` is the sum of the multiplicities; ``len`` returns it too, up to
+2^63 - 1, the most Python's ``len`` allows.  ``counts`` and ``classes``
+(the sorted expansion) build their class objects with ``group.class_at``
+when first read, once per sum.  Two sums are isomorphic exactly when they have the same
 rank and, prime by prime, the same multiset of p-primary parts;
 ``signature`` reads the primes and p-parts of each key from the group's
 tables (``key_primes``, ``p_part_keys``), so it builds no class.  Tate

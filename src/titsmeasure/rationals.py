@@ -17,18 +17,18 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .brauer import (
+    RATIONALS,
     REAL_PLACE,
     Place,
     RationalClass,
     check_place,
     is_prime,
+    place_sort_key,
     prime_factors,
 )
 
 # A rational modulo nonzero squares: (squarefree integer, its odd primes).
 SquareClass = tuple[int, tuple[int, ...]]
-
-HALF = Fraction(1, 2)
 
 
 def as_fraction(x) -> Fraction:
@@ -99,9 +99,10 @@ def _ramified(x: SquareClass, y: SquareClass) -> list[Place]:
 def quaternion_sum(pairs: Iterable[tuple[SquareClass, SquareClass]]) -> RationalClass:
     """Sum of the quaternion classes (x, y) over pairs of square classes.
 
-    The ramification parity is counted per place and one class is built at
-    the end.  Each pair must ramify at an even number of places (the product
-    formula); an odd count raises ``AssertionError``.
+    The ramification parity is counted per place, and the key of the sum is
+    read off the places of odd parity (invariant 1/2 each).  Each pair must
+    ramify at an even number of places (the product formula); an odd count
+    raises ``AssertionError``.
     """
     odd: set[Place] = set()
     for x, y in pairs:
@@ -111,7 +112,7 @@ def quaternion_sum(pairs: Iterable[tuple[SquareClass, SquareClass]]) -> Rational
                 f"({x[0]}, {y[0]}) ramifies at an odd number of places: {places}"
             )
         odd.symmetric_difference_update(places)
-    return RationalClass._of(dict.fromkeys(odd, HALF))
+    return RATIONALS.class_at(tuple(sorted((*place_sort_key(v), 1, 2) for v in odd)))
 
 
 def quaternion_class(a, b) -> RationalClass:

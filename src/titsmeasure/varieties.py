@@ -22,6 +22,7 @@ from .brauer import (
     BrauerClass,
     BrauerGroup,
     ResourceLimitError,
+    check_work,
     common_group,
     generated_subgroup,
     record_payload,
@@ -38,6 +39,11 @@ from .sigma import MAX_DIGITS, extra_condition_failures
 # over two supports.  Past this many, measuring raises ``ResourceLimitError``
 # before it builds any class.
 MAX_CLASSES = 2**14
+# The class pairs of all the steps of a product are priced together, at
+# PAIR_WORK units of ``brauer.WORK_LIMIT`` a pair: about 4 us (Python 3.11,
+# 2-core VM) when the group adds the pair for the first time, its share of
+# the measure included, and under 1 us for a pair it has added before.
+PAIR_WORK = 20
 # A rank measure with more digits than Python prints by default is refused
 # the same way, at the figure ``sigma`` refuses its values past.
 _RANK_CAP = 10**MAX_DIGITS
@@ -275,10 +281,13 @@ class Product:
         return sum(child.dim for child in self.children)
 
     def jt_classes(self) -> MotiveSum:
-        out = self.children[0].jt_classes()
+        out, work = self.children[0].jt_classes(), 0
         for child in self.children[1:]:
             factor = child.jt_classes()
-            _check_classes("product pair count", len(out.key_counts) * len(factor.key_counts))
+            pairs = len(out.key_counts) * len(factor.key_counts)
+            _check_classes("product pair count", pairs)
+            work += PAIR_WORK * pairs
+            check_work("the product measure", [work])
             out = tensor(out, factor)
         return out
 

@@ -6,7 +6,8 @@ box weights by direct partition enumeration; finite-group arithmetic, the
 isomorphism signature and the per-prime isomorphism test by coordinate loops
 over the expanded multiset; sigma1 by its displayed two-term formula; every
 sigma kind by its literal sum over r; the even-Clifford class by the pairwise
-Fraction formula over trial division.
+Fraction formula over trial division; Br(Q) class arithmetic on Fraction
+residues, place by place.
 """
 
 from __future__ import annotations
@@ -420,6 +421,21 @@ def counter_merge(pairs) -> list:
     for invs, k in pairs:
         total[_canonical(invs)] += k
     return sorted(((c, k) for c, k in total.items() if k), key=lambda t: invariants_key(t[0]))
+
+
+def invariants_sum(*classes) -> tuple:
+    """The class whose residues are those of ``classes`` added place by
+    place mod 1."""
+    total: dict = {}
+    for invs in classes:
+        for v, inv in invs:
+            total[v] = (total.get(v, Fraction(0)) + inv) % 1
+    return _canonical(total.items())
+
+
+def invariants_multiple(invs, k: int) -> tuple:
+    """k times the class, residue by residue mod 1 (k = -1 is the negation)."""
+    return _canonical((v, k * inv % 1) for v, inv in invs)
 
 
 def invariants_order(invs) -> int:

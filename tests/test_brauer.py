@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import titsmeasure
 import titsmeasure.measure_ring
-from oracles import bfs_subgroup, trial_factors
+from oracles import (
+    bfs_subgroup,
+    invariants_multiple,
+    invariants_order,
+    invariants_p_part,
+    invariants_sum,
+    trial_factors,
+)
 from titsmeasure import verify
 from titsmeasure.brauer import (
     CSA,
@@ -182,12 +189,19 @@ def test_public_names_are_pinned():
 
 
 @st.composite
-def rational_classes(draw):
-    """A valid class of Q: the real place, 2, 3 and 5 drawn, 7 closing the sum."""
+def rational_residues(draw):
+    """Valid invariants of a class of Q: the real place, 2, 3, 5 and 11 drawn,
+    7 closing the sum; denominators mix the primes 2, 3 and 5."""
     invs = [("real", draw(st.sampled_from([Fraction(0), Fraction(1, 2)])))]
-    invs += [(v, Fraction(draw(st.integers(0, 11)), 12)) for v in (2, 3, 5)]
+    for v in (2, 3, 5, 11):
+        d = draw(st.sampled_from([1, 4, 9, 12, 25, 30, 72]))
+        invs.append((v, Fraction(draw(st.integers(0, d - 1)), d)))
     invs.append((7, -sum(inv for _, inv in invs) % 1))
-    return RationalClass(tuple(invs))
+    return tuple(invs)
+
+
+def rational_classes():
+    return rational_residues().map(RationalClass)
 
 
 nonzero_entries = st.integers(-30, 30).filter(bool)
@@ -201,7 +215,7 @@ class TestRationalClasses:
         # Classes derived from valid ones skip the validation of outside input;
         # each must equal the class the checking constructor builds.
         derived = [
-            c + d, -c, c - d, k * c, c.p_part(p), RATIONALS.class_at(c.sort_key()),
+            c + d, -c, c - d, k * c, c.p_part(p), RATIONALS.class_at(c.key),
             RATIONALS.identity(), quaternion_class(a, b),
         ]
         for x in derived:
@@ -209,10 +223,33 @@ class TestRationalClasses:
             assert x == checked and x.invariants == checked.invariants
             assert hash(x) == hash(checked)
 
+    @given(rational_residues(), rational_residues(), st.integers(-13, 13),
+           st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_matches_the_residue_oracle(self, a, b, k, p):
+        # The class arithmetic is on integer keys; the oracle adds, negates,
+        # multiplies and splits Fraction residues place by place.
+        c, d = RationalClass(a), RationalClass(b)
+        assert (c + d).invariants == invariants_sum(a, b)
+        assert (-c).invariants == invariants_multiple(a, -1)
+        assert (c - d).invariants == invariants_sum(a, invariants_multiple(b, -1))
+        assert (k * c).invariants == (c * k).invariants == invariants_multiple(a, k)
+        assert c.p_part(p).invariants == invariants_p_part(a, p)
+        assert c.order() == invariants_order(a)
+        assert c.primes() == tuple(trial_factors(invariants_order(a)))
+
     def test_multiple_needs_an_integer(self):
-        c = quaternion_class(-1, 3)
-        with pytest.raises(TypeError):
-            c * Fraction(1, 2)
+        # Both models refuse a non-integer multiple, even an integral one.
+        g = AbstractGroup((4,))
+        for c in (quaternion_class(-1, 3), g.element([1])):
+            for k in (Fraction(1, 2), 1.5, Fraction(2, 1), 2.0):
+                with pytest.raises(TypeError):
+                    c * k
+                with pytest.raises(TypeError):
+                    k * c
+        for coord in (Fraction(1, 2), 1.9, 1.0):
+            with pytest.raises(TypeError):
+                g.element([coord])
 
     def test_invariants_must_balance(self):
         with pytest.raises(ValueError):

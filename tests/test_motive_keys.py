@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import class_signature, decode_signature
+from oracles import class_signature, counter_merge, decode_signature, invariants_sum
 from titsmeasure.brauer import RATIONALS, AbstractGroup, GroupMismatchError, RationalClass
 from titsmeasure.jsonio import parse_measure_request
 from titsmeasure.motives import MotiveSum, direct_sum, is_isomorphic, tensor
@@ -79,6 +79,18 @@ def test_key_signature_decodes_to_the_class_signature(ms):
 def test_tensor_adds_keys_as_the_classes_add(ms):
     pairs = [(a + b, i * j) for a, i in ms.counts for b, j in ms.counts]
     assert tensor(ms, ms) == MotiveSum(ms.group, pairs)
+
+
+@given(rational_sums(), rational_sums())
+@settings(max_examples=100, deadline=None)
+def test_rational_tensor_matches_the_residue_oracle(x, y):
+    # Over Q the pair sums come from the Fraction-residue oracle, not from the
+    # key adder that both ``tensor`` and ``+`` use.
+    pairs = [(invariants_sum(a.invariants, b.invariants), i * j)
+             for a, i in x.counts for b, j in y.counts]
+    got = tensor(x, y)
+    assert [(c.invariants, k) for c, k in got.counts] == counter_merge(pairs)
+    assert got.rank == x.rank * y.rank
 
 
 def test_key_tables_stay_lazy_on_a_huge_group():

@@ -7,11 +7,12 @@ from collections import Counter
 import pytest
 
 from oracles import box_partition_weights, gaussian_binomial
-from titsmeasure import cli, jsonio, varieties
+from titsmeasure import brauer, cli, jsonio, varieties
 from titsmeasure.brauer import CSA, AbstractGroup, GroupMismatchError, ResourceLimitError
 from titsmeasure.quadforms import FormShadow, QuadraticForm
 from titsmeasure.varieties import (
     MAX_CLASSES,
+    PAIR_WORK,
     Grassmannian,
     Involution,
     Product,
@@ -286,6 +287,41 @@ class TestLargeMeasures:
         past = Product((sb(g, [129], 128), sb(g, [128], 129)))
         with pytest.raises(ResourceLimitError, match="product pair count 16512"):
             self._timed_measure(past)
+
+
+class TestProductWork:
+    """A product prices its class pairs as one running total."""
+
+    @staticmethod
+    def _cycling_shadows(count):
+        # Dimension-5 shadows over (Z/2)^12 through the 12 generators: the
+        # support doubles up to 4,096 classes and stays there.
+        g = AbstractGroup((2,) * 12)
+        units = [[int(i == j) for j in range(12)] for i in range(12)]
+        return tuple(Quadric(FormShadow(5, g.element(units[i % 12]), True)) for i in range(count))
+
+    @pytest.mark.parametrize("factors", [102, 103])
+    def test_each_side_of_the_limit(self, factors):
+        # 102 factors are the longest such product the price accepts: 8,188
+        # pairs up to 4,096 classes, then 90 steps of 8,192.
+        v = Product(self._cycling_shadows(factors))
+        if factors == 102:
+            assert len(v.jt_classes().key_counts) == 4096
+        else:
+            with pytest.raises(ResourceLimitError, match="the product measure needs more than"):
+                v.jt_classes()
+
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_steps_add_up(self, monkeypatch, slack):
+        # Factor j >= 2 meets a support of min(2^(j-1), 4096) classes of 2 each.
+        price = sum(PAIR_WORK * min(2 ** (j - 1), 4096) * 2 for j in range(2, 21))
+        monkeypatch.setattr(brauer, "WORK_LIMIT", price + slack)
+        v = Product(self._cycling_shadows(20))
+        if slack == 0:
+            assert len(v.jt_classes().key_counts) == 4096
+        else:
+            with pytest.raises(ResourceLimitError, match=f"more than {price - 1} units"):
+                v.jt_classes()
 
 
 def _measure_argv(orders, variety):
