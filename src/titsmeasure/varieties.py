@@ -572,6 +572,17 @@ def deduce(
             ),
             **base,
         )
+    if x.dim != y.dim:
+        # The class multiset forgets the dimension; a class in K0(Var_k) does not.
+        return DeductionReport(
+            refuted=True,
+            notes=(
+                f"the varieties have dimensions {x.dim} and {y.dim}; a class in "
+                "K0(Var_k) fixes the dimension, so the asserted class equality "
+                "cannot hold",
+            ),
+            **base,
+        )
     conclusions, notes = RULES[family](x, y, i3_zero)
     return DeductionReport(
         refuted=False,

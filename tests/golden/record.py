@@ -156,6 +156,14 @@ CASES: dict[str, list[str]] = {
         "deduce", _pair(Z2, *[_prod(_sb([1], 4), _sb([1], 2))] * 2)],
     "deduce-quadric-product-dims-differ": [
         "deduce", _pair(Z2, *[_prod(_shadow(6, [1]), _shadow(5, [1]))] * 2)],
+    # deduce, equal measures but different dimensions: refuted
+    "deduce-gr-dims-differ-json": [
+        "deduce", _pair(_abstract(1), _gr(2, [0], 16), _gr(3, [0], 10)), *JSON],
+    "deduce-gr-dims-differ-table": ["deduce", _pair(_abstract(1), _gr(2, [0], 16), _gr(1, [0], 120))],
+    "deduce-quadric-shadow-dims-7-6-i3-table": [
+        "deduce", _pair(Z2, _shadow(7, [0]), _shadow(6, [0])), "--i3-zero"],
+    "deduce-quadric-shadow-dims-5-4-i3-json": [
+        "deduce", _pair(Z2, _shadow(5, [0]), _shadow(4, [0])), "--i3-zero", *JSON],
     # sigma, sigma-check, conic-family
     "sigma-positional-table": ["sigma", "1even", "5", "6", "2"],
     "sigma-positional-json": ["sigma", "sigma1odd", "7", "9", "3", *JSON],
@@ -210,6 +218,11 @@ CASES["compare-rational-isometric-json"] = ["compare", _pair(RATIONAL, QUAD5_Q, 
 CASES["deduce-rational-isometric-table"] = ["deduce", _pair(RATIONAL, QUAD5_Q, QUAD5_Q_ISO)]
 CASES["compare-rational-dim6-differ-table"] = ["compare", _pair(RATIONAL, QUAD6_A, QUAD6_Q)]
 CASES["deduce-rational-dim6-differ-json"] = ["deduce", _pair(RATIONAL, QUAD6_A, QUAD6_Q), *JSON]
+CASES["deduce-rational-dims-differ-table"] = ["deduce", _pair(
+    RATIONAL,
+    {"family": "quadric", "form": ["1", "1", "1", "1", "-1", "-1", "-1"]},
+    {"family": "quadric", "form": ["1", "1", "1", "-1", "-1", "-1"]},
+)]
 CASES["measure-rational-disc-nontrivial"] = [
     "measure", _measure(RATIONAL, {"family": "quadric", "form": ["1", "2", "3", "5"]})]
 

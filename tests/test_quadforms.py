@@ -24,10 +24,13 @@ from titsmeasure.varieties import NO_RULE, Quadric, deduce, tits_measure
 ENTRIES = [-7, -5, -3, -2, -1, 1, 2, 3, 5, 7]
 
 
-def random_form(rng: random.Random, dim: int) -> QuadraticForm:
+RATIONAL_ENTRIES = [Fraction(a, b) for a in ENTRIES for b in (1, 2, 3, 4, 9)]
+
+
+def random_form(rng: random.Random, dim: int, values=ENTRIES) -> QuadraticForm:
     """Random diagonal form; even dims get the signed discriminant forced
     trivial by solving for the last entry."""
-    entries = [Fraction(rng.choice(ENTRIES)) for _ in range(dim - 1)]
+    entries = [Fraction(rng.choice(values)) for _ in range(dim - 1)]
     if dim % 2 == 0:
         sign = -1 if (dim * (dim - 1) // 2) % 2 else 1
         last = Fraction(sign)
@@ -35,7 +38,7 @@ def random_form(rng: random.Random, dim: int) -> QuadraticForm:
             last *= a
         entries.append(last)
     else:
-        entries.append(Fraction(rng.choice(ENTRIES)))
+        entries.append(Fraction(rng.choice(values)))
     return QuadraticForm(tuple(entries))
 
 
@@ -170,6 +173,34 @@ class TestStructureOracle:
             q = random_form(rng, rng.choice([3, 4, 5, 6]))
             assert even_clifford_class_by_structure(q) == even_clifford_class(q)
 
+    # Every residue of the closed form's n mod 8 table, rational entries, both
+    # components for even n.
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_agrees_with_closed_form_rational_entries(self, n):
+        rng = random.Random(8000 + n)
+        for _ in range(12):
+            q = random_form(rng, n, RATIONAL_ENTRIES)
+            want = even_clifford_class(q)
+            for sign in (1, -1) if n % 2 == 0 else (1,):
+                assert even_clifford_class_by_structure(q, component_sign=sign) == want
+
+    # Each entry of the first form is a square times the matching entry of the
+    # second, so the forms are isometric and their classes equal.
+    @pytest.mark.parametrize(
+        "scaled, plain",
+        [
+            (["3/4", "-5/18", 30], [3, -10, 30]),
+            (["1/2", "-2/9", "3/5", "-15/4"], [2, -2, 15, -15]),
+            (["1/4", "2/9", "-3/25", "5/49", "7/2", "-11/3", "13/5", "1001/9"],
+             [1, 2, -3, 5, 14, -33, 65, 1001]),
+        ],
+        ids=("n3", "n4", "n8"),
+    )
+    def test_square_rescaled_form_gives_the_same_class(self, scaled, plain):
+        want = even_clifford_class_by_structure(QuadraticForm.of(plain))
+        assert even_clifford_class_by_structure(QuadraticForm.of(scaled)) == want
+        assert want == even_clifford_class(QuadraticForm.of(plain))
+
     # Forms of dimension 4 and 6 with trivial signed discriminant.
     @pytest.mark.parametrize(
         "entries",
@@ -196,7 +227,15 @@ class TestStructureOracle:
     # With every reordering sign dropped the table is commutative: the oracle
     # must name the failed check, never return a class.
     @pytest.mark.parametrize(
-        "entries", [[1, 2, 3], [1, -1, 2, -2], [1, 2, 3, 5, 7]], ids=("n3", "n4", "n5")
+        "entries",
+        [
+            [1, 2, 3],
+            [1, -1, 2, -2],
+            [1, 2, 3, 5, 7],
+            [1, 2, 3, 5, 7, 11, 13],
+            [1, 2, 3, 5, 7, 11, 13, 30030],
+        ],
+        ids=("n3", "n4", "n5", "n7", "n8"),
     )
     def test_commutative_table_fails_a_check(self, monkeypatch, entries):
         monkeypatch.setattr(clifford, "_tau", lambda s, t: 0)
@@ -204,8 +243,9 @@ class TestStructureOracle:
             even_clifford_class_by_structure(QuadraticForm.of(entries))
 
     def test_rejects_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            even_clifford_class_by_structure(QuadraticForm.of([1, 1, 1, 1, 1, 1, 1]))
+        for n in (2, 9):
+            with pytest.raises(ValueError, match="supports dimensions 3..8"):
+                even_clifford_class_by_structure(QuadraticForm.of([1] * n))
 
 
 class TestShadows:

@@ -24,6 +24,8 @@ from titsmeasure.varieties import (
     tits_measure,
 )
 
+Z1 = AbstractGroup((1,))
+Z2 = AbstractGroup((2,))
 G4 = AbstractGroup((4,))
 V2 = AbstractGroup((2, 2))
 V2L = AbstractGroup((2, 2), index_oracle=(((1, 1), 4),))
@@ -457,6 +459,29 @@ class TestDeduce:
         r = deduce(sb(V2, [1, 0], 2), sb(V2, [0, 1], 2), True)
         assert r.refuted
         assert not r.conclusions
+
+    # Equal measures, different dimensions: the multiset forgets the
+    # dimension, so no rule may conclude from it.
+    @pytest.mark.parametrize(
+        "x, y, i3_zero",
+        [
+            (Grassmannian(2, CSA(Z1.identity(), 16)), Grassmannian(3, CSA(Z1.identity(), 10)), False),
+            (Grassmannian(2, CSA(Z1.identity(), 16)), Grassmannian(1, CSA(Z1.identity(), 120)), False),
+            (Quadric(FormShadow(7, Z2.identity())), Quadric(FormShadow(6, Z2.identity())), True),
+            (Quadric(FormShadow(5, Z2.identity())), Quadric(FormShadow(4, Z2.identity())), True),
+            (Quadric(QuadraticForm.of([1, 1, 1, 1, -1, -1, -1])),
+             Quadric(QuadraticForm.of([1, 1, 1, -1, -1, -1])), False),
+        ],
+        ids=("gr-2-16-3-10", "gr-2-16-1-120", "shadow-7-6", "shadow-5-4", "rational-7-6"),
+    )
+    def test_refuted_when_dimensions_differ(self, x, y, i3_zero):
+        r = deduce(x, y, True, i3_zero=i3_zero)
+        assert r.verdict.measures_equal and not r.verdict.dims_equal
+        assert r.refuted and not r.conclusions
+        assert r.notes == (
+            f"the varieties have dimensions {x.dim} and {y.dim}; a class in K0(Var_k) "
+            "fixes the dimension, so the asserted class equality cannot hold",
+        )
 
     def test_severi_brauer_two_torsion_isomorphism(self):
         r = deduce(sb(V2, [1, 1], 2), sb(V2, [1, 1], 2), True)
