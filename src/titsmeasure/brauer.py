@@ -16,9 +16,10 @@ Two interchangeable backends:
 
 Both class kinds support addition, negation, order, p-primary parts and
 ``primes()``, done by the group on keys.  Each model keys its classes:
-``class_key`` (canonical order), ``class_at`` (the class at a key), and the
-lookups ``key_primes[key]``, ``p_part_keys[p][key]`` and ``add_keys(a, b)``
-that ``motives`` works on without building classes; ``AbstractGroup`` adds
+``class_key`` (canonical order), ``class_at`` (the class at a key),
+``identity_key``, and the lookups ``key_primes[key]``, ``p_part_keys[p][key]``
+and ``add_keys(a, b)`` that ``motives``, ``measure_ring`` and
+``subgroup_keys`` work on without building classes; ``AbstractGroup`` adds
 ``neg_keys[key]`` and ``key_order[key]``, which ``verify`` walks its index
 states with.
 
@@ -301,6 +302,7 @@ class AbstractGroup:
     orders: tuple[int, ...]
     index_oracle: tuple[tuple[tuple[int, ...], int], ...] = ()
     class_key = staticmethod(operator.attrgetter("index"))  # canonical order: by coords
+    identity_key = 0
     kind = "abstract"
 
     def __post_init__(self) -> None:
@@ -383,7 +385,7 @@ class AbstractGroup:
         return cls
 
     def identity(self) -> "AbstractClass":
-        return self.class_at(0)
+        return self.class_at(self.identity_key)
 
     def add_keys(self, i: int, j: int) -> int:
         """The index of the sum of the classes at indices ``i`` and ``j``."""
@@ -430,6 +432,7 @@ class _RationalGroup:
     key tables are fresh per use: nothing is kept."""
 
     class_key = staticmethod(operator.attrgetter("key"))  # canonical order: by places
+    identity_key = ()
     kind = "rational"
 
     def class_at(self, key: tuple) -> "RationalClass":
@@ -471,7 +474,7 @@ class _RationalGroup:
         return _Table(lambda p: _Table(lambda key: self.p_part_key(key, p)))
 
     def identity(self) -> "RationalClass":
-        return self.class_at(())
+        return self.class_at(self.identity_key)
 
     def index_of(self, cls: "RationalClass") -> int:
         # Over a number field period equals index.
@@ -657,28 +660,33 @@ class RationalClass:
 BrauerClass = Union[AbstractClass, RationalClass]
 
 
-def generated_subgroup(
-    cs: Sequence[BrauerClass], *, group: BrauerGroup | None = None
-) -> frozenset[BrauerClass]:
-    """Subgroup generated by the given classes, as a frozen set of classes.
-
-    The group model is inferred from the classes; for an empty sequence it
-    must be passed explicitly.  A generator g outside the subgroup H so far adds
-    the cosets H + k g for k = 1, 2, ... until k g lies in H: one sum per element.
-    """
-    if cs:
-        group = common_group(*cs)
-    elif group is None:
-        raise ValueError("empty generating set needs an explicit group")
-    known = {group.identity()}
-    for g in cs:
+def subgroup_keys(group: BrauerGroup, keys: Iterable) -> frozenset:
+    """Keys of the subgroup generated by the classes at ``keys``.  A generator
+    g outside the subgroup H so far adds the cosets H + k g for k = 1, 2, ...
+    until k g lies in H: one ``add_keys`` per element."""
+    add = group.add_keys
+    known = {group.identity_key}
+    for g in keys:
         if g in known:
             continue
         base, step = list(known), g
         while step not in known:
-            known.update([h + step for h in base])
-            step = step + g
+            known.update([add(h, step) for h in base])
+            step = add(step, g)
     return frozenset(known)
+
+
+def generated_subgroup(
+    cs: Sequence[BrauerClass], *, group: BrauerGroup | None = None
+) -> frozenset[BrauerClass]:
+    """Subgroup generated by the given classes, as a frozen set of classes,
+    closed on keys by ``subgroup_keys``.  The group model is inferred from the
+    classes; for an empty sequence it must be passed explicitly."""
+    if cs:
+        group = common_group(*cs)
+    elif group is None:
+        raise ValueError("empty generating set needs an explicit group")
+    return frozenset(map(group.class_at, subgroup_keys(group, map(group.class_key, cs))))
 
 
 @dataclass(frozen=True)

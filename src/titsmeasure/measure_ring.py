@@ -7,80 +7,100 @@ of coprime index.  Every class then rewrites into its p-primary parts:
 
 with nu the number of primes dividing ord(c).  Elements are kept in the normal
 form spanned by the identity and the classes of prime-power order; equality in
-the quotient is literal equality of normal forms.  The verification suites
-check this against raw breadth-first rewriting on finite models.
+the quotient is literal equality of normal forms.  As in ``motives``, the
+normal form is kept on class keys and rewritten and added through the
+group's key tables; classes are built only when ``terms`` is read.  The
+verification suites check this against raw breadth-first rewriting on finite
+models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .brauer import BrauerGroup, GroupMismatchError, common_group
-from .motives import Count as Term, merge
+from .motives import Count as Term, KeyCount, merge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RingElement:
-    """An element of the quotient ring, stored in normal form."""
+    """An element of the quotient ring, built from (class, integer) pairs and
+    stored in normal form as ``key_terms``: (class key, coefficient) pairs
+    sorted by key.  ``==`` and ``hash`` compare the group and ``key_terms``."""
 
     group: BrauerGroup
-    terms: tuple[Term, ...]
+    key_terms: tuple[KeyCount, ...]
 
-    def __post_init__(self) -> None:
-        group = self.group
-        for c, k in self.terms:
+    def __init__(self, group: BrauerGroup, terms: Iterable[Term]) -> None:
+        key = group.class_key
+        pairs = []
+        for c, k in terms:
             if c.group is not group and c.group != group:
                 raise GroupMismatchError("class outside the declared group model")
-            if not isinstance(k, int):
+            if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError(f"coefficients must be integers, got {k!r}")
-        # Each distinct class is rewritten once, weighted by its coefficient.
-        key, primes, p_parts = group.class_key, group.key_primes, group.p_part_keys
+            pairs.append((key(c), k))
+        self.__dict__.update(group=group, key_terms=pairs)
+        self.__post_init__()
+
+    @classmethod
+    def _of_keys(cls, group: BrauerGroup, pairs: Iterable[KeyCount]) -> "RingElement":
+        """The normal form of checked (key, coefficient) pairs."""
+        self = object.__new__(cls)
+        self.__dict__.update(group=group, key_terms=pairs)
+        self.__post_init__()
+        return self
+
+    def __post_init__(self) -> None:
+        # Rewrites the raw key_terms: each distinct key once, weighted by its coefficient.
+        group = self.group
+        primes, p_parts, zero = group.key_primes, group.p_part_keys, group.identity_key
         expanded = []
-        for kc, k in merge([(key(c), k) for c, k in self.terms]):
+        for kc, k in merge(self.key_terms):
             ps = primes[kc]
             if len(ps) < 2:
                 expanded.append((kc, k))
             else:
                 expanded += [(p_parts[p][kc], k) for p in ps]
-                expanded.append((key(group.identity()), k * (1 - len(ps))))
-        at = group.class_at
-        object.__setattr__(self, "terms", tuple([(at(kc), k) for kc, k in merge(expanded)]))
+                expanded.append((zero, k * (1 - len(ps))))
+        self.__dict__["key_terms"] = merge(expanded)
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The (class, coefficient) pairs, built with ``group.class_at`` on each read."""
+        at = self.group.class_at
+        return tuple([(at(kc), k) for kc, k in self.key_terms])
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(common_group(self, other), self.terms + other.terms)
+        return RingElement._of_keys(common_group(self, other), self.key_terms + other.key_terms)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.group, tuple((c, -k) for c, k in self.terms))
+        return RingElement._of_keys(self.group, [(kc, -k) for kc, k in self.key_terms])
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         group = common_group(self, other)
-        raw = [
-            (c1 + c2, k1 * k2)
-            for c1, k1 in self.terms
-            for c2, k2 in other.terms
-        ]
-        return RingElement(group, tuple(raw))
+        add = group.add_keys
+        return RingElement._of_keys(group, [
+            (add(a, b), i * j) for a, i in self.key_terms for b, j in other.key_terms
+        ])
 
     def to_payload(self) -> dict:
-        return {
-            "terms": [
-                {"class": c.to_payload(), "coeff": k} for c, k in self.terms
-            ]
-        }
+        return {"terms": [{"class": c.to_payload(), "coeff": k} for c, k in self.terms]}
 
 
 def augmentation(x: RingElement) -> int:
     """Sum of coefficients; rewriting preserves it, so it is well defined."""
-    return sum(k for _, k in x.terms)
+    return sum(k for _, k in x.key_terms)
 
 
 def equal(x: RingElement, y: RingElement) -> bool:
     """Equality in the quotient ring: identical normal forms."""
     common_group(x, y)
-    return x.terms == y.terms
+    return x.key_terms == y.key_terms
 
 
 def from_motive_sum(ms) -> RingElement:
@@ -88,4 +108,4 @@ def from_motive_sum(ms) -> RingElement:
 
     Multiplicities become coefficients, so the rank never gets expanded.
     """
-    return RingElement(ms.group, ms.counts)
+    return RingElement._of_keys(ms.group, ms.key_counts)

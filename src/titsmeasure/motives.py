@@ -4,15 +4,15 @@ A ``MotiveSum`` stores its simple summands as ``key_counts``: (class key,
 multiplicity) pairs sorted by key, the key being ``group.class_key`` (the
 index for abstract groups, the residue tuple ``RationalClass.key`` over Q).
 ``rank`` is the sum of the multiplicities; ``len`` returns it too, up to
-2^63 - 1, the most Python's ``len`` allows.  ``counts`` and ``classes``
-(the sorted expansion) build their class objects with ``group.class_at``
+2^63 - 1, the most Python's ``len`` allows.  Only ``counts`` and ``classes``
+(the sorted expansion) hold class objects, built with ``group.class_at``
 when first read, once per sum.  Two sums are isomorphic exactly when they have the same
 rank and, prime by prime, the same multiset of p-primary parts;
 ``signature`` reads the primes and p-parts of each key from the group's
 tables (``key_primes``, ``p_part_keys``), so it builds no class.  Tate
 twists carry no information here and are not stored.  Cost follows the
 distinct keys, not the rank.  ``merge`` is the one multiset sum (also of
-``measure_ring`` normal forms).
+the ``measure_ring`` normal forms, which are kept on keys too).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class MotiveSum:
         for c, k in counts:
             if c.group is not group and c.group != group:
                 raise GroupMismatchError("class outside the declared group model")
-            if not isinstance(k, int) or k < 0:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"multiplicities must be non-negative integers, got {k!r}")
             pairs.append((key(c), k))
             rank += k

@@ -24,8 +24,8 @@ from .brauer import (
     ResourceLimitError,
     check_work,
     common_group,
-    generated_subgroup,
     record_payload,
+    subgroup_keys,
 )
 from .measure_ring import RingElement, augmentation, from_motive_sum
 from .motives import MotiveSum, is_isomorphic, tensor
@@ -84,19 +84,14 @@ def folded_cell_counts(d: int, n: int, r: int) -> list[int]:
     return [x // r for x in spread]
 
 
-def _multiples(a: BrauerClass, count: int) -> list[BrauerClass]:
-    """The classes 0, a, 2a, ..., (count - 1) a."""
-    out = [a.group.identity()]
-    for _ in range(count - 1):
-        out.append(out[-1] + a)
-    return out
-
-
 def _cell_sum(alg: CSA, d: int) -> MotiveSum:
     """The cells of Gr(d, deg) as classes: a weight-w cell carries w[A]."""
-    a = alg.brauer_class
+    a, group = alg.brauer_class, alg.group
     counts = folded_cell_counts(d, alg.degree, a.order())
-    return MotiveSum(a.group, tuple(zip(_multiples(a, len(counts)), counts)))
+    add, step, keys = group.add_keys, group.class_key(a), [group.identity_key]
+    for _ in counts[1:]:
+        keys.append(add(keys[-1], step))  # the keys of 0, a, 2a, ...
+    return MotiveSum._of_keys(group, list(zip(keys, counts)), sum(counts))
 
 
 @dataclass(frozen=True)
@@ -193,11 +188,10 @@ class Quadric:
         return self.form_dim - 2
 
     def jt_classes(self) -> MotiveSum:
-        n = self.form_dim
-        c = self.clifford_class
-        zero = self.group.identity()
+        n, group = self.form_dim, self.group
         copies = 2 if n % 2 == 0 else 1
-        return MotiveSum(self.group, ((zero, n - 2), (c, copies)))
+        pairs = [(group.identity_key, n - 2), (group.class_key(self.clifford_class), copies)]
+        return MotiveSum._of_keys(group, pairs, n - 2 + copies)
 
     def to_payload(self) -> dict:
         kind = "form" if isinstance(self.form, QuadraticForm) else "shadow"
@@ -250,12 +244,10 @@ class Involution:
         return self.deg
 
     def jt_classes(self) -> MotiveSum:
-        zero = self.group.identity()
-        half = (self.deg - 2) // 2
-        return MotiveSum(
-            self.group,
-            ((zero, half), (self.alg_class, half), (self.cplus, 1), (self.cminus, 1)),
-        )
+        group, half = self.group, (self.deg - 2) // 2
+        key = group.class_key
+        pairs = [(key(self.alg_class), half), (key(self.cplus), 1), (key(self.cminus), 1)]
+        return MotiveSum._of_keys(group, [(group.identity_key, half)] + pairs, self.deg)
 
     def to_payload(self) -> dict:
         return record_payload(self, family=self.family)
@@ -308,7 +300,7 @@ class MeasureReport:
     def to_payload(self) -> dict:
         # Digits from the bit length (log10 2 ~ 0.30103): str() would take
         # as long as the printing this refuses.
-        mults = [k for _, k in self.jt.terms] + [k for _, k in self.jt_effective.key_counts]
+        mults = [k for _, k in self.jt.key_terms] + [k for _, k in self.jt_effective.key_counts]
         digits = sum(abs(k).bit_length() * 30103 // 100_000 + 1 for k in mults)
         if digits > MAX_PRINTED_DIGITS:
             raise ResourceLimitError(
@@ -343,8 +335,7 @@ class ComparisonVerdict:
 def compare(x: VarietyDescriptor, y: VarietyDescriptor) -> ComparisonVerdict:
     common_group(x, y)
     mx, my = tits_measure(x), tits_measure(y)
-    sub_x = generated_subgroup([c for c, _ in mx.jt_effective.counts], group=x.group)
-    sub_y = generated_subgroup([c for c, _ in my.jt_effective.counts], group=y.group)
+    sub_x, sub_y = (subgroup_keys(x.group, [kc for kc, _ in m.jt_effective.key_counts]) for m in (mx, my))
     return ComparisonVerdict(
         measures_equal=is_isomorphic(mx.jt_effective, my.jt_effective),
         rho_equal=mx.rho == my.rho,
@@ -572,7 +563,7 @@ def deduce(
             ),
             **base,
         )
-    if x.dim != y.dim:
+    if not verdict.dims_equal:
         # The class multiset forgets the dimension; a class in K0(Var_k) does not.
         return DeductionReport(
             refuted=True,

@@ -3,9 +3,10 @@
 Each suite enumerates (or samples with a fixed seed) configurations on a
 finite abstract Brauer-group model and searches them for a witness against
 the claimed property.  A multiset state is a sorted tuple of class indices,
-and the group's index tables do the arithmetic; classes are built only where
-a layer takes them (a quadric's Clifford class, a ring element's terms) and
-for witness payloads.  ``VerificationRun.of`` turns the search result into a
+and the group's index tables do the arithmetic; the motive sums and ring
+normal forms are built from indices too (``_of_keys``), so classes are built
+only where a layer takes them (a quadric's Clifford class) and for witness
+payloads.  ``VerificationRun.of`` turns the search result into a
 certificate.  Counterexample witnesses are emitted in replayable form; reruns
 with the same parameters are byte-identical.
 """
@@ -416,8 +417,7 @@ def _confluence_witness(group: AbstractGroup, trials: int, seed: int) -> dict | 
     rng = random.Random(seed)
     for t in range(trials):
         raw = _random_raw_element(group, rng)
-        terms = RingElement(group, tuple((group.class_at(i), k) for i, k in raw.items())).terms
-        expected = {c.index: k for c, k in terms}
+        expected = dict(RingElement._of_keys(group, raw.items()).key_terms)
         work = dict(raw)
         steps = 0
         while _rewrite_once(group, work, rng):

@@ -4,10 +4,10 @@ Nothing here calls the library's closed forms.  Local solvability is decided
 by enumerating primitive solutions modulo a Hensel-sufficient prime power;
 box weights by direct partition enumeration; finite-group arithmetic, the
 isomorphism signature and the per-prime isomorphism test by coordinate loops
-over the expanded multiset; sigma1 by its displayed two-term formula; every
-sigma kind by its literal sum over r; the even-Clifford class by the pairwise
-Fraction formula over trial division; Br(Q) class arithmetic on Fraction
-residues, place by place.
+over the expanded multiset; the ring normal form class by class; sigma1 by
+its displayed two-term formula; every sigma kind by its literal sum over r;
+the even-Clifford class by the pairwise Fraction formula over trial division;
+Br(Q) class arithmetic on Fraction residues, place by place.
 """
 
 from __future__ import annotations
@@ -291,6 +291,22 @@ def class_signature(ms) -> tuple:
         for c, k in ms.counts:
             parts[p][c.p_part(p)] += k
     return len(ms), parts
+
+
+def class_normal_form(group, terms) -> dict:
+    """The ring normal form of (class, coefficient) pairs, class by class: a
+    class whose order has nu >= 2 primes becomes its p-parts ``c.p_part(p)``
+    minus nu - 1 identities.  Zero coefficients are dropped."""
+    out = Counter()
+    for c, k in terms:
+        ps = c.primes()
+        if len(ps) < 2:
+            out[c] += k
+        else:
+            for p in ps:
+                out[c.p_part(p)] += k
+            out[group.identity()] -= (len(ps) - 1) * k
+    return {c: k for c, k in out.items() if k}
 
 
 def decode_signature(group, signature) -> tuple:

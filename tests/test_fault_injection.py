@@ -45,6 +45,11 @@ def _multiplicities_dropped(mp):
     mp.setattr(measure_ring, "merge", merge)
 
 
+def _normal_form_drops_identity(mp):
+    # Only the ring normal form merges through measure_ring.merge.
+    mp.setattr(measure_ring, "merge", lambda pairs: tuple(p for p in _merge(pairs) if p[0] != 0))
+
+
 def _three_parts_zero(mp):
     mp.setattr(brauer, "_crt_p_component", lambda c, n, p: 0 if p == 3 else _crt(c, n, p))
 
@@ -60,6 +65,7 @@ CATALOG = [
     (_largest_prime_only, {"relation-equivalence", "sum-cancellation"}),
     (_multiplicities_dropped,
      {"sum-cancellation", "tensor-cancellation", "normal-form-confluence"}),
+    (_normal_form_drops_identity, {"normal-form-confluence"}),
     (_three_parts_zero,
      {"relation-equivalence", "sum-cancellation", "tensor-cancellation", "normal-form-confluence"}),
     # Without its rank the signature only merges sums that differ by identity

@@ -68,6 +68,12 @@ class TestNormalForm:
         assert not e.terms
         assert e == RingElement(G6, ())
 
+    @pytest.mark.parametrize("coeff", [True, False, 1.0, "1"])
+    def test_rejects_non_integer_coefficients(self, coeff):
+        # bool is a subclass of int; as in jsonio.is_int it is not a coefficient.
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            RingElement(G6, ((G6.element([1]), coeff),))
+
     @given(ring_elements())
     @settings(max_examples=60, deadline=None)
     def test_normalize_is_idempotent(self, e):

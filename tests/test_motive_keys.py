@@ -1,9 +1,11 @@
-"""The key-based ``MotiveSum`` against class-based references.
+"""The key-based ``MotiveSum`` and ``RingElement`` against class-based references.
 
 A sum stores sorted (class key, multiplicity) pairs and computes its
-signature from the group's key tables.  These tests decode that signature
-through the group and compare it with the class-by-class signature
-(``oracles.class_signature``), check value semantics across equal group
+signature from the group's key tables; a ring element stores its normal form
+as sorted (class key, coefficient) pairs.  These tests decode the signature
+and the normal form through the group and compare them with the
+class-by-class references (``oracles.class_signature``,
+``oracles.class_normal_form``), check value semantics across equal group
 models, and check that ``counts``, ``classes`` and ``to_payload`` still
 give what the golden corpus recorded.
 """
@@ -19,9 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import class_signature, counter_merge, decode_signature, invariants_sum
+from oracles import (
+    class_normal_form,
+    class_signature,
+    counter_merge,
+    decode_signature,
+    invariants_sum,
+)
 from titsmeasure.brauer import RATIONALS, AbstractGroup, GroupMismatchError, RationalClass
 from titsmeasure.jsonio import parse_measure_request
+from titsmeasure.measure_ring import RingElement, from_motive_sum
 from titsmeasure.motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from titsmeasure.varieties import tits_measure
 
@@ -46,14 +55,30 @@ def abstract_sums(draw):
 
 
 @st.composite
-def rational_sums(draw):
-    classes = []
-    for _ in range(draw(st.integers(0, 5))):
-        invs = [("real", draw(st.sampled_from([Fraction(0), Fraction(1, 2)])))]
-        invs += [(v, draw(st.sampled_from(SIXTHS))) for v in (2, 3, 5)]
-        invs.append((7, -sum(inv for _, inv in invs) % 1))
-        classes.append((RationalClass(tuple(invs)), draw(st.integers(0, 3))))
-    return MotiveSum(RATIONALS, classes)
+def rational_classes(draw):
+    invs = [("real", draw(st.sampled_from([Fraction(0), Fraction(1, 2)])))]
+    invs += [(v, draw(st.sampled_from(SIXTHS))) for v in (2, 3, 5)]
+    invs.append((7, -sum(inv for _, inv in invs) % 1))
+    return RationalClass(tuple(invs))
+
+
+def rational_sums():
+    return st.lists(st.tuples(rational_classes(), st.integers(0, 3)), max_size=5).map(
+        lambda counts: MotiveSum(RATIONALS, counts))
+
+
+NORMAL_FORM_GROUPS = [AbstractGroup(orders) for orders in [(1, 2), (2, 2, 2), (12,), (210,)]]
+NORMAL_FORM_GROUPS.append(RATIONALS)
+NORMAL_FORM_IDS = ["1,2", "2,2,2", "12", "210", "rationals"]
+
+
+def _terms(group, coefficients):
+    """Lists of (class, coefficient) pairs over ``group``, classes repeating."""
+    if group is RATIONALS:
+        classes = rational_classes()
+    else:
+        classes = st.integers(0, group.order - 1).map(group.class_at)
+    return st.lists(st.tuples(classes, coefficients), max_size=7)
 
 
 def _as_counters(decoded) -> tuple:
@@ -91,6 +116,28 @@ def test_rational_tensor_matches_the_residue_oracle(x, y):
     got = tensor(x, y)
     assert [(c.invariants, k) for c, k in got.counts] == counter_merge(pairs)
     assert got.rank == x.rank * y.rank
+
+
+@pytest.mark.parametrize("group", NORMAL_FORM_GROUPS, ids=NORMAL_FORM_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_key_normal_form_decodes_to_the_class_normal_form(group, data):
+    terms = data.draw(_terms(group, st.integers(-3, 3)))
+    e = RingElement(group, terms)
+    keys = [kc for kc, _ in e.key_terms]
+    assert keys == sorted(set(keys))
+    assert all(k for _, k in e.key_terms)
+    assert dict(e.terms) == class_normal_form(group, terms)
+
+
+@pytest.mark.parametrize("group", NORMAL_FORM_GROUPS, ids=NORMAL_FORM_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_from_motive_sum_is_the_ring_element_of_its_counts(group, data):
+    ms = MotiveSum(group, data.draw(_terms(group, st.integers(0, 3))))
+    e = from_motive_sum(ms)
+    assert e == RingElement(ms.group, ms.counts)
+    assert dict(e.terms) == class_normal_form(group, ms.counts)
 
 
 def test_key_tables_stay_lazy_on_a_huge_group():

@@ -43,6 +43,12 @@ class TestMotiveSum:
         with pytest.raises(GroupMismatchError):
             MotiveSum.of(G6, [G12.element([1])])
 
+    @pytest.mark.parametrize("mult", [True, False, 1.0, -1])
+    def test_rejects_non_integer_multiplicities(self, mult):
+        # bool is a subclass of int; as in jsonio.is_int it is not a count.
+        with pytest.raises(ValueError, match="multiplicities must be non-negative integers"):
+            MotiveSum(G6, [(G6.element([1]), mult)])
+
     def test_direct_sum_concatenates(self):
         a = MotiveSum.of(G6, [G6.element([1])])
         b = MotiveSum.of(G6, [G6.element([2]), G6.element([3])])

@@ -3,12 +3,20 @@ import json
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from oracles import box_partition_weights, gaussian_binomial
 from titsmeasure import brauer, cli, jsonio, varieties
-from titsmeasure.brauer import CSA, AbstractGroup, GroupMismatchError, ResourceLimitError
+from titsmeasure.brauer import (
+    CSA,
+    RATIONALS,
+    AbstractGroup,
+    GroupMismatchError,
+    RationalClass,
+    ResourceLimitError,
+)
 from titsmeasure.quadforms import FormShadow, QuadraticForm
 from titsmeasure.varieties import (
     MAX_CLASSES,
@@ -574,3 +582,40 @@ class TestDeduce:
     def test_cross_family_rejected(self):
         with pytest.raises(ValueError):
             deduce(sb(V2, [1, 0], 2), Quadric(FormShadow(6, V2.element([1, 0]), False)), True)
+
+
+class TestClassesBuilt:
+    """Measures run on class keys: a class is built only to be printed."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        keys = []
+        for model in (AbstractGroup, type(RATIONALS)):
+            def counting(group, key, class_at=model.class_at):
+                keys.append(key)
+                return class_at(group, key)
+            monkeypatch.setattr(model, "class_at", counting)
+        return keys
+
+    def test_compare_and_deduce_of_large_severi_brauer(self, built):
+        # 29,998 classes before the measure stayed on keys.
+        g = AbstractGroup((3000,))
+        x, y = sb(g, [1], 3000), sb(g, [7], 3000)
+        verdict = compare(x, y)
+        report = deduce(x, y, True)
+        assert verdict.measures_equal and verdict.subgroups_equal and not report.refuted
+        assert len(built) < 10
+
+    @pytest.mark.parametrize("variety", [
+        sb(AbstractGroup((3000,)), [1], 3000),
+        Grassmannian(2, CSA(AbstractGroup((12,)).element([1]), 24)),
+        Quadric(QuadraticForm.of([1, 1, 2, -2, Fraction(3, 4), -12, 5, 5])),
+        Involution(6, G4.element([2]), G4.element([1]), G4.element([3])),
+        Product((Quadric(FormShadow(5, V2.element([1, 0]))), Quadric(FormShadow(5, V2.element([0, 1]))))),
+        SeveriBrauer(CSA(RationalClass((("real", Fraction(1, 2)), (3, Fraction(1, 2)))), 6)),
+    ], ids=["severi-brauer", "grassmannian", "rational-quadric", "involution", "product", "rational"])
+    def test_a_printed_measure_builds_only_the_classes_it_prints(self, built, variety):
+        report = tits_measure(variety)
+        assert built == []
+        payload = report.to_payload()
+        assert len(built) == len(payload["jt"]["terms"]) + len(payload["jt_effective"]["classes"])

@@ -42,10 +42,14 @@ def _iso_by_length_then_counts(x, y):
 
 
 class _Unrewritten:
-    """A normal form that rewrites nothing."""
+    """A normal form that rewrites nothing: the key entry ``verify`` calls."""
 
-    def __init__(self, group, terms):
-        self.terms = terms
+    def __init__(self, key_terms):
+        self.key_terms = tuple(key_terms)
+
+    @classmethod
+    def _of_keys(cls, group, key_terms):
+        return cls(key_terms)
 
 
 def _dump(run) -> str:
