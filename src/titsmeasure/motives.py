@@ -12,7 +12,9 @@ rank and, prime by prime, the same multiset of p-primary parts;
 tables (``key_primes``, ``p_part_keys``), so it builds no class.  Tate
 twists carry no information here and are not stored.  Cost follows the
 distinct keys, not the rank.  ``merge`` is the one multiset sum (also of
-the ``measure_ring`` normal forms, which are kept on keys too).
+the ``measure_ring`` normal forms, which are kept on keys too); it can add
+pairs onto an already merged run, so ``direct_sum`` merges one sum's key
+counts onto the other's.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ KeyCount = tuple[Hashable, int]
 _nonzero = itemgetter(1)
 
 
-def merge(pairs: Iterable[KeyCount]) -> tuple[KeyCount, ...]:
-    """Add the multiplicities of equal keys, drop zeros, sort by key."""
-    mult: dict = {}
+def merge(pairs: Iterable[KeyCount], into: Iterable[KeyCount] = ()) -> tuple[KeyCount, ...]:
+    """Add the multiplicities of equal keys of ``pairs`` onto ``into``, an
+    already merged run (distinct keys, no zero), drop zeros, sort by key."""
+    mult = dict(into)
     for kc, k in pairs:
         mult[kc] = mult[kc] + k if kc in mult else k
-    return tuple(filter(_nonzero, sorted(mult.items())))
+    merged = sorted(mult.items())
+    return tuple(filter(_nonzero, merged)) if 0 in mult.values() else tuple(merged)
 
 
 @dataclass(frozen=True, init=False)
@@ -63,16 +67,19 @@ class MotiveSum:
             rank += k
         self._fill(group, pairs, rank)
 
-    def _fill(self, group: BrauerGroup, pairs: list[KeyCount], rank: int) -> "MotiveSum":
-        # The one place the frozen fields are written.
+    def _fill(self, group: BrauerGroup, pairs: Iterable[KeyCount], rank: int,
+              into: tuple[KeyCount, ...] = ()) -> "MotiveSum":
+        # The one place the frozen fields are written, by one merge.
         fields = self.__dict__
-        fields["group"], fields["key_counts"], fields["rank"] = group, merge(pairs), rank
+        fields["group"], fields["key_counts"], fields["rank"] = group, merge(pairs, into), rank
         return self
 
     @classmethod
-    def _of_keys(cls, group: BrauerGroup, pairs: list[KeyCount], rank: int) -> "MotiveSum":
-        """A sum of rank ``rank`` from checked (key, multiplicity) pairs."""
-        return object.__new__(cls)._fill(group, pairs, rank)
+    def _of_keys(cls, group: BrauerGroup, pairs: Iterable[KeyCount], rank: int,
+                 into: tuple[KeyCount, ...] = ()) -> "MotiveSum":
+        """A sum of rank ``rank`` from checked (key, multiplicity) pairs,
+        merged onto the already merged run ``into``."""
+        return object.__new__(cls)._fill(group, pairs, rank, into)
 
     @classmethod
     def of(cls, group: BrauerGroup, classes: Iterable[BrauerClass]) -> "MotiveSum":
@@ -100,22 +107,31 @@ class MotiveSum:
         """
         group, key_counts = self.group, self.key_counts
         primes = group.key_primes
-        ps = sorted({p for kc, _ in key_counts for p in primes[kc]})
+        if len(key_counts) == 1:
+            ps = primes[key_counts[0][0]]  # ascending already
+        else:
+            ps = sorted({p for kc, _ in key_counts for p in primes[kc]})
         if len(ps) == 1:
             # Every summand has p-power order, so it is its own p-part.
             return (self.rank, ((ps[0], key_counts),))
         p_parts = group.p_part_keys
-        return (self.rank, tuple([
-            (p, merge([(p_parts[p][kc], k) for kc, k in key_counts])) for p in ps
-        ]))
+        parts = []
+        for p in ps:
+            part = p_parts[p]
+            parts.append((p, merge([(part[kc], k) for kc, k in key_counts])))
+        return (self.rank, tuple(parts))
 
     def to_payload(self) -> dict:
         return {"classes": [{**c.to_payload(), "mult": k} for c, k in self.counts]}
 
 
 def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:
-    """Multiset union; models the direct sum of motives."""
-    return MotiveSum._of_keys(common_group(x, y), x.key_counts + y.key_counts, x.rank + y.rank)
+    """Multiset union; models the direct sum of motives.
+
+    One merge of ``y``'s key counts onto ``x``'s, which are merged already.
+    """
+    group = x.group if x.group is y.group else common_group(x, y)
+    return MotiveSum._of_keys(group, y.key_counts, x.rank + y.rank, into=x.key_counts)
 
 
 def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
@@ -124,7 +140,7 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     A convolution over the two supports: each pair of distinct keys is added
     once, by ``group.add_keys``, and weighted by the product of multiplicities.
     """
-    group = common_group(x, y)
+    group = x.group if x.group is y.group else common_group(x, y)
     add = group.add_keys
     return MotiveSum._of_keys(group, [
         (add(a, b), i * j) for a, i in x.key_counts for b, j in y.key_counts
@@ -133,6 +149,7 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:
     """Same cardinality and, for every prime, equal multisets of p-parts."""
-    common_group(x, y)
+    if x.group is not y.group:
+        common_group(x, y)
     return x.signature() == y.signature()
 

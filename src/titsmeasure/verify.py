@@ -6,9 +6,11 @@ the claimed property.  A multiset state is a sorted tuple of class indices,
 and the group's index tables do the arithmetic; the motive sums and ring
 normal forms are built from indices too (``_of_keys``), so classes are built
 only where a layer takes them (a quadric's Clifford class) and for witness
-payloads.  ``VerificationRun.of`` turns the search result into a
-certificate.  Counterexample witnesses are emitted in replayable form; reruns
-with the same parameters are byte-identical.
+payloads.  Sum cancellation builds each state's sum once and forms every
+pair as the direct sum of two of them, with its own signature.
+``VerificationRun.of`` turns the search result into a certificate.
+Counterexample witnesses are emitted in replayable form; reruns with the
+same parameters are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .brauer import AbstractGroup, ResourceLimitError, check_work, record_payload
+from .brauer import AbstractGroup, ResourceLimitError, check_work, prime_factors, record_payload
 from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
@@ -112,6 +114,16 @@ def _terms_payload(group: AbstractGroup, terms: dict[int, int]) -> list:
 # coprime-splitting relations, compared as partitions of fixed-size multisets.
 # ---------------------------------------------------------------------------
 
+def _coprime_pairs(group: AbstractGroup) -> int:
+    """The number of ordered pairs of nonzero classes with coprime orders.
+
+    Coprime orders leave, prime by prime, one of the two p-parts zero: that
+    is 2 |G_p| - 1 pairs of p-parts, less the pairs with a zero class."""
+    primary = [math.prod(math.gcd(n, p ** e) for n in group.orders)
+               for p, e in prime_factors(group.exponent).items()]
+    return math.prod(2 * size - 1 for size in primary) - 2 * group.order + 1
+
+
 def _coprime_splits(group: AbstractGroup) -> list[list[tuple[int, int]]]:
     """For each index delta, the index pairs (a, a') with a + a' = delta, both
     nonzero with coprime orders, in ascending a; only such pairs are added."""
@@ -198,14 +210,24 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> Verific
     """
     params = {"group": group.to_payload(), "m_max": m_max}
     _at_least("m_max", m_max, 1)
-    # The |G|^2 split candidates, then per state of size m its sum, m (m - 1)
+    # The split table: a scan of the |G| classes for each of at most
+    # d(exponent) orders, then the pairs it adds, the nonzero pairs of coprime
+    # orders, each summed over the r cyclic factors (18 + 2 r units).  Every
+    # class is a state of size 1, so with nu >= 2 each fills its p-part in
+    # nu tables, over r factors.  Then per state of size m its sum, m (m - 1)
     # ordered pairs and up to 2^nu - 2 rewrites of m classes per pair (the
-    # splits of a difference follow its primes).
-    order, splits = group.order, max(2 ** len(group.primes()) - 2, 0)
+    # splits of a difference follow its primes); from size 2 on, the pairs
+    # take the difference of every two classes, |G|^2 sums on a cold table.
+    order, nu, r = group.order, len(group.primes()), len(group.orders)
+    splits = max(2 ** nu - 2, 0)
+    divisors = math.prod(e + 1 for e in prime_factors(group.exponent).values())
+    fills = nu * (20 + 2 * r) if nu >= 2 else 0
+    table = order * (divisors + fills) + (18 + 2 * r) * _coprime_pairs(group)
     check_work("relation-equivalence", itertools.accumulate((
         math.comb(order + m - 1, m)
         * (_sum_weight(group, m) + 50 + m * (m - 1) * (2 + splits * (6 + m)))
-        for m in range(1, m_max + 1)), initial=15 * order * order))
+        + (15 * order * order if m == 2 else 0)
+        for m in range(1, m_max + 1)), initial=table))
     details: dict = {}
     witness = _relation_witness(group, m_max, details)
     return VerificationRun.of("relation-equivalence", params, witness, details)
@@ -217,13 +239,13 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> Verific
 
 def _sum_witness(group: AbstractGroup, card_max: int, trials: int, seed: int) -> dict | None:
     states = _states(group, range(card_max + 1))
-    base_sig = [_sum_of(group, s).signature() for s in states]
-    for n_state in states:
-        # Signature of the concatenation; same computation the motive layer
-        # performs, on the concatenated tuple.
+    sums = [_sum_of(group, s) for s in states]
+    base_sig = [s.signature() for s in sums]
+    for n_state, n_sum in zip(states, sums):
+        # Each pair builds its own direct sum, merged from the two state sums,
+        # and its own signature: never sig(x) + sig(n).
         hit = _collision(
-            (_sum_of(group, x_state + n_state).signature(), base_sig[i])
-            for i, x_state in enumerate(states)
+            (direct_sum(x_sum, n_sum).signature(), own) for x_sum, own in zip(sums, base_sig)
         )
         if hit:
             x, y, n = states[hit[0]], states[hit[1]], n_state

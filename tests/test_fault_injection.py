@@ -39,10 +39,18 @@ def _largest_prime_only(mp):
 
 
 def _multiplicities_dropped(mp):
-    def merge(pairs):
-        return tuple((kc, 1) for kc, _ in _merge(pairs))
+    def merge(pairs, into=()):
+        return tuple((kc, 1) for kc, _ in _merge(pairs, into))
     mp.setattr(motives, "merge", merge)
     mp.setattr(measure_ring, "merge", merge)
+
+
+def _into_overwritten(mp):
+    # A dict.update shortcut: the merged pairs replace the counts of the run
+    # they are merged onto instead of adding to them.
+    def merge(pairs, into=()):
+        return tuple(sorted({**dict(into), **dict(_merge(pairs))}.items()))
+    mp.setattr(motives, "merge", merge)
 
 
 def _normal_form_drops_identity(mp):
@@ -65,6 +73,8 @@ CATALOG = [
     (_largest_prime_only, {"relation-equivalence", "sum-cancellation"}),
     (_multiplicities_dropped,
      {"sum-cancellation", "tensor-cancellation", "normal-form-confluence"}),
+    # Only direct_sum merges onto a run, and only sum-cancellation adds sums.
+    (_into_overwritten, {"sum-cancellation"}),
     (_normal_form_drops_identity, {"normal-form-confluence"}),
     (_three_parts_zero,
      {"relation-equivalence", "sum-cancellation", "tensor-cancellation", "normal-form-confluence"}),

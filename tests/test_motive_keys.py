@@ -31,7 +31,7 @@ from oracles import (
 from titsmeasure.brauer import RATIONALS, AbstractGroup, GroupMismatchError, RationalClass
 from titsmeasure.jsonio import parse_measure_request
 from titsmeasure.measure_ring import RingElement, from_motive_sum
-from titsmeasure.motives import MotiveSum, direct_sum, is_isomorphic, tensor
+from titsmeasure.motives import MotiveSum, direct_sum, is_isomorphic, merge, tensor
 from titsmeasure.varieties import tits_measure
 
 SIGNATURE_GROUPS = [(1, 2), (2, 2, 2), (4, 3), (12,), (210,)]
@@ -116,6 +116,50 @@ def test_rational_tensor_matches_the_residue_oracle(x, y):
     got = tensor(x, y)
     assert [(c.invariants, k) for c, k in got.counts] == counter_merge(pairs)
     assert got.rank == x.rank * y.rank
+
+
+def _counter_merge(pairs) -> tuple:
+    total: Counter = Counter()
+    for kc, k in pairs:
+        total[kc] += k
+    return tuple(sorted((kc, k) for kc, k in total.items() if k))
+
+
+MERGE_KEYS = {
+    "abstract": st.integers(0, 11),
+    "rational": rational_classes().map(RATIONALS.class_key),
+}
+
+
+@pytest.mark.parametrize("coefficients", [st.integers(1, 3), st.integers(-3, 3)],
+                         ids=["counts", "signed"])
+@pytest.mark.parametrize("kind", sorted(MERGE_KEYS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_merging_onto_a_run_is_merging_the_concatenation(kind, coefficients, data):
+    pairs = st.lists(st.tuples(MERGE_KEYS[kind], coefficients), max_size=6)
+    run = merge(data.draw(pairs))
+    extra = data.draw(pairs)
+    # Negated run entries cancel to zero in the merge.
+    extra += [(kc, -k) for kc, k in run if data.draw(st.booleans())]
+    extra = data.draw(st.permutations(extra))
+    got = merge(extra, into=run)
+    assert got == merge(list(run) + extra) == _counter_merge(list(run) + extra)
+
+
+@pytest.mark.parametrize("group", NORMAL_FORM_GROUPS, ids=NORMAL_FORM_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_is_the_sum_of_the_concatenated_classes(group, data):
+    x, y = (MotiveSum(group, data.draw(_terms(group, st.integers(0, 3)))) for _ in range(2))
+    if group is not RATIONALS and data.draw(st.booleans()):
+        # An equal but distinct group model takes the common_group path.
+        twin = AbstractGroup(group.orders)
+        y = MotiveSum(twin, [(twin.class_at(c.index), k) for c, k in y.counts])
+    got, expected = direct_sum(x, y), MotiveSum.of(group, x.classes + y.classes)
+    assert got == expected
+    assert got.rank == expected.rank == x.rank + y.rank
+    assert got.signature() == expected.signature()
 
 
 @pytest.mark.parametrize("group", NORMAL_FORM_GROUPS, ids=NORMAL_FORM_IDS)

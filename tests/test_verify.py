@@ -5,6 +5,7 @@ import pytest
 
 from titsmeasure import brauer, cli, verify
 from titsmeasure.brauer import AbstractGroup
+from titsmeasure.motives import MotiveSum
 from titsmeasure.quadforms import FormShadow
 from titsmeasure.varieties import Quadric
 from titsmeasure.verify import (
@@ -202,12 +203,16 @@ class TestWorkFrontiers:
         # A sum of up to L classes and its signature weighs max(nu, 1) (25 + L).
         v2, z6, z2, z1 = AbstractGroup((2, 2)), G6, AbstractGroup((2,)), AbstractGroup((1,))
         priced = [
-            # 16 split candidates; 4 states of size 1 and 10 of size 2, each
-            # pair of which has no split over (Z/2)^2.
-            (15 * 16 + 4 * (26 + 50) + 10 * (27 + 50 + 2 * 2),
+            # The split table scans 4 classes for d(2) = 2 orders and adds no
+            # pair; 4 states of size 1, then the 16 differences and 10 states
+            # of size 2, each pair of which has no split over (Z/2)^2.
+            (4 * 2 + 4 * (26 + 50) + 15 * 16 + 10 * (27 + 50 + 2 * 2),
              lambda: verify_relation_equivalence(v2, 2)),
-            # nu = 2 over Z/6: 2 (25 + m) per sum, and up to 2 splits per pair.
-            (15 * 36 + 6 * (52 + 50) + 21 * (54 + 50 + 2 * (2 + 2 * (6 + 2))),
+            # nu = 2 over Z/6: d(6) = 4 orders, p-parts in 2 tables of 1 factor
+            # (2 x 22 a class), 4 coprime pairs of 20; then 2 (25 + m) per
+            # sum, and up to 2 splits per pair.
+            (6 * (4 + 2 * 22) + 4 * 20 + 6 * (52 + 50)
+             + 15 * 36 + 21 * (54 + 50 + 2 * (2 + 2 * (6 + 2))),
              lambda: verify_relation_equivalence(z6, 2)),
             # S = 1 + 2 states of size <= 1: S + S^2 sums of up to 2 classes.
             (12 * 27, lambda: verify_sum_cancellation(z2, card_max=1, trials=0)),
@@ -254,10 +259,19 @@ class TestWorkFrontiers:
             (lambda: verify_quadric_product_matching(6, 4, 6), False),
             (lambda: verify_quadric_product_matching(2, 5, 6208), True),
             (lambda: verify_quadric_product_matching(2, 5, 6209), False),
-            # The |G|^2 split table: 15 x 997^2 + 997 x 76 = 14,985,907 units,
-            # and 15,041,856 over Z/998.
+            # The split table is priced by the coprime pairs it adds: none
+            # over Z/997 (77,766 units), 996 over Z/998 (169,620 units; the
+            # 15 |G|^2 candidates once refused it).
             (lambda: verify_relation_equivalence(AbstractGroup((997,)), 1), True),
-            (lambda: verify_relation_equivalence(AbstractGroup((998,)), 1), False),
+            (lambda: verify_relation_equivalence(AbstractGroup((998,)), 1), True),
+            # nu = 1 and no pairs: 78 p units, 14,999,946 over Z/192307 and
+            # 15,000,726 over the next prime.
+            (lambda: verify_relation_equivalence(AbstractGroup((192307,)), 1), True),
+            (lambda: verify_relation_equivalence(AbstractGroup((192317,)), 1), False),
+            # 126,728 pairs over Z/64000 (14,438,560 units); 551,976 over
+            # Z/64010 = 2 x 5 x 37 x 173, whose table alone is 17,696,560.
+            (lambda: verify_relation_equivalence(AbstractGroup((64000,)), 1), True),
+            (lambda: verify_relation_equivalence(AbstractGroup((64010,)), 1), False),
             # nu: m-max 3 over Z/83 (nu = 1, no splits) is accepted, over
             # Z/60 (nu = 3, up to 6 splits a pair) refused.
             (lambda: verify_relation_equivalence(AbstractGroup((83,)), 3), True),
@@ -291,6 +305,7 @@ class TestWorkFrontiers:
         ids=["tensor-z31249", "tensor-z31251", "tensor-criterion-8", "tensor-size-200",
              "tensor-size-201", "sum-size-201", "matching-d5-m5", "matching-d6-m4",
              "matching-n6208", "matching-n6209", "relation-z997", "relation-z998",
+             "relation-z192307", "relation-z192317", "relation-z64000", "relation-z64010",
              "relation-nu1-m3", "relation-nu3-m3", "relation-size-73", "relation-size-74",
              "sum-nu1", "sum-nu3", "sum-size-190", "sum-size-191", "sum-trials-111108",
              "sum-trials-111109", "tensor-nu1", "tensor-nu3", "tensor-size-382",
@@ -353,6 +368,13 @@ class TestPricedCounts:
             scan = [(a, add(delta, neg[a])) for a in range(1, group.order)]
             assert splits[delta] == [(a, b) for a, b in scan if b and math.gcd(order[a], order[b]) == 1]
 
+    @pytest.mark.parametrize("orders", [(12,), (2, 6), (30,), (60,), (8,), (2, 4), (997,), (998,),
+                                        (2, 2, 3, 3), (1,), (2, 3, 5, 7)])
+    def test_coprime_pairs_closed_form(self, orders):
+        # prod_p (2 |G_p| - 1) - 2 |G| + 1 against the table's own count.
+        group = AbstractGroup(orders)
+        assert verify._coprime_pairs(group) == sum(map(len, verify._coprime_splits(group)))
+
     @pytest.mark.parametrize("orders, card_max, trials",
                              [((1,), 1, 0), ((2,), 2, 5), ((6,), 1, 10), ((2, 2), 2, 3), ((5,), 2, 7)])
     def test_sum_cancellation(self, monkeypatch, orders, card_max, trials):
@@ -363,6 +385,22 @@ class TestPricedCounts:
         assert len(sums) + len(direct) == s + s * s + 5 * trials
         assert max(len(state) for (_, state), _ in sums) <= 2 * card_max
         assert all(out.rank <= 2 * card_max for _, out in direct)
+
+    @pytest.mark.parametrize("trials", [0, 15])
+    def test_sum_cancellation_signs_every_sum(self, monkeypatch, trials):
+        # No signature is memoised or batched: S state sums, S^2 pair sums and
+        # four per trial (x, y and both direct sums), S = 1 + 6 + 21 over Z/6.
+        calls = []
+        real = MotiveSum.signature
+
+        def counting(self):
+            calls.append(None)
+            return real(self)
+
+        monkeypatch.setattr(MotiveSum, "signature", counting)
+        assert verify_sum_cancellation(AbstractGroup((6,)), card_max=2, trials=trials).passed
+        s = 28
+        assert len(calls) == s + s * s + 4 * trials
 
     @pytest.mark.parametrize("orders, n_dim, card_max", [((3,), 6, 2), ((5,), 5, 1), ((2, 2), 6, 2), ((6,), 5, 1)])
     def test_tensor_cancellation(self, monkeypatch, orders, n_dim, card_max):
