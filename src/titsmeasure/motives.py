@@ -9,12 +9,16 @@ index for abstract groups, the residue tuple ``RationalClass.key`` over Q).
 when first read, once per sum.  Two sums are isomorphic exactly when they have the same
 rank and, prime by prime, the same multiset of p-primary parts;
 ``signature`` reads the primes and p-parts of each key from the group's
-tables (``key_primes``, ``p_part_keys``), so it builds no class.  Tate
-twists carry no information here and are not stored.  Cost follows the
-distinct keys, not the rank.  ``merge`` is the one multiset sum (also of
-the ``measure_ring`` normal forms, which are kept on keys too); it can add
-pairs onto an already merged run, so ``direct_sum`` merges one sum's key
-counts onto the other's.
+tables (``key_primes``, ``p_part_keys``), so it builds no class.  A sum
+whose summands all have p-power order for one prime p is its own p-part:
+over an abstract p-group that is decided once for the group, and the sum
+signs by its own key counts.  Otherwise each prime's p-part counts are
+added up inline.  Tate twists carry no information here and are not
+stored.  Cost follows the distinct keys, not the rank.  ``merge`` is the one
+multiset sum of sums and of the ``measure_ring`` normal forms, which are
+kept on keys too; it can add pairs onto an already merged run, so
+``direct_sum`` merges one sum's key counts onto the other's.  Every sum is
+built by one constructor call that writes the merged fields.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ def merge(pairs: Iterable[KeyCount], into: Iterable[KeyCount] = ()) -> tuple[Key
     """Add the multiplicities of equal keys of ``pairs`` onto ``into``, an
     already merged run (distinct keys, no zero), drop zeros, sort by key."""
     mult = dict(into)
+    get = mult.get
     for kc, k in pairs:
-        mult[kc] = mult[kc] + k if kc in mult else k
+        mult[kc] = get(kc, 0) + k
     merged = sorted(mult.items())
     return tuple(filter(_nonzero, merged)) if 0 in mult.values() else tuple(merged)
 
@@ -65,21 +70,18 @@ class MotiveSum:
                 raise ValueError(f"multiplicities must be non-negative integers, got {k!r}")
             pairs.append((key(c), k))
             rank += k
-        self._fill(group, pairs, rank)
-
-    def _fill(self, group: BrauerGroup, pairs: Iterable[KeyCount], rank: int,
-              into: tuple[KeyCount, ...] = ()) -> "MotiveSum":
-        # The one place the frozen fields are written, by one merge.
         fields = self.__dict__
-        fields["group"], fields["key_counts"], fields["rank"] = group, merge(pairs, into), rank
-        return self
+        fields["group"], fields["key_counts"], fields["rank"] = group, merge(pairs), rank
 
     @classmethod
     def _of_keys(cls, group: BrauerGroup, pairs: Iterable[KeyCount], rank: int,
                  into: tuple[KeyCount, ...] = ()) -> "MotiveSum":
         """A sum of rank ``rank`` from checked (key, multiplicity) pairs,
-        merged onto the already merged run ``into``."""
-        return object.__new__(cls)._fill(group, pairs, rank, into)
+        merged onto the already merged run ``into``; one call, one merge."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["group"], fields["key_counts"], fields["rank"] = group, merge(pairs, into), rank
+        return self
 
     @classmethod
     def of(cls, group: BrauerGroup, classes: Iterable[BrauerClass]) -> "MotiveSum":
@@ -103,23 +105,41 @@ class MotiveSum:
         """Hashable invariant that decides isomorphism.
 
         Cardinality plus, for each prime dividing some summand's order, the
-        merged (p-part key, multiplicity) pairs.
+        merged (p-part key, multiplicity) pairs.  When one prime divides
+        every order but the identity's, which the exponent decides once for
+        an abstract p-group, the pairs are the sum's own key counts.
         """
-        group, key_counts = self.group, self.key_counts
+        group, key_counts, rank = self.group, self.key_counts, self.rank
+        identity = group.identity_key
+        if not key_counts or key_counts[-1][0] == identity:  # the identity sorts first
+            return (rank, ())
         primes = group.key_primes
         if len(key_counts) == 1:
             ps = primes[key_counts[0][0]]  # ascending already
+        elif group.kind == "abstract":
+            ps = group.primes()  # every order divides the exponent
         else:
             ps = sorted({p for kc, _ in key_counts for p in primes[kc]})
-        if len(ps) == 1:
-            # Every summand has p-power order, so it is its own p-part.
-            return (self.rank, ((ps[0], key_counts),))
-        p_parts = group.p_part_keys
-        parts = []
-        for p in ps:
-            part = p_parts[p]
-            parts.append((p, merge([(part[kc], k) for kc, k in key_counts])))
-        return (self.rank, tuple(parts))
+        if len(ps) > 1:
+            p_parts, parts = group.p_part_keys, []
+            for p in ps:
+                part = p_parts[p]
+                mult: dict = {}
+                for kc, k in key_counts:
+                    kp = part[kc]
+                    if kp in mult:
+                        mult[kp] += k
+                    else:
+                        mult[kp] = k
+                # Does p divide some summand's order?  A p-part other than
+                # the identity says so before the order table is read.
+                if len(mult) > 1 or identity not in mult or any(p in primes[kc] for kc, _ in key_counts):
+                    parts.append((p, tuple(sorted(mult.items()))))
+            if len(parts) > 1:
+                return (rank, tuple(parts))
+            ps = [p for p, _ in parts]
+        # One prime divides the summands' orders: each is its own p-part.
+        return (rank, ((ps[0], key_counts),))
 
     def to_payload(self) -> dict:
         return {"classes": [{**c.to_payload(), "mult": k} for c, k in self.counts]}

@@ -7,7 +7,10 @@ and the group's index tables do the arithmetic; the motive sums and ring
 normal forms are built from indices too (``_of_keys``), so classes are built
 only where a layer takes them (a quadric's Clifford class) and for witness
 payloads.  Sum cancellation builds each state's sum once and forms every
-pair as the direct sum of two of them, with its own signature.
+pair as the direct sum of two of them, with its own signature.  Product
+matching keys each family by one integer that packs its decomposition
+counts in 64-bit slots, and walks the families in enumeration order, each
+reusing the counts of the prefix it shares with the family before it.
 ``VerificationRun.of`` turns the search result into a certificate.
 Counterexample witnesses are emitted in replayable form; reruns with the
 same parameters are byte-identical.
@@ -15,12 +18,11 @@ same parameters are byte-identical.
 
 from __future__ import annotations
 
-import array
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .brauer import AbstractGroup, ResourceLimitError, check_work, prime_factors, record_payload
 from .measure_ring import RingElement
@@ -340,24 +342,66 @@ def verify_tensor_cancellation(
 # family of Clifford classes, for m <= 5.
 # ---------------------------------------------------------------------------
 
-def _matching_witness(d_max: int, m: int, n_dim: int, details: dict) -> dict | None:
-    """Two families with one product decomposition; with none, the number of
-    families checked goes into ``details``."""
+SLOT = 64  # bits per count in a packed matching key; every count is below 2^63
+
+
+def _matching_keys(d_max: int, m: int, n_dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each family of m classes of (Z/2)^d_max with its decomposition key.
+
+    The key packs the family's 2^d_max decomposition counts into one integer,
+    count x in bits [64 x, 64 x + 64).  The counts of a prefix grow by one
+    class e as acc'[x] = q acc[x] + copies acc[x ^ e], and a family reuses
+    the counts of the prefix it shares with the family before it."""
     size = 1 << d_max
     copies = 2 if n_dim % 2 == 0 else 1
     q = n_dim - 2
-    # weight for subset index: subsets of {1..m} are bitmasks of width m.
-    weight = [copies ** bin(s).count("1") * q ** (m - bin(s).count("1")) for s in range(1 << m)]
+    # Moving every count x to x ^ (1 << b) swaps the blocks of 2^b slots
+    # whose index has bit b clear with the blocks just above them.
+    low_blocks = [sum(((1 << SLOT) - 1) << (SLOT * x) for x in range(size) if not x >> b & 1)
+                  for b in range(d_max)]
 
-    seen: dict[bytes, tuple[int, ...]] = {}
+    def xor_image(images: list, e: int) -> int:
+        # images[e] is the prefix's counts with count x moved to x ^ e; each
+        # is one block swap of the image of e with its lowest bit cleared.
+        low = e & -e
+        src = images[e ^ low]
+        if src is None:
+            src = xor_image(images, e ^ low)
+        width, mask = SLOT * low, low_blocks[low.bit_length() - 1]
+        image = images[e] = (src & mask) << width | (src >> width) & mask
+        return image
+
+    accs = [1]  # accs[i]: the packed counts of the family's first i classes
+    images: list[list] = []  # images[i]: the XOR images of accs[i], built on demand
+    previous = (-1,) * m
     for family in itertools.combinations_with_replacement(range(size), m):
-        xors = [0]
-        for e in family:
-            xors += [x ^ e for x in xors]
-        acc = [0] * size
-        for idx, x in enumerate(xors):
-            acc[x] += weight[idx]
-        other = seen.setdefault(array.array("q", acc).tobytes(), family)
+        # Rebuild from the first position where the family leaves the
+        # previous one, and at least the last class.
+        if family[:-1] == previous[:-1]:
+            i = m - 1
+        else:
+            i = 0
+            while family[i] == previous[i]:
+                i += 1
+        del accs[i + 1:], images[i + 1:]
+        for j in range(i, m):
+            if j == len(images):
+                images.append([accs[j]] + [None] * (size - 1))
+            e = family[j]
+            image = images[j][e]
+            if image is None:
+                image = xor_image(images[j], e)
+            accs.append(q * accs[j] + copies * image)
+        previous = family
+        yield family, accs[m]
+
+
+def _matching_witness(d_max: int, m: int, n_dim: int, details: dict) -> dict | None:
+    """Two families with one product decomposition; with none, the number of
+    families checked goes into ``details``."""
+    seen: dict[int, tuple[int, ...]] = {}
+    for family, key in _matching_keys(d_max, m, n_dim):
+        other = seen.setdefault(key, family)
         if other != family:
             return {
                 "family_a": [_bits(e, d_max) for e in other],
@@ -391,7 +435,8 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
     if n_dim ** m >= 1 << 63:
         raise ResourceLimitError(f"product matching needs n_dim^m < 2^63, got {n_dim}^{m}")
     # C(2^d_max + m - 1, m) families, each with 2^m subset sums and a key of
-    # 2^d_max counts.
+    # 2^d_max counts.  The packed walk does less than this a family; the
+    # price is kept, so the frontier stays where it was.
     families = math.comb((1 << d_max) + m - 1, m)
     check_work("quadric-product-matching", [families * (8 + (1 << m) // 2 + (1 << d_max) // 4)])
     details: dict = {}

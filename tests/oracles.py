@@ -7,11 +7,13 @@ isomorphism signature and the per-prime isomorphism test by coordinate loops
 over the expanded multiset; the ring normal form class by class; sigma1 by
 its displayed two-term formula; every sigma kind by its literal sum over r;
 the even-Clifford class by the pairwise Fraction formula over trial division;
-Br(Q) class arithmetic on Fraction residues, place by place.
+Br(Q) class arithmetic on Fraction residues, place by place; the
+product-matching keys family by family, as lists of int64 counts.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from collections import Counter
@@ -329,6 +331,40 @@ def counter_isomorphic(coords_x, coords_y, orders) -> bool:
         == Counter(coords_p_part(c, orders, p) for c in coords_y)
         for p in primes
     )
+
+
+def matching_counts(family, d_max: int, n_dim: int) -> list[int]:
+    """The 2^d_max decomposition counts of a product of quadrics with the
+    Clifford classes ``family``: subset S of the family adds
+    copies^|S| (n_dim - 2)^(m - |S|) at the XOR of its classes."""
+    m, copies = len(family), 2 if n_dim % 2 == 0 else 1
+    acc = [0] * (1 << d_max)
+    for s in range(1 << m):
+        x = 0
+        for i, e in enumerate(family):
+            if s >> i & 1:
+                x ^= e
+        size = bin(s).count("1")
+        acc[x] += copies ** size * (n_dim - 2) ** (m - size)
+    return acc
+
+
+def matching_witness(d_max: int, m: int, n_dim: int, details: dict) -> dict | None:
+    """The product-matching search family by family: the counts of each
+    family from ``itertools.combinations_with_replacement``, keyed by their
+    int64 bytes.  Two families with one key are the witness; with none, the
+    number of families goes into ``details``."""
+    seen: dict[bytes, tuple[int, ...]] = {}
+    for family in itertools.combinations_with_replacement(range(1 << d_max), m):
+        key = array.array("q", matching_counts(family, d_max, n_dim)).tobytes()
+        other = seen.setdefault(key, family)
+        if other != family:
+            return {
+                "family_a": [[(e >> i) & 1 for i in range(d_max)] for e in other],
+                "family_b": [[(e >> i) & 1 for i in range(d_max)] for e in family],
+            }
+    details["families"] = len(seen)
+    return None
 
 
 def sigma1_direct(parity: str, m: int, n: int, l: int) -> Fraction:

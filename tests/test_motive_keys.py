@@ -34,7 +34,7 @@ from titsmeasure.measure_ring import RingElement, from_motive_sum
 from titsmeasure.motives import MotiveSum, direct_sum, is_isomorphic, merge, tensor
 from titsmeasure.varieties import tits_measure
 
-SIGNATURE_GROUPS = [(1, 2), (2, 2, 2), (4, 3), (12,), (210,)]
+SIGNATURE_GROUPS = [(1,), (1, 2), (2, 2, 2), (8,), (9,), (3, 3), (4, 3), (12,), (210,)]
 SIXTHS = [Fraction(i, 6) for i in range(6)]
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "expected.json").read_text(encoding="utf-8")
@@ -97,6 +97,17 @@ def test_key_signature_decodes_to_the_class_signature(ms):
         assert all(k > 0 for _, k in part)
     assert _as_counters(decode_signature(ms.group, signature)) == class_signature(ms)
     assert rank == len(ms) == len(ms.classes)
+
+
+@pytest.mark.parametrize("orders", [(1,), (8,), (3, 3)])
+def test_identity_sums_of_two_ranks_sign_apart(orders):
+    # Over a p-group only the rank tells identity-only sums apart.  No verify
+    # suite would notice a signature without it (the rank_dropped row of
+    # test_fault_injection.py), so this pins it.
+    g = AbstractGroup(orders)
+    one, two = (MotiveSum.of(g, [g.identity()] * rank) for rank in (1, 2))
+    assert one.signature() == (1, ()) and two.signature() == (2, ())
+    assert not is_isomorphic(one, two)
 
 
 @given(st.one_of(abstract_sums(), rational_sums()))

@@ -1,8 +1,12 @@
+import itertools
 import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from titsmeasure import brauer, cli, verify
 from titsmeasure.brauer import AbstractGroup
 from titsmeasure.motives import MotiveSum
@@ -105,6 +109,56 @@ class TestQuadricProductMatching:
     def test_dimension_frontier(self):
         with pytest.raises(ValueError):
             verify_quadric_product_matching(2, 2, 4)
+
+
+def _both_kernels(d_max, m, n_dim):
+    """(witness, details) of the packed walk, then of the reference kernel."""
+    runs = []
+    for kernel in (verify._matching_witness, oracles.matching_witness):
+        details: dict = {}
+        runs.append((kernel(d_max, m, n_dim, details), details))
+    return runs
+
+
+class TestPackedMatchingWalk:
+    """The packed prefix-reusing walk against the family-by-family reference
+    kernel: the same family count, or the same first witness."""
+
+    @pytest.mark.parametrize("n_dim", [3, 4, 5, 6, 7, 8])
+    def test_every_small_grid(self, n_dim):
+        # Dimensions 3 and 4 are outside the theorem: their families collide,
+        # so the first witnesses are compared too.
+        witnesses = 0
+        for d_max in range(5):
+            for m in range(1, 5):
+                walk, reference = _both_kernels(d_max, m, n_dim)
+                assert walk == reference, (d_max, m)
+                witnesses += walk[0] is not None
+        assert (witnesses > 0) == (n_dim < 5)
+
+    @pytest.mark.parametrize("d_max", [0, 1, 2])
+    def test_slot_bound_edge(self, d_max):
+        # The all-zero family's identity count is 6208^5, just below 2^63.
+        assert 6208 ** 5 < 1 << 63 <= 6209 ** 5
+        walk, reference = _both_kernels(d_max, 5, 6208)
+        assert walk == reference == (None, {"families": math.comb((1 << d_max) + 4, 5)})
+        # Every key is its counts in 64-bit slots, count x in slot x.
+        for family, key in verify._matching_keys(d_max, 5, 6208):
+            counts = oracles.matching_counts(family, d_max, 6208)
+            assert key == sum(k << 64 * x for x, k in enumerate(counts)), family
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_injected_family_orders(self, data):
+        # Any order, repeats included: each family keeps only the prefix it
+        # shares with the one before it.
+        d_max, m, n_dim = (data.draw(st.integers(*bounds)) for bounds in ((0, 3), (1, 4), (3, 8)))
+        classes = st.integers(0, (1 << d_max) - 1)
+        families = data.draw(st.lists(st.tuples(*[classes] * m), max_size=12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(itertools, "combinations_with_replacement", lambda *_: iter(families))
+            walk, reference = _both_kernels(d_max, m, n_dim)
+        assert walk == reference
 
 
 class TestConfluence:

@@ -197,6 +197,16 @@ def test_quadric_product_matching_witness(monkeypatch):
     assert _full(run) == CERTIFICATES["matching"]
 
 
+def test_quadric_product_matching_witness_after_a_duplicate_family(monkeypatch):
+    # A repeated family is the same family, not a witness; the reordered
+    # family after it shares no prefix with it and is rebuilt from its first
+    # class.
+    families = [(0, 1), (0, 1), (1, 0)]
+    monkeypatch.setattr(itertools, "combinations_with_replacement", lambda *_: iter(families))
+    run = verify.verify_quadric_product_matching(1, 2, 6)
+    assert _full(run) == CERTIFICATES["matching"]
+
+
 def test_normal_form_confluence_witness(monkeypatch):
     monkeypatch.setattr(verify, "RingElement", _Unrewritten)
     run = verify.verify_normal_form_confluence(G, trials=20, seed=4)
