@@ -14,14 +14,14 @@ Two interchangeable backends:
   to 0 mod 1, keyed by the residues as integers.  Constructed by the
   Hilbert-symbol layer in ``rationals``.
 
-Both class kinds support addition, negation, order, p-primary parts and
-``primes()``, done by the group on keys.  Each model keys its classes:
-``class_key`` (canonical order), ``class_at`` (the class at a key),
-``identity_key``, and the lookups ``key_primes[key]``, ``p_part_keys[p][key]``
-and ``add_keys(a, b)`` that ``motives``, ``measure_ring`` and
-``subgroup_keys`` work on without building classes; ``AbstractGroup`` adds
-``neg_keys[key]`` and ``key_order[key]``, which ``verify`` walks its index
-states with.
+Both models answer one key interface: ``class_key`` (canonical order),
+``class_at`` (the class at a key), ``identity_key``, ``add_keys(a, b)``,
+``multiple_key(key, m)`` and the lookups ``neg_keys[key]``,
+``key_order[key]``, ``key_primes[key]`` and ``p_part_keys[p][key]``.
+``motives``, ``measure_ring``, ``subgroup_keys`` and ``verify`` work on
+keys without building classes, and the class arithmetic (addition,
+negation, multiples, order, p-primary parts, ``primes()``) is written once
+over the same interface, in ``_ClassArithmetic``.
 
 Index policy: by default the index of a class is its order (period), which is
 exact over number fields; abstract models may carry an oracle table asserting
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -56,6 +56,11 @@ def check_work(what: str, totals: Iterable[int]) -> None:
     for work in totals:
         if work > WORK_LIMIT:
             raise ResourceLimitError(f"{what} needs more than {WORK_LIMIT} units of work")
+
+
+def is_int(value) -> bool:
+    """An int but not a bool: the integer rule of documents and library values."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -282,8 +287,29 @@ class _Table(dict):
         return value
 
 
+def _p_part_tables(p_part) -> _Table:
+    """prime p -> {key: key of the p-part}, filled by ``p_part(key, p)``."""
+    def table(p: int) -> _Table:
+        if not is_prime(p):
+            raise ValueError(f"not a prime: {p}")
+        return _Table(lambda key: p_part(key, p))
+    return _Table(table)
+
+
+class _KeyedGroup:
+    """What a group model derives from its key interface and ``_oracle``."""
+
+    def identity(self):
+        return self.class_at(self.identity_key)
+
+    def index_of(self, cls) -> int:
+        if cls.group != self:
+            raise GroupMismatchError("class does not belong to this group")
+        return self._oracle.get(self.class_key(cls)) or cls.order()
+
+
 @dataclass(frozen=True, eq=False)
-class AbstractGroup:
+class AbstractGroup(_KeyedGroup):
     """Finite abelian group ⊕_i Z/orders[i] serving as a Brauer-group model.
 
     ``index_oracle`` optionally maps element coords to an asserted index;
@@ -306,7 +332,7 @@ class AbstractGroup:
     kind = "abstract"
 
     def __post_init__(self) -> None:
-        if not all(isinstance(n, int) and n >= 1 for n in self.orders):
+        if not all(is_int(n) and n >= 1 for n in self.orders):
             raise ValueError(f"cyclic orders must be positive integers: {self.orders}")
         orders = tuple(int(n) for n in self.orders)
         size = math.prod(orders)
@@ -319,12 +345,8 @@ class AbstractGroup:
             i, j = divmod(ij, size)
             return index(map(operator.add, coords[i], coords[j]))
 
-        def p_part_table(p: int) -> _Table:
-            if not is_prime(p):
-                raise ValueError(f"not a prime: {p}")
-            return _Table(lambda i: index(
-                _crt_p_component(c, n, p) for c, n in zip(coords[i], orders)
-            ))
+        def multiple_key(i: int, k: int) -> int:
+            return index([k * c for c in coords[i]])
 
         # Digit k of an index is its coordinate k: index // strides[k] mod orders[k].
         coords = _Table(lambda i: tuple(i // s % n for s, n in zip(strides, orders)))
@@ -345,14 +367,18 @@ class AbstractGroup:
         init(self, "key_primes", _Table(
             lambda i: tuple(p for p in factored[exponent] if order[i] % p == 0)
         ))
-        init(self, "neg_keys", _Table(lambda i: index([-c for c in coords[i]])))  # index -> negation
+        init(self, "multiple_key", multiple_key)
+        init(self, "neg_keys", _Table(lambda i: multiple_key(i, -1)))  # index -> negation
         init(self, "_sum", _Table(sum_at))  # i * size + j -> index of the sum
-        init(self, "p_part_keys", _Table(p_part_table))  # prime -> {index: index of the p-part}
+        # prime -> {index: index of the p-part}
+        init(self, "p_part_keys", _p_part_tables(lambda i, p: index(
+            _crt_p_component(c, n, p) for c, n in zip(coords[i], orders)
+        )))
         canon = []
         for cs, idx in self.index_oracle:
             i = self.element(cs).index
             per = order[i]
-            if idx % per != 0 or set(prime_factors(idx)) != set(prime_factors(per)):
+            if not is_int(idx) or idx % per != 0 or set(prime_factors(idx)) != set(prime_factors(per)):
                 raise ValueError(
                     f"index oracle entry {idx} for {cs} incompatible with period {per}"
                 )
@@ -384,9 +410,6 @@ class AbstractGroup:
         object.__setattr__(cls, "index", idx)
         return cls
 
-    def identity(self) -> "AbstractClass":
-        return self.class_at(self.identity_key)
-
     def add_keys(self, i: int, j: int) -> int:
         """The index of the sum of the classes at indices ``i`` and ``j``."""
         return self._sum[i * self._size + j]
@@ -404,11 +427,6 @@ class AbstractGroup:
     def primes(self) -> tuple[int, ...]:
         return self._factored[self.exponent]
 
-    def index_of(self, cls: "AbstractClass") -> int:
-        if cls.group != self:
-            raise GroupMismatchError("class does not belong to this group")
-        return self._oracle.get(cls.index) or cls.order()
-
     def to_payload(self) -> dict:
         payload: dict = {"kind": "abstract", "orders": list(self.orders)}
         if self.index_oracle:
@@ -425,7 +443,7 @@ def _lowest_terms(entries: Iterable[tuple]) -> tuple:
 
 
 @dataclass(frozen=True)
-class _RationalGroup:
+class _RationalGroup(_KeyedGroup):
     """Br(Q) on keys: a class's key lists its nonzero local invariants as
     (*place_sort_key(place), a, d) in place order, a/d in lowest terms.  The
     group owns the class arithmetic, in integers.  Br(Q) is infinite, so its
@@ -434,6 +452,7 @@ class _RationalGroup:
     class_key = staticmethod(operator.attrgetter("key"))  # canonical order: by places
     identity_key = ()
     kind = "rational"
+    _oracle = {}  # key -> asserted index: none, as period equals index over a number field
 
     def class_at(self, key: tuple) -> "RationalClass":
         """The class with key ``key``; the one place a class is built from a key."""
@@ -454,33 +473,24 @@ class _RationalGroup:
     def multiple_key(key: tuple, k: int) -> tuple:
         return _lowest_terms((r, v, a * k % d, d) for r, v, a, d in key)
 
-    @staticmethod
-    def p_part_key(key: tuple, p: int) -> tuple:
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
-        # A residue a/d is the class of a in Z/d.
-        return _lowest_terms((r, v, _crt_p_component(a, d, p), d) for r, v, a, d in key)
+    @property
+    def neg_keys(self) -> _Table:
+        return _Table(lambda key: self.multiple_key(key, -1))
 
-    @staticmethod
-    def order_of_key(key: tuple) -> int:
-        return math.lcm(*(d for *_, d in key), 1)
+    @property
+    def key_order(self) -> _Table:
+        return _Table(lambda key: math.lcm(*(d for *_, d in key), 1))
 
     @property
     def key_primes(self) -> _Table:
-        return _Table(lambda key: tuple(prime_factors(self.order_of_key(key))))
+        order = self.key_order
+        return _Table(lambda key: tuple(prime_factors(order[key])))
 
     @property
     def p_part_keys(self) -> _Table:
-        return _Table(lambda p: _Table(lambda key: self.p_part_key(key, p)))
-
-    def identity(self) -> "RationalClass":
-        return self.class_at(self.identity_key)
-
-    def index_of(self, cls: "RationalClass") -> int:
-        # Over a number field period equals index.
-        if cls.group != self:
-            raise GroupMismatchError("class does not belong to this group")
-        return cls.order()
+        # A residue a/d is the class of a in Z/d.
+        return _p_part_tables(lambda key, p: _lowest_terms(
+            (r, v, _crt_p_component(a, d, p), d) for r, v, a, d in key))
 
     def to_payload(self) -> dict:
         return {"kind": "rational"}
@@ -504,16 +514,63 @@ def _crt_p_component(c: int, n: int, p: int) -> int:
     return (c * m * pow(m, -1, pa)) % n
 
 
-class AbstractClass:
+class _ClassArithmetic:
+    """Class arithmetic, once for both models: lookups of the class's key in
+    its group's key interface, each result built by ``class_at``."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        g = self.group
+        if other.group is not g:
+            common_group(self, other)
+        key = g.class_key
+        return g.class_at(g.add_keys(key(self), key(other)))
+
+    def __neg__(self):
+        g = self.group
+        return g.class_at(g.neg_keys[g.class_key(self)])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, k: int):
+        g = self.group
+        return g.class_at(g.multiple_key(g.class_key(self), operator.index(k)))
+
+    __rmul__ = __mul__
+
+    def is_identity(self) -> bool:
+        g = self.group
+        return g.class_key(self) == g.identity_key
+
+    def order(self) -> int:
+        g = self.group
+        return g.key_order[g.class_key(self)]
+
+    def p_part(self, p: int):
+        g = self.group
+        return g.class_at(g.p_part_keys[p][g.class_key(self)])
+
+    def primes(self) -> tuple[int, ...]:
+        """Primes dividing the order of the class, ascending."""
+        g = self.group
+        return g.key_primes[g.class_key(self)]
+
+
+@dataclass(frozen=True, init=False)
+class AbstractClass(_ClassArithmetic):
     """An element of an ``AbstractGroup``: the value (group, index).
 
     ``AbstractClass(group, coords)`` reduces integer coords modulo the
-    orders.  Equality is by value (group and index); ``order``, ``p_part``,
-    ``+`` and ``-`` are lookups in the group's index tables, and ``coords``
-    is read back from the index.
+    orders.  Equality is by value (group and index); the arithmetic is
+    lookups in the group's index tables, and ``coords`` is read back from
+    the index.
     """
 
     __slots__ = ("group", "index")
+    group: AbstractGroup
+    index: int
 
     def __init__(self, group: AbstractGroup, coords: Sequence[int]) -> None:
         if len(coords) != len(group.orders):
@@ -522,12 +579,6 @@ class AbstractClass:
             )
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "index", group._index([operator.index(c) for c in coords]))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (AbstractClass, (self.group, self.coords))
@@ -539,46 +590,11 @@ class AbstractClass:
     def coords(self) -> tuple[int, ...]:
         return self.group._coords[self.index]
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not AbstractClass:
-            return NotImplemented
-        return self.index == other.index and self.group == other.group
-
     def __hash__(self) -> int:
         return hash((self.group.orders, self.index))
 
-    def __add__(self, other: "AbstractClass") -> "AbstractClass":
-        g = self.group
-        if other.group is not g:
-            common_group(self, other)
-        return g.class_at(g.add_keys(self.index, other.index))
-
-    def __neg__(self) -> "AbstractClass":
-        g = self.group
-        return g.class_at(g.neg_keys[self.index])
-
-    def __sub__(self, other: "AbstractClass") -> "AbstractClass":
-        return self + (-other)
-
-    def __mul__(self, k: int) -> "AbstractClass":
-        k = operator.index(k)
-        return AbstractClass(self.group, [k * c for c in self.coords])
-
-    __rmul__ = __mul__
-
-    def is_identity(self) -> bool:
-        return self.index == 0
-
-    def order(self) -> int:
-        return self.group.key_order[self.index]
-
-    def p_part(self, p: int) -> "AbstractClass":
-        g = self.group
-        return g.class_at(g.p_part_keys[p][self.index])
-
-    def primes(self) -> tuple[int, ...]:
-        """Primes dividing the order of the class, ascending."""
-        return self.group.key_primes[self.index]
+    # benchmark/tracing.py wraps these per class, through the class's own namespace.
+    __add__, order, p_part = _ClassArithmetic.__add__, _ClassArithmetic.order, _ClassArithmetic.p_part
 
     def to_payload(self) -> dict:
         return {"coords": list(self.coords)}
@@ -603,7 +619,7 @@ def _validate_invariants(invariants: Iterable[tuple[Place, Fraction]]) -> tuple:
 
 
 @dataclass(frozen=True, init=False)
-class RationalClass:
+class RationalClass(_ClassArithmetic):
     """A Brauer class of Q: the value ``key`` (see ``RATIONALS``), built
     from checked (place, residue) pairs.  The arithmetic is the group's on
     keys, and ``invariants`` is read back from the key."""
@@ -624,34 +640,8 @@ class RationalClass:
     def ramified_places(self) -> tuple[Place, ...]:
         return tuple(v for v, _ in self.invariants)
 
-    def __add__(self, other: "RationalClass") -> "RationalClass":
-        common_group(self, other)
-        return RATIONALS.class_at(RATIONALS.add_keys(self.key, other.key))
-
-    def __neg__(self) -> "RationalClass":
-        return RATIONALS.class_at(RATIONALS.multiple_key(self.key, -1))
-
-    def __sub__(self, other: "RationalClass") -> "RationalClass":
-        return self + (-other)
-
-    def __mul__(self, k: int) -> "RationalClass":
-        # An integer multiple of a valid class is valid.
-        return RATIONALS.class_at(RATIONALS.multiple_key(self.key, operator.index(k)))
-
-    __rmul__ = __mul__
-
-    def is_identity(self) -> bool:
-        return not self.key
-
-    def order(self) -> int:
-        return RATIONALS.order_of_key(self.key)
-
-    def p_part(self, p: int) -> "RationalClass":
-        return RATIONALS.class_at(RATIONALS.p_part_key(self.key, p))
-
-    def primes(self) -> tuple[int, ...]:
-        """Primes dividing the order of the class, ascending."""
-        return RATIONALS.key_primes[self.key]
+    # benchmark/tracing.py wraps these per class, through the class's own namespace.
+    __add__, order, p_part = _ClassArithmetic.__add__, _ClassArithmetic.order, _ClassArithmetic.p_part
 
     def to_payload(self) -> dict:
         return {"invariants": [{"place": v, "inv": str(inv)} for v, inv in self.invariants]}
@@ -697,7 +687,7 @@ class CSA:
     degree: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or self.degree < 1:
+        if not is_int(self.degree) or self.degree < 1:
             raise ValueError(f"degree must be a positive integer, got {self.degree}")
         per = self.brauer_class.order()
         if self.degree % per != 0:

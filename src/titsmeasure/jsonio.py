@@ -17,6 +17,7 @@ from .brauer import (
     BrauerClass,
     BrauerGroup,
     RationalClass,
+    is_int,
 )
 from .quadforms import FormShadow, QuadraticForm
 from .varieties import (
@@ -33,11 +34,6 @@ def _need(payload: Any, key: str, context: str):
     if not isinstance(payload, dict) or key not in payload:
         raise ValueError(f"{context}: missing field {key!r}")
     return payload[key]
-
-
-def is_int(value: Any) -> bool:
-    """JSON integers only: ``true``/``false`` parse as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _need_int(payload: Any, key: str, context: str) -> int:

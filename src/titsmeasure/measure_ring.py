@@ -9,7 +9,8 @@ with nu the number of primes dividing ord(c).  Elements are kept in the normal
 form spanned by the identity and the classes of prime-power order; equality in
 the quotient is literal equality of normal forms.  As in ``motives``, the
 normal form is kept on class keys and rewritten and added through the
-group's key tables; classes are built only when ``terms`` is read.  The
+group's key tables; classes are built only when ``terms`` is read.  Pairs
+from outside are keyed by ``motives.key_pairs``, as for a ``MotiveSum``.  The
 verification suites check this against raw breadth-first rewriting on finite
 models.
 """
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .brauer import BrauerGroup, GroupMismatchError, common_group
-from .motives import Count as Term, KeyCount, merge
+from .brauer import BrauerGroup, common_group
+from .motives import Count as Term, KeyCount, key_pairs, merge
 
 
 @dataclass(frozen=True, init=False)
@@ -33,15 +34,7 @@ class RingElement:
     key_terms: tuple[KeyCount, ...]
 
     def __init__(self, group: BrauerGroup, terms: Iterable[Term]) -> None:
-        key = group.class_key
-        pairs = []
-        for c, k in terms:
-            if c.group is not group and c.group != group:
-                raise GroupMismatchError("class outside the declared group model")
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise ValueError(f"coefficients must be integers, got {k!r}")
-            pairs.append((key(c), k))
-        self.__dict__.update(group=group, key_terms=pairs)
+        self.__dict__.update(group=group, key_terms=key_pairs(group, terms, "coefficients"))
         self.__post_init__()
 
     @classmethod

@@ -14,11 +14,12 @@ whose summands all have p-power order for one prime p is its own p-part:
 over an abstract p-group that is decided once for the group, and the sum
 signs by its own key counts.  Otherwise each prime's p-part counts are
 added up inline.  Tate twists carry no information here and are not
-stored.  Cost follows the distinct keys, not the rank.  ``merge`` is the one
-multiset sum of sums and of the ``measure_ring`` normal forms, which are
-kept on keys too; it can add pairs onto an already merged run, so
-``direct_sum`` merges one sum's key counts onto the other's.  Every sum is
-built by one constructor call that writes the merged fields.
+stored.  Cost follows the distinct keys, not the rank.  ``key_pairs`` keys
+the (class, integer) pairs of a sum or of a ``measure_ring`` element.
+``merge`` is the one multiset sum of sums and of the ``measure_ring`` normal
+forms, which are kept on keys too; it can add pairs onto an already merged
+run, so ``direct_sum`` merges one sum's key counts onto the other's.  Every
+sum is built by one constructor call that writes the merged fields.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable
 
-from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, common_group
+from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, common_group, is_int
 
 Count = tuple[BrauerClass, int]
 KeyCount = tuple[Hashable, int]
@@ -46,6 +47,21 @@ def merge(pairs: Iterable[KeyCount], into: Iterable[KeyCount] = ()) -> tuple[Key
     return tuple(filter(_nonzero, merged)) if 0 in mult.values() else tuple(merged)
 
 
+def key_pairs(group: BrauerGroup, pairs: Iterable[Count], what: str,
+              nonnegative: bool = False) -> list[KeyCount]:
+    """The (key, integer) pairs of (class, integer) pairs from outside: each class
+    in ``group``, each integer by ``is_int``, and at least 0 when ``nonnegative``."""
+    key = group.class_key
+    out = []
+    for c, k in pairs:
+        if c.group is not group and c.group != group:
+            raise GroupMismatchError("class outside the declared group model")
+        if not is_int(k) or (nonnegative and k < 0):
+            raise ValueError(f"{what} must be {'non-negative ' * nonnegative}integers, got {k!r}")
+        out.append((key(c), k))
+    return out
+
+
 @dataclass(frozen=True, init=False)
 class MotiveSum:
     """A finite multiset of Brauer classes over a single group model.
@@ -60,18 +76,8 @@ class MotiveSum:
     rank: int = field(compare=False)  # the sum of the multiplicities
 
     def __init__(self, group: BrauerGroup, counts: Iterable[Count]) -> None:
-        key = group.class_key
-        pairs = []
-        rank = 0
-        for c, k in counts:
-            if c.group is not group and c.group != group:
-                raise GroupMismatchError("class outside the declared group model")
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"multiplicities must be non-negative integers, got {k!r}")
-            pairs.append((key(c), k))
-            rank += k
-        fields = self.__dict__
-        fields["group"], fields["key_counts"], fields["rank"] = group, merge(pairs), rank
+        pairs = key_pairs(group, counts, "multiplicities", nonnegative=True)
+        self.__dict__.update(group=group, key_counts=merge(pairs), rank=sum(k for _, k in pairs))
 
     @classmethod
     def _of_keys(cls, group: BrauerGroup, pairs: Iterable[KeyCount], rank: int,

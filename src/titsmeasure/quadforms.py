@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .brauer import BrauerClass, BrauerGroup, RationalClass, ResourceLimitError
-from .brauer import record_payload
+from .brauer import is_int, record_payload
 from .rationals import SquareClass, as_fraction, quaternion_sum, square_class
 
 
@@ -140,7 +140,7 @@ class FormShadow:
     i3_zero: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 3:
+        if not is_int(self.dim) or self.dim < 3:
             raise ValueError(f"shadow dimension must be an integer >= 3, got {self.dim}")
         if self.clifford_class.order() > 2:
             raise ValueError("even-Clifford class must be 2-torsion")

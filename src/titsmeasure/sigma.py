@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .brauer import ResourceLimitError, check_work
+from .brauer import ResourceLimitError, check_work, is_int
 
 
 # Each split kind in closed form, with E = ((q+b)^l + (q-b)^l) / 2 and
@@ -79,7 +79,7 @@ def _digits(m: int, n: int, l: int) -> int:
 def _check_digits(m: int, n: int, l: int) -> int:
     """The digit estimate of sigma(m, n, l): malformed input raises
     ``ValueError``, an estimate past ``MAX_DIGITS`` ``ResourceLimitError``."""
-    if not (isinstance(m, int) and isinstance(n, int) and isinstance(l, int)):
+    if not (is_int(m) and is_int(n) and is_int(l)):
         raise ValueError("m, n, l must be integers")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

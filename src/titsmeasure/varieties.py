@@ -24,6 +24,7 @@ from .brauer import (
     ResourceLimitError,
     check_work,
     common_group,
+    is_int,
     record_payload,
     subgroup_keys,
 )
@@ -123,7 +124,7 @@ class Grassmannian:
     family = "grassmannian"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.d < self.alg.degree:
+        if not (is_int(self.d) and 1 <= self.d < self.alg.degree):
             raise ValueError(
                 f"Grassmannian parameter must satisfy 1 <= d < deg, "
                 f"got d={self.d}, deg={self.alg.degree}"
@@ -215,7 +216,7 @@ class Involution:
     family = "involution"
 
     def __post_init__(self) -> None:
-        if self.deg % 2 or self.deg < 6:
+        if not is_int(self.deg) or self.deg % 2 or self.deg < 6:
             raise ValueError(f"involution degree must be even and >= 6, got {self.deg}")
         common_group(self.alg_class, self.cplus, self.cminus)
         if self.deg % 4 == 2:

@@ -24,7 +24,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .brauer import AbstractGroup, ResourceLimitError, check_work, prime_factors, record_payload
+from .brauer import AbstractGroup, ResourceLimitError, check_work, is_int, prime_factors
+from .brauer import record_payload
 from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
@@ -74,7 +75,9 @@ def _sum_weight(group: AbstractGroup, size: int) -> int:
 
 
 def _at_least(name: str, value: int, least: int) -> None:
-    """Refuse a size or count below its range: malformed input, not a frontier."""
+    """Refuse a non-integer, or a size or count below its range: malformed input, not a frontier."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
@@ -425,6 +428,8 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
     form of the matching statement.
     """
     params = {"d_max": d_max, "m": m, "n_dim": n_dim}
+    if not (is_int(m) and is_int(n_dim)):
+        raise ValueError(f"m and n_dim must be integers, got {m!r} and {n_dim!r}")
     if n_dim < 5:
         raise ValueError(f"product matching applies to form dimension >= 5, got {n_dim}")
     if m < 1 or m > 5:

@@ -370,6 +370,7 @@ MIXED_OPERANDS = {
     "class-add": lambda: A4 + A8,
     "class-sub": lambda: A4 - A8,
     "rational-add": lambda: quaternion_class(-1, 3) + A4,
+    "abstract-add-rational": lambda: A4 + quaternion_class(-1, 3),
     "generated-subgroup": lambda: generated_subgroup([A4, A8]),
     "coprime-indexes": lambda: coprime_indexes(CSA(A4, 2), CSA(A8, 4)),
     "direct-sum": lambda: titsmeasure.direct_sum(_sum(A4), _sum(A8)),
@@ -377,6 +378,7 @@ MIXED_OPERANDS = {
     "is-isomorphic": lambda: titsmeasure.is_isomorphic(_sum(A4), _sum(A8)),
     "ring-add": lambda: _ring(A4) + _ring(A8),
     "ring-mul": lambda: _ring(A4) * _ring(A8),
+    "ring-sub": lambda: _ring(A4) - _ring(A8),
     "ring-equal": lambda: titsmeasure.measure_ring.equal(_ring(A4), _ring(A8)),
     "involution": lambda: titsmeasure.Involution(6, A4, Z8.element([1]), Z8.element([3])),
     "product": lambda: titsmeasure.Product((_sb(A4), _sb(A8))),
@@ -390,6 +392,12 @@ class TestCommonGroup:
     def test_mixed_group_models_raise(self, name):
         with pytest.raises(GroupMismatchError, match=r"^mixed group models: "):
             MIXED_OPERANDS[name]()
+
+    def test_an_abstract_class_never_equals_a_rational_class(self):
+        for a in (AbstractGroup((1,)).identity(), A4):
+            for r in (RATIONALS.identity(), quaternion_class(-1, 3)):
+                assert a.__eq__(r) is NotImplemented
+                assert a != r and r != a and not a == r
 
     def test_equal_models_share_the_first(self):
         twin = AbstractGroup((4,))

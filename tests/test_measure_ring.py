@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titsmeasure.brauer import AbstractGroup
+from oracles import class_normal_form
+from titsmeasure.brauer import RATIONALS, AbstractGroup, RationalClass
 from titsmeasure.measure_ring import (
     RingElement,
     augmentation,
@@ -70,7 +73,7 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("coeff", [True, False, 1.0, "1"])
     def test_rejects_non_integer_coefficients(self, coeff):
-        # bool is a subclass of int; as in jsonio.is_int it is not a coefficient.
+        # bool is a subclass of int; by brauer.is_int it is not a coefficient.
         with pytest.raises(ValueError, match="coefficients must be integers"):
             RingElement(G6, ((G6.element([1]), coeff),))
 
@@ -105,6 +108,43 @@ class TestRingLaws:
         one = RingElement(G6, ((G6.identity(), 1),))
         x = RingElement(G6, ((G6.element([1]), 2), (G6.element([5]), -1)))
         assert one * x == x
+
+
+# Rational classes of order 1, 2, 3 and 6, so that p-parts split over Q too.
+RATIONAL_CLASSES = [
+    RATIONALS.identity(),
+    RationalClass([(2, Fraction(1, 2)), (3, Fraction(1, 2))]),
+    RationalClass([(3, Fraction(1, 3)), (7, Fraction(2, 3))]),
+    RationalClass([("real", Fraction(1, 2)), (5, Fraction(1, 6)), (7, Fraction(1, 3))]),
+]
+
+
+@st.composite
+def raw_terms(draw, group):
+    """(class, coefficient) pairs as a caller passes them, repeats allowed."""
+    if group is RATIONALS:
+        classes = st.sampled_from(RATIONAL_CLASSES)
+    else:
+        classes = st.builds(lambda c: group.element([c]), st.integers(0, 60))
+    return draw(st.lists(st.tuples(classes, st.integers(-3, 3)), max_size=5))
+
+
+class TestNegationAndSubtraction:
+    """-(-x) = x, x - x = 0 and (x - y) + y = x, with each normal form checked
+    class by class against ``oracles.class_normal_form``."""
+
+    @pytest.mark.parametrize("group", [G6, G30, RATIONALS], ids=["Z6", "Z30", "Q"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_identities(self, group, data):
+        xs, ys = data.draw(raw_terms(group)), data.draw(raw_terms(group))
+        x, y = RingElement(group, xs), RingElement(group, ys)
+        negated = [(c, -k) for c, k in ys]
+        assert dict((-x).terms) == {c: -k for c, k in class_normal_form(group, xs).items()}
+        assert dict((x - y).terms) == class_normal_form(group, xs + negated)
+        assert -(-x) == x
+        assert x - x == RingElement(group, ()) and not (x - x).key_terms
+        assert (x - y) + y == x
 
 
 class TestMotiveCorrespondence:

@@ -45,7 +45,7 @@ class TestMotiveSum:
 
     @pytest.mark.parametrize("mult", [True, False, 1.0, -1])
     def test_rejects_non_integer_multiplicities(self, mult):
-        # bool is a subclass of int; as in jsonio.is_int it is not a count.
+        # bool is a subclass of int; by brauer.is_int it is not a count.
         with pytest.raises(ValueError, match="multiplicities must be non-negative integers"):
             MotiveSum(G6, [(G6.element([1]), mult)])
 

@@ -1,4 +1,5 @@
 import importlib
+import json
 import time
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import LITERAL_SPLITS, SUMMANDS, sigma1_direct, sigma_literal
-from titsmeasure import brauer
+from titsmeasure import brauer, cli
 from titsmeasure.brauer import ResourceLimitError
 from titsmeasure.sigma import (
     KINDS,
@@ -142,6 +143,25 @@ class TestRecurrences:
     def test_empty_kind_list_is_refused(self):
         with pytest.raises(ValueError, match="at least one kind"):
             recurrence_violations(range(5, 7), range(2, 4), [])
+
+    def test_a_wrong_factor_is_reported_cell_by_cell(self, monkeypatch, capsys):
+        # 12even steps by a factor of 2; claim 3 and every nonzero cell breaks.
+        monkeypatch.setitem(RECURRENCE_FACTORS, "12even", lambda n: Fraction(3))
+        expected = [
+            {"kind": "12even", "m": m, "n": 6, "l": l,
+             "lhs": str(sigma_fraction("12even", m - 1, 6, l)),
+             "rhs": str(sigma_fraction("12even", m, 6, l) / 3)}
+            for m in (2, 3) for l in range(m)
+            if sigma_fraction("12even", m - 1, 6, l) * 3 != sigma_fraction("12even", m, 6, l)
+        ]
+        assert expected
+        assert recurrence_violations([6], [2, 3], ["12even"]) == expected
+        code = cli.main([
+            "sigma-check", "--kinds", "12even", "--n-min", "6", "--n-max", "6",
+            "--m-min", "2", "--m-max", "3", "--format", "json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 2 and payload["ok"] is False and payload["violations"] == expected
 
     @given(st.integers(5, 30), st.integers(2, 9))
     @settings(max_examples=60, deadline=None)
