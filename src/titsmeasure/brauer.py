@@ -562,10 +562,10 @@ class _ClassArithmetic:
 class AbstractClass(_ClassArithmetic):
     """An element of an ``AbstractGroup``: the value (group, index).
 
-    ``AbstractClass(group, coords)`` reduces integer coords modulo the
-    orders.  Equality is by value (group and index); the arithmetic is
-    lookups in the group's index tables, and ``coords`` is read back from
-    the index.
+    ``AbstractClass(group, coords)`` reduces integer coords (``is_int``)
+    modulo the orders.  Equality is by value (group and index); the
+    arithmetic is lookups in the group's index tables, and ``coords`` is
+    read back from the index.
     """
 
     __slots__ = ("group", "index")
@@ -577,8 +577,11 @@ class AbstractClass(_ClassArithmetic):
             raise ValueError(
                 f"expected {len(group.orders)} coordinates, got {len(coords)}"
             )
+        bad = next((c for c in coords if not is_int(c)), None)
+        if bad is not None:
+            raise ValueError(f"coordinates must be integers, got {bad!r}")
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", group._index([operator.index(c) for c in coords]))
+        object.__setattr__(self, "index", group._index(coords))
 
     def __reduce__(self):
         return (AbstractClass, (self.group, self.coords))

@@ -7,12 +7,15 @@ of coprime index.  Every class then rewrites into its p-primary parts:
 
 with nu the number of primes dividing ord(c).  Elements are kept in the normal
 form spanned by the identity and the classes of prime-power order; equality in
-the quotient is literal equality of normal forms.  As in ``motives``, the
-normal form is kept on class keys and rewritten and added through the
-group's key tables; classes are built only when ``terms`` is read.  Pairs
-from outside are keyed by ``motives.key_pairs``, as for a ``MotiveSum``.  The
-verification suites check this against raw breadth-first rewriting on finite
-models.
+the quotient is literal equality of normal forms, ``==``.  The rewrite is
+``motives.normal_form``, the routine whose value is also a ``MotiveSum``'s
+isomorphism signature, so the image of an effective sum decides motive
+isomorphism.  The normal form is kept on class keys and rewritten and added
+through the group's key tables; classes are built only when ``terms`` is
+read.  Pairs from outside are keyed by ``motives.key_pairs``, as for a
+``MotiveSum``.  The verification suites check this against raw
+breadth-first rewriting on finite models, and tier-1 against a per-prime
+p-part oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .brauer import BrauerGroup, common_group
-from .motives import Count as Term, KeyCount, key_pairs, merge
+from .motives import Count as Term, KeyCount, key_pairs, merge, normal_form
 
 
 @dataclass(frozen=True, init=False)
@@ -46,18 +49,8 @@ class RingElement:
         return self
 
     def __post_init__(self) -> None:
-        # Rewrites the raw key_terms: each distinct key once, weighted by its coefficient.
-        group = self.group
-        primes, p_parts, zero = group.key_primes, group.p_part_keys, group.identity_key
-        expanded = []
-        for kc, k in merge(self.key_terms):
-            ps = primes[kc]
-            if len(ps) < 2:
-                expanded.append((kc, k))
-            else:
-                expanded += [(p_parts[p][kc], k) for p in ps]
-                expanded.append((zero, k * (1 - len(ps))))
-        self.__dict__["key_terms"] = merge(expanded)
+        # Merges the raw key_terms, then rewrites each distinct key once.
+        self.__dict__["key_terms"] = normal_form(self.group, merge(self.key_terms))
 
     @property
     def terms(self) -> tuple[Term, ...]:
@@ -88,12 +81,6 @@ class RingElement:
 def augmentation(x: RingElement) -> int:
     """Sum of coefficients; rewriting preserves it, so it is well defined."""
     return sum(k for _, k in x.key_terms)
-
-
-def equal(x: RingElement, y: RingElement) -> bool:
-    """Equality in the quotient ring: identical normal forms."""
-    common_group(x, y)
-    return x.key_terms == y.key_terms
 
 
 def from_motive_sum(ms) -> RingElement:

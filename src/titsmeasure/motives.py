@@ -6,20 +6,22 @@ index for abstract groups, the residue tuple ``RationalClass.key`` over Q).
 ``rank`` is the sum of the multiplicities; ``len`` returns it too, up to
 2^63 - 1, the most Python's ``len`` allows.  Only ``counts`` and ``classes``
 (the sorted expansion) hold class objects, built with ``group.class_at``
-when first read, once per sum.  Two sums are isomorphic exactly when they have the same
-rank and, prime by prime, the same multiset of p-primary parts;
-``signature`` reads the primes and p-parts of each key from the group's
-tables (``key_primes``, ``p_part_keys``), so it builds no class.  A sum
-whose summands all have p-power order for one prime p is its own p-part:
-over an abstract p-group that is decided once for the group, and the sum
-signs by its own key counts.  Otherwise each prime's p-part counts are
-added up inline.  Tate twists carry no information here and are not
-stored.  Cost follows the distinct keys, not the rank.  ``key_pairs`` keys
-the (class, integer) pairs of a sum or of a ``measure_ring`` element.
-``merge`` is the one multiset sum of sums and of the ``measure_ring`` normal
-forms, which are kept on keys too; it can add pairs onto an already merged
-run, so ``direct_sum`` merges one sum's key counts onto the other's.  Every
-sum is built by one constructor call that writes the merged fields.
+when first read, once per sum.  Two sums are isomorphic exactly when,
+prime by prime, they have the same multiset of p-primary parts, which is
+when their images in the ``measure_ring`` quotient agree.  So ``signature``
+is that image: ``normal_form``, the one routine ``RingElement`` calls too,
+splits each key whose order has several primes into its p-parts less
+identities.  The coefficient of a class x of p-power order then counts the
+summands with p-part x, and the rank is the sum of the coefficients.  The
+primes and p-parts of each key come from the group's tables (``key_primes``,
+``p_part_keys``), so no class is built; over an abstract p-group, decided
+once for the group, a sum signs by its own key counts.  Tate twists carry
+no information here and are not stored.  Cost follows the distinct keys,
+not the rank.  ``key_pairs`` keys the (class, integer) pairs of a sum or of
+a ``measure_ring`` element.  ``merge`` is the one multiset sum of sums and
+of the normal forms; it can add pairs onto an already merged run, so
+``direct_sum`` merges one sum's key counts onto the other's.  Every sum is
+built by one constructor call that writes the merged fields.
 """
 
 from __future__ import annotations
@@ -45,6 +47,24 @@ def merge(pairs: Iterable[KeyCount], into: Iterable[KeyCount] = ()) -> tuple[Key
         mult[kc] = get(kc, 0) + k
     merged = sorted(mult.items())
     return tuple(filter(_nonzero, merged)) if 0 in mult.values() else tuple(merged)
+
+
+def normal_form(group: BrauerGroup, merged: tuple[KeyCount, ...]) -> tuple[KeyCount, ...]:
+    """The normal form of the already merged run ``merged``: each key whose
+    order has nu >= 2 primes becomes its p-parts less nu - 1 identities.
+    Over an abstract p-group every key is primary, so the run is returned."""
+    if group.kind == "abstract" and len(group.primes()) < 2:
+        return merged
+    primes, p_parts, identity = group.key_primes, group.p_part_keys, group.identity_key
+    out = []
+    for kc, k in merged:
+        ps = primes[kc]
+        if len(ps) < 2:
+            out.append((kc, k))
+        else:
+            out += [(p_parts[p][kc], k) for p in ps]
+            out.append((identity, k * (1 - len(ps))))
+    return merge(out) if len(out) > len(merged) else merged
 
 
 def key_pairs(group: BrauerGroup, pairs: Iterable[Count], what: str,
@@ -107,45 +127,9 @@ class MotiveSum:
     def __len__(self) -> int:
         return self.rank
 
-    def signature(self) -> tuple:
-        """Hashable invariant that decides isomorphism.
-
-        Cardinality plus, for each prime dividing some summand's order, the
-        merged (p-part key, multiplicity) pairs.  When one prime divides
-        every order but the identity's, which the exponent decides once for
-        an abstract p-group, the pairs are the sum's own key counts.
-        """
-        group, key_counts, rank = self.group, self.key_counts, self.rank
-        identity = group.identity_key
-        if not key_counts or key_counts[-1][0] == identity:  # the identity sorts first
-            return (rank, ())
-        primes = group.key_primes
-        if len(key_counts) == 1:
-            ps = primes[key_counts[0][0]]  # ascending already
-        elif group.kind == "abstract":
-            ps = group.primes()  # every order divides the exponent
-        else:
-            ps = sorted({p for kc, _ in key_counts for p in primes[kc]})
-        if len(ps) > 1:
-            p_parts, parts = group.p_part_keys, []
-            for p in ps:
-                part = p_parts[p]
-                mult: dict = {}
-                for kc, k in key_counts:
-                    kp = part[kc]
-                    if kp in mult:
-                        mult[kp] += k
-                    else:
-                        mult[kp] = k
-                # Does p divide some summand's order?  A p-part other than
-                # the identity says so before the order table is read.
-                if len(mult) > 1 or identity not in mult or any(p in primes[kc] for kc, _ in key_counts):
-                    parts.append((p, tuple(sorted(mult.items()))))
-            if len(parts) > 1:
-                return (rank, tuple(parts))
-            ps = [p for p, _ in parts]
-        # One prime divides the summands' orders: each is its own p-part.
-        return (rank, ((ps[0], key_counts),))
+    def signature(self) -> tuple[KeyCount, ...]:
+        """The invariant that decides isomorphism: the sum's normal form."""
+        return normal_form(self.group, self.key_counts)
 
     def to_payload(self) -> dict:
         return {"classes": [{**c.to_payload(), "mult": k} for c, k in self.counts]}
@@ -174,7 +158,7 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
 
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:
-    """Same cardinality and, for every prime, equal multisets of p-parts."""
+    """Equal normal forms: for every prime, equal multisets of p-parts."""
     if x.group is not y.group:
         common_group(x, y)
     return x.signature() == y.signature()

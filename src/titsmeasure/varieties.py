@@ -29,7 +29,7 @@ from .brauer import (
     subgroup_keys,
 )
 from .measure_ring import RingElement, augmentation, from_motive_sum
-from .motives import MotiveSum, is_isomorphic, tensor
+from .motives import MotiveSum, tensor
 from .quadforms import I3_OVER_Q, FormShadow, QuadraticForm
 from .quadforms import even_clifford_class, signed_discriminant
 from .sigma import MAX_DIGITS, extra_condition_failures
@@ -338,7 +338,7 @@ def compare(x: VarietyDescriptor, y: VarietyDescriptor) -> ComparisonVerdict:
     mx, my = tits_measure(x), tits_measure(y)
     sub_x, sub_y = (subgroup_keys(x.group, [kc for kc, _ in m.jt_effective.key_counts]) for m in (mx, my))
     return ComparisonVerdict(
-        measures_equal=is_isomorphic(mx.jt_effective, my.jt_effective),
+        measures_equal=mx.jt == my.jt,
         rho_equal=mx.rho == my.rho,
         dims_equal=mx.dim == my.dim,
         subgroups_equal=sub_x == sub_y,

@@ -211,7 +211,9 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> Verific
     For every multiset size up to m_max, the partition of multisets into
     breadth-first components under pair rewrites {b, o} -> {b+a, b+a'} (where
     o - b = a + a' splits into nonzero parts of coprime order) must coincide
-    with the partition by per-prime p-part signatures.
+    with the partition by normal form (``MotiveSum.signature``).  The
+    components never read the normal form; tier-1 ties its partition to a
+    per-prime p-part oracle.
     """
     params = {"group": group.to_payload(), "m_max": m_max}
     _at_least("m_max", m_max, 1)

@@ -3,10 +3,11 @@
 Nothing here calls the library's closed forms.  Local solvability is decided
 by enumerating primitive solutions modulo a Hensel-sufficient prime power;
 box weights by direct partition enumeration; finite-group arithmetic, the
-isomorphism signature and the per-prime isomorphism test by coordinate loops
-over the expanded multiset; the ring normal form class by class; sigma1 by
-its displayed two-term formula; every sigma kind by its literal sum over r;
-the even-Clifford class by the pairwise Fraction formula over trial division;
+per-prime isomorphism signature and test by coordinate loops over the
+expanded multiset, or class by class, and decoded from a key normal form;
+the ring normal form class by class; sigma1 by its displayed two-term
+formula; every sigma kind by its literal sum over r; the even-Clifford
+class by the pairwise Fraction formula over trial division;
 Br(Q) class arithmetic on Fraction residues, place by place; the
 product-matching keys family by family, as lists of int64 counts.
 """
@@ -311,12 +312,23 @@ def class_normal_form(group, terms) -> dict:
     return {c: k for c, k in out.items() if k}
 
 
-def decode_signature(group, signature) -> tuple:
-    """A key signature with each p-part key replaced by its class, order kept."""
-    rank, parts = signature
-    return rank, tuple(
-        (p, tuple((group.class_at(kc), k) for kc, k in part)) for p, part in parts
-    )
+def normal_form_signature(group, normal_form) -> tuple:
+    """The per-prime signature a key normal form codes, in the shape of
+    ``class_signature``.  The rank is the sum of the coefficients.  A
+    non-identity class x of p-power order counts the summands with p-part x;
+    of each prime's p-parts, the identity takes what is left of the rank."""
+    rank = sum(k for _, k in normal_form)
+    parts: dict = {}
+    for kc, k in normal_form:
+        c = group.class_at(kc)
+        if not c.is_identity():
+            (p,) = c.primes()
+            parts.setdefault(p, Counter())[c] += k
+    for part in parts.values():
+        rest = rank - sum(part.values())
+        if rest:
+            part[group.identity()] = rest
+    return rank, dict(sorted(parts.items()))
 
 
 def counter_isomorphic(coords_x, coords_y, orders) -> bool:

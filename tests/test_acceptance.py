@@ -12,7 +12,7 @@ from math import comb
 from oracles import hilbert_oracle, squarefree_corpus
 from titsmeasure.brauer import CSA, AbstractGroup
 from titsmeasure.clifford import even_clifford_class_by_structure
-from titsmeasure.measure_ring import augmentation, equal
+from titsmeasure.measure_ring import augmentation
 from titsmeasure.quadforms import FormShadow, QuadraticForm, even_clifford_class
 from titsmeasure.rationals import (
     distinct_conic_family,
@@ -168,7 +168,7 @@ def test_criterion_05_conic_family_and_hilbert():
     measures = [tits_measure(SeveriBrauer(CSA(c, 2))).jt for c in classes]
     for i in range(10):
         for j in range(i + 1, 10):
-            assert not equal(measures[i], measures[j])
+            assert measures[i] != measures[j]
 
     corpus = squarefree_corpus(30)
     for a in corpus:

@@ -28,14 +28,27 @@ SUITES = {
     "normal-form-confluence": lambda: verify_normal_form_confluence(AbstractGroup((12,)), 30),
 }
 
-_signature = motives.MotiveSum.signature
+_normal_form = motives.normal_form
 _merge = motives.merge
 _crt = brauer._crt_p_component
 
 
+def _without_identity(group, merged):
+    return tuple(pair for pair in _normal_form(group, merged) if pair[0] != group.identity_key)
+
+
 def _largest_prime_only(mp):
-    mp.setattr(motives.MotiveSum, "signature",
-               lambda self: (lambda rank, parts: (rank, parts[-1:]))(*_signature(self)))
+    # Only the p-parts of the largest prime of the run's orders are kept, and
+    # the identity takes the rest of the rank: that prime's p-part multiset
+    # alone, coded as a normal form.
+    def normal_form(group, merged):
+        primes, identity = group.key_primes, group.identity_key
+        form = _normal_form(group, merged)
+        top = max((primes[kc][-1] for kc, _ in form if kc != identity), default=None)
+        kept = [(kc, k) for kc, k in form if kc != identity and primes[kc][-1] == top]
+        rank = sum(k for _, k in merged)
+        return _merge(kept + [(identity, rank - sum(k for _, k in kept))])
+    mp.setattr(motives, "normal_form", normal_form)
 
 
 def _multiplicities_dropped(mp):
@@ -54,8 +67,8 @@ def _into_overwritten(mp):
 
 
 def _normal_form_drops_identity(mp):
-    # Only the ring normal form merges through measure_ring.merge.
-    mp.setattr(measure_ring, "merge", lambda pairs: tuple(p for p in _merge(pairs) if p[0] != 0))
+    # Only RingElement reads normal_form through measure_ring.
+    mp.setattr(measure_ring, "normal_form", _without_identity)
 
 
 def _three_parts_zero(mp):
@@ -63,26 +76,30 @@ def _three_parts_zero(mp):
 
 
 def _rank_dropped(mp):
-    mp.setattr(motives.MotiveSum, "signature", lambda self: _signature(self)[1])
+    # The signature's normal form without its identity term, which carries
+    # the rank.
+    mp.setattr(motives, "normal_form", _without_identity)
 
 
 # (fault, the suites that must report it).  quadric-product-matching keys its
 # families by XOR convolution of its own and reads none of these layers, so it
-# reports no fault here.
+# reports no fault here.  A fault that maps each key of a merged run on its
+# own is additive, so the cancellation suites cannot see it.
 CATALOG = [
     (_largest_prime_only, {"relation-equivalence", "sum-cancellation"}),
+    # The signature's normal form merges through the fault too: {[1], [1]}
+    # and {[1], [4]} over Z/12 both sign as [0] + [4] + [9].
     (_multiplicities_dropped,
-     {"sum-cancellation", "tensor-cancellation", "normal-form-confluence"}),
+     {"relation-equivalence", "sum-cancellation", "tensor-cancellation", "normal-form-confluence"}),
     # Only direct_sum merges onto a run, and only sum-cancellation adds sums.
     (_into_overwritten, {"sum-cancellation"}),
     (_normal_form_drops_identity, {"normal-form-confluence"}),
-    (_three_parts_zero,
-     {"relation-equivalence", "sum-cancellation", "tensor-cancellation", "normal-form-confluence"}),
-    # Without its rank the signature only merges sums that differ by identity
-    # summands, and every checked statement still holds for that coarser
-    # invariant: no suite sees this fault (tier-1 does, through
-    # test_group_tables.py::test_signature_matches_list_algorithm).
-    (_rank_dropped, set()),
+    # Zero 3-parts map each key on its own: only the suites that compare with
+    # rewriting see it.
+    (_three_parts_zero, {"relation-equivalence", "normal-form-confluence"}),
+    # The identity term carries the rank: {[6]} and {[0], [0]} over Z/12 sign
+    # apart, yet their products with the dimension-6 quadric of [6] sign alike.
+    (_rank_dropped, {"tensor-cancellation"}),
 ]
 
 

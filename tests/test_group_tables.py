@@ -13,8 +13,8 @@ from oracles import (
     coords_neg,
     coords_order,
     coords_p_part,
-    decode_signature,
     list_signature,
+    normal_form_signature,
 )
 from titsmeasure.brauer import AbstractClass, AbstractGroup
 from titsmeasure.motives import MotiveSum
@@ -113,8 +113,11 @@ def test_signature_matches_list_algorithm(data):
     orders, coord_list = data
     g = AbstractGroup(orders)
     ms = MotiveSum.of(g, [g.element(c) for c in coord_list])
-    n, parts = decode_signature(g, ms.signature())
-    as_coords = (n, tuple((p, tuple((c.coords, k) for c, k in sig)) for p, sig in parts))
+    # The normal form decoded to rank and per-prime p-part counts, then put
+    # in the list algorithm's shape: primes ascending, p-parts by coords.
+    n, parts = normal_form_signature(g, ms.signature())
+    as_coords = (n, tuple((p, tuple(sorted((c.coords, k) for c, k in part.items())))
+                          for p, part in parts.items()))
     assert as_coords == list_signature(coord_list, orders)
     assert sorted(c.coords for c in ms.classes) == sorted(coord_list)
     assert len(ms) == len(coord_list)

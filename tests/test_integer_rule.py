@@ -39,6 +39,8 @@ LIBRARY_VALUES = {
     "grassmannian-d-float": lambda: Grassmannian(2.0, CSA(Z4.element([1]), 4)),
     "involution-deg-float": lambda: Involution(6.0, Z4.element([2]), Z4.element([1]), Z4.element([3])),
     "shadow-dim-float": lambda: FormShadow(6.0, Z2.element([1])),
+    "class-coords-bool": lambda: Z4.element([True]),
+    "class-coords-float": lambda: AbstractGroup((2, 4)).element([0, 1.0]),
     "group-order-bool": lambda: AbstractGroup((True, 2)),
     "group-order-float": lambda: AbstractGroup((2.0,)),
     "oracle-index-float": lambda: AbstractGroup((2, 2), index_oracle=(((1, 1), 4.0),)),

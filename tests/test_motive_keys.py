@@ -1,15 +1,17 @@
 """The key-based ``MotiveSum`` and ``RingElement`` against class-based references.
 
-A sum stores sorted (class key, multiplicity) pairs and computes its
-signature from the group's key tables; a ring element stores its normal form
-as sorted (class key, coefficient) pairs.  These tests decode the signature
-and the normal form through the group and compare them with the
-class-by-class references (``oracles.class_signature``,
+A sum stores sorted (class key, multiplicity) pairs, and its signature is
+the normal form of those pairs, from the group's key tables; a ring element
+stores its normal form as sorted (class key, coefficient) pairs.  These
+tests decode the normal form through the group, into the per-prime
+signature (``oracles.normal_form_signature``) and into classes, and compare
+them with the class-by-class references (``oracles.class_signature``,
 ``oracles.class_normal_form``), check value semantics across equal group
 models, and check that ``counts``, ``classes`` and ``to_payload`` still
 give what the golden corpus recorded.
 """
 
+import itertools
 import json
 import pickle
 from collections import Counter
@@ -25,8 +27,8 @@ from oracles import (
     class_normal_form,
     class_signature,
     counter_merge,
-    decode_signature,
     invariants_sum,
+    normal_form_signature,
 )
 from titsmeasure.brauer import RATIONALS, AbstractGroup, GroupMismatchError, RationalClass
 from titsmeasure.jsonio import parse_measure_request
@@ -81,32 +83,27 @@ def _terms(group, coefficients):
     return st.lists(st.tuples(classes, coefficients), max_size=7)
 
 
-def _as_counters(decoded) -> tuple:
-    rank, parts = decoded
-    return rank, {p: Counter(dict(part)) for p, part in parts}
-
-
 @given(st.one_of(abstract_sums(), rational_sums()))
 @settings(max_examples=200, deadline=None)
 def test_key_signature_decodes_to_the_class_signature(ms):
     signature = ms.signature()
-    rank, parts = signature
-    for _, part in parts:
-        keys = [kc for kc, _ in part]
-        assert keys == sorted(set(keys))
-        assert all(k > 0 for _, k in part)
-    assert _as_counters(decode_signature(ms.group, signature)) == class_signature(ms)
-    assert rank == len(ms) == len(ms.classes)
+    keys = [kc for kc, _ in signature]
+    assert keys == sorted(set(keys)) and all(k for _, k in signature)
+    assert signature == from_motive_sum(ms).key_terms
+    assert normal_form_signature(ms.group, signature) == class_signature(ms)
+    assert len(ms) == len(ms.classes)
 
 
 @pytest.mark.parametrize("orders", [(1,), (8,), (3, 3)])
 def test_identity_sums_of_two_ranks_sign_apart(orders):
-    # Over a p-group only the rank tells identity-only sums apart.  No verify
-    # suite would notice a signature without it (the rank_dropped row of
-    # test_fault_injection.py), so this pins it.
+    # Over a p-group only the identity's coefficient, the rank, tells
+    # identity-only sums apart; of the verify suites only tensor-cancellation
+    # notices a normal form without it (the rank_dropped row of
+    # test_fault_injection.py), so this pins it directly.
     g = AbstractGroup(orders)
     one, two = (MotiveSum.of(g, [g.identity()] * rank) for rank in (1, 2))
-    assert one.signature() == (1, ()) and two.signature() == (2, ())
+    for ms in (one, two):
+        assert normal_form_signature(g, ms.signature()) == class_signature(ms) == (len(ms), {})
     assert not is_isomorphic(one, two)
 
 
@@ -195,11 +192,28 @@ def test_from_motive_sum_is_the_ring_element_of_its_counts(group, data):
     assert dict(e.terms) == class_normal_form(group, ms.counts)
 
 
+@pytest.mark.parametrize("orders", [(12,), (2, 6), (30,), (4,)])
+def test_normal_forms_partition_like_the_class_signature(orders):
+    # Every multiset of 2 to 4 classes: equal normal forms exactly when the
+    # class-by-class per-prime signatures are equal.
+    g = AbstractGroup(orders)
+    by_form, by_signature = {}, {}
+    for size in (2, 3, 4):
+        for state in itertools.combinations_with_replacement(range(g.order), size):
+            ms = MotiveSum.of(g, map(g.class_at, state))
+            rank, parts = class_signature(ms)
+            signature = rank, tuple(sorted(
+                (p, c.index, k) for p, part in parts.items() for c, k in part.items()))
+            form = ms.signature()
+            assert by_form.setdefault(form, signature) == signature
+            assert by_signature.setdefault(signature, form) == form
+
+
 def test_key_tables_stay_lazy_on_a_huge_group():
     g = AbstractGroup((10**9,))
     a, b = g.element([123456789]), g.element([2 * 5**9])
     ms = MotiveSum.of(g, [a, b, a])
-    assert _as_counters(decode_signature(g, ms.signature())) == class_signature(ms)
+    assert normal_form_signature(g, ms.signature()) == class_signature(ms)
     assert ms.counts == ((b, 1), (a, 2))
     assert len(g.key_primes) < 10 and all(len(t) <= 2 for t in g.p_part_keys.values())
 

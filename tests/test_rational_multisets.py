@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    class_signature,
     counter_merge,
-    decode_signature,
     invariants_normal_form,
     invariants_signature,
+    normal_form_signature,
 )
 from titsmeasure.brauer import RATIONALS, RationalClass
 from titsmeasure.measure_ring import RingElement
@@ -59,8 +60,10 @@ def test_motive_sum_matches_counter_oracle(pairs):
 @given(_pairs(st.integers(0, 3)))
 @settings(max_examples=80, deadline=None)
 def test_signature_matches_counter_oracle(pairs):
-    rank, parts = decode_signature(RATIONALS, MotiveSum(RATIONALS, tuple(pairs)).signature())
-    plain = (rank, tuple((p, tuple(_plain(part))) for p, part in parts))
+    ms = MotiveSum(RATIONALS, tuple(pairs))
+    rank, parts = normal_form_signature(RATIONALS, ms.signature())
+    assert (rank, parts) == class_signature(ms)
+    plain = (rank, tuple((p, tuple(counter_merge(_plain(part.items())))) for p, part in parts.items()))
     assert plain == invariants_signature(_plain(pairs))
 
 
