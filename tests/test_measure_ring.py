@@ -11,7 +11,7 @@ from titsmeasure.measure_ring import (
     augmentation,
     from_motive_sum,
 )
-from titsmeasure.motives import MotiveSum, direct_sum, is_isomorphic, tensor
+from titsmeasure.motives import MotiveSum, direct_sum, tensor
 
 G6 = AbstractGroup((6,))
 G30 = AbstractGroup((30,))
