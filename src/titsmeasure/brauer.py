@@ -179,12 +179,13 @@ def _rho_split(n: int, budget: list[int]) -> int:
     raise AssertionError(f"no rho polynomial splits {n}")
 
 
-def prime_factors(n: int) -> dict[int, int]:
+def prime_factors(n: int, budget: list[int] | None = None) -> dict[int, int]:
     """Factor a positive integer: {prime: exponent}, primes ascending.
 
     Trial division by the primes below ``TRIAL_DIVISION_BOUND``, then
     Miller-Rabin and Pollard-Brent rho on what is left, within ``RHO_BUDGET``
-    steps; past the budget it raises ``ResourceLimitError``.
+    steps or the steps left in ``budget``, a one-item list that several calls
+    may share; past the budget it raises ``ResourceLimitError``.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
@@ -201,7 +202,7 @@ def prime_factors(n: int) -> dict[int, int]:
                 e += 1
             out[p] = e
     # Every prime factor left is above the table.
-    budget = [RHO_BUDGET]
+    budget = [RHO_BUDGET] if budget is None else budget
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()

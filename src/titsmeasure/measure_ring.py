@@ -87,5 +87,8 @@ def from_motive_sum(ms) -> RingElement:
     """Image of a direct sum of twisted Tate motives: sum of its classes.
 
     Multiplicities become coefficients, so the rank never gets expanded.
+    The sum's key counts are merged already, so they take one normal form.
     """
-    return RingElement._of_keys(ms.group, ms.key_counts)
+    self = object.__new__(RingElement)
+    self.__dict__.update(group=ms.group, key_terms=normal_form(ms.group, ms.key_counts))
+    return self

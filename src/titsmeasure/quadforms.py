@@ -1,11 +1,12 @@
 """Diagonal quadratic forms over Q and their even-Clifford Brauer classes.
 
-Each entry is factored once, into its square class (``square_classes``).
-The signed discriminant, the Hasse invariant and the n mod 8 correction all
-read those classes; the determinant's class is their product modulo squares,
-so the determinant itself is never factored.  The Hasse invariant and the
-even-Clifford class are each one ``quaternion_sum`` over pairs of classes,
-which evaluates the integer Hilbert core of ``rationals``.
+A form's entries are reduced to square classes together, from one factoring
+of a coprime base of the entries (``square_classes``), and the determinant's
+class is their product modulo squares (``det_class``), so the determinant
+itself is never factored.  Both are computed once per form.  The signed
+discriminant reads the determinant class; the Hasse invariant and the
+even-Clifford class are each one ``quaternion_sum``, which sums Hilbert's
+formula over all pairs of entries place by place.
 
 The closed-form Clifford invariant below (cases by n mod 8, mixing the Hasse
 invariant with the determinant) is pinned against an independent
@@ -22,19 +23,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 from .brauer import BrauerClass, BrauerGroup, RationalClass, ResourceLimitError
 from .brauer import is_int, record_payload
-from .rationals import SquareClass, as_fraction, quaternion_sum, square_class
+from .rationals import SquareClass, as_fraction, quaternion_sum, square_classes
 
 
-# Each entry is factored within its own rho budget, up to about 0.17 s for a
-# semiprime that needs the whole budget, and the Hasse invariant and the
-# Clifford class read all C(n, 2) pairs.  Past this dimension a form is
-# refused with ``ResourceLimitError`` before any entry is factored, so the
-# worst form still ends within about 2 s.
+# A form's coprime base is factored within one rho budget of dim *
+# RHO_BUDGET steps, about 0.12-0.17 s of them per entry on ~100-bit numbers.
+# Past this dimension a form is refused with ``ResourceLimitError`` before
+# anything is factored, so the worst form still ends within about 2 s.
 MAX_FORM_DIM = 10
 
 
@@ -64,34 +63,34 @@ class QuadraticForm:
 
     @cached_property
     def square_classes(self) -> tuple[SquareClass, ...]:
-        """Each entry modulo squares, factored once per form."""
-        return tuple(square_class(a) for a in self.entries)
+        """Each entry modulo squares, from one factoring of a coprime base."""
+        return square_classes(self.entries)
+
+    @cached_property
+    def det_class(self) -> SquareClass:
+        """The square class of det(q): the product of the entry classes."""
+        sign, twos, odd = 1, 0, set()
+        for s, primes in self.square_classes:
+            sign *= -1 if s < 0 else 1
+            twos += s % 2 == 0
+            odd.symmetric_difference_update(primes)
+        primes = tuple(sorted(odd))
+        return sign * 2 ** (twos % 2) * math.prod(primes), primes
 
     def to_payload(self) -> list[str]:
         return [str(a) for a in self.entries]
-
-
-def _det_class(q: QuadraticForm) -> SquareClass:
-    """The square class of det(q): the product of the entry classes."""
-    sign, twos, odd = 1, 0, set()
-    for s, primes in q.square_classes:
-        sign *= -1 if s < 0 else 1
-        twos += s % 2 == 0
-        odd.symmetric_difference_update(primes)
-    primes = tuple(sorted(odd))
-    return sign * 2 ** (twos % 2) * math.prod(primes), primes
 
 
 def signed_discriminant(q: QuadraticForm) -> int:
     """(-1)^{n(n-1)/2} det(q) as a squarefree integer (1 means trivial)."""
     n = q.dim
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * _det_class(q)[0]
+    return sign * q.det_class[0]
 
 
 def hasse_invariant(q: QuadraticForm) -> RationalClass:
-    """Sum of the quaternion classes (a_i, a_j) over i < j."""
-    return quaternion_sum(combinations(q.square_classes, 2))
+    """Sum of the quaternion classes (a_i, a_j) over i < j, place by place."""
+    return quaternion_sum(q.square_classes)
 
 
 MINUS_ONE: SquareClass = (-1, ())
@@ -124,8 +123,7 @@ def even_clifford_class(q: QuadraticForm) -> RationalClass:
             "even-dimensional form with nontrivial signed discriminant is "
             "outside the supported setting"
         )
-    pairs = [*combinations(q.square_classes, 2), *_clifford_correction(n, _det_class(q))]
-    return quaternion_sum(pairs)
+    return quaternion_sum(q.square_classes, *_clifford_correction(n, q.det_class))
 
 
 I3_OVER_Q = "I^3(Q) != 0 (the signature detects it), so i3_zero cannot be asserted over Q"

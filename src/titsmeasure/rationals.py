@@ -1,17 +1,22 @@
 """Hilbert symbols over Q and the quaternion classes they cut out in Br(Q).
 
-A rational is reduced once to its square class: a squarefree integer and
-the odd primes dividing it (``square_class``), which is all a Hilbert symbol
-can see.  One integer core evaluates the closed formula at a place (real, 2,
-odd p); ``hilbert_symbol`` feeds it numerator * denominator, which has the
-same square class, and sums of quaternion classes feed it square classes
-directly, at the places their factorizations name.  The test suite validates
-the core against a brute-force solvability oracle for ax^2 + by^2 = z^2 over
-Z/p^k, so nothing here leans on the formula being transcribed correctly.
+A rational is reduced to its square class: a squarefree integer and the odd
+primes dividing it, which is all a Hilbert symbol can see.  The entries of a
+form are reduced together (``square_classes``): their numerators times
+denominators are split into a pairwise coprime base by gcds, and only the
+base is factored, on one budget per form, so a prime that two entries share
+is found by a gcd, not by rho.  ``_local`` reads what the closed formula
+needs of an integer at a prime; ``hilbert_symbol`` combines it for one pair,
+and ``quaternion_sum`` sums the formula over all pairs of a form place by
+place, in one pass over the entries at each place that can ramify.  The test
+suite validates the symbol against a brute-force solvability oracle for
+ax^2 + by^2 = z^2 over Z/p^k and the sums against pairwise Fraction
+formulas, so nothing here leans on the formula being transcribed correctly.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
@@ -19,6 +24,7 @@ from typing import Iterable, Sequence
 from .brauer import (
     RATIONALS,
     REAL_PLACE,
+    RHO_BUDGET,
     Place,
     RationalClass,
     check_place,
@@ -39,79 +45,127 @@ def as_fraction(x) -> Fraction:
 
 def square_class(x) -> SquareClass:
     """x modulo nonzero squares, from one factorization of num * den."""
-    x = as_fraction(x)
-    if x == 0:
-        raise ValueError("zero has no square class")
-    n = x.numerator * x.denominator
-    odd = tuple(p for p, e in prime_factors(abs(n)).items() if e % 2)
-    s = -1 if n < 0 else 1
-    for p in odd:
-        s *= p
-    return s, tuple(p for p in odd if p != 2)
+    return square_classes([as_fraction(x)])[0]
 
 
-def _hilbert(a: int, b: int, place: Place) -> int:
-    """The Hilbert symbol (a, b) at a place of Q, for nonzero integers."""
-    if place == REAL_PLACE:
-        return -1 if a < 0 and b < 0 else 1
-    p = place
-    alpha = beta = 0
+def _local(a: int, p: int) -> tuple[int, int, int]:
+    """What Hilbert's formula at a prime p reads of a nonzero integer
+    a = p^alpha u: (alpha mod 2, e, w).  At p = 2, e and w are epsilon(u) and
+    omega(u); at odd p, e = 0 and w = 1 exactly when u is not a square mod p."""
+    alpha = 0
     while a % p == 0:
         a //= p
         alpha += 1
-    while b % p == 0:
-        b //= p
-        beta += 1
-    if p != 2:
-        sign = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
-        if beta % 2 and pow(a, (p - 1) // 2, p) != 1:
-            sign = -sign
-        if alpha % 2 and pow(b, (p - 1) // 2, p) != 1:
-            sign = -sign
-        return sign
-    ru, rv = a % 8, b % 8
-    eps_u, eps_v = (ru - 1) // 2 % 2, (rv - 1) // 2 % 2
-    omega_u, omega_v = (ru * ru - 1) // 8 % 2, (rv * rv - 1) // 8 % 2
-    exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
-    return -1 if exponent % 2 else 1
+    if p == 2:
+        r = a % 8
+        return alpha % 2, (r - 1) // 2 % 2, (r * r - 1) // 8 % 2
+    return alpha % 2, 0, int(pow(a, (p - 1) // 2, p) != 1)
+
+
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1, ascending, whose products give each of
+    the positive ``values``: a base element sharing a gcd g > 1 with a new
+    value is replaced by g and the two cofactors (Bernstein 2005, section 2)."""
+    base: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def square_classes(xs: Sequence[Fraction]) -> tuple[SquareClass, ...]:
+    """Each of the nonzero rationals ``xs`` modulo squares.  The |num * den|
+    are refined into a coprime base whose elements are factored once each,
+    within one rho budget of len(xs) * ``RHO_BUDGET`` steps that they share,
+    and each entry reads its odd-exponent primes off the elements dividing it."""
+    values = [abs(x.numerator * x.denominator) for x in xs]
+    if 0 in values:
+        raise ValueError("zero has no square class")
+    budget = [len(values) * RHO_BUDGET]
+    base = [(b, prime_factors(b, budget)) for b in _coprime_base(values)]
+    out = []
+    for x, v in zip(xs, values):
+        odd = []
+        for b, factors in base:
+            k = 0
+            while v % b == 0:
+                v //= b
+                k += 1
+            if k:
+                odd += [p for p, e in factors.items() if k * e % 2]
+        odd.sort()
+        out.append(((-1 if x.numerator < 0 else 1) * math.prod(odd), tuple(p for p in odd if p != 2)))
+    return tuple(out)
 
 
 def hilbert_symbol(a, b, place: Place) -> int:
-    """The Hilbert symbol (a, b) at a place of Q, as +1 or -1."""
+    """The Hilbert symbol (a, b) at a place of Q, as +1 or -1, from the closed
+    formula on numerator * denominator, which has the same square class."""
     a, b = as_fraction(a), as_fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero entries")
-    place = check_place(place)
-    return _hilbert(a.numerator * a.denominator, b.numerator * b.denominator, place)
+    p = check_place(place)
+    if p == REAL_PLACE:
+        return -1 if a < 0 and b < 0 else 1
+    (alpha, e, w), (beta, f, z) = (_local(x.numerator * x.denominator, p) for x in (a, b))
+    return -1 if (e * f + alpha * beta * ((p - 1) // 2) + alpha * z + beta * w) % 2 else 1
 
 
-def _ramified(x: SquareClass, y: SquareClass) -> list[Place]:
-    """Places where (x, y) does not split: only the real place, 2 and the odd
-    primes of the square classes can ramify."""
-    (a, odd_a), (b, odd_b) = x, y
-    return [
-        v
-        for v in (REAL_PLACE, 2, *set(odd_a).union(odd_b))
-        if _hilbert(a, b, v) == -1
-    ]
+def _ramified(classes: Sequence[SquareClass]) -> set[Place]:
+    """The places where the sum of the quaternion classes (x_i, x_j) over
+    i < j ramifies, each from Hilbert's formula summed over the pairs in O(n):
 
+        real place: C(N, 2), with N the number of negative x_i;
+        prime p:    C(E, 2) + C(A, 2) (p - 1)/2 + sum of w_i (A - alpha_i),
 
-def quaternion_sum(pairs: Iterable[tuple[SquareClass, SquareClass]]) -> RationalClass:
-    """Sum of the quaternion classes (x, y) over pairs of square classes.
-
-    The ramification parity is counted per place, and the key of the sum is
-    read off the places of odd parity (invariant 1/2 each).  Each pair must
-    ramify at an even number of places (the product formula); an odd count
-    raises ``AssertionError``.
+    with (alpha_i, e_i, w_i) from ``_local`` and A, E the sums of the alpha_i
+    and e_i.  Only the x_i with A - alpha_i odd need w_i, so where A is even
+    an odd p reads only the entries it divides.  Only the real place, 2 and
+    the primes of the classes can ramify.  The places must be even in number
+    (the product formula); an odd count raises ``AssertionError``.
     """
+    values = [s for s, _ in classes]
+    negative = sum(s < 0 for s in values)
+    odd: set[Place] = {REAL_PLACE} if negative * (negative - 1) // 2 % 2 else set()
+    divisible: dict[int, list[int]] = {2: [s for s in values if s % 2 == 0]}
+    for s, primes in classes:
+        for p in primes:
+            divisible.setdefault(p, []).append(s)
+    for p, at_p in divisible.items():
+        big_a, big_e = len(at_p), 0
+        parity = big_a * (big_a - 1) // 2 * ((p - 1) // 2)
+        # Every x_i at 2, for its e_i; at odd p, the x_i with A - alpha_i
+        # odd, which are those p divides when A is even.
+        read = values if p == 2 else at_p if big_a % 2 == 0 else [s for s in values if s % p]
+        for s in read:
+            alpha, e, w = _local(s, p)
+            big_e += e
+            parity += w * (big_a - alpha)
+        if (parity + big_e * (big_e - 1) // 2) % 2:
+            odd.add(p)
+    if len(odd) % 2:
+        raise AssertionError(
+            f"the pairs of {values} ramify at an odd number of places: {sorted(odd, key=place_sort_key)}"
+        )
+    return odd
+
+
+def quaternion_sum(*forms: Sequence[SquareClass]) -> RationalClass:
+    """Sum over ``forms`` of the quaternion classes (x_i, x_j), i < j, of each
+    form's square classes: a diagonal form's Hasse invariant, or the class
+    (x, y) for the pair [x, y].  The key is read off the places of odd
+    ramification parity (invariant 1/2 each)."""
     odd: set[Place] = set()
-    for x, y in pairs:
-        places = _ramified(x, y)
-        if len(places) % 2:
-            raise AssertionError(
-                f"({x[0]}, {y[0]}) ramifies at an odd number of places: {places}"
-            )
-        odd.symmetric_difference_update(places)
+    for classes in forms:
+        odd ^= _ramified(classes)
     return RATIONALS.class_at(tuple(sorted((*place_sort_key(v), 1, 2) for v in odd)))
 
 
@@ -120,7 +174,7 @@ def quaternion_class(a, b) -> RationalClass:
 
     Local invariant 1/2 exactly at the ramified places.
     """
-    return quaternion_sum([(square_class(a), square_class(b))])
+    return quaternion_sum([square_class(a), square_class(b)])
 
 
 def distinct_conic_family(primes: Sequence[int]) -> list[RationalClass]:

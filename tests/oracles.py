@@ -283,16 +283,55 @@ def list_signature(coord_list, orders) -> tuple:
     return (len(coord_list), tuple(parts))
 
 
+# Each distinct p-part class gets an integer token, its index in _PARTS.
+_PARTS: list = []
+_TOKENS: dict = {}
+
+
+def _token(part) -> int:
+    if part not in _TOKENS:
+        _TOKENS[part] = len(_PARTS)
+        _PARTS.append(part)
+    return _TOKENS[part]
+
+
+class _ClassParts(dict):
+    """key -> (primes, {p: token of the p-part}) of the class at that key,
+    read from the class object the first time the key is asked for."""
+
+    def __init__(self, group) -> None:
+        super().__init__()
+        self.group = group
+        self.identity = _token(group.identity())
+
+    def __missing__(self, key):
+        c = self.group.class_at(key)
+        value = self[key] = c.primes(), {p: _token(c.p_part(p)) for p in c.primes()}
+        return value
+
+
+@lru_cache(maxsize=None)
+def _class_parts(group) -> _ClassParts:
+    return _ClassParts(group)
+
+
 def class_signature(ms) -> tuple:
     """The class-based isomorphism signature of a ``MotiveSum``: its rank and,
     for each prime dividing some summand's order, the Counter of the
-    summands' p-parts, read from the class objects one by one."""
-    primes = sorted({p for c, _ in ms.counts for p in c.primes()})
+    summands' p-parts (the identity where p does not divide the order), read
+    from the class objects.  Each class's primes and p-parts are computed
+    once per group and class."""
+    table = _class_parts(ms.group)
+    info = [(table[kc], k) for kc, k in ms.key_counts]
     parts = {}
-    for p in primes:
-        parts[p] = Counter()
-        for c, k in ms.counts:
-            parts[p][c.p_part(p)] += k
+    for p in sorted({p for (primes, _), _ in info for p in primes}):
+        tokens: dict = {}
+        for (_, part_at), k in info:
+            t = part_at.get(p, table.identity)
+            tokens[t] = tokens.get(t, 0) + k
+        counter = parts[p] = Counter()
+        for t, k in tokens.items():
+            counter[_PARTS[t]] = k
     return len(ms), parts
 
 

@@ -1,14 +1,16 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pairwise_clifford, pairwise_hasse
-from titsmeasure import clifford, rationals
-from titsmeasure.brauer import AbstractGroup, ResourceLimitError
+from oracles import hilbert_fraction, pairwise_clifford, pairwise_hasse
+from titsmeasure import brauer, clifford, rationals
+from titsmeasure.brauer import RHO_BUDGET, AbstractGroup, RationalClass, ResourceLimitError, place_sort_key
 from titsmeasure.clifford import even_clifford_class_by_structure
 from titsmeasure.quadforms import (
     MAX_FORM_DIM,
@@ -18,7 +20,7 @@ from titsmeasure.quadforms import (
     hasse_invariant,
     signed_discriminant,
 )
-from titsmeasure.rationals import quaternion_class
+from titsmeasure.rationals import SquareClass, quaternion_class
 from titsmeasure.varieties import NO_RULE, Quadric, deduce, tits_measure
 
 ENTRIES = [-7, -5, -3, -2, -1, 1, 2, 3, 5, 7]
@@ -140,24 +142,148 @@ class TestAgainstPairwiseFormula:
                 assert even_clifford_class(q) == pairwise_clifford(q.entries)
 
     def test_product_formula_guard_per_pair(self, monkeypatch):
-        core = rationals._hilbert
+        # A wrong quadratic character mod 3 in the local data that the
+        # per-place sums read.  <3, 5, 7, 11> reads it for its three entries
+        # prime to 3, and the pairs (-1, 3) and (-1, -3), the Clifford
+        # correction of <1, 1, 3>, for -1: each result then ramifies at an
+        # odd number of places, which the product formula forbids.
+        core = rationals._local
 
-        def flipped_at_three(a, b, v):
-            return -core(a, b, v) if v == 3 else core(a, b, v)
+        def flipped_at_three(a, p):
+            alpha, e, w = core(a, p)
+            return (alpha, e, 1 - w) if p == 3 else (alpha, e, w)
 
-        monkeypatch.setattr(rationals, "_hilbert", flipped_at_three)
+        monkeypatch.setattr(rationals, "_local", flipped_at_three)
         with pytest.raises(AssertionError, match="odd number of places"):
-            hasse_invariant(QuadraticForm.of([3, 5, 7]))
+            hasse_invariant(QuadraticForm.of([3, 5, 7, 11]))
+        with pytest.raises(AssertionError, match="odd number of places"):
+            quaternion_class(-1, 3)
         with pytest.raises(AssertionError, match="odd number of places"):
             even_clifford_class(QuadraticForm.of([1, 1, 3]))
 
     def test_square_classes_factor_each_entry_once(self, monkeypatch):
-        calls = []
+        # 12, 90 and 30 refine to the coprime base 2, 3, 5: each base element
+        # is factored once, on one shared budget, and the determinant (-25/4)
+        # never.
+        calls, budgets = [], []
         core = rationals.prime_factors
-        monkeypatch.setattr(rationals, "prime_factors", lambda n: calls.append(n) or core(n))
+
+        def counted(n, budget):
+            calls.append(n)
+            budgets.append(budget)
+            return core(n, budget)
+
+        monkeypatch.setattr(rationals, "prime_factors", counted)
         q = QuadraticForm.of(["3/4", "-5/18", 30])
         signed_discriminant(q), hasse_invariant(q), even_clifford_class(q)
-        assert calls == [12, 90, 30]
+        assert calls == [2, 3, 5]
+        assert budgets[0] == [3 * RHO_BUDGET] and all(b is budgets[0] for b in budgets)
+        assert q.square_classes == ((3, (3,)), (-10, (5,)), (30, (3, 5)))
+        assert q.det_class == (-1, ())
+
+
+# Primes above the trial-division bound.  An entry carries at most one of the
+# large ones, so the per-entry path splits each entry within its own budget.
+SHARED_PRIMES = [1000003, 1000033, 2000003, 3000017]
+LARGE_PRIMES = [1000000007, 40000000003, 100000000003, 999999000001]
+
+
+@st.composite
+def shared_prime_entries(draw):
+    """A nonzero rational whose numerator and denominator carry primes of
+    10^6..10^12, each to the first or second power, and a small cofactor."""
+    factors = draw(st.lists(st.sampled_from(SHARED_PRIMES), max_size=2))
+    factors += draw(st.lists(st.sampled_from(LARGE_PRIMES), max_size=1))
+    num = draw(st.sampled_from([1, 2, 3, 6, 12, 15]))
+    den = draw(st.integers(1, 12))
+    for p in factors:
+        power = p ** draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            num *= power
+        else:
+            den *= power
+    return Fraction(draw(st.sampled_from([-1, 1])) * num, den)
+
+
+def _workload_form(rng: random.Random, n: int, primes: list[int]) -> tuple[list[int], list[SquareClass]]:
+    """A form of the rational-forms benchmark's shape and its square classes.
+    Entry j carries j mod 3 primes below 100 and one of ``primes``; the last
+    entry is the signed product of every prime the others hold an odd number
+    of times, so the signed discriminant is trivial."""
+    entries, classes, odd = [], [], Counter()
+    for j in range(n - 1):
+        factors = [rng.choice([3, 5, 7, 11, 13, 97]) for _ in range(j % 3)] + [rng.choice(primes)]
+        sign = rng.choice((-1, 1))
+        entries.append(sign * math.prod(factors))
+        counts = Counter(factors)
+        odd.update(counts)
+        own = sorted(p for p, e in counts.items() if e % 2)
+        classes.append((sign * math.prod(own), tuple(own)))
+    last = sorted(p for p, e in odd.items() if e % 2)
+    sign = (-1 if (n * (n - 1) // 2) % 2 else 1) * (-1 if math.prod(entries) < 0 else 1)
+    entries.append(sign * math.prod(last))
+    classes.append((entries[-1], tuple(last)))
+    return entries, classes
+
+
+# Six 41-bit primes; the entries p_i * p_{i+1} are 81-bit semiprimes whose
+# factors are past what rho finds within one entry's budget.
+CYCLE_PRIMES = [1099511640127, 1100511640139, 1101511640167, 1102511640179, 1103511640199, 1104511640209]
+
+
+class TestCoprimeBaseFactoring:
+    @given(st.lists(shared_prime_entries(), min_size=3, max_size=MAX_FORM_DIM))
+    @settings(max_examples=60, deadline=None)
+    def test_form_classes_are_the_entry_classes(self, xs):
+        q = QuadraticForm(tuple(xs))
+        assert q.square_classes == tuple(rationals.square_class(x) for x in xs)
+
+    def test_the_workload_shape_needs_no_rho(self, monkeypatch):
+        # Every prime of the last entry is exposed by a gcd with the entry
+        # that holds it, so no base element is left for rho.
+        calls = []
+        core = brauer._rho_split
+        monkeypatch.setattr(brauer, "_rho_split", lambda n, budget: calls.append(n) or core(n, budget))
+        rng = random.Random(27)
+        for n in range(3, MAX_FORM_DIM + 1):
+            for primes in ([p for p in range(1001, 10000, 2) if brauer.is_prime(p)], LARGE_PRIMES):
+                entries, classes = _workload_form(rng, n, primes)
+                q = QuadraticForm.of(entries)
+                assert q.square_classes == tuple(classes)
+                assert signed_discriminant(q) == 1
+                Quadric(q)
+        assert calls == []
+
+    def test_a_cyclic_form_of_41_bit_primes(self):
+        # e_i = p_i * p_{i+1}: each entry alone is past its rho budget, and
+        # the gcds of neighbours give every prime.
+        entries = [CYCLE_PRIMES[i] * CYCLE_PRIMES[(i + 1) % 6] for i in range(6)]
+        entries[0] = -entries[0]
+        with pytest.raises(ResourceLimitError, match="81-bit integer exceeds the work budget"):
+            brauer.prime_factors(abs(entries[0]))
+        q = QuadraticForm.of(entries)
+        assert q.square_classes == tuple(
+            (e, tuple(sorted((CYCLE_PRIMES[i], CYCLE_PRIMES[(i + 1) % 6]))))
+            for i, e in enumerate(entries)
+        )
+        # The Hasse invariant from the Fraction Hilbert formula at the only
+        # places that can ramify; the n = 6 correction adds (-1, -1).
+        places = ["real", 2, *CYCLE_PRIMES]
+        odd = {v for v in places
+               if sum(hilbert_fraction(a, b, v) == -1 for a, b in itertools.combinations(entries, 2)) % 2}
+        hasse = RationalClass(tuple((v, Fraction(1, 2)) for v in sorted(odd, key=place_sort_key)))
+        assert hasse_invariant(q) == hasse
+        assert Quadric(q).clifford_class == hasse + quaternion_class(-1, -1)
+
+    def test_one_budget_for_the_whole_form(self):
+        # s needs 797,310 rho steps: past one entry's RHO_BUDGET (262,144) and
+        # a dimension-3 form's pool, within a dimension-4 form's.
+        s = 648782947999 * 995097304719337847
+        with pytest.raises(ResourceLimitError, match="exceeds the work budget"):
+            signed_discriminant(QuadraticForm.of([s, -s, 1]))
+        q = QuadraticForm.of([s, -s, 1, -1])
+        assert q.square_classes[0] == (s, (648782947999, 995097304719337847))
+        assert signed_discriminant(q) == 1
 
 
 class TestStructureOracle:

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hilbert_oracle, squarefree_corpus
+from titsmeasure import rationals
 from titsmeasure.rationals import (
     distinct_conic_family,
     hilbert_symbol,
@@ -97,6 +100,24 @@ class TestQuaternionClasses:
         c = quaternion_class(a, b)
         for v in c.ramified_places():
             assert hilbert_symbol(a, b, v) == -1
+
+
+class TestCoprimeBase:
+    @given(st.lists(st.integers(1, 10**6), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_pairwise_coprime_and_spans_every_value(self, values):
+        base = rationals._coprime_base(values)
+        assert base == sorted(base) and all(b > 1 for b in base)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+        for v in values:
+            for b in base:
+                while v % b == 0:
+                    v //= b
+            assert v == 1
+
+    def test_shared_primes_split_out(self):
+        p, q, r = 1000003, 1000033, 999999000001
+        assert rationals._coprime_base([p * q, q * r, r * p, p * p * q]) == [p, q, r]
 
 
 class TestConicFamily:
