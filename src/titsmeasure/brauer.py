@@ -30,10 +30,8 @@ larger indexes (used to model unlinked quaternion pairs over other fields).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -252,11 +250,6 @@ def common_group(*items) -> "BrauerGroup":
 _JSON_TYPES = frozenset({bool, int, float, str, list, dict, type(None)})
 
 
-@functools.cache
-def _init_fields(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.init)
-
-
 def _payload_of(value):
     if type(value) in _JSON_TYPES:
         return value
@@ -264,15 +257,66 @@ def _payload_of(value):
 
 
 def record_payload(record, **extra) -> dict:
-    """A dataclass record's payload: its init fields in order, then ``extra``.
+    """A ``Record``'s payload: its fields in order, then ``extra``.
     A JSON value stays as it is, a tuple becomes a list of payloads, and any
     other value gives its own ``to_payload``."""
     payload = {}
-    for name in _init_fields(type(record)):
+    for name in record._fields:
         value = getattr(record, name)
         payload[name] = value if type(value) in _JSON_TYPES else _payload_of(value)
     payload.update(extra)
     return payload
+
+
+class Record:
+    """A frozen value record.  Its fields are the class's annotated names, in
+    order; a class-level value is a default (a dict default is copied for each
+    record).  Unless a subclass writes its own, it gets a frozen dataclass's
+    ``__init__`` (then ``__post_init__``, if any), ``==`` over the compared
+    fields (all, or those the class keyword ``compare`` names) and ``hash`` of
+    their tuple, compiled from a few lines of source so they run as fast as a
+    dataclass's.  ``repr`` shows every field; assigning or deleting an
+    attribute raises ``dataclasses.FrozenInstanceError``.  No ``dataclasses``
+    or ``inspect`` import: they took about a fifth of a fresh CLI import."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, compare: tuple[str, ...] | None = None) -> None:
+        super().__init_subclass__()
+        names = cls._fields = cls._fields + tuple(cls.__annotations__)
+        defaults = {n: getattr(cls, n) for n in names if n in cls.__dict__}
+        params = "".join(f", {n}=_d[{n!r}]" if n in defaults else f", {n}" for n in names)
+        stores = "".join(
+            f"\n _set(self, {n!r}, {n}.copy() if {n} is _d[{n!r}] else {n})"
+            if type(defaults.get(n)) is dict else f"\n _set(self, {n!r}, {n})" for n in names)
+        post_init = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        mine = "".join(f"self.{n}, " for n in (names if compare is None else compare))
+        theirs = mine.replace("self.", "other.")
+        sources = {
+            "__init__": f"def __init__(self{params}):{stores + post_init or ' pass'}\n",
+            "__eq__": "def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+                      f"  return ({mine}) == ({theirs})\n return NotImplemented\n",
+            "__hash__": f"def __hash__(self):\n return hash(({mine}))\n",
+        }
+        methods: dict = {}
+        exec("".join(source for name, source in sources.items() if name not in cls.__dict__),
+             {"_set": object.__setattr__, "_d": defaults}, methods)
+        for name, method in methods.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"  # as TypeError messages name it
+            setattr(cls, name, method)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class _Table(dict):
@@ -304,13 +348,12 @@ class _KeyedGroup:
         return self.class_at(self.identity_key)
 
     def index_of(self, cls) -> int:
-        if cls.group != self:
+        if cls.group is not self and cls.group != self:
             raise GroupMismatchError("class does not belong to this group")
         return self._oracle.get(self.class_key(cls)) or cls.order()
 
 
-@dataclass(frozen=True, eq=False)
-class AbstractGroup(_KeyedGroup):
+class AbstractGroup(_KeyedGroup, Record):
     """Finite abelian group ⊕_i Z/orders[i] serving as a Brauer-group model.
 
     ``index_oracle`` optionally maps element coords to an asserted index;
@@ -389,15 +432,8 @@ class AbstractGroup(_KeyedGroup):
         init(self, "_oracle", {index(c): idx for c, idx in oracle})
         init(self, "_hash", hash((orders, oracle)))
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not AbstractGroup:
-            return NotImplemented
-        return self.orders == other.orders and self.index_oracle == other.index_oracle
-
     def __hash__(self) -> int:
-        return self._hash
+        return self._hash  # once per group: each sum and ring element hashes it
 
     def __reduce__(self):
         # Rebuild from the fields; the tables refill on demand.
@@ -443,8 +479,7 @@ def _lowest_terms(entries: Iterable[tuple]) -> tuple:
     return tuple((r, v, a // g, d // g) for r, v, a, d in entries if a for g in [math.gcd(a, d)])
 
 
-@dataclass(frozen=True)
-class _RationalGroup(_KeyedGroup):
+class _RationalGroup(_KeyedGroup, Record):
     """Br(Q) on keys: a class's key lists its nonzero local invariants as
     (*place_sort_key(place), a, d) in place order, a/d in lowest terms.  The
     group owns the class arithmetic, in integers.  Br(Q) is infinite, so its
@@ -559,8 +594,7 @@ class _ClassArithmetic:
         return g.key_primes[g.class_key(self)]
 
 
-@dataclass(frozen=True, init=False)
-class AbstractClass(_ClassArithmetic):
+class AbstractClass(_ClassArithmetic, Record):
     """An element of an ``AbstractGroup``: the value (group, index).
 
     ``AbstractClass(group, coords)`` reduces integer coords (``is_int``)
@@ -622,8 +656,7 @@ def _validate_invariants(invariants: Iterable[tuple[Place, Fraction]]) -> tuple:
         (*place_sort_key(v), inv.numerator, inv.denominator) for v, inv in seen.items()))
 
 
-@dataclass(frozen=True, init=False)
-class RationalClass(_ClassArithmetic):
+class RationalClass(_ClassArithmetic, Record):
     """A Brauer class of Q: the value ``key`` (see ``RATIONALS``), built
     from checked (place, residue) pairs.  The arithmetic is the group's on
     keys, and ``invariants`` is read back from the key."""
@@ -683,8 +716,7 @@ def generated_subgroup(
     return frozenset(map(group.class_at, subgroup_keys(group, map(group.class_key, cs))))
 
 
-@dataclass(frozen=True)
-class CSA:
+class CSA(Record):
     """A central simple algebra presented by its Brauer class and degree."""
 
     brauer_class: BrauerClass

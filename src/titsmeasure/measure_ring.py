@@ -20,15 +20,13 @@ p-part oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .brauer import BrauerGroup, common_group
+from .brauer import BrauerGroup, Record, common_group
 from .motives import Count as Term, KeyCount, key_pairs, merge, normal_form
 
 
-@dataclass(frozen=True, init=False)
-class RingElement:
+class RingElement(Record):
     """An element of the quotient ring, built from (class, integer) pairs and
     stored in normal form as ``key_terms``: (class key, coefficient) pairs
     sorted by key.  ``==`` and ``hash`` compare the group and ``key_terms``."""

@@ -26,12 +26,11 @@ built by one constructor call that writes the merged fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Iterable
 
-from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, common_group, is_int
+from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, Record, common_group, is_int
 
 Count = tuple[BrauerClass, int]
 KeyCount = tuple[Hashable, int]
@@ -82,8 +81,7 @@ def key_pairs(group: BrauerGroup, pairs: Iterable[Count], what: str,
     return out
 
 
-@dataclass(frozen=True, init=False)
-class MotiveSum:
+class MotiveSum(Record, compare=("group", "key_counts")):
     """A finite multiset of Brauer classes over a single group model.
 
     ``counts`` may list a class more than once; construction merges equal
@@ -93,7 +91,7 @@ class MotiveSum:
 
     group: BrauerGroup
     key_counts: tuple[KeyCount, ...]
-    rank: int = field(compare=False)  # the sum of the multiplicities
+    rank: int  # the sum of the multiplicities
 
     def __init__(self, group: BrauerGroup, counts: Iterable[Count]) -> None:
         pairs = key_pairs(group, counts, "multiplicities", nonnegative=True)

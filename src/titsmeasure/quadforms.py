@@ -20,13 +20,12 @@ over abstract group models where no actual form exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from .brauer import BrauerClass, BrauerGroup, RationalClass, ResourceLimitError
-from .brauer import is_int, record_payload
+from .brauer import Record, is_int, record_payload
 from .rationals import SquareClass, as_fraction, quaternion_sum, square_classes
 
 
@@ -37,8 +36,7 @@ from .rationals import SquareClass, as_fraction, quaternion_sum, square_classes
 MAX_FORM_DIM = 10
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """A non-degenerate diagonal form <a_1, ..., a_n> with exact entries."""
 
     entries: tuple[Fraction, ...]
@@ -55,7 +53,8 @@ class QuadraticForm:
 
     @classmethod
     def of(cls, entries: Iterable) -> "QuadraticForm":
-        return cls(tuple(Fraction(a) for a in entries))
+        """The form of exact rationals or of strings that ``Fraction`` reads."""
+        return cls(tuple(Fraction(a) if isinstance(a, str) else a for a in entries))
 
     @property
     def dim(self) -> int:
@@ -129,8 +128,7 @@ def even_clifford_class(q: QuadraticForm) -> RationalClass:
 I3_OVER_Q = "I^3(Q) != 0 (the signature detects it), so i3_zero cannot be asserted over Q"
 
 
-@dataclass(frozen=True)
-class FormShadow:
+class FormShadow(Record):
     """What deduction needs to know about a form, over any group model."""
 
     dim: int

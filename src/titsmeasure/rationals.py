@@ -38,7 +38,11 @@ SquareClass = tuple[int, tuple[int, ...]]
 
 
 def as_fraction(x) -> Fraction:
-    if isinstance(x, Rational):
+    """An exact rational as a ``Fraction``: a Fraction as it is, an int or
+    other ``Rational`` converted; a bool, like a float, is refused."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, Rational) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError(f"expected an exact rational, got {x!r}")
 

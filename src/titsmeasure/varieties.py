@@ -14,13 +14,13 @@ measures first so a false assertion is flagged instead of silently used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 from .brauer import (
     CSA,
     BrauerClass,
     BrauerGroup,
+    Record,
     ResourceLimitError,
     check_work,
     common_group,
@@ -95,8 +95,7 @@ def _cell_sum(alg: CSA, d: int) -> MotiveSum:
     return MotiveSum._of_keys(group, list(zip(keys, counts)), sum(counts))
 
 
-@dataclass(frozen=True)
-class SeveriBrauer:
+class SeveriBrauer(Record):
     alg: CSA
 
     family = "severi-brauer"
@@ -116,8 +115,7 @@ class SeveriBrauer:
         return record_payload(self, family=self.family)
 
 
-@dataclass(frozen=True)
-class Grassmannian:
+class Grassmannian(Record):
     d: int
     alg: CSA
 
@@ -145,15 +143,14 @@ class Grassmannian:
         return record_payload(self, family=self.family)
 
 
-@dataclass(frozen=True)
-class Quadric:
-    """A projective quadric; its even-Clifford class is computed once, here.
+class Quadric(Record):
+    """A projective quadric; its even-Clifford class is computed once, here,
+    and kept as ``clifford_class``, which is not a field.
 
     Equality and hashing read ``form`` alone.
     """
 
     form: Union[QuadraticForm, FormShadow]
-    clifford_class: BrauerClass = field(init=False, repr=False, compare=False)
 
     family = "quadric"
 
@@ -199,8 +196,7 @@ class Quadric:
         return {"family": self.family, kind: self.form.to_payload()}
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Record):
     """Variety of isotropic right ideals of an algebra with involution.
 
     The stored component classes must satisfy the degree-dependent relations:
@@ -254,8 +250,7 @@ class Involution:
         return record_payload(self, family=self.family)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
     children: tuple["VarietyDescriptor", ...]
 
     family = "product"
@@ -291,8 +286,7 @@ class Product:
 VarietyDescriptor = Union[SeveriBrauer, Grassmannian, Quadric, Involution, Product]
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(Record):
     jt: RingElement
     jt_effective: MotiveSum
     rho: int
@@ -322,8 +316,7 @@ def tits_measure(v: VarietyDescriptor) -> MeasureReport:
     return MeasureReport(jt=jt, jt_effective=ms, rho=rho, dim=v.dim)
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(Record):
     measures_equal: bool
     rho_equal: bool
     dims_equal: bool
@@ -345,8 +338,7 @@ def compare(x: VarietyDescriptor, y: VarietyDescriptor) -> ComparisonVerdict:
     )
 
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(Record):
     statement: str
     rule: str
 
@@ -354,8 +346,7 @@ class Conclusion:
         return record_payload(self)
 
 
-@dataclass(frozen=True)
-class DeductionReport:
+class DeductionReport(Record):
     family: str
     assumed: bool
     refuted: bool

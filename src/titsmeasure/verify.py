@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .brauer import AbstractGroup, ResourceLimitError, check_work, is_int, prime_factors
-from .brauer import record_payload
+from .brauer import Record, record_payload
 from .measure_ring import RingElement
 from .motives import MotiveSum, direct_sum, is_isomorphic, tensor
 from .quadforms import FormShadow
@@ -33,13 +32,12 @@ from .varieties import Quadric
 from .version import VERSION
 
 
-@dataclass(frozen=True)
-class VerificationRun:
+class VerificationRun(Record):
     suite: str
     params: dict
     outcome: str  # "pass" or "counterexample"
     witness: dict | None = None
-    details: dict = field(default_factory=dict)
+    details: dict = {}  # copied for each run
 
     @classmethod
     def of(cls, suite: str, params: dict, witness: dict | None, details: dict) -> VerificationRun:

@@ -6,11 +6,14 @@ entry points and ``sigma`` apply the same rule, so ``True`` and ``6.0`` are
 refused with one ``ValueError`` line instead of being read as 1 and 6.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from titsmeasure import jsonio
 from titsmeasure.brauer import CSA, AbstractGroup, is_int
-from titsmeasure.quadforms import FormShadow
+from titsmeasure.quadforms import FormShadow, QuadraticForm
+from titsmeasure.rationals import hilbert_symbol
 from titsmeasure.sigma import sigma, sigma_fraction
 from titsmeasure.varieties import Grassmannian, Involution
 from titsmeasure.verify import (
@@ -44,6 +47,8 @@ LIBRARY_VALUES = {
     "group-order-bool": lambda: AbstractGroup((True, 2)),
     "group-order-float": lambda: AbstractGroup((2.0,)),
     "oracle-index-float": lambda: AbstractGroup((2, 2), index_oracle=(((1, 1), 4.0),)),
+    "form-entry-bool": lambda: QuadraticForm((True, Fraction(-1), Fraction(2))),
+    "hilbert-bool": lambda: hilbert_symbol(True, -1, "real"),
 }
 
 

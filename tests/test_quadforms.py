@@ -49,6 +49,14 @@ class TestInvariants:
         with pytest.raises(ValueError):
             QuadraticForm.of([1, 0, 1])
 
+    def test_entries_are_converted_once(self):
+        entries = (Fraction(3, 4), Fraction(-1), Fraction(2))
+        assert all(a is b for a, b in zip(QuadraticForm(entries).entries, entries))
+        assert QuadraticForm.of(["3/4", -1, entries[2]]).entries == entries
+        assert type(QuadraticForm((3, -1, 2)).entries[0]) is Fraction
+        with pytest.raises(ValueError, match=r"^expected an exact rational, got 1.5$"):
+            QuadraticForm.of([1.5, -1, 2])
+
     def test_dimension_cap_comes_before_any_factoring(self, monkeypatch):
         assert QuadraticForm.of([1] * MAX_FORM_DIM).dim == MAX_FORM_DIM
         monkeypatch.setattr(rationals, "prime_factors", None)  # any factoring would fail
