@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
 
 
 class ResourceLimitError(RuntimeError):
@@ -213,7 +213,7 @@ def prime_factors(n: int, budget: list[int] | None = None) -> dict[int, int]:
 
 
 # Places of Q: the string "real" or a prime number.
-Place = Union[str, int]
+Place = str | int
 
 REAL_PLACE: Place = "real"
 
@@ -534,7 +534,7 @@ class _RationalGroup(_KeyedGroup, Record):
 
 RATIONALS = _RationalGroup()
 
-BrauerGroup = Union[AbstractGroup, _RationalGroup]
+BrauerGroup = AbstractGroup | _RationalGroup
 
 
 def _crt_p_component(c: int, n: int, p: int) -> int:
@@ -675,16 +675,18 @@ class RationalClass(_ClassArithmetic, Record):
         return dict(self.invariants).get(v, Fraction(0))
 
     def ramified_places(self) -> tuple[Place, ...]:
-        return tuple(v for v, _ in self.invariants)
+        return tuple(REAL_PLACE if r == 0 else v for r, v, _, _ in self.key)
 
     # benchmark/tracing.py wraps these per class, through the class's own namespace.
     __add__, order, p_part = _ClassArithmetic.__add__, _ClassArithmetic.order, _ClassArithmetic.p_part
 
     def to_payload(self) -> dict:
-        return {"invariants": [{"place": v, "inv": str(inv)} for v, inv in self.invariants]}
+        # Each key entry has 0 < a < d in lowest terms, so f"{a}/{d}" is str(Fraction(a, d)).
+        return {"invariants": [{"place": REAL_PLACE if r == 0 else v, "inv": f"{a}/{d}"}
+                               for r, v, a, d in self.key]}
 
 
-BrauerClass = Union[AbstractClass, RationalClass]
+BrauerClass = AbstractClass | RationalClass
 
 
 def subgroup_keys(group: BrauerGroup, keys: Iterable) -> frozenset:

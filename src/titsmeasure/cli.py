@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any
 
 from . import jsonio
 from .brauer import AbstractGroup, ResourceLimitError
@@ -44,14 +43,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
 
 
-def _parse_json(text: str) -> Any:
+def _parse_json(text: str) -> object:
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
-def _load_document(text: str) -> Any:
+def _load_document(text: str) -> object:
     """INPUT is inline JSON when it looks like JSON, else a file path."""
     stripped = text.strip()
     if stripped.startswith("{") or stripped.startswith("["):
@@ -63,7 +62,7 @@ def _load_document(text: str) -> Any:
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _json_parts(value: Any, newline: str, out: list) -> None:
+def _json_parts(value: object, newline: str, out: list) -> None:
     """Append to ``out`` what ``json.dumps(value, indent=2, sort_keys=True)``
     prints for ``value`` after ``newline`` (a newline and its indent), without
     the stdlib's pure-Python indent encoder.  Keys are str; floats are finite."""

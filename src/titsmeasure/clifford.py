@@ -33,9 +33,9 @@ n = 3..8, so every residue of the closed form's n mod 8 table is pinned.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .brauer import RationalClass
 from .quadforms import QuadraticForm, signed_discriminant

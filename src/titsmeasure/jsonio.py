@@ -8,7 +8,6 @@ errors are ValueError with a message naming the offending field.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
 
 from .brauer import (
     CSA,
@@ -30,34 +29,34 @@ from .varieties import (
 )
 
 
-def _need(payload: Any, key: str, context: str):
+def _need(payload: object, key: str, context: str):
     if not isinstance(payload, dict) or key not in payload:
         raise ValueError(f"{context}: missing field {key!r}")
     return payload[key]
 
 
-def _need_int(payload: Any, key: str, context: str) -> int:
+def _need_int(payload: object, key: str, context: str) -> int:
     value = _need(payload, key, context)
     if not is_int(value):
         raise ValueError(f"{context}: {key} must be an integer")
     return value
 
 
-def _need_ints(payload: Any, key: str, context: str) -> list[int]:
+def _need_ints(payload: object, key: str, context: str) -> list[int]:
     value = _need(payload, key, context)
     if not isinstance(value, list) or not all(is_int(v) for v in value):
         raise ValueError(f"{context}: {key} must be a list of integers")
     return value
 
 
-def _need_list(payload: Any, key: str, context: str) -> list:
+def _need_list(payload: object, key: str, context: str) -> list:
     value = _need(payload, key, context)
     if not isinstance(value, list):
         raise ValueError(f"{context}: {key} must be an array")
     return value
 
 
-def parse_flag(payload: Any, key: str, context: str) -> bool:
+def parse_flag(payload: object, key: str, context: str) -> bool:
     """An optional JSON boolean, false when absent; ``"false"`` is not one."""
     value = payload.get(key, False)
     if not isinstance(value, bool):
@@ -72,7 +71,7 @@ MAX_RATIONAL_CHARS = 200
 MAX_DECIMAL_EXPONENT = 200
 
 
-def _fraction(value: Any, context: str) -> Fraction:
+def _fraction(value: object, context: str) -> Fraction:
     """A rational given as a string or a JSON integer; floats are rejected
     because their binary expansion is not the number that was written."""
     if not (isinstance(value, str) or is_int(value)):
@@ -97,7 +96,7 @@ def _fraction(value: Any, context: str) -> Fraction:
         raise ValueError(f"{context}: not a rational number: {value!r}")
 
 
-def parse_group(payload: Any) -> BrauerGroup:
+def parse_group(payload: object) -> BrauerGroup:
     kind = _need(payload, "kind", "group")
     if kind == "rational":
         return RATIONALS
@@ -113,7 +112,7 @@ def parse_group(payload: Any) -> BrauerGroup:
     return AbstractGroup(tuple(orders), tuple(oracle))
 
 
-def parse_class(payload: Any, group: BrauerGroup) -> BrauerClass:
+def parse_class(payload: object, group: BrauerGroup) -> BrauerClass:
     if group.kind == "abstract":
         return group.element(_need_ints(payload, "coords", "class"))
     parsed = []
@@ -124,25 +123,25 @@ def parse_class(payload: Any, group: BrauerGroup) -> BrauerClass:
     return RationalClass(tuple(parsed))
 
 
-def parse_csa(payload: Any, group: BrauerGroup) -> CSA:
+def parse_csa(payload: object, group: BrauerGroup) -> CSA:
     degree = _need_int(payload, "degree", "algebra")
     cls = parse_class(_need(payload, "class", "algebra"), group)
     return CSA(cls, degree)
 
 
-def parse_form(payload: Any) -> QuadraticForm:
+def parse_form(payload: object) -> QuadraticForm:
     if not isinstance(payload, list) or not payload:
         raise ValueError("form: expected a nonempty array of rational strings")
     return QuadraticForm(tuple(_fraction(a, "form") for a in payload))
 
 
-def parse_shadow(payload: Any, group: BrauerGroup) -> FormShadow:
+def parse_shadow(payload: object, group: BrauerGroup) -> FormShadow:
     dim = _need_int(payload, "dim", "shadow")
     cls = parse_class(_need(payload, "clifford_class", "shadow"), group)
     return FormShadow(dim, cls, parse_flag(payload, "i3_zero", "shadow"))
 
 
-def parse_descriptor(payload: Any, group: BrauerGroup) -> VarietyDescriptor:
+def parse_descriptor(payload: object, group: BrauerGroup) -> VarietyDescriptor:
     family = _need(payload, "family", "variety")
     if family == "severi-brauer":
         return SeveriBrauer(parse_csa(_need(payload, "alg", "variety"), group))
@@ -176,13 +175,13 @@ def descriptor_payload(v: VarietyDescriptor) -> dict:
     return v.to_payload()
 
 
-def parse_measure_request(doc: Any) -> tuple[BrauerGroup, VarietyDescriptor]:
+def parse_measure_request(doc: object) -> tuple[BrauerGroup, VarietyDescriptor]:
     group = parse_group(_need(doc, "group", "request"))
     return group, parse_descriptor(_need(doc, "variety", "request"), group)
 
 
 def parse_pair_request(
-    doc: Any,
+    doc: object,
 ) -> tuple[BrauerGroup, VarietyDescriptor, VarietyDescriptor]:
     group = parse_group(_need(doc, "group", "request"))
     x = parse_descriptor(_need(doc, "x", "request"), group)

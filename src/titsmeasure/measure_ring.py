@@ -20,7 +20,7 @@ p-part oracle.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .brauer import BrauerGroup, Record, common_group
 from .motives import Count as Term, KeyCount, key_pairs, merge, normal_form

@@ -26,9 +26,9 @@ built by one constructor call that writes the merged fields.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from functools import cached_property
 from operator import itemgetter
-from typing import Hashable, Iterable
 
 from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, Record, common_group, is_int
 

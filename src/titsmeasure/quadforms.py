@@ -20,9 +20,9 @@ over abstract group models where no actual form exists.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from .brauer import BrauerClass, BrauerGroup, RationalClass, ResourceLimitError
 from .brauer import Record, is_int, record_payload

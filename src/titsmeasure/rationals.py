@@ -17,9 +17,9 @@ formulas, so nothing here leans on the formula being transcribed correctly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence
 
 from .brauer import (
     RATIONALS,

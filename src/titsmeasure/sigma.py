@@ -15,17 +15,18 @@ q = n - 2 and 2 over r <= l // 2: the even or odd part of a binomial
 expansion (Concrete Mathematics, 5.1), so it is a few integer powers.  The
 split pieces satisfy one-step recurrences in m which drive the induction for
 the product-of-quadrics comparison theorem.  At grid edges q and 2 appear
-with negative exponents, so each value is one exact Fraction over q^a 2^t.
-A value that may pass ``MAX_DIGITS`` digits is refused before any summing,
-and a ``recurrence_violations`` grid is priced in ``brauer``'s work unit.
+with negative exponents: a value is the integer pair (numerator, q^a 2^t),
+a Fraction only in ``sigma_fraction`` and in a violation record.  A value
+that may pass ``MAX_DIGITS`` digits is refused before any summing, and a
+``recurrence_violations`` grid is priced in ``brauer``'s work unit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .brauer import ResourceLimitError, check_work, is_int
 
@@ -98,19 +99,22 @@ def sigma_fraction(kind: str, m: int, n: int, l: int) -> Fraction:
     ``MAX_DIGITS`` it raises ``ResourceLimitError``."""
     kind = _canon_kind(kind)
     _check_digits(m, n, l)
-    return _closed(kind, m, n, l)
+    return Fraction(*_pair(kind, m, n, l))
 
 
-def _closed(kind: str, m: int, n: int, l: int) -> Fraction:
-    """``sigma_fraction`` of a canonical kind at a cell ``_check_digits`` accepted."""
-    parts = SPLITS.get(kind, (kind,))
+def _pair(kind: str, m: int, n: int, l: int) -> tuple[int, int]:
+    """The sum of a canonical kind at a cell ``_check_digits`` accepted, as the
+    unreduced pair (numerator, q^a 2^t), whose denominator is positive and fixed by (m, n, l)."""
     q, b = n - 2, 2 if kind.endswith("even") else 1
     plus, minus = (q + b) ** l, (q - b) ** l
     e, o = (plus + minus) >> 1, (plus - minus) >> 1
-    a, t = max(0, l + 2 - m), max(0, l - m)  # clear q^(m-2-l) and 2^(m-l)
+    a, t = (l + 2 - m if l + 2 > m else 0), (l - m if l > m else 0)  # clear q^(m-2-l), 2^(m-l)
     def w(i: int, j: int = 0) -> int:
         return q ** (i + a) << (j + t)
-    return Fraction(sum(CLOSED[part](w, m, l, e, o) for part in parts), w(0))
+    value = 0
+    for part in SPLITS.get(kind, (kind,)):
+        value += CLOSED[part](w, m, l, e, o)
+    return value, w(0)
 
 
 def sigma(kind: str, m: int, n: int, l: int) -> int:
@@ -165,10 +169,12 @@ def recurrence_violations(
     def rows():
         # Row (n, m) makes a call per kind at m - 1 and at m for each l < m,
         # each of w(d) = 40 + d / 10 + d^2 / 25,000 units, d the row's largest
-        # digit estimate (at l = m - 1): fitted to the costliest kinds, 8 us a
-        # call at small d and 200 us at 4,300 digits.  w(d) <= 3/4 (d + 100)
-        # must hold up to MAX_DIGITS: it keeps accepted every grid within
-        # 2 * 10^7 steps of d + 100 a summand, the literal sum's old price.
+        # digit estimate (at l = m - 1).  The weights were fitted to Fraction
+        # sums and are kept, so --m-max 58 stays the frontier: on integer pairs
+        # a call of the costliest kind takes 1.1 us at small d and 70 us at
+        # 4,300 digits (Python 3.11, 2-core VM).  w(d) <= 3/4 (d + 100) must
+        # hold up to MAX_DIGITS: it keeps accepted every grid within 2 * 10^7
+        # steps of d + 100 a summand, the literal sum's old price.
         for n in n_values:
             for m in m_values:
                 if m < 2:
@@ -178,13 +184,17 @@ def recurrence_violations(
 
     check_work("the sigma-check grid", itertools.accumulate(rows()))
     bad: list[dict] = []
-    for n, m, l in ((n, m, l) for n in n_values for m in m_values for l in range(m)):
-        for kind, factor in table.items():
-            lhs = _closed(kind, m - 1, n, l)
-            rhs = _closed(kind, m, n, l) / factor(n)
-            if lhs != rhs:
-                bad.append({"kind": kind, "m": m, "n": n, "l": l,
-                            "lhs": str(lhs), "rhs": str(rhs)})
+    for n in n_values:
+        # sigma(m - 1) * f == sigma(m) on the pairs, each factor built once per n.
+        factors = [(kind, factor(n)) for kind, factor in table.items()]
+        for m in m_values:
+            for l in range(m):
+                for kind, f in factors:
+                    ln, ld = _pair(kind, m - 1, n, l)
+                    rn, rd = _pair(kind, m, n, l)
+                    if ln * rd * f.numerator != rn * ld * f.denominator:
+                        bad.append({"kind": kind, "m": m, "n": n, "l": l,
+                                    "lhs": str(Fraction(ln, ld)), "rhs": str(Fraction(rn, rd) / f)})
     return bad
 
 
@@ -199,4 +209,5 @@ def extra_condition_failures(m: int, n: int) -> list[int]:
     suffix = "even" if n % 2 == 0 else "odd"
     ls = range(2, m - 2)
     _check_digits(m, n, m - 3)  # for every l below m - 2 the estimate is that of l = m - 3
-    return [l for l in ls if not _closed("1" + suffix, m, n, l) > _closed("2" + suffix, m, n, l)]
+    # At one (m, n, l) both sums share the denominator, so the numerators decide.
+    return [l for l in ls if not _pair("1" + suffix, m, n, l)[0] > _pair("2" + suffix, m, n, l)[0]]

@@ -14,7 +14,6 @@ measures first so a false assertion is flagged instead of silently used.
 from __future__ import annotations
 
 import math
-from typing import Union
 
 from .brauer import (
     CSA,
@@ -150,7 +149,7 @@ class Quadric(Record):
     Equality and hashing read ``form`` alone.
     """
 
-    form: Union[QuadraticForm, FormShadow]
+    form: QuadraticForm | FormShadow
 
     family = "quadric"
 
@@ -283,7 +282,7 @@ class Product(Record):
         return {"family": self.family, "children": [c.to_payload() for c in self.children]}
 
 
-VarietyDescriptor = Union[SeveriBrauer, Grassmannian, Quadric, Involution, Product]
+VarietyDescriptor = SeveriBrauer | Grassmannian | Quadric | Involution | Product
 
 
 class MeasureReport(Record):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .brauer import AbstractGroup, ResourceLimitError, check_work, is_int, prime_factors
 from .brauer import Record, record_payload

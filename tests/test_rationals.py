@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import hilbert_oracle, squarefree_corpus
 from titsmeasure import rationals
+from titsmeasure.brauer import RationalClass
 from titsmeasure.rationals import (
     distinct_conic_family,
     hilbert_symbol,
@@ -82,6 +83,15 @@ class TestQuaternionClasses:
         assert quaternion_class(-1, -1).ramified_places() == ("real", 2)
         assert quaternion_class(-1, 3).ramified_places() == (2, 3)
         assert quaternion_class(1, 7).ramified_places() == ()
+
+    def test_payload_and_places_read_the_key(self):
+        # Both read the key entries directly; they must agree with the
+        # Fraction invariants on sums, multiples and p-parts.
+        a = RationalClass([("real", Fraction(1, 2)), (3, Fraction(1, 3)), (5, Fraction(1, 6))])
+        b = RationalClass([(2, Fraction(3, 4)), (7, Fraction(1, 4))])
+        for c in (a, b, a + b, a + a, 5 * (a + b), (a + b).p_part(2), (a + b).p_part(3), a - a):
+            assert c.to_payload() == {"invariants": [{"place": v, "inv": str(inv)} for v, inv in c.invariants]}
+            assert c.ramified_places() == tuple(v for v, _ in c.invariants)
 
     def test_quaternion_class_invariants(self):
         c = quaternion_class(-1, 3)

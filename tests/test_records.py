@@ -4,7 +4,7 @@ Each record class is checked for its ``repr``, ``==`` and ``!=``, ``hash``
 (the hash of the tuple of its compared fields), a pickle round trip, the
 key order of ``record_payload`` and frozen assignment and deletion.  A fresh
 interpreter checks that importing the CLI loads neither ``dataclasses`` nor
-``inspect``.
+``inspect``, and one without site hooks that it loads no ``typing``.
 """
 
 import os
@@ -291,3 +291,14 @@ def test_cli_import_loads_no_dataclasses():
     code = "import sys, titsmeasure.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc
+
+
+def test_cli_import_loads_no_typing():
+    # Without site hooks nothing else loads typing first, so this sees the
+    # package's own imports: annotation names come from collections.abc and
+    # the unions are spelled X | Y.
+    src = Path(titsmeasure.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    code = "import sys, titsmeasure.cli; print('typing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc

@@ -163,6 +163,24 @@ class TestRecurrences:
         payload = json.loads(capsys.readouterr().out)
         assert code == 2 and payload["ok"] is False and payload["violations"] == expected
 
+    @pytest.mark.parametrize("kind, factor", [("2odd", Fraction(5, 2)), ("12odd", Fraction(-7, 3))])
+    def test_a_factor_with_a_denominator(self, monkeypatch, kind, factor):
+        # The check cross-multiplies by f.numerator and f.denominator; its
+        # records are those of the Fraction formulation, over n = 3, 4 (q - b
+        # is 0 or negative) and cells whose 2odd sums have denominators.
+        # 12odd is 0 at l = 0, so there any factor holds.
+        n_values, m_values = [3, 4, 7], [2, 3, 5]
+        expected = [
+            {"kind": kind, "m": m, "n": n, "l": l,
+             "lhs": str(sigma_fraction(kind, m - 1, n, l)),
+             "rhs": str(sigma_fraction(kind, m, n, l) / factor)}
+            for n in n_values for m in m_values for l in range(m)
+            if sigma_fraction(kind, m - 1, n, l) * factor != sigma_fraction(kind, m, n, l)
+        ]
+        assert expected and any("/" in record["lhs"] + record["rhs"] for record in expected)
+        monkeypatch.setitem(RECURRENCE_FACTORS, kind, lambda n: factor)
+        assert recurrence_violations(n_values, m_values, [kind]) == expected
+
     @given(st.integers(5, 30), st.integers(2, 9))
     @settings(max_examples=60, deadline=None)
     def test_one_step_recurrence_pointwise(self, n, m):
@@ -183,6 +201,18 @@ class TestExtraCondition:
 
     def test_fails_at_eight_five(self):
         assert extra_condition_failures(8, 5) == [3, 4, 5]
+
+    def test_matches_the_fraction_oracle(self):
+        # The check compares numerators over the denominator both sums share.
+        failing = 0
+        for m in range(6, 31):
+            for n in range(3, 26):
+                parity = "even" if n % 2 == 0 else "odd"
+                oracle = [l for l in range(2, m - 2)
+                          if not sigma_fraction("1" + parity, m, n, l) > sigma_fraction("2" + parity, m, n, l)]
+                assert extra_condition_failures(m, n) == oracle, (m, n)
+                failing += bool(oracle)
+        assert failing
 
     def test_large_n_always_holds(self):
         for m in (6, 7, 8, 9):
@@ -213,7 +243,7 @@ class TestFrontiers:
     def test_grid_work_is_checked_before_any_sum(self, monkeypatch):
         calls = []
         monkeypatch.setattr(sigma_module, "sigma_fraction", lambda *a: calls.append(a))
-        monkeypatch.setattr(sigma_module, "_closed", lambda *a: calls.append(a))
+        monkeypatch.setattr(sigma_module, "_pair", lambda *a: calls.append(a))
         # The first sigma-check --m-max and deduce factor count refused.
         with pytest.raises(ResourceLimitError, match="units of work"):
             recurrence_violations(range(5, 21), range(2, 60))
@@ -236,7 +266,7 @@ class TestFrontiers:
     )
     def test_each_side_of_the_frontiers(self, monkeypatch, call, accepted):
         # The sums are stubbed out: only the checks before them are tested.
-        monkeypatch.setattr(sigma_module, "_closed", lambda *a: 0)
+        monkeypatch.setattr(sigma_module, "_pair", lambda *a: (0, 1))
         if accepted:
             call()
         else:
@@ -260,8 +290,8 @@ class TestFrontiers:
         [(range(5, 8), range(2, 6), None), ([9], [3, 7], ["11odd", "2even"]), ([5, 30], [4], ["12odd"])],
     )
     def test_priced_count_is_the_closed_calls(self, monkeypatch, n_values, m_values, kinds):
-        calls, real = [], sigma_module._closed
-        monkeypatch.setattr(sigma_module, "_closed", lambda *a: calls.append(a) or real(*a))
+        calls, real = [], sigma_module._pair
+        monkeypatch.setattr(sigma_module, "_pair", lambda *a: calls.append(a) or real(*a))
         assert recurrence_violations(n_values, m_values, kinds) == []
         # Two calls per kind and cell, m cells a row.
         kinds_count = len(RECURRENCE_FACTORS if kinds is None else kinds)
@@ -272,7 +302,7 @@ class TestFrontiers:
     def test_a_huge_grid_is_refused_at_once(self, monkeypatch, n_values, m_values):
         assert len(n_values) * sum(m_values) >= 10**12  # cells
         calls = []
-        monkeypatch.setattr(sigma_module, "_closed", lambda *a: calls.append(a))
+        monkeypatch.setattr(sigma_module, "_pair", lambda *a: calls.append(a))
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="units of work"):
             recurrence_violations(n_values, m_values)
