@@ -270,28 +270,25 @@ def record_payload(record, **extra) -> dict:
 
 class Record:
     """A frozen value record.  Its fields are the class's annotated names, in
-    order; a class-level value is a default (a dict default is copied for each
-    record).  Unless a subclass writes its own, it gets a frozen dataclass's
-    ``__init__`` (then ``__post_init__``, if any), ``==`` over the compared
-    fields (all, or those the class keyword ``compare`` names) and ``hash`` of
-    their tuple, compiled from a few lines of source so they run as fast as a
-    dataclass's.  ``repr`` shows every field; assigning or deleting an
-    attribute raises ``dataclasses.FrozenInstanceError``.  No ``dataclasses``
-    or ``inspect`` import: they took about a fifth of a fresh CLI import."""
+    order; a class-level value is a default.  Unless a subclass writes its
+    own, it gets a frozen dataclass's ``__init__`` (then ``__post_init__``, if
+    any), ``==`` over the fields and ``hash`` of their tuple, compiled from a
+    few lines of source so they run as fast as a dataclass's.  ``repr`` shows
+    every field; assigning or deleting an attribute raises
+    ``dataclasses.FrozenInstanceError``.  No ``dataclasses`` or ``inspect``
+    import: they took about a fifth of a fresh CLI import."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, compare: tuple[str, ...] | None = None) -> None:
+    def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         names = cls._fields = cls._fields + tuple(cls.__annotations__)
         defaults = {n: getattr(cls, n) for n in names if n in cls.__dict__}
         params = "".join(f", {n}=_d[{n!r}]" if n in defaults else f", {n}" for n in names)
-        stores = "".join(
-            f"\n _set(self, {n!r}, {n}.copy() if {n} is _d[{n!r}] else {n})"
-            if type(defaults.get(n)) is dict else f"\n _set(self, {n!r}, {n})" for n in names)
+        stores = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
         post_init = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-        mine = "".join(f"self.{n}, " for n in (names if compare is None else compare))
+        mine = "".join(f"self.{n}, " for n in names)
         theirs = mine.replace("self.", "other.")
         sources = {
             "__init__": f"def __init__(self{params}):{stores + post_init or ' pass'}\n",

@@ -3,12 +3,13 @@
 A ``MotiveSum`` stores its simple summands as ``key_counts``: (class key,
 multiplicity) pairs sorted by key, the key being ``group.class_key`` (the
 index for abstract groups, the residue tuple ``RationalClass.key`` over Q).
-``rank`` is the sum of the multiplicities; ``len`` returns it too, up to
-2^63 - 1, the most Python's ``len`` allows.  Only ``counts`` and ``classes``
-(the sorted expansion) hold class objects, built with ``group.class_at``
-when first read, once per sum.  Two sums are isomorphic exactly when,
-prime by prime, they have the same multiset of p-primary parts, which is
-when their images in the ``measure_ring`` quotient agree.  So ``signature``
+``rank``, the sum of the multiplicities, is read off ``key_counts``; ``len``
+returns it too, up to 2^63 - 1, the most Python's ``len`` allows.  Only
+``counts`` and ``classes`` (the sorted expansion) hold class objects, built
+with ``group.class_at`` when first read, once per sum.  Two sums are
+isomorphic exactly when, prime by prime, they have the same multiset of
+p-primary parts, which is when their images in the ``measure_ring`` quotient
+agree.  So ``signature``
 is that image: ``normal_form``, the one routine ``RingElement`` calls too,
 splits each key whose order has several primes into its p-parts less
 identities.  The coefficient of a class x of p-power order then counts the
@@ -34,7 +35,7 @@ from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, Record, common
 
 Count = tuple[BrauerClass, int]
 KeyCount = tuple[Hashable, int]
-_nonzero = itemgetter(1)
+_mult = itemgetter(1)  # the multiplicity of a (key, multiplicity) pair
 
 
 def merge(pairs: Iterable[KeyCount], into: Iterable[KeyCount] = ()) -> tuple[KeyCount, ...]:
@@ -45,7 +46,7 @@ def merge(pairs: Iterable[KeyCount], into: Iterable[KeyCount] = ()) -> tuple[Key
     for kc, k in pairs:
         mult[kc] = get(kc, 0) + k
     merged = sorted(mult.items())
-    return tuple(filter(_nonzero, merged)) if 0 in mult.values() else tuple(merged)
+    return tuple(filter(_mult, merged)) if 0 in mult.values() else tuple(merged)
 
 
 def normal_form(group: BrauerGroup, merged: tuple[KeyCount, ...]) -> tuple[KeyCount, ...]:
@@ -81,35 +82,38 @@ def key_pairs(group: BrauerGroup, pairs: Iterable[Count], what: str,
     return out
 
 
-class MotiveSum(Record, compare=("group", "key_counts")):
+class MotiveSum(Record):
     """A finite multiset of Brauer classes over a single group model.
 
     ``counts`` may list a class more than once; construction merges equal
-    keys and drops zero multiplicities.  ``==`` and ``hash`` compare the
-    group and ``key_counts``.
+    keys and drops zero multiplicities.
     """
 
     group: BrauerGroup
     key_counts: tuple[KeyCount, ...]
-    rank: int  # the sum of the multiplicities
 
     def __init__(self, group: BrauerGroup, counts: Iterable[Count]) -> None:
         pairs = key_pairs(group, counts, "multiplicities", nonnegative=True)
-        self.__dict__.update(group=group, key_counts=merge(pairs), rank=sum(k for _, k in pairs))
+        self.__dict__.update(group=group, key_counts=merge(pairs))
 
     @classmethod
-    def _of_keys(cls, group: BrauerGroup, pairs: Iterable[KeyCount], rank: int,
+    def _of_keys(cls, group: BrauerGroup, pairs: Iterable[KeyCount],
                  into: tuple[KeyCount, ...] = ()) -> "MotiveSum":
-        """A sum of rank ``rank`` from checked (key, multiplicity) pairs,
-        merged onto the already merged run ``into``; one call, one merge."""
+        """A sum from checked (key, multiplicity) pairs, merged onto the
+        already merged run ``into``; one call, one merge."""
         self = object.__new__(cls)
         fields = self.__dict__
-        fields["group"], fields["key_counts"], fields["rank"] = group, merge(pairs, into), rank
+        fields["group"], fields["key_counts"] = group, merge(pairs, into)
         return self
 
     @classmethod
     def of(cls, group: BrauerGroup, classes: Iterable[BrauerClass]) -> "MotiveSum":
         return cls(group, [(c, 1) for c in classes])
+
+    @cached_property
+    def rank(self) -> int:
+        """The number of summands: the sum of the multiplicities."""
+        return sum(map(_mult, self.key_counts))
 
     @cached_property
     def counts(self) -> tuple[Count, ...]:
@@ -139,7 +143,7 @@ def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     One merge of ``y``'s key counts onto ``x``'s, which are merged already.
     """
     group = x.group if x.group is y.group else common_group(x, y)
-    return MotiveSum._of_keys(group, y.key_counts, x.rank + y.rank, into=x.key_counts)
+    return MotiveSum._of_keys(group, y.key_counts, into=x.key_counts)
 
 
 def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
@@ -152,7 +156,7 @@ def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     add = group.add_keys
     return MotiveSum._of_keys(group, [
         (add(a, b), i * j) for a, i in x.key_counts for b, j in y.key_counts
-    ], x.rank * y.rank)
+    ])
 
 
 def is_isomorphic(x: MotiveSum, y: MotiveSum) -> bool:

@@ -45,7 +45,8 @@ MAX_CLASSES = 2**14
 # the measure included, and under 1 us for a pair it has added before.
 PAIR_WORK = 20
 # A rank measure with more digits than Python prints by default is refused
-# the same way, at the figure ``sigma`` refuses its values past.
+# the same way, at the figure ``sigma`` refuses its values past; a product
+# checks it after each step, since a rank only grows.
 _RANK_CAP = 10**MAX_DIGITS
 # A printed measure writes every multiplicity of ``jt`` and ``jt_effective`` in
 # decimal.  Past this many digits in all, serializing a measure raises
@@ -56,6 +57,11 @@ MAX_PRINTED_DIGITS = 10**6
 def _check_classes(what: str, count: int) -> None:
     if count > MAX_CLASSES:
         raise ResourceLimitError(f"{what} {count} is past the limit of {MAX_CLASSES} classes")
+
+
+def _check_rank(ms: MotiveSum) -> None:
+    if ms.rank >= _RANK_CAP:
+        raise ResourceLimitError(f"rank measure has more than {MAX_DIGITS} digits")
 
 
 def folded_cell_counts(d: int, n: int, r: int) -> list[int]:
@@ -91,7 +97,7 @@ def _cell_sum(alg: CSA, d: int) -> MotiveSum:
     add, step, keys = group.add_keys, group.class_key(a), [group.identity_key]
     for _ in counts[1:]:
         keys.append(add(keys[-1], step))  # the keys of 0, a, 2a, ...
-    return MotiveSum._of_keys(group, list(zip(keys, counts)), sum(counts))
+    return MotiveSum._of_keys(group, zip(keys, counts))
 
 
 class SeveriBrauer(Record):
@@ -188,7 +194,7 @@ class Quadric(Record):
         n, group = self.form_dim, self.group
         copies = 2 if n % 2 == 0 else 1
         pairs = [(group.identity_key, n - 2), (group.class_key(self.clifford_class), copies)]
-        return MotiveSum._of_keys(group, pairs, n - 2 + copies)
+        return MotiveSum._of_keys(group, pairs)
 
     def to_payload(self) -> dict:
         kind = "form" if isinstance(self.form, QuadraticForm) else "shadow"
@@ -243,7 +249,7 @@ class Involution(Record):
         group, half = self.group, (self.deg - 2) // 2
         key = group.class_key
         pairs = [(key(self.alg_class), half), (key(self.cplus), 1), (key(self.cminus), 1)]
-        return MotiveSum._of_keys(group, [(group.identity_key, half)] + pairs, self.deg)
+        return MotiveSum._of_keys(group, [(group.identity_key, half)] + pairs)
 
     def to_payload(self) -> dict:
         return record_payload(self, family=self.family)
@@ -276,6 +282,7 @@ class Product(Record):
             work += PAIR_WORK * pairs
             check_work("the product measure", [work])
             out = tensor(out, factor)
+            _check_rank(out)
         return out
 
     def to_payload(self) -> dict:
@@ -288,8 +295,12 @@ VarietyDescriptor = SeveriBrauer | Grassmannian | Quadric | Involution | Product
 class MeasureReport(Record):
     jt: RingElement
     jt_effective: MotiveSum
-    rho: int
     dim: int
+
+    @property
+    def rho(self) -> int:
+        """The rank measure: the number of summands of ``jt_effective``."""
+        return self.jt_effective.rank
 
     def to_payload(self) -> dict:
         # Digits from the bit length (log10 2 ~ 0.30103): str() would take
@@ -301,18 +312,16 @@ class MeasureReport(Record):
                 f"measure prints about {digits} digits of multiplicities, "
                 f"past the limit of {MAX_PRINTED_DIGITS}"
             )
-        return record_payload(self)
+        return record_payload(self, rho=self.rho)
 
 
 def tits_measure(v: VarietyDescriptor) -> MeasureReport:
     ms = v.jt_classes()
-    rho = ms.rank
-    if rho >= _RANK_CAP:
-        raise ResourceLimitError(f"rank measure has more than {MAX_DIGITS} digits")
+    _check_rank(ms)
     jt = from_motive_sum(ms)
-    if augmentation(jt) != rho:
+    if augmentation(jt) != ms.rank:
         raise AssertionError("augmentation drifted from the class count")
-    return MeasureReport(jt=jt, jt_effective=ms, rho=rho, dim=v.dim)
+    return MeasureReport(jt=jt, jt_effective=ms, dim=v.dim)
 
 
 class ComparisonVerdict(Record):
@@ -348,13 +357,17 @@ class Conclusion(Record):
 class DeductionReport(Record):
     family: str
     assumed: bool
-    refuted: bool
     verdict: ComparisonVerdict
     conclusions: tuple[Conclusion, ...] = ()
     notes: tuple[str, ...] = ()
 
+    @property
+    def refuted(self) -> bool:
+        """An asserted equality that the measures or the dimensions contradict."""
+        return self.assumed and not (self.verdict.measures_equal and self.verdict.dims_equal)
+
     def to_payload(self) -> dict:
-        return record_payload(self)
+        return record_payload(self, refuted=self.refuted)
 
 
 def _family_key(x: VarietyDescriptor, y: VarietyDescriptor) -> str:
@@ -538,37 +551,15 @@ def deduce(
         raise ValueError(I3_OVER_Q)
     family = _family_key(x, y)
     verdict = compare(x, y)
-    base = dict(family=family, assumed=assuming_equal, verdict=verdict)
+    conclusions = []
     if not assuming_equal:
-        return DeductionReport(
-            refuted=False,
-            notes=("class equality not asserted; nothing to deduce",),
-            **base,
-        )
-    if not verdict.measures_equal:
-        return DeductionReport(
-            refuted=True,
-            notes=(
-                "computed measures differ, so the asserted class equality "
-                "cannot hold",
-            ),
-            **base,
-        )
-    if not verdict.dims_equal:
+        notes = ["class equality not asserted; nothing to deduce"]
+    elif not verdict.measures_equal:
+        notes = ["computed measures differ, so the asserted class equality cannot hold"]
+    elif not verdict.dims_equal:
         # The class multiset forgets the dimension; a class in K0(Var_k) does not.
-        return DeductionReport(
-            refuted=True,
-            notes=(
-                f"the varieties have dimensions {x.dim} and {y.dim}; a class in "
-                "K0(Var_k) fixes the dimension, so the asserted class equality "
-                "cannot hold",
-            ),
-            **base,
-        )
-    conclusions, notes = RULES[family](x, y, i3_zero)
-    return DeductionReport(
-        refuted=False,
-        conclusions=tuple(conclusions),
-        notes=tuple(notes),
-        **base,
-    )
+        notes = [f"the varieties have dimensions {x.dim} and {y.dim}; a class in K0(Var_k) "
+                 "fixes the dimension, so the asserted class equality cannot hold"]
+    else:
+        conclusions, notes = RULES[family](x, y, i3_zero)
+    return DeductionReport(family, assuming_equal, verdict, tuple(conclusions), tuple(notes))

@@ -10,8 +10,8 @@ payloads.  Sum cancellation builds each state's sum once and forms every
 pair as the direct sum of two of them, with its own signature.  Product
 matching keys each family by one integer that packs its decomposition
 counts in 64-bit slots, and walks the families in enumeration order, each
-reusing the counts of the prefix it shares with the family before it.
-``VerificationRun.of`` turns the search result into a certificate.
+reusing the counts of the prefix it shares with the family before it.  A
+``VerificationRun`` passes exactly when its search found no witness.
 Counterexample witnesses are emitted in replayable form; reruns with the
 same parameters are byte-identical.
 """
@@ -35,22 +35,19 @@ from .version import VERSION
 class VerificationRun(Record):
     suite: str
     params: dict
-    outcome: str  # "pass" or "counterexample"
-    witness: dict | None = None
-    details: dict = {}  # copied for each run
-
-    @classmethod
-    def of(cls, suite: str, params: dict, witness: dict | None, details: dict) -> VerificationRun:
-        """The certificate of a search: a counterexample exactly when it found a witness."""
-        outcome = "pass" if witness is None else "counterexample"
-        return cls(suite, params, outcome, witness, details)
+    witness: dict | None  # None exactly when the search found no counterexample
+    details: dict
 
     @property
     def passed(self) -> bool:
-        return self.outcome == "pass"
+        return self.witness is None
+
+    @property
+    def outcome(self) -> str:
+        return "pass" if self.passed else "counterexample"
 
     def to_payload(self) -> dict:
-        return record_payload(self, version=VERSION)
+        return record_payload(self, outcome=self.outcome, version=VERSION)
 
 
 # Each suite prices its run before it enumerates anything and checks the
@@ -72,7 +69,7 @@ def _sum_weight(group: AbstractGroup, size: int) -> int:
     return max(len(group.primes()), 1) * (25 + size)
 
 
-def _at_least(name: str, value: int, least: int) -> None:
+def _at_least(name: str, value: int, least: float = -math.inf) -> None:
     """Refuse a non-integer, or a size or count below its range: malformed input, not a frontier."""
     if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -89,7 +86,7 @@ def _states(group: AbstractGroup, sizes: Iterable[int]) -> list[tuple[int, ...]]
 
 def _sum_of(group: AbstractGroup, state) -> MotiveSum:
     """The motive sum of a multiset of class indices."""
-    return MotiveSum._of_keys(group, [(i, 1) for i in state], len(state))
+    return MotiveSum._of_keys(group, [(i, 1) for i in state])
 
 
 def _collision(pairs: Iterable[tuple]) -> list[int] | None:
@@ -235,7 +232,7 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> Verific
         for m in range(1, m_max + 1)), initial=table))
     details: dict = {}
     witness = _relation_witness(group, m_max, details)
-    return VerificationRun.of("relation-equivalence", params, witness, details)
+    return VerificationRun("relation-equivalence", params, witness, details)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +282,13 @@ def verify_sum_cancellation(
     params = {"group": group.to_payload(), "card_max": card_max, "trials": trials, "seed": seed}
     _at_least("card_max", card_max, 1)
     _at_least("trials", trials, 0)
+    _at_least("seed", seed)  # any integer: a rerun draws the same trials
     # S + S^2 sums of up to 2 card_max classes, and 5 sums per trial.
     weight = _sum_weight(group, 2 * card_max)
     check_work("sum-cancellation", ((s + s * s + 5 * trials) * weight
                                      for s in _state_totals(group, range(card_max + 1))))
     witness = _sum_witness(group, card_max, trials, seed)
-    return VerificationRun.of("sum-cancellation", params, witness, {})
+    return VerificationRun("sum-cancellation", params, witness, {})
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +334,8 @@ def verify_tensor_cancellation(
                                         for s in _state_totals(group, range(1, card_max + 1))))
     witness = _tensor_witness(group, n_dim, card_max)
     probe = _tensor_witness(group, 4, card_max)
-    return VerificationRun.of("tensor-cancellation", params, witness,
-                              {"n4_probe": {"holds": probe is None, "witness": probe}})
+    return VerificationRun("tensor-cancellation", params, witness,
+                           {"n4_probe": {"holds": probe is None, "witness": probe}})
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +444,7 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
     check_work("quadric-product-matching", [families * (8 + (1 << m) // 2 + (1 << d_max) // 4)])
     details: dict = {}
     witness = _matching_witness(d_max, m, n_dim, details)
-    return VerificationRun.of("quadric-product-matching", params, witness, details)
+    return VerificationRun("quadric-product-matching", params, witness, details)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +510,8 @@ def verify_normal_form_confluence(
     """Random rewrite sequences terminate at the canonical normal form."""
     params = {"group": group.to_payload(), "trials": trials, "seed": seed}
     _at_least("trials", trials, 1)  # the trials are all this suite checks
+    _at_least("seed", seed)
     # A trial rewrites up to 4 terms into their p-parts, on tables that may be cold.
     check_work("normal-form-confluence", [trials * 100 * (len(group.primes()) + 1) ** 2])
     witness = _confluence_witness(group, trials, seed)
-    return VerificationRun.of("normal-form-confluence", params, witness, {})
+    return VerificationRun("normal-form-confluence", params, witness, {})

@@ -80,6 +80,11 @@ class TestAbstractGroup:
         with pytest.raises(ValueError):
             AbstractGroup((0,))
 
+    def test_index_of_a_class_from_another_group(self):
+        for group, other in ((G6, G12.element([1])), (RATIONALS, G6.element([1]))):
+            with pytest.raises(GroupMismatchError, match="^class does not belong to this group$"):
+                group.index_of(other)
+
     def test_elements_enumerates_whole_group(self):
         assert len(list(V3.elements())) == 8
         assert len(set(V3.elements())) == 8
@@ -165,6 +170,11 @@ class TestFactoring:
         assert not is_prime(M89 * M107)
         with pytest.raises(ResourceLimitError, match="probable prime"):
             is_prime(M89)
+
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_non_positive_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"^expected a positive integer, got {n}$"):
+            prime_factors(n)
 
     def test_resource_limit_error_is_reexported(self):
         assert verify.ResourceLimitError is ResourceLimitError

@@ -461,8 +461,8 @@ class TestVerifyCommand:
         fake = VerificationRun(
             suite="normal-form-confluence",
             params={},
-            outcome="counterexample",
             witness={"raw": []},
+            details={},
         )
         monkeypatch.setattr(cli, "verify_normal_form_confluence", lambda *a, **k: fake)
         code, out, _ = run(

@@ -68,6 +68,14 @@ SUITE_ARGUMENTS = {
     "matching-m-float": lambda: verify_quadric_product_matching(2, 2.0, 6),
     "matching-n-float": lambda: verify_quadric_product_matching(2, 2, 6.0),
     "matching-d-max-float": lambda: verify_quadric_product_matching(2.0, 2, 6),
+    "sum-seed-none": lambda: verify_sum_cancellation(Z2, seed=None),
+    "sum-seed-bool": lambda: verify_sum_cancellation(Z2, seed=True),
+    "sum-seed-float": lambda: verify_sum_cancellation(Z2, seed=1.5),
+    "sum-seed-str": lambda: verify_sum_cancellation(Z2, seed="x"),
+    "confluence-seed-none": lambda: verify_normal_form_confluence(Z2, seed=None),
+    "confluence-seed-bool": lambda: verify_normal_form_confluence(Z2, seed=True),
+    "confluence-seed-float": lambda: verify_normal_form_confluence(Z2, seed=1.5),
+    "confluence-seed-str": lambda: verify_normal_form_confluence(Z2, seed="x"),
     "sigma-m-bool": lambda: sigma("1even", True, 6, 0),
     "sigma-l-float": lambda: sigma_fraction("1even", 5, 6, 2.0),
 }
@@ -87,3 +95,12 @@ def test_integer_arguments_keep_their_messages():
         verify_quadric_product_matching(2, 6, 6)
     with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
         sigma("1even", 0, 6, 0)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got None$"):
+        verify_sum_cancellation(Z2, seed=None)
+
+
+def test_negative_seeds_stay_valid():
+    # A seed is any integer; each run records it and a rerun replays it.
+    for run in (verify_sum_cancellation(Z2, card_max=1, trials=5, seed=-3),
+                verify_normal_form_confluence(Z2, trials=5, seed=-3)):
+        assert run.passed and run.params["seed"] == -3

@@ -49,6 +49,10 @@ class TestInvariants:
         with pytest.raises(ValueError):
             QuadraticForm.of([1, 0, 1])
 
+    def test_clifford_class_needs_dimension_three(self):
+        with pytest.raises(ValueError, match="^form dimension must be at least 3, got 2$"):
+            even_clifford_class(QuadraticForm.of([1, -1]))
+
     def test_entries_are_converted_once(self):
         entries = (Fraction(3, 4), Fraction(-1), Fraction(2))
         assert all(a is b for a, b in zip(QuadraticForm(entries).entries, entries))
@@ -295,6 +299,14 @@ class TestCoprimeBaseFactoring:
 
 
 class TestStructureOracle:
+    def test_refuses_a_component_sign_other_than_one_or_minus_one(self):
+        with pytest.raises(ValueError, match="^component_sign must be \\+1 or -1$"):
+            even_clifford_class_by_structure(QuadraticForm.of([1, 1, 1]), component_sign=0)
+
+    def test_refuses_an_even_form_with_nontrivial_signed_discriminant(self):
+        with pytest.raises(ValueError, match="^even-dimensional form with nontrivial signed"):
+            even_clifford_class_by_structure(QuadraticForm.of([1, 1, 1, 2]))
+
     def test_agrees_on_small_conics(self):
         for a in (-2, -1, 1, 3):
             for b in (-3, 1, 2, 5):

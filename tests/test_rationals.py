@@ -125,6 +125,10 @@ class TestCoprimeBase:
                     v //= b
             assert v == 1
 
+    def test_zero_has_no_square_class(self):
+        with pytest.raises(ValueError, match="^zero has no square class$"):
+            rationals.square_classes([Fraction(2), Fraction(0)])
+
     def test_shared_primes_split_out(self):
         p, q, r = 1000003, 1000033, 999999000001
         assert rationals._coprime_base([p * q, q * r, r * p, p * p * q]) == [p, q, r]

@@ -2,11 +2,14 @@
 
 Each record class is checked for its ``repr``, ``==`` and ``!=``, ``hash``
 (the hash of the tuple of its compared fields), a pickle round trip, the
-key order of ``record_payload`` and frozen assignment and deletion.  A fresh
+key order of ``record_payload`` and frozen assignment and deletion.  The
+values the fields fix (``rank``, ``rho``, ``refuted``, ``outcome``) are
+read-outs, not fields, and are checked against their definitions.  A fresh
 interpreter checks that importing the CLI loads neither ``dataclasses`` nor
 ``inspect``, and one without site hooks that it loads no ``typing``.
 """
 
+import math
 import os
 import pickle
 import subprocess
@@ -18,8 +21,8 @@ import pytest
 
 import titsmeasure
 from titsmeasure.brauer import CSA, RATIONALS, AbstractGroup, RationalClass, record_payload
-from titsmeasure.measure_ring import RingElement
-from titsmeasure.motives import MotiveSum
+from titsmeasure.measure_ring import RingElement, augmentation, from_motive_sum
+from titsmeasure.motives import MotiveSum, direct_sum, tensor
 from titsmeasure.quadforms import FormShadow, QuadraticForm
 from titsmeasure.varieties import (
     Conclusion,
@@ -32,7 +35,7 @@ from titsmeasure.varieties import (
     deduce,
     tits_measure,
 )
-from titsmeasure.verify import VerificationRun
+from titsmeasure.verify import VerificationRun, _sum_of
 
 G = AbstractGroup((2, 6))
 Z4 = AbstractGroup((4,))
@@ -97,8 +100,8 @@ RECORDS = {
         lambda: MotiveSum.of(G, [G.element([1, 2]), G.element([0, 1])]),
         lambda: MotiveSum.of(G, [G.element([1, 2])]),
         "MotiveSum(group=AbstractGroup(orders=(2, 6), index_oracle=()), "
-        "key_counts=((1, 1), (8, 1)), rank=2)",
-        ("group", "key_counts"), ["group", "key_counts", "rank"],
+        "key_counts=((1, 1), (8, 1)))",
+        ("group", "key_counts"), ["group", "key_counts"],
     ),
     "QuadraticForm": (
         lambda: QuadraticForm.of([1, -1, 2]), lambda: QuadraticForm.of([1, -1, 3]),
@@ -148,8 +151,8 @@ RECORDS = {
         _report, lambda: _report(12),
         "MeasureReport(jt=RingElement(group=AbstractGroup(orders=(2, 6), index_oracle=()), "
         "key_terms=((0, 3), (3, 3))), jt_effective=MotiveSum(group=AbstractGroup(orders=(2, 6), "
-        "index_oracle=()), key_counts=((0, 3), (3, 3)), rank=6), rho=6, dim=5)",
-        ("jt", "jt_effective", "rho", "dim"), ["jt", "jt_effective", "rho", "dim"],
+        "index_oracle=()), key_counts=((0, 3), (3, 3))), dim=5)",
+        ("jt", "jt_effective", "dim"), ["jt", "jt_effective", "dim"],
     ),
     "ComparisonVerdict": (
         _verdict, lambda: _verdict(12),
@@ -163,19 +166,19 @@ RECORDS = {
     ),
     "DeductionReport": (
         _deduction, lambda: _deduction(12),
-        "DeductionReport(family='severi-brauer', assumed=False, refuted=False, "
+        "DeductionReport(family='severi-brauer', assumed=False, "
         "verdict=ComparisonVerdict(measures_equal=True, rho_equal=True, dims_equal=True, "
         "subgroups_equal=True), conclusions=(), notes=('class equality not asserted; nothing to deduce',))",
-        ("family", "assumed", "refuted", "verdict", "conclusions", "notes"),
-        ["family", "assumed", "refuted", "verdict", "conclusions", "notes"],
+        ("family", "assumed", "verdict", "conclusions", "notes"),
+        ["family", "assumed", "verdict", "conclusions", "notes"],
     ),
     "VerificationRun": (
-        lambda: VerificationRun.of("sum-cancellation", {"group": [2]}, None, {"families": 3}),
-        lambda: VerificationRun.of("sum-cancellation", {"group": [2]}, {"raw": []}, {"families": 3}),
-        "VerificationRun(suite='sum-cancellation', params={'group': [2]}, outcome='pass', "
+        lambda: VerificationRun("sum-cancellation", {"group": [2]}, None, {"families": 3}),
+        lambda: VerificationRun("sum-cancellation", {"group": [2]}, {"raw": []}, {"families": 3}),
+        "VerificationRun(suite='sum-cancellation', params={'group': [2]}, "
         "witness=None, details={'families': 3})",
-        ("suite", "params", "outcome", "witness", "details"),
-        ["suite", "params", "outcome", "witness", "details"],
+        ("suite", "params", "witness", "details"),
+        ["suite", "params", "witness", "details"],
     ),
 }
 CASES = pytest.mark.parametrize("name", sorted(RECORDS))
@@ -249,16 +252,10 @@ def test_frozen(name):
     assert repr(value) == repr(RECORDS[name][0]())
 
 
-def test_mutable_defaults_are_fresh():
-    a = VerificationRun("s", {}, "pass")
-    b = VerificationRun("s", {}, "pass")
-    assert a.witness is None and a.details == {} and a.details is not b.details
-    assert FormShadow(5, G.element([1, 0])).i3_zero is False
-
-
 def test_keyword_and_default_arguments():
     assert Conclusion(rule="r", statement="s") == Conclusion("s", "r")
     assert AbstractGroup(orders=(2,)) == AbstractGroup((2,), ())
+    assert FormShadow(5, G.element([1, 0])).i3_zero is False
     missing = r"^Conclusion\.__init__\(\) missing 1 required positional argument: 'rule'$"
     with pytest.raises(TypeError, match=missing):
         Conclusion("s")
@@ -279,10 +276,50 @@ def test_derived_clifford_class_is_not_a_field():
     assert "clifford_class" not in repr(q)
 
 
-def test_rank_is_not_compared():
-    a = MotiveSum.of(G, [G.element([1, 2])])
-    b = MotiveSum._of_keys(G, a.key_counts, 5)
-    assert a == b and hash(a) == hash(b) and a.rank != b.rank
+def _builders():
+    """(built sum, its number of summands counted apart from the sum) for each
+    way a ``MotiveSum`` is built."""
+    x = MotiveSum(G, [(G.element([1, 2]), 2), (G.element([0, 1]), 3), (G.element([1, 2]), 0)])
+    y = MotiveSum.of(G, [G.element([1, 0]), G.element([1, 0]), G.element([0, 0])])
+    q6, q5 = Quadric(FormShadow(6, G.element([1, 3]))), Quadric(FormShadow(5, G.element([0, 0])))
+    inv = RECORDS["Involution"][0]()
+    return [
+        (x, 5), (y, 3), (direct_sum(x, y), 8), (tensor(x, y), 15),
+        (_sb(12).jt_classes(), 12), (Grassmannian(2, _csa()).jt_classes(), math.comb(6, 2)),
+        (q6.jt_classes(), 6), (q5.jt_classes(), 4), (inv.jt_classes(), 6),
+        (Product((_sb(), q6)).jt_classes(), 36), (_sum_of(G, (0, 0, 5, 11)), 4),
+    ]
+
+
+def test_rank_is_read_off_the_key_counts():
+    for ms, summands in _builders():
+        assert ms.rank == sum(k for _, k in ms.key_counts) == summands == len(ms.classes)
+        assert augmentation(from_motive_sum(ms)) == ms.rank == len(ms)
+    report = tits_measure(Product((_sb(), _sb(12))))
+    assert report.rho == report.jt_effective.rank == 72
+
+
+def test_refuted_outcome_and_passed_are_read_outs():
+    from dataclasses import FrozenInstanceError
+
+    split = [Grassmannian(d, CSA(G.element([0, 0]), deg)) for d, deg in ((2, 16), (3, 10))]
+    for x, y in ((_sb(6), _sb(6)), (_sb(6), _sb(12)), split):
+        for assumed in (False, True):
+            report = deduce(x, y, assumed)
+            verdict = report.verdict
+            assert report.refuted is (assumed and not (verdict.measures_equal and verdict.dims_equal))
+            assert report.to_payload()["refuted"] is report.refuted
+    assert deduce(*split, True).refuted and compare(*split).measures_equal  # by dimension alone
+    for witness, outcome in ((None, "pass"), ({"raw": []}, "counterexample"), ({}, "counterexample")):
+        run = VerificationRun("sum-cancellation", {}, witness, {})
+        assert (run.outcome, run.passed) == (outcome, witness is None)
+        assert run.to_payload()["outcome"] == outcome
+    derived = {"MotiveSum": "rank", "MeasureReport": "rho", "DeductionReport": "refuted",
+               "VerificationRun": "outcome"}
+    for record, name in derived.items():
+        value = RECORDS[record][0]()
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, None)
 
 
 def test_cli_import_loads_no_dataclasses():

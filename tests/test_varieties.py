@@ -143,6 +143,10 @@ class TestTables:
         assert a != Quadric(QuadraticForm.of([1, 1, 1, 1, -1, 1]))
         assert "clifford_class" not in repr(a)
 
+    def test_quadric_takes_a_form_or_a_shadow(self):
+        with pytest.raises(ValueError, match="^quadric takes a QuadraticForm or a FormShadow$"):
+            Quadric((1, 1, 1, -1))
+
     def test_quadric_shadow_table(self):
         s = FormShadow(8, V2.element([1, 0]), False)
         q = Quadric(s)
@@ -332,6 +336,18 @@ class TestProductWork:
         else:
             with pytest.raises(ResourceLimitError, match=f"more than {price - 1} units"):
                 v.jt_classes()
+
+    def test_rank_past_the_cap_stops_before_the_next_factor(self, monkeypatch):
+        # C(8000, 4000) has 2,407 digits, so the first two factors pass 10^4300
+        # together; the third must never be measured.
+        def measured(self):
+            raise AssertionError("the factor after the rank cap was measured")
+
+        split = CSA(Z1.element([0]), 8000)
+        v = Product((Grassmannian(4000, split), Grassmannian(4000, split), sb(Z1, [0], 2)))
+        monkeypatch.setattr(SeveriBrauer, "jt_classes", measured)
+        with pytest.raises(ResourceLimitError, match="^rank measure has more than 4300 digits$"):
+            v.jt_classes()
 
 
 def _measure_argv(orders, variety):
