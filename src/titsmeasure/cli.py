@@ -263,10 +263,14 @@ def _cmd_conic_family(args) -> int:
 @functools.cache
 def build_parser() -> _Parser:
     """The one parser, built on the first call and shared by every later
-    ``main`` call in the process (parse_args keeps no state between calls)."""
+    ``main`` call in the process (parse_args keeps no state between calls).
+
+    ``commands`` maps each subcommand name to its parser (the subparsers
+    action's own table); ``main`` dispatches on it."""
     parser = _Parser(prog="titsmeasure", description=__doc__)
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("json", "table"), default="table")
@@ -321,7 +325,17 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A call that starts with a command name skips the top-level parse, which
+    # would hand it on unchanged; the top-level parser answers every other call.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         return args.fn(args)
     except ResourceLimitError as exc:

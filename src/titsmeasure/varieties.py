@@ -39,10 +39,11 @@ from .sigma import MAX_DIGITS, extra_condition_failures
 # over two supports.  Past this many, measuring raises ``ResourceLimitError``
 # before it builds any class.
 MAX_CLASSES = 2**14
-# The class pairs of all the steps of a product are priced together, at
-# PAIR_WORK units of ``brauer.WORK_LIMIT`` a pair: about 4 us (Python 3.11,
-# 2-core VM) when the group adds the pair for the first time, its share of
-# the measure included, and under 1 us for a pair it has added before.
+# The class pairs of all the steps of a product, those of the products nested
+# in it included, are priced together, at PAIR_WORK units of
+# ``brauer.WORK_LIMIT`` a pair: about 4 us (Python 3.11, 2-core VM) when the
+# group adds the pair for the first time, its share of the measure included,
+# and under 1 us for a pair it has added before.
 PAIR_WORK = 20
 # A rank measure with more digits than Python prints by default is refused
 # the same way, at the figure ``sigma`` refuses its values past; a product
@@ -273,14 +274,21 @@ class Product(Record):
     def dim(self) -> int:
         return sum(child.dim for child in self.children)
 
-    def jt_classes(self) -> MotiveSum:
-        out, work = self.children[0].jt_classes(), 0
-        for child in self.children[1:]:
-            factor = child.jt_classes()
+    def jt_classes(self, work: list[int] | None = None) -> MotiveSum:
+        """The children's classes tensored in order.  A nested product adds
+        its steps to ``work``, the outermost product's running total, so a
+        whole descriptor tree is priced as one product."""
+        work = [0] if work is None else work
+        out = None
+        for child in self.children:  # no helper frame: deep trees recurse here
+            factor = child.jt_classes(work) if isinstance(child, Product) else child.jt_classes()
+            if out is None:
+                out = factor
+                continue
             pairs = len(out.key_counts) * len(factor.key_counts)
             _check_classes("product pair count", pairs)
-            work += PAIR_WORK * pairs
-            check_work("the product measure", [work])
+            work[0] += PAIR_WORK * pairs
+            check_work("the product measure", work)
             out = tensor(out, factor)
             _check_rank(out)
         return out
@@ -435,7 +443,7 @@ def _quadric_rule(x, y, i3_zero):
         raise AssertionError("equal measures but unequal Clifford classes")
     n = x.form_dim
     conclusions = [
-        Conclusion(f"form dimensions agree: n = {n}", "rank measure fixes n"),
+        Conclusion(f"form dimensions agree: n = {n}", "the dimension n - 2 fixes n"),
         Conclusion(
             "even Clifford classes agree", "the class multiset determines the nonzero entry"
         ),

@@ -657,6 +657,112 @@ class TestParserReuse:
         assert run(capsys, *args) == _fresh(*args)
 
 
+_DOC = json.dumps(MEASURE_DOC)
+_SUITE = ("--suite", "normal-form-confluence", "--group", "2")
+
+# argv shapes for the dispatch parity check: every subcommand, help and
+# version before and after a command, unknown and abbreviated names, "--",
+# usage errors inside a command and leftovers after one.
+DISPATCH_ARGVS = {
+    "empty": (),
+    "help": ("-h",),
+    "long-help": ("--help",),
+    "version": ("--version",),
+    "version-abbreviated": ("--vers",),
+    "unknown-command": ("bogus", _DOC),
+    "command-abbreviated": ("meas", _DOC),
+    "leading-option": ("--format", "json", "measure", _DOC),
+    "leading-dashes": ("--", "measure", _DOC),
+    "help-before-command": ("-h", "measure", _DOC),
+    "measure": ("measure", _DOC),
+    "measure-json": ("measure", _DOC, "--format", "json"),
+    "format-equals": ("measure", _DOC, "--format=json"),
+    "format-abbreviated": ("measure", _DOC, "--form", "json"),
+    "format-bad-choice": ("measure", _DOC, "--format", "xml"),
+    "format-missing-value": ("measure", _DOC, "--format"),
+    "dashes-before-document": ("measure", "--", _DOC),
+    "dashes-before-options": ("measure", _DOC, "--", "--format", "json"),
+    "missing-input": ("measure",),
+    "unknown-option-only": ("measure", "-x"),
+    "help-after-command": ("measure", "-h"),
+    "help-after-document": ("measure", _DOC, "--help"),
+    "leftover-word": ("measure", _DOC, "extra"),
+    "leftover-words": ("measure", _DOC, "a", "--b", "c"),
+    "leftover-option": ("measure", _DOC, "--bogus"),
+    "leftover-version": ("measure", _DOC, "--version"),
+    "leftover-version-abbreviated": ("measure", _DOC, "--v"),
+    "leftover-config": ("verify", *_SUITE, "--config", "F"),
+    "compare": ("compare", json.dumps(PAIR_DOC)),
+    "deduce": ("deduce", json.dumps(PAIR_DOC), "--no-assume-equal", "--i3-zero"),
+    "deduce-abbreviated-flag": ("deduce", json.dumps(PAIR_DOC), "--assume"),
+    "sigma-positional": ("sigma", "1even", "5", "6", "2"),
+    "sigma-flags": ("sigma", "--kind", "1even", "--m", "5", "--n", "6", "--l", "2"),
+    "sigma-dashes": ("sigma", "1even", "5", "--", "6", "2"),
+    "sigma-bad-int": ("sigma", "--m", "x"),
+    "sigma-check": ("sigma-check", "--n-max", "6", "--kinds", "1even"),
+    "verify": ("verify", *_SUITE, "--trials", "3"),
+    "verify-suite-equals": ("verify", "--suite=sum-cancellation", "--group", "2"),
+    "verify-bad-suite": ("verify", "--suite", "nope"),
+    "verify-missing-suite": ("verify", "--group", "2"),
+    "conic-family": ("conic-family", "--primes", "3,7"),
+    "conic-family-missing-primes": ("conic-family",),
+}
+
+
+class TestDispatchParity:
+    """``main`` parses a call that starts with a command name by that
+    command's parser alone; the outcome must be the top-level parser's."""
+
+    @staticmethod
+    def _outcome(capsys, parse, argv):
+        try:
+            args = vars(parse(list(argv)))
+            args.pop("fn")
+            outcome = ("namespace", args)
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return outcome, captured.out, captured.err
+
+    @staticmethod
+    def _main_namespace(argv):
+        """The namespace ``main`` hands to the command, which is not run."""
+        commands = cli.build_parser().commands
+        kept = {name: parser.get_default("fn") for name, parser in commands.items()}
+        seen = []
+        for parser in commands.values():
+            parser.set_defaults(fn=lambda args: seen.append(args) or 0)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            for name, parser in commands.items():
+                parser.set_defaults(fn=kept[name])
+        (args,) = seen
+        return args
+
+    @pytest.mark.parametrize("name", sorted(DISPATCH_ARGVS))
+    def test_same_namespace_or_exit_as_the_top_level_parser(self, capsys, name):
+        argv = DISPATCH_ARGVS[name]
+        expected = self._outcome(capsys, cli.build_parser().parse_args, argv)
+        assert self._outcome(capsys, self._main_namespace, argv) == expected
+
+    @pytest.mark.parametrize("name", ["measure-json", "leftover-config", "help-after-command"])
+    def test_a_command_call_skips_the_top_level_parse(self, capsys, monkeypatch, name):
+        def parse_args(*args):
+            raise AssertionError("the top-level parser parsed a command call")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_args", parse_args)
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", parse_args)
+        self._outcome(capsys, self._main_namespace, DISPATCH_ARGVS[name])
+
+    def test_commands_are_the_subparsers_table(self):
+        parser = cli.build_parser()
+        assert list(parser.commands) == [
+            "measure", "compare", "deduce", "sigma", "sigma-check", "verify", "conic-family",
+        ]
+        assert all(command.prog == f"titsmeasure {name}" for name, command in parser.commands.items())
+
+
 # ---------------------------------------------------------------------------
 # Exit-1 branches: each input below is malformed or outside a documented
 # domain, and each must end in one ``error: ...`` line on stderr.

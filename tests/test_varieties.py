@@ -337,6 +337,51 @@ class TestProductWork:
             with pytest.raises(ResourceLimitError, match=f"more than {price - 1} units"):
                 v.jt_classes()
 
+    @pytest.mark.parametrize("slack", [0, -1])
+    def test_nested_products_share_one_total(self, monkeypatch, slack):
+        # The inner products step 2^2 + ... + 2^9 and 2 x 2 pairs, the outer
+        # step 512 x 4; each product alone is priced at most 2,048 pairs.
+        price = PAIR_WORK * (sum(2**j for j in range(2, 10)) + 4 + 512 * 4)
+        shadows = self._cycling_shadows(11)
+        flat = Product(shadows).jt_classes()
+        monkeypatch.setattr(brauer, "WORK_LIMIT", price + slack)
+        v = Product((Product(shadows[:9]), Product(shadows[9:])))
+        if slack == 0:
+            assert v.jt_classes() == flat
+        else:
+            with pytest.raises(ResourceLimitError, match=f"more than {price - 1} units"):
+                v.jt_classes()
+
+    @staticmethod
+    def _cycling_z2_6(count):
+        # Dimension-5 shadows over (Z/2)^6: the support reaches its 64
+        # classes at the sixth factor, and each later step prices 64 x 2 pairs.
+        g = AbstractGroup((2,) * 6)
+        units = [[int(i == j) for j in range(6)] for i in range(6)]
+        return Product(tuple(Quadric(FormShadow(5, g.element(units[i % 6]), True)) for i in range(count)))
+
+    @pytest.mark.parametrize("factors", [5862, 5863])
+    def test_each_side_of_the_nested_limit(self, factors):
+        # Alone, up to 5,864 such factors are accepted.  Beside a two-factor
+        # product, the tree's total passes the limit from 5,863 on.
+        pair = self._cycling_z2_6(2)
+        v = Product((self._cycling_z2_6(factors), pair))
+        if factors == 5862:
+            assert len(v.jt_classes().key_counts) == 64
+        else:
+            with pytest.raises(ResourceLimitError, match="the product measure needs more than"):
+                v.jt_classes()
+
+    def test_second_inner_product_is_refused_by_the_price(self, monkeypatch):
+        # Two of the longest accepted inner products: the first spends all but
+        # 1,040 units, so the second stops at its fourth step (16 x 2 pairs),
+        # long before the rank cap or the outer step.
+        inner, tensor, steps = self._cycling_z2_6(5864), varieties.tensor, []
+        monkeypatch.setattr(varieties, "tensor", lambda x, y: steps.append(1) or tensor(x, y))
+        with pytest.raises(ResourceLimitError, match="the product measure needs more than"):
+            Product((inner, inner)).jt_classes()
+        assert len(steps) == 5863 + 3
+
     def test_rank_past_the_cap_stops_before_the_next_factor(self, monkeypatch):
         # C(8000, 4000) has 2,407 digits, so the first two factors pass 10^4300
         # together; the third must never be measured.
