@@ -35,7 +35,113 @@ EXIT_COUNTEREXAMPLE = 2
 EXIT_RESOURCE = 3
 
 
+_REFUSED = object()
+
+
+def _value(action: argparse.Action, token: str) -> object:
+    """``token`` as ``action`` stores it, or _REFUSED when argparse must say
+    what to do with it: an empty token, one that starts with "-", or one that
+    the action's type or choices reject."""
+    if not token or token[0] == "-":
+        return _REFUSED
+    value = token
+    if action.type is not None:
+        try:
+            value = action.type(token)
+        except (TypeError, ValueError):
+            return _REFUSED
+    if action.choices is not None and value not in action.choices:
+        return _REFUSED
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
+    """An argparse parser that keeps the actions it is declared with.
+
+    ``declared`` lists its parents' actions and then the ones its own
+    ``add_argument`` calls returned; the help action argparse adds itself is
+    not among them.  ``read_exact`` reads a plain command line off them."""
+
+    def __init__(self, *args, parents=(), **kwargs):
+        super().__init__(*args, parents=parents, **kwargs)
+        self.declared = [action for parent in parents for action in parent.declared]
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if hasattr(self, "declared"):  # the help action comes before it is set
+            self.declared.append(action)
+        return action
+
+    @functools.cached_property
+    def _exact_table(self) -> tuple[dict, argparse.Action | None, tuple]:
+        """(option string -> action, the one positional action or None, the
+        required options), from ``declared``; read once the parser is built."""
+        options = {s: action for action in self.declared for s in action.option_strings}
+        (positional,) = [action for action in self.declared if not action.option_strings] or [None]
+        required = tuple(action for action in self.declared if action.required and action.option_strings)
+        return options, positional, required
+
+    def read_exact(self, tokens) -> argparse.Namespace | None:
+        """The namespace ``parse_known_args(tokens)`` returns with no extras,
+        read straight off the declared actions, for a plain command line:
+
+        - every option token is one of their option strings, whole;
+        - a value-taking option is followed by its value, which passes
+          ``_value``; a flag (``nargs=0``) takes none;
+        - the positional tokens are non-empty, do not start with "-" and form
+          one run, which the one positional takes: one token for
+          ``nargs=None``, any number for ``"*"`` (whose default is None);
+        - every required option is given.
+
+        Any other token list gives None, so that argparse answers it with its
+        own namespace, or its own message and exit code.  Defaults are taken
+        as declared: no declared string default goes through a type."""
+        options, positional, required = self._exact_table
+        args = argparse.Namespace(**self._defaults)
+        for action in self.declared:
+            setattr(args, action.dest, action.default)
+        seen = set()
+        words = None
+        i, n = 0, len(tokens)
+        while i < n:
+            token = tokens[i]
+            i += 1
+            action = options.get(token)
+            if action is None:  # a run of positional tokens, checked below
+                if words is not None:
+                    return None
+                start = i - 1
+                while i < n and tokens[i] not in options:
+                    i += 1
+                words = tokens[start:i]
+                continue
+            if action.nargs == 0:
+                value = None
+            elif action.nargs is None and i < n:
+                value = _value(action, tokens[i])
+                i += 1
+                if value is _REFUSED:
+                    return None
+            else:
+                return None
+            action(self, args, value, token)
+            seen.add(action)
+        words = words or []
+        if positional is None:
+            if words:
+                return None
+        else:
+            one = positional.nargs is None
+            if positional.default is not None or not (one and len(words) == 1 or positional.nargs == "*"):
+                return None
+            values = [_value(positional, word) for word in words]
+            if _REFUSED in values:
+                return None
+            setattr(args, positional.dest, values[0] if one else values)
+        if any(action not in seen for action in required):
+            return None
+        return args
+
     # argparse exits with status 2 on bad usage, which collides with the
     # counterexample code; route usage errors to the malformed-input code,
     # as one line without the usage block.
@@ -328,13 +434,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # A call that starts with a command name skips the top-level parse, which
     # would hand it on unchanged; the top-level parser answers every other call.
+    # A plain command line is read off the command's declared actions; its
+    # parser answers every other one, so argparse's messages and exit codes
+    # stay its own.
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         args = parser.parse_args(argv)
     else:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = command.read_exact(argv[1:])
+        if args is None:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     try:
         return args.fn(args)

@@ -9,8 +9,9 @@ only where a layer takes them (a quadric's Clifford class) and for witness
 payloads.  Sum cancellation builds each state's sum once and forms every
 pair as the direct sum of two of them, with its own signature.  Product
 matching keys each family by one integer that packs its decomposition
-counts in 64-bit slots, and walks the families in enumeration order, each
-reusing the counts of the prefix it shares with the family before it.  A
+counts in slots as wide as its largest count, and walks the families in
+enumeration order, each reusing the counts of the prefix it shares with the
+family before it.  A
 ``VerificationRun`` passes exactly when its search found no witness.
 Counterexample witnesses are emitted in replayable form; reruns with the
 same parameters are byte-identical.
@@ -343,22 +344,22 @@ def verify_tensor_cancellation(
 # family of Clifford classes, for m <= 5.
 # ---------------------------------------------------------------------------
 
-SLOT = 64  # bits per count in a packed matching key; every count is below 2^63
-
-
 def _matching_keys(d_max: int, m: int, n_dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each family of m classes of (Z/2)^d_max with its decomposition key.
 
     The key packs the family's 2^d_max decomposition counts into one integer,
-    count x in bits [64 x, 64 x + 64).  The counts of a prefix grow by one
-    class e as acc'[x] = q acc[x] + copies acc[x ^ e], and a family reuses
-    the counts of the prefix it shares with the family before it."""
+    count x in bits [w x, w x + w).  The counts of a prefix grow by one class
+    e as acc'[x] = q acc[x] + copies acc[x ^ e], so the counts of a family sum
+    to (q + copies)^m and w, the bit length of that sum, holds each of them;
+    keys are compared only within one call.  A family reuses the counts of
+    the prefix it shares with the family before it."""
     size = 1 << d_max
     copies = 2 if n_dim % 2 == 0 else 1
     q = n_dim - 2
+    slot = ((q + copies) ** m).bit_length()
     # Moving every count x to x ^ (1 << b) swaps the blocks of 2^b slots
     # whose index has bit b clear with the blocks just above them.
-    low_blocks = [sum(((1 << SLOT) - 1) << (SLOT * x) for x in range(size) if not x >> b & 1)
+    low_blocks = [sum(((1 << slot) - 1) << (slot * x) for x in range(size) if not x >> b & 1)
                   for b in range(d_max)]
 
     def xor_image(images: list, e: int) -> int:
@@ -368,7 +369,7 @@ def _matching_keys(d_max: int, m: int, n_dim: int) -> Iterator[tuple[tuple[int, 
         src = images[e ^ low]
         if src is None:
             src = xor_image(images, e ^ low)
-        width, mask = SLOT * low, low_blocks[low.bit_length() - 1]
+        width, mask = slot * low, low_blocks[low.bit_length() - 1]
         image = images[e] = (src & mask) << width | (src >> width) & mask
         return image
 

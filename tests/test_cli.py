@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from titsmeasure import cli
 from titsmeasure.verify import VerificationRun
@@ -706,7 +708,55 @@ DISPATCH_ARGVS = {
     "verify-missing-suite": ("verify", "--group", "2"),
     "conic-family": ("conic-family", "--primes", "3,7"),
     "conic-family-missing-primes": ("conic-family",),
+    # The edges of the exact-token read.  Argparse answers a negative value,
+    # a value that is an option string, an empty or "-" token, split sigma
+    # positionals and a missing required option; the read takes a repeated
+    # option, a flag and its negation, no sigma positionals and the integers
+    # that int() accepts with a space, an underscore or non-ASCII digits.
+    "sigma-negative-value": ("sigma", "--m", "-5", "--kind", "1even", "--n", "6", "--l", "2"),
+    "value-is-an-option": ("measure", _DOC, "--format", "--format"),
+    "repeated-option": ("measure", _DOC, "--format", "json", "--format", "table"),
+    "assume-equal-flipped": ("deduce", json.dumps(PAIR_DOC), "--no-assume-equal", "--assume-equal"),
+    "empty-positional": ("measure", ""),
+    "dash-positional": ("measure", "-"),
+    "empty-value": ("verify", "--suite", "normal-form-confluence", "--group", ""),
+    "sigma-split-positionals": ("sigma", "1even", "5", "--format", "json", "6", "2"),
+    "sigma-no-positionals": ("sigma", "--format", "json"),
+    "int-with-space": ("sigma-check", "--n-max", " 6"),
+    "int-with-underscore": ("sigma-check", "--m-max", "5_0"),
+    "int-in-arabic-indic-digits": ("sigma", "--m", "\u0665", "--kind", "1even", "--n", "6", "--l", "2"),
+    "verify-without-suite": ("verify", "--group", "2", "--trials", "3", "--format", "json"),
 }
+
+# One argv of each shape the benchmark corpora run (benchmark/workloads.py):
+# each is read off the declared actions, without argparse.
+CORPUS_ARGVS = {
+    "measure": ("measure", _DOC, "--format", "json"),
+    "compare": ("compare", json.dumps(PAIR_DOC), "--format", "json"),
+    "deduce": ("deduce", json.dumps(PAIR_DOC), "--format", "json"),
+    "verify-grouped": ("verify", "--suite", "sum-cancellation", "--format", "json",
+                       "--group", "2,2", "--card-max", "2", "--trials", "3", "--seed", "1"),
+    "verify-matching": ("verify", "--suite", "quadric-product-matching", "--format", "json",
+                        "--d-max", "2", "--m", "2", "--n", "6"),
+    "conic-family": ("conic-family", "--primes", "3,7", "--format", "json"),
+    "sigma-positional": ("sigma", "1even", "5", "6", "2"),
+    "sigma-flags": ("sigma", "--kind", "2even", "--m", "5", "--n", "6", "--l", "2"),
+    "sigma-flags-json": ("sigma", "--kind", "1even", "--m", "5", "--n", "6", "--l", "2", "--format", "json"),
+    "sigma-check": ("sigma-check", "--kinds", "2even,2odd", "--n-min", "5", "--n-max", "6",
+                    "--m-min", "2", "--m-max", "3", "--format", "json"),
+}
+
+# Tokens the drawn command lines are made of: every command name, option
+# string and choice, abbreviations, "--opt=value", "--", help, negative and
+# odd integers, empty and "-" tokens, and documents.
+TOKENS = sorted({
+    *cli.build_parser().commands,
+    *(s for command in cli.build_parser().commands.values() for a in command.declared for s in a.option_strings),
+    "-h", "--form", "--assume", "--no-assume", "--format=json", "--suite=sum-cancellation", "--m=5",
+    "--", "-", "", "-x", "--bogus", "--version",
+    "json", "table", "xml", *cli.SUITES, "1even", "2odd", "nope", "2", "2,6", "3,7",
+    "5", "6", "-5", " 5", "5_0", "\u0665", "1.5", "x", _DOC, json.dumps(PAIR_DOC),
+})
 
 
 class TestDispatchParity:
@@ -754,6 +804,36 @@ class TestDispatchParity:
         monkeypatch.setattr(cli.build_parser(), "parse_args", parse_args)
         monkeypatch.setattr(cli.build_parser(), "parse_known_args", parse_args)
         self._outcome(capsys, self._main_namespace, DISPATCH_ARGVS[name])
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_drawn_command_lines(self, capsys, data):
+        # The command's own option strings are drawn as often as the rest, so
+        # that many lines are plain enough for the exact-token read.
+        command = data.draw(st.sampled_from(sorted(cli.build_parser().commands)))
+        own = [s for a in cli.build_parser().commands[command].declared for s in a.option_strings]
+        argv = (command, *data.draw(st.lists(st.sampled_from(own) | st.sampled_from(TOKENS), max_size=8)))
+        expected = self._outcome(capsys, cli.build_parser().parse_args, argv)
+        assert self._outcome(capsys, self._main_namespace, argv) == expected
+
+    @pytest.mark.parametrize("name", sorted(CORPUS_ARGVS))
+    def test_a_plain_command_line_skips_argparse(self, capsys, monkeypatch, name):
+        def parse_known_args(*args):
+            raise AssertionError("argparse parsed a plain command line")
+
+        argv = CORPUS_ARGVS[name]
+        expected = self._outcome(capsys, cli.build_parser().parse_args, argv)
+        for parser in (cli.build_parser(), *cli.build_parser().commands.values()):
+            monkeypatch.setattr(parser, "parse_known_args", parse_known_args)
+        assert self._outcome(capsys, self._main_namespace, argv) == expected
+        assert expected[0][0] == "namespace"
+
+    def test_no_typed_string_default(self):
+        # argparse passes a string default through the action's type; the
+        # exact-token read takes each default as declared.
+        for command in cli.build_parser().commands.values():
+            for action in command.declared:
+                assert not (isinstance(action.default, str) and action.type is not None), action
 
     def test_commands_are_the_subparsers_table(self):
         parser = cli.build_parser()

@@ -10,7 +10,7 @@ under a second.
 
 import pytest
 
-from titsmeasure import brauer, measure_ring, motives
+from titsmeasure import brauer, measure_ring, motives, verify
 from titsmeasure.brauer import AbstractGroup
 from titsmeasure.verify import (
     verify_normal_form_confluence,
@@ -31,6 +31,7 @@ SUITES = {
 _normal_form = motives.normal_form
 _merge = motives.merge
 _crt = brauer._crt_p_component
+_matching_keys = verify._matching_keys
 
 
 def _without_identity(group, merged):
@@ -81,10 +82,17 @@ def _rank_dropped(mp):
     mp.setattr(motives, "normal_form", _without_identity)
 
 
+def _matching_at_dimension_2(mp):
+    # The walk at form dimension 2 (q = 0): only the whole family's subset
+    # keeps a summand, so a key holds the sum of all m classes and no other.
+    mp.setattr(verify, "_matching_keys", lambda d_max, m, n_dim: _matching_keys(d_max, m, 2))
+
+
 # (fault, the suites that must report it).  quadric-product-matching keys its
-# families by XOR convolution of its own and reads none of these layers, so it
-# reports no fault here.  A fault that maps each key of a merged run on its
-# own is additive, so the cancellation suites cannot see it.
+# families by XOR convolution of its own and reads none of the class layers,
+# so only a fault in its own walk reaches it.  A fault that maps each key of
+# a merged run on its own is additive, so the cancellation suites cannot see
+# it.
 CATALOG = [
     (_largest_prime_only, {"relation-equivalence", "sum-cancellation"}),
     # The signature's normal form merges through the fault too: {[1], [1]}
@@ -100,6 +108,8 @@ CATALOG = [
     # The identity term carries the rank: {[6]} and {[0], [0]} over Z/12 sign
     # apart, yet their products with the dimension-6 quadric of [6] sign alike.
     (_rank_dropped, {"tensor-cancellation"}),
+    # Over (Z/2)^2 with m = 2, the families {0, 0} and {1, 1} both sum to 0.
+    (_matching_at_dimension_2, {"quadric-product-matching"}),
 ]
 
 

@@ -142,10 +142,11 @@ class TestPackedMatchingWalk:
         assert 6208 ** 5 < 1 << 63 <= 6209 ** 5
         walk, reference = _both_kernels(d_max, 5, 6208)
         assert walk == reference == (None, {"families": math.comb((1 << d_max) + 4, 5)})
-        # Every key is its counts in 64-bit slots, count x in slot x.
+        # Every key is its counts in slots as wide as the largest count,
+        # 6208^5 (63 bits), count x in slot x.
         for family, key in verify._matching_keys(d_max, 5, 6208):
             counts = oracles.matching_counts(family, d_max, 6208)
-            assert key == sum(k << 64 * x for x, k in enumerate(counts)), family
+            assert key == sum(k << 63 * x for x, k in enumerate(counts)), family
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
