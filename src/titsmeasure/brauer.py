@@ -16,8 +16,9 @@ Two interchangeable backends:
 
 Both models answer one key interface: ``class_key`` (canonical order),
 ``class_at`` (the class at a key), ``identity_key``, ``add_keys(a, b)``,
-``multiple_key(key, m)`` and the lookups ``neg_keys[key]``,
-``key_order[key]``, ``key_primes[key]`` and ``p_part_keys[p][key]``.
+``multiple_key(key, m)``, the lookups ``neg_keys[key]``,
+``key_order[key]``, ``key_primes[key]`` and ``p_part_keys[p][key]``, and
+``p_group``, true when every key has prime-power order.
 ``motives``, ``measure_ring``, ``subgroup_keys`` and ``verify`` work on
 keys without building classes, and the class arithmetic (addition,
 negation, multiples, order, p-primary parts, ``primes()``) is written once
@@ -316,6 +317,28 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+class _first_read:
+    """A method read as an attribute: computed on the first read, then
+    stored on the instance with ``object.__setattr__``.  Unlike
+    ``functools.cached_property`` it never reads the instance's ``__dict__``:
+    on CPython 3.11 and 3.12 that read moves the attributes into a dict, and
+    every later lookup of them slows (a relation-equivalence run over Z/2,
+    all table lookups, took a quarter longer)."""
+
+    def __init__(self, method) -> None:
+        self.method = method
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.method(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
+
+
 class _Table(dict):
     """A dict that fills a missing entry from ``fill(key)`` on first lookup."""
 
@@ -461,6 +484,13 @@ class AbstractGroup(_KeyedGroup, Record):
     def primes(self) -> tuple[int, ...]:
         return self._factored[self.exponent]
 
+    @_first_read
+    def p_group(self) -> bool:
+        """Whether the exponent has fewer than two primes, decided on first
+        read, so that a huge exponent is factored only when a normal form
+        needs it."""
+        return len(self.primes()) < 2
+
     def to_payload(self) -> dict:
         payload: dict = {"kind": "abstract", "orders": list(self.orders)}
         if self.index_oracle:
@@ -485,6 +515,7 @@ class _RationalGroup(_KeyedGroup, Record):
     class_key = staticmethod(operator.attrgetter("key"))  # canonical order: by places
     identity_key = ()
     kind = "rational"
+    p_group = False  # Br(Q) has classes of every order
     _oracle = {}  # key -> asserted index: none, as period equals index over a number field
 
     def class_at(self, key: tuple) -> "RationalClass":

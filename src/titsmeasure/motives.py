@@ -15,14 +15,14 @@ splits each key whose order has several primes into its p-parts less
 identities.  The coefficient of a class x of p-power order then counts the
 summands with p-part x, and the rank is the sum of the coefficients.  The
 primes and p-parts of each key come from the group's tables (``key_primes``,
-``p_part_keys``), so no class is built; over an abstract p-group, decided
-once for the group, a sum signs by its own key counts.  Tate twists carry
-no information here and are not stored.  Cost follows the distinct keys,
-not the rank.  ``key_pairs`` keys the (class, integer) pairs of a sum or of
-a ``measure_ring`` element.  ``merge`` is the one multiset sum of sums and
-of the normal forms; it can add pairs onto an already merged run, so
-``direct_sum`` merges one sum's key counts onto the other's.  Every sum is
-built by one constructor call that writes the merged fields.
+``p_part_keys``), so no class is built; over a p-group (the group's
+``p_group`` flag, decided once for the group) a sum signs by its own key
+counts.  Tate twists carry no information here and are not stored.  Cost
+follows the distinct keys, not the rank.  ``key_pairs`` keys the (class,
+integer) pairs of a sum or of a ``measure_ring`` element.  ``merge`` is the
+one multiset sum of sums and of the normal forms; it can add pairs onto an
+already merged run, so ``direct_sum`` merges one sum's key counts onto the
+other's.  Every sum is built by one call that writes the merged fields.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def merge(pairs: Iterable[KeyCount], into: Iterable[KeyCount] = ()) -> tuple[Key
 def normal_form(group: BrauerGroup, merged: tuple[KeyCount, ...]) -> tuple[KeyCount, ...]:
     """The normal form of the already merged run ``merged``: each key whose
     order has nu >= 2 primes becomes its p-parts less nu - 1 identities.
-    Over an abstract p-group every key is primary, so the run is returned."""
-    if group.kind == "abstract" and len(group.primes()) < 2:
+    Over a p-group every key is primary, so the run is returned."""
+    if group.p_group:
         return merged
     primes, p_parts, identity = group.key_primes, group.p_part_keys, group.identity_key
     out = []
@@ -97,13 +97,11 @@ class MotiveSum(Record):
         self.__dict__.update(group=group, key_counts=merge(pairs))
 
     @classmethod
-    def _of_keys(cls, group: BrauerGroup, pairs: Iterable[KeyCount],
-                 into: tuple[KeyCount, ...] = ()) -> "MotiveSum":
-        """A sum from checked (key, multiplicity) pairs, merged onto the
-        already merged run ``into``; one call, one merge."""
+    def _of_keys(cls, group: BrauerGroup, pairs: Iterable[KeyCount]) -> "MotiveSum":
+        """A sum from checked (key, multiplicity) pairs; one call, one merge."""
         self = object.__new__(cls)
         fields = self.__dict__
-        fields["group"], fields["key_counts"] = group, merge(pairs, into)
+        fields["group"], fields["key_counts"] = group, merge(pairs)
         return self
 
     @classmethod
@@ -143,7 +141,10 @@ def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:
     One merge of ``y``'s key counts onto ``x``'s, which are merged already.
     """
     group = x.group if x.group is y.group else common_group(x, y)
-    return MotiveSum._of_keys(group, y.key_counts, into=x.key_counts)
+    out = object.__new__(MotiveSum)
+    fields = out.__dict__
+    fields["group"], fields["key_counts"] = group, merge(y.key_counts, x.key_counts)
+    return out
 
 
 def tensor(x: MotiveSum, y: MotiveSum) -> MotiveSum:

@@ -7,14 +7,17 @@ and the group's index tables do the arithmetic; the motive sums and ring
 normal forms are built from indices too (``_of_keys``), so classes are built
 only where a layer takes them (a quadric's Clifford class) and for witness
 payloads.  Sum cancellation builds each state's sum once and forms every
-pair as the direct sum of two of them, with its own signature.  Product
-matching keys each family by one integer that packs its decomposition
-counts in slots as wide as its largest count, and walks the families in
-enumeration order, each reusing the counts of the prefix it shares with the
-family before it.  A
-``VerificationRun`` passes exactly when its search found no witness.
-Counterexample witnesses are emitted in replayable form; reruns with the
-same parameters are byte-identical.
+pair as the direct sum of two of them, with its own signature; a state's
+own signature is kept as the position of the first state signed alike, so
+the pair loop compares integers.  Seeded draws call the generator's
+``_randbelow``, the sampler under ``choice``, ``randint`` and
+``randrange``, so they are the draws those calls make (a test pins it).
+Product matching keys each family by one integer that packs its
+decomposition counts in slots as wide as its largest count, and walks the
+families in enumeration order, each reusing the counts of the prefix it
+shares with the family before it.  A ``VerificationRun`` passes exactly
+when its search found no witness.  Counterexample witnesses are emitted in
+replayable form; reruns with the same parameters are byte-identical.
 """
 
 from __future__ import annotations
@@ -243,23 +246,29 @@ def verify_relation_equivalence(group: AbstractGroup, m_max: int = 3) -> Verific
 def _sum_witness(group: AbstractGroup, card_max: int, trials: int, seed: int) -> dict | None:
     states = _states(group, range(card_max + 1))
     sums = [_sum_of(group, s) for s in states]
-    base_sig = [s.signature() for s in sums]
+    # A state's own signature, as the position of the first state signed alike.
+    first_signed: dict[tuple, int] = {}
+    own = [first_signed.setdefault(s.signature(), i) for i, s in enumerate(sums)]
     for n_state, n_sum in zip(states, sums):
         # Each pair builds its own direct sum, merged from the two state sums,
-        # and its own signature: never sig(x) + sig(n).
-        hit = _collision(
-            (direct_sum(x_sum, n_sum).signature(), own) for x_sum, own in zip(sums, base_sig)
-        )
-        if hit:
-            x, y, n = states[hit[0]], states[hit[1]], n_state
-            return {name: _state_payload(group, s) for name, s in (("x", x), ("y", y), ("n", n))}
+        # and its own signature: never sig(x) + sig(n).  As in ``_collision``,
+        # each image keeps the first position it met, and a position signed
+        # unlike its image's first is a witness.
+        first: dict[tuple, int] = {}
+        keep = first.setdefault
+        for i, x_sum in enumerate(sums):
+            j = keep(direct_sum(x_sum, n_sum).signature(), i)
+            if own[j] != own[i]:
+                x, y, n = states[j], states[i], n_state
+                return {name: _state_payload(group, s) for name, s in (("x", x), ("y", y), ("n", n))}
 
-    rng = random.Random(seed)
-    indices = range(group.order)
+    # below(k) is the draw of rng.choice(range(k)) and rng.randint(0, k - 1).
+    below = random.Random(seed)._randbelow
+    order, sizes = group.order, card_max + 1
     for _ in range(trials):
-        x = [rng.choice(indices) for _ in range(rng.randint(0, card_max))]
-        y = [rng.choice(indices) for _ in range(len(x))]
-        n = [rng.choice(indices) for _ in range(rng.randint(0, card_max))]
+        x = [below(order) for _ in range(below(sizes))]
+        y = [below(order) for _ in range(len(x))]
+        n = [below(order) for _ in range(below(sizes))]
         xs, ys, ns = (_sum_of(group, s) for s in (x, y, n))
         if is_isomorphic(direct_sum(xs, ns), direct_sum(ys, ns)) != is_isomorphic(xs, ys):
             return {name: _state_payload(group, s) for name, s in (("x", x), ("y", y), ("n", n))}
@@ -452,12 +461,17 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
 # Normal-form confluence: random rewrite orders all reach the same endpoint.
 # ---------------------------------------------------------------------------
 
+_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
 def _random_raw_element(group: AbstractGroup, rng: random.Random) -> dict[int, int]:
     """A random element of the group ring, as {class index: coefficient}."""
+    # The draws of rng.randint(1, 4), rng.randrange(order) and rng.choice(_COEFFICIENTS).
+    below, order = rng._randbelow, group.order
     out: dict = {}
-    for _ in range(rng.randint(1, 4)):
-        i = rng.randrange(group.order)
-        k = rng.choice([-3, -2, -1, 1, 2, 3])
+    for _ in range(1 + below(4)):
+        i = below(order)
+        k = _COEFFICIENTS[below(6)]
         out[i] = out.get(i, 0) + k
     return {i: k for i, k in out.items() if k}
 
@@ -468,9 +482,11 @@ def _rewrite_once(group: AbstractGroup, raw: dict[int, int], rng: random.Random)
     candidates = [c for c, k in raw.items() if k and len(primes_of[c]) >= 2]
     if not candidates:
         return False
-    c = rng.choice(candidates)
+    # The draws of rng.choice(candidates) and rng.randint(1, len(primes) - 1).
+    below = rng._randbelow
+    c = candidates[below(len(candidates))]
     primes = primes_of[c]
-    cut = rng.randint(1, len(primes) - 1)
+    cut = 1 + below(len(primes) - 1)
     chosen = rng.sample(primes, cut)
     a = 0
     for p in chosen:

@@ -8,6 +8,9 @@ so that a change in it shows.  The grids are small so the file costs well
 under a second.
 """
 
+import inspect
+import textwrap
+
 import pytest
 
 from titsmeasure import brauer, measure_ring, motives, verify
@@ -88,6 +91,36 @@ def _matching_at_dimension_2(mp):
     mp.setattr(verify, "_matching_keys", lambda d_max, m, n_dim: _matching_keys(d_max, m, 2))
 
 
+def _matching_walk_with(mp, line, faulty):
+    # The matching walk compiled from its own source with one line replaced;
+    # the line must occur exactly once, so a rewrite of the walk shows here.
+    source = textwrap.dedent(inspect.getsource(_matching_keys))
+    assert source.count(line) == 1, line
+    scope = dict(vars(verify))
+    exec(source.replace(line, faulty), scope)
+    mp.setattr(verify, "_matching_keys", scope["_matching_keys"])
+
+
+def _matching_swap_half_width(mp):
+    # The block swap for bit b >= 1 shifts by 2^(b - 1) slots, not 2^b: the
+    # blocks it moves land on the ones it keeps, and their counts add up.
+    _matching_walk_with(mp, "width, mask = slot * low,", "width, mask = slot * max(low >> 1, 1),")
+
+
+def _matching_stale_key(mp):
+    # The prefix reuse cuts the counts one position late, so a family whose
+    # last class alone changed reads the key of the family before it.
+    _matching_walk_with(mp, "del accs[i + 1:], images[i + 1:]", "del accs[i + 2:], images[i + 1:]")
+
+
+def _matching_stale_images(mp):
+    # The prefix reuse keeps the XOR images past the shared prefix, built from
+    # the previous family's counts: six of the ten keys over (Z/2)^2 with
+    # m = 2 change, yet no two meet (nor on any grid with d_max <= 4, m <= 4
+    # and n_dim 5 to 8); only the walk's direct tests catch it.
+    _matching_walk_with(mp, "del accs[i + 1:], images[i + 1:]", "del accs[i + 1:]")
+
+
 # (fault, the suites that must report it).  quadric-product-matching keys its
 # families by XOR convolution of its own and reads none of the class layers,
 # so only a fault in its own walk reaches it.  A fault that maps each key of
@@ -110,6 +143,10 @@ CATALOG = [
     (_rank_dropped, {"tensor-cancellation"}),
     # Over (Z/2)^2 with m = 2, the families {0, 0} and {1, 1} both sum to 0.
     (_matching_at_dimension_2, {"quadric-product-matching"}),
+    (_matching_swap_half_width, {"quadric-product-matching"}),
+    (_matching_stale_key, {"quadric-product-matching"}),
+    # A fault that keeps the keys apart, however wrong, is out of the suite's reach.
+    (_matching_stale_images, set()),
 ]
 
 

@@ -16,7 +16,7 @@ from oracles import (
     list_signature,
     normal_form_signature,
 )
-from titsmeasure.brauer import AbstractClass, AbstractGroup
+from titsmeasure.brauer import RATIONALS, AbstractClass, AbstractGroup, ResourceLimitError
 from titsmeasure.motives import MotiveSum
 
 REFERENCE_GROUPS = [(2, 2, 2), (12,), (4, 3), (30,), (210,)]
@@ -98,6 +98,20 @@ def test_large_cyclic_group_stays_lazy():
     assert a.order() == 10**9
     assert a.p_part(2) + a.p_part(5) == a
     assert len(g.key_order) < 10 and len(g._sum) < 10
+
+
+def test_p_group_is_decided_on_first_read():
+    # An exponent of two primes past the factoring budget: building the group
+    # factors nothing, so a document over it can still fail on its own
+    # grounds; only the first read of the flag factors, and raises.
+    g = AbstractGroup((1229685566027 * 1092814357813179451,))
+    with pytest.raises(ResourceLimitError):
+        g.p_group
+    for orders, flag in [((1,), True), ((8,), True), ((2, 4), True), ((3, 9, 27), True),
+                         ((12,), False), ((2, 3), False)]:
+        group = AbstractGroup(orders)
+        assert group.p_group is flag and group.p_group is flag, orders
+    assert RATIONALS.p_group is False
 
 
 @st.composite

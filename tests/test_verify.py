@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -180,6 +181,61 @@ class TestConfluence:
         g = AbstractGroup((10**9,))
         assert verify_normal_form_confluence(g, trials=1000).passed
         assert len(g.key_order) < 20_000
+
+
+DRAW_ORDERS = [1, 2, 5, 30, 10**9]
+
+
+class TestGeneratorDraws:
+    """The suites draw with ``Random._randbelow``, the sampler under
+    ``choice``, ``randint`` and ``randrange``; each draw must be the one the
+    public call it stands for makes, so seeded certificates do not move."""
+
+    @pytest.mark.parametrize("order", DRAW_ORDERS)
+    def test_randbelow_draws_equal_the_public_calls(self, order):
+        for seed in range(300):
+            public, own = random.Random(seed), random.Random(seed)
+            below = own._randbelow
+            for k in (1, 2, 3, 4, 6):
+                assert public.choice(range(order)) == below(order)
+                assert public.randrange(order) == below(order)
+                assert public.randint(0, k) == below(k + 1)
+                assert public.randint(1, k + 1) == 1 + below(k + 1)
+                assert public.choice(verify._COEFFICIENTS) == verify._COEFFICIENTS[below(6)]
+            assert public.getstate() == own.getstate(), seed
+
+    @pytest.mark.parametrize("order", DRAW_ORDERS)
+    def test_raw_elements_are_the_public_draws(self, order):
+        group = AbstractGroup((order,))
+        for seed in range(300):
+            public, own = random.Random(seed), random.Random(seed)
+            expected: dict = {}
+            for _ in range(public.randint(1, 4)):
+                i = public.randrange(order)
+                expected[i] = expected.get(i, 0) + public.choice([-3, -2, -1, 1, 2, 3])
+            expected = {i: k for i, k in expected.items() if k}
+            assert verify._random_raw_element(group, own) == expected, seed
+            assert public.getstate() == own.getstate(), seed
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 30])
+    def test_sum_trials_are_the_public_draws(self, monkeypatch, order):
+        # The trials of sum-cancellation, read off the sums they build.
+        card_max, trials = 3, 40
+        for seed in range(20):
+            public = random.Random(seed)
+            expected = []
+            for _ in range(trials):
+                x = [public.choice(range(order)) for _ in range(public.randint(0, card_max))]
+                y = [public.choice(range(order)) for _ in range(len(x))]
+                n = [public.choice(range(order)) for _ in range(public.randint(0, card_max))]
+                expected += [x, y, n]
+            built = []
+            _sum_of = verify._sum_of
+            with monkeypatch.context() as mp:
+                mp.setattr(verify, "_states", lambda group, sizes: [])
+                mp.setattr(verify, "_sum_of", lambda group, s: built.append(list(s)) or _sum_of(group, s))
+                assert verify._sum_witness(AbstractGroup((order,)), card_max, trials, seed) is None
+            assert built == expected, seed
 
 
 HANGING_CALLS = {
