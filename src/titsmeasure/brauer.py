@@ -43,9 +43,10 @@ class ResourceLimitError(RuntimeError):
 
 # Work frontier.  Before it starts, a costly call (a ``verify`` suite, a
 # ``sigma-check`` grid) prices its run as the operations it performs times a
-# weight per operation, in one unit of about 0.2 us (Python 3.11 on a 2-core
-# VM), and is refused once the price passes WORK_LIMIT; the slowest accepted
-# call of each kind runs about 3 s.
+# weight per operation: a weighted count of operations, whose weights were
+# fitted at about 0.2 us a unit (Python 3.11 on a 2-core VM).  It is refused
+# once the price passes WORK_LIMIT; the slowest accepted verify calls now
+# take 0.57-1.25 s (the table in docs/cli.md).
 WORK_LIMIT = 15_000_000
 
 
@@ -438,7 +439,7 @@ class AbstractGroup(_KeyedGroup, Record):
         init(self, "p_part_keys", _p_part_tables(lambda i, p: index(
             _crt_p_component(c, n, p) for c, n in zip(coords[i], orders)
         )))
-        canon = []
+        oracle = {}  # index -> asserted index, one entry per class
         for cs, idx in self.index_oracle:
             i = self.element(cs).index
             per = order[i]
@@ -446,11 +447,13 @@ class AbstractGroup(_KeyedGroup, Record):
                 raise ValueError(
                     f"index oracle entry {idx} for {cs} incompatible with period {per}"
                 )
-            canon.append((coords[i], int(idx)))
-        oracle = tuple(sorted(canon))
-        init(self, "index_oracle", oracle)
-        init(self, "_oracle", {index(c): idx for c, idx in oracle})
-        init(self, "_hash", hash((orders, oracle)))
+            if i in oracle:
+                raise ValueError(f"index oracle lists class {coords[i]} twice (entry for {cs})")
+            oracle[i] = int(idx)
+        entries = tuple((coords[i], oracle[i]) for i in sorted(oracle))  # index order is coords order
+        init(self, "index_oracle", entries)
+        init(self, "_oracle", oracle)
+        init(self, "_hash", hash((orders, entries)))
 
     def __hash__(self) -> int:
         return self._hash  # once per group: each sum and ring element hashes it

@@ -56,30 +56,21 @@ def _value(action: argparse.Action, token: str) -> object:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser that keeps the actions it is declared with.
+    """An argparse parser that reads a plain command line itself.
 
-    ``declared`` lists its parents' actions and then the ones its own
-    ``add_argument`` calls returned; the help action argparse adds itself is
-    not among them.  ``read_exact`` reads a plain command line off them."""
-
-    def __init__(self, *args, parents=(), **kwargs):
-        super().__init__(*args, parents=parents, **kwargs)
-        self.declared = [action for parent in parents for action in parent.declared]
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if hasattr(self, "declared"):  # the help action comes before it is set
-            self.declared.append(action)
-        return action
+    ``read_exact`` reads one off the declared actions: argparse's own list of
+    the parser's actions (its parents' and then its own), without the help
+    action argparse adds itself."""
 
     @functools.cached_property
-    def _exact_table(self) -> tuple[dict, argparse.Action | None, tuple]:
-        """(option string -> action, the one positional action or None, the
-        required options), from ``declared``; read once the parser is built."""
-        options = {s: action for action in self.declared for s in action.option_strings}
-        (positional,) = [action for action in self.declared if not action.option_strings] or [None]
-        required = tuple(action for action in self.declared if action.required and action.option_strings)
-        return options, positional, required
+    def _exact_table(self) -> tuple[tuple, dict, argparse.Action | None, tuple]:
+        """(the declared actions, option string -> action, the one positional
+        action or None, the required options); read once the parser is built."""
+        declared = tuple(a for a in self._actions if not isinstance(a, argparse._HelpAction))
+        options = {s: action for action in declared for s in action.option_strings}
+        (positional,) = [action for action in declared if not action.option_strings] or [None]
+        required = tuple(action for action in declared if action.required and action.option_strings)
+        return declared, options, positional, required
 
     def read_exact(self, tokens) -> argparse.Namespace | None:
         """The namespace ``parse_known_args(tokens)`` returns with no extras,
@@ -96,9 +87,9 @@ class _Parser(argparse.ArgumentParser):
         Any other token list gives None, so that argparse answers it with its
         own namespace, or its own message and exit code.  Defaults are taken
         as declared: no declared string default goes through a type."""
-        options, positional, required = self._exact_table
+        declared, options, positional, required = self._exact_table
         args = argparse.Namespace(**self._defaults)
-        for action in self.declared:
+        for action in declared:
             setattr(args, action.dest, action.default)
         seen = set()
         words = None
@@ -308,38 +299,35 @@ def _cmd_sigma_check(args) -> int:
     return EXIT_OK if not violations else EXIT_COUNTEREXAMPLE
 
 
-# suite -> (whether it takes --group, {option: keyword}), with the options in
-# the order they are read.  Each default lives in the suite's ``verify_*``
-# signature: only the options the user set are passed.  The suite's function
-# is looked up by name on each call, so a replaced ``verify_*`` attribute of
-# this module is the one that runs.
+# suite -> {option: keyword}, with the options in the order they are read.
+# Each default lives in the suite's ``verify_*`` signature: only the options
+# the user set are passed, and a suite that reads ``group`` needs it.  The
+# suite's function is looked up by name on each call, so a replaced
+# ``verify_*`` attribute of this module is the one that runs.
 SUITES = {
-    "relation-equivalence": (True, {"m-max": "m_max"}),
-    "sum-cancellation": (True, {"card-max": "card_max", "trials": "trials", "seed": "seed"}),
-    "tensor-cancellation": (True, {"n": "n_dim", "card-max": "card_max"}),
-    "quadric-product-matching": (False, {"d-max": "d_max", "m": "m", "n": "n_dim"}),
-    "normal-form-confluence": (True, {"trials": "trials", "seed": "seed"}),
+    "relation-equivalence": {"group": "group", "m-max": "m_max"},
+    "sum-cancellation": {"group": "group", "card-max": "card_max", "trials": "trials", "seed": "seed"},
+    "tensor-cancellation": {"group": "group", "n": "n_dim", "card-max": "card_max"},
+    "quadric-product-matching": {"d-max": "d_max", "m": "m", "n": "n_dim"},
+    "normal-form-confluence": {"group": "group", "trials": "trials", "seed": "seed"},
 }
 # Every option some suite reads, each a flag of ``verify``.  A flag the chosen
 # suite does not read is refused.
-_VERIFY_OPTIONS = ("group", *dict.fromkeys(o for _, options in SUITES.values() for o in options))
+_VERIFY_OPTIONS = tuple(dict.fromkeys(o for options in SUITES.values() for o in options))
 
 
 def _cmd_verify(args) -> int:
-    takes_group, options = SUITES[args.suite]
+    options = SUITES[args.suite]
     for option in _VERIFY_OPTIONS:
-        read = option in options or (option == "group" and takes_group)
-        if not read and getattr(args, option.replace("-", "_")) is not None:
+        if option not in options and getattr(args, option.replace("-", "_")) is not None:
             raise ValueError(f"suite {args.suite} does not take --{option}")
+    if "group" in options and args.group is None:
+        raise ValueError(f"suite {args.suite} needs --group")
     kwargs = {}
-    if takes_group:
-        if args.group is None:
-            raise ValueError(f"suite {args.suite} needs --group")
-        kwargs["group"] = _parse_group_spec(args.group)
     for option, keyword in options.items():
         value = getattr(args, option.replace("-", "_"))
         if value is not None:
-            kwargs[keyword] = value
+            kwargs[keyword] = _parse_group_spec(value) if option == "group" else value
     run = globals()["verify_" + args.suite.replace("-", "_")](**kwargs)
     _emit(run.to_payload(), args.format)
     return EXIT_OK if run.passed else EXIT_COUNTEREXAMPLE
@@ -378,7 +366,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    fmt = _Parser(add_help=False)
+    fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "table"), default="table")
 
     p = sub.add_parser("measure", parents=[fmt], help="measure a variety document")
@@ -432,20 +420,14 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # A call that starts with a command name skips the top-level parse, which
-    # would hand it on unchanged; the top-level parser answers every other call.
-    # A plain command line is read off the command's declared actions; its
-    # parser answers every other one, so argparse's messages and exit codes
-    # stay its own.
+    # A plain command line is read off its command's declared actions; the
+    # top-level parser answers every other one, so argparse's messages and
+    # exit codes stay its own.
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
+    args = None if command is None else command.read_exact(argv[1:])
+    if args is None:
         args = parser.parse_args(argv)
     else:
-        args = command.read_exact(argv[1:])
-        if args is None:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     try:
         return args.fn(args)

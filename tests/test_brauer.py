@@ -347,6 +347,23 @@ class TestSubgroupsAndAlgebras:
         with pytest.raises(ValueError):
             AbstractGroup((2, 2), index_oracle=(((1, 1), 6),))  # extra prime 3
 
+    @pytest.mark.parametrize("entries", [
+        (((1,), 4), ((1,), 2)),
+        (((1,), 2), ((1,), 4)),
+        (((1,), 2), ((1,), 2)),
+        (((1,), 2), ((3,), 2)),  # [3] is [1] mod 2
+    ])
+    def test_index_oracle_refuses_a_class_listed_twice(self, entries):
+        with pytest.raises(ValueError) as caught:
+            AbstractGroup((2,), index_oracle=entries)
+        assert str(caught.value) == f"index oracle lists class (1,) twice (entry for {entries[1][0]})"
+
+    def test_index_oracle_is_kept_reduced_and_in_coords_order(self):
+        g = AbstractGroup((2, 4), index_oracle=(((1, 6), 4), ((-1, 1), 8), ((0, 2), 2)))
+        assert g.index_oracle == (((0, 2), 2), ((1, 1), 8), ((1, 2), 4))
+        assert g == AbstractGroup((2, 4), index_oracle=(((0, 2), 2), ((1, 1), 8), ((1, 2), 4)))
+        assert g.index_of(g.element([3, 5])) == 8
+
     def test_coprime_indexes(self):
         a = CSA(G6.element([2]), 3)  # index 3
         b = CSA(G6.element([3]), 2)  # index 2

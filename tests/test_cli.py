@@ -166,6 +166,11 @@ def _shadow8(i3):
 
 MALFORMED_DOCS.update({
     "index-oracle-not-array": _sb_doc(orders=(2, 2), coords=(1, 1), oracle=5),
+    # One class given two entries: whole, or by coords that reduce to it.
+    "index-oracle-class-twice": _sb_doc(degree=4, oracle=[
+        {"coords": [1], "index": 2}, {"coords": [1], "index": 4}]),
+    "index-oracle-coords-reduce-to-one-class": _sb_doc(oracle=[
+        {"coords": [1], "index": 2}, {"coords": [3], "index": 2}]),
     "index-oracle-entry-not-object": _sb_doc(orders=(2, 2), coords=(1, 1), oracle=[5]),
     "invariants-not-array": _variety_doc(
         {"family": "severi-brauer", "alg": {"degree": 2, "class": {"invariants": 5}}},
@@ -235,6 +240,11 @@ class TestMalformedNumbers:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_index_oracle_class_listed_twice_is_named(self, capsys):
+        doc = MALFORMED_DOCS["index-oracle-coords-reduce-to-one-class"]
+        code, out, err = run(capsys, "measure", json.dumps(doc))
+        assert (code, out, err) == (1, "", "error: index oracle lists class (1,) twice (entry for (3,))\n")
 
     @pytest.mark.parametrize("entry", ["1e1000000", "-3.5E+999999", "7" * 10_000])
     def test_oversized_rational_is_rejected_fast(self, capsys, entry):
@@ -453,11 +463,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("suite", sorted(cli.SUITES))
     def test_suite_table_matches_the_suite_function(self, suite):
         # An unset option takes the default of the suite function's signature.
-        takes_group, options = cli.SUITES[suite]
+        # The group has no default: a suite that reads it needs --group.
+        options = cli.SUITES[suite]
         params = inspect.signature(getattr(cli, "verify_" + suite.replace("-", "_"))).parameters
-        assert ("group" in params) == takes_group
-        for keyword in options.values():
-            assert params[keyword].default is not inspect.Parameter.empty
+        assert ("group" in params) == ("group" in options)
+        for option, keyword in options.items():
+            assert (params[keyword].default is inspect.Parameter.empty) == (option == "group")
 
     def test_counterexample_is_exit_two(self, capsys, monkeypatch):
         fake = VerificationRun(
@@ -729,7 +740,8 @@ DISPATCH_ARGVS = {
 }
 
 # One argv of each shape the benchmark corpora run (benchmark/workloads.py):
-# each is read off the declared actions, without argparse.
+# each is read off the declared actions, without argparse.  Every subcommand
+# has one.
 CORPUS_ARGVS = {
     "measure": ("measure", _DOC, "--format", "json"),
     "compare": ("compare", json.dumps(PAIR_DOC), "--format", "json"),
@@ -751,7 +763,7 @@ CORPUS_ARGVS = {
 # odd integers, empty and "-" tokens, and documents.
 TOKENS = sorted({
     *cli.build_parser().commands,
-    *(s for command in cli.build_parser().commands.values() for a in command.declared for s in a.option_strings),
+    *(s for command in cli.build_parser().commands.values() for s in command._exact_table[1]),
     "-h", "--form", "--assume", "--no-assume", "--format=json", "--suite=sum-cancellation", "--m=5",
     "--", "-", "", "-x", "--bogus", "--version",
     "json", "table", "xml", *cli.SUITES, "1even", "2odd", "nope", "2", "2,6", "3,7",
@@ -760,8 +772,9 @@ TOKENS = sorted({
 
 
 class TestDispatchParity:
-    """``main`` parses a call that starts with a command name by that
-    command's parser alone; the outcome must be the top-level parser's."""
+    """``main`` reads a plain command line off its command's declared actions
+    and hands every other one to the top-level parser; the outcome must be
+    the top-level parser's either way."""
 
     @staticmethod
     def _outcome(capsys, parse, argv):
@@ -796,22 +809,13 @@ class TestDispatchParity:
         expected = self._outcome(capsys, cli.build_parser().parse_args, argv)
         assert self._outcome(capsys, self._main_namespace, argv) == expected
 
-    @pytest.mark.parametrize("name", ["measure-json", "leftover-config", "help-after-command"])
-    def test_a_command_call_skips_the_top_level_parse(self, capsys, monkeypatch, name):
-        def parse_args(*args):
-            raise AssertionError("the top-level parser parsed a command call")
-
-        monkeypatch.setattr(cli.build_parser(), "parse_args", parse_args)
-        monkeypatch.setattr(cli.build_parser(), "parse_known_args", parse_args)
-        self._outcome(capsys, self._main_namespace, DISPATCH_ARGVS[name])
-
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_drawn_command_lines(self, capsys, data):
         # The command's own option strings are drawn as often as the rest, so
         # that many lines are plain enough for the exact-token read.
         command = data.draw(st.sampled_from(sorted(cli.build_parser().commands)))
-        own = [s for a in cli.build_parser().commands[command].declared for s in a.option_strings]
+        own = list(cli.build_parser().commands[command]._exact_table[1])
         argv = (command, *data.draw(st.lists(st.sampled_from(own) | st.sampled_from(TOKENS), max_size=8)))
         expected = self._outcome(capsys, cli.build_parser().parse_args, argv)
         assert self._outcome(capsys, self._main_namespace, argv) == expected
@@ -828,11 +832,34 @@ class TestDispatchParity:
         assert self._outcome(capsys, self._main_namespace, argv) == expected
         assert expected[0][0] == "namespace"
 
+    @pytest.mark.parametrize("name", sorted(CORPUS_ARGVS))
+    @pytest.mark.parametrize("help_token", ["-h", "--help"])
+    def test_help_is_never_read_exactly(self, name, help_token):
+        # The help action is not in the derived table, so a help token
+        # anywhere in a plain line, even as an option's value, leaves the
+        # line to argparse.
+        command, *tokens = CORPUS_ARGVS[name]
+        parser = cli.build_parser().commands[command]
+        assert help_token not in parser._exact_table[1]
+        assert parser.read_exact(tokens) is not None
+        for i in range(len(tokens) + 1):
+            assert parser.read_exact([*tokens[:i], help_token, *tokens[i:]]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_help_anywhere_is_never_read_exactly(self, data):
+        command = data.draw(st.sampled_from(sorted(cli.build_parser().commands)))
+        parser = cli.build_parser().commands[command]
+        own = list(parser._exact_table[1])
+        tokens = data.draw(st.lists(st.sampled_from(own) | st.sampled_from(TOKENS), max_size=8))
+        tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(["-h", "--help"])))
+        assert parser.read_exact(tokens) is None
+
     def test_no_typed_string_default(self):
         # argparse passes a string default through the action's type; the
         # exact-token read takes each default as declared.
         for command in cli.build_parser().commands.values():
-            for action in command.declared:
+            for action in command._exact_table[0]:
                 assert not (isinstance(action.default, str) and action.type is not None), action
 
     def test_commands_are_the_subparsers_table(self):
