@@ -6,9 +6,10 @@ Two interchangeable backends:
   elements stand for Brauer classes.  Everything is enumerable, which is what
   the verification suites need.  Each element has a mixed-radix index, and
   the group fills tables from index to index on demand (negation, sums,
-  p-parts; also coords, order and primes), so class arithmetic is a lookup,
-  memory follows the indices actually touched, and ``AbstractClass`` is a
-  (group, index) value built at the edges, never interned.
+  p-parts; also coords, order and primes) by digit arithmetic on the index,
+  so class arithmetic is a lookup, memory follows the indices actually
+  touched, and ``AbstractClass`` is a (group, index) value built at the
+  edges, never interned.
 - ``RATIONALS`` / ``RationalClass``: Br(Q) presented by local invariants, a
   finitely supported map from places of Q to exact residues in [0,1) summing
   to 0 mod 1, keyed by the residues as integers.  Constructed by the
@@ -46,7 +47,7 @@ class ResourceLimitError(RuntimeError):
 # weight per operation: a weighted count of operations, whose weights were
 # fitted at about 0.2 us a unit (Python 3.11 on a 2-core VM).  It is refused
 # once the price passes WORK_LIMIT; the slowest accepted verify calls now
-# take 0.57-1.25 s (the table in docs/cli.md).
+# take 0.58-1.22 s (the table in docs/cli.md).
 WORK_LIMIT = 15_000_000
 
 
@@ -353,12 +354,13 @@ class _Table(dict):
         return value
 
 
-def _p_part_tables(p_part) -> _Table:
-    """prime p -> {key: key of the p-part}, filled by ``p_part(key, p)``."""
+def _p_part_tables(p_part_fill) -> _Table:
+    """prime p -> {key: key of the p-part}, filled by ``p_part_fill(p)``,
+    which is called once, when the prime's table is made."""
     def table(p: int) -> _Table:
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
-        return _Table(lambda key: p_part(key, p))
+        return _Table(p_part_fill(p))
     return _Table(table)
 
 
@@ -384,10 +386,12 @@ class AbstractGroup(_KeyedGroup, Record):
     significant) give the element's index, so index order is coordinate
     order.  The group owns lazily filled tables from an index to the index
     of its negation, of each sum and of each p-part, and to its coords, order
-    and primes.  Only indices actually touched get entries.  The fillers
-    close over the orders and strides, not over the group, so a group holds
-    no reference to itself and dies with its last user; ``AbstractClass``
-    values are built from indices at the edges and are not interned.
+    and primes.  Only indices actually touched get entries.  A fill reads
+    the digits i // stride mod order straight off the index, without a
+    coords tuple.  The fillers close over the (stride, order) pairs, not
+    over the group, so a group holds no reference to itself and dies with
+    its last user; ``AbstractClass`` values are built from indices at the
+    edges and are not interned.
     """
 
     orders: tuple[int, ...]
@@ -401,48 +405,63 @@ class AbstractGroup(_KeyedGroup, Record):
             raise ValueError(f"cyclic orders must be positive integers: {self.orders}")
         orders = tuple(int(n) for n in self.orders)
         size = math.prod(orders)
-        strides = [math.prod(orders[k + 1:]) for k in range(len(orders))]
+        # (stride s, order n) per coordinate: coordinate k of index i is
+        # i // s mod n, so the fills read digits off the index, never coords.
+        digits = [(math.prod(orders[k + 1:]), n) for k, n in enumerate(orders)]
 
         def index(cs: Iterable[int]) -> int:
-            return sum((c % n) * s for c, n, s in zip(cs, orders, strides))
+            i = 0
+            for c, (s, n) in zip(cs, digits):
+                i += c % n * s
+            return i
 
         def sum_at(ij: int) -> int:
             i, j = divmod(ij, size)
-            return index(map(operator.add, coords[i], coords[j]))
+            k = 0
+            for s, n in digits:
+                k += (i // s + j // s) % n * s
+            return k
 
         def multiple_key(i: int, k: int) -> int:
-            return index([k * c for c in coords[i]])
+            m = 0
+            for s, n in digits:
+                m += k * (i // s) % n * s
+            return m
 
-        # Digit k of an index is its coordinate k: index // strides[k] mod orders[k].
-        coords = _Table(lambda i: tuple(i // s % n for s, n in zip(strides, orders)))
-        order = _Table(lambda i: math.lcm(
-            *(n // math.gcd(n, i // s % n) for s, n in zip(strides, orders))
-        ))
-        exponent = math.lcm(*orders)
-        factored = _Table(lambda n: tuple(prime_factors(n)))  # asked for the exponent only
+        def order_at(i: int) -> int:
+            per = 1
+            for s, n in digits:
+                per = math.lcm(per, n // math.gcd(n, i // s % n))
+            return per
+
+        def p_part_fill(p: int):
+            # Digit d's p-part is d u mod n, u the p-part of 1 in Z/n; digits
+            # with u = 0 are skipped.
+            units = [(s, n, u) for s, n in digits if (u := _crt_p_component(1, n, p))]
+
+            def fill(i: int) -> int:
+                k = 0
+                for s, n, u in units:
+                    k += i // s * u % n * s
+                return k
+            return fill
+
+        coords = _Table(lambda i: tuple([i // s % n for s, n in digits]))
         init = object.__setattr__
         init(self, "orders", orders)
         init(self, "_size", size)
         init(self, "_coords", coords)  # index -> coords
         init(self, "_index", index)  # coords -> index
-        init(self, "exponent", exponent)
-        init(self, "_factored", factored)
-        init(self, "key_order", order)  # index -> order of the class
-        # index -> primes of that order
-        init(self, "key_primes", _Table(
-            lambda i: tuple(p for p in factored[exponent] if order[i] % p == 0)
-        ))
+        init(self, "exponent", math.lcm(*orders))
+        init(self, "key_order", _Table(order_at))  # index -> order of the class
         init(self, "multiple_key", multiple_key)
         init(self, "neg_keys", _Table(lambda i: multiple_key(i, -1)))  # index -> negation
         init(self, "_sum", _Table(sum_at))  # i * size + j -> index of the sum
-        # prime -> {index: index of the p-part}
-        init(self, "p_part_keys", _p_part_tables(lambda i, p: index(
-            _crt_p_component(c, n, p) for c, n in zip(coords[i], orders)
-        )))
+        init(self, "p_part_keys", _p_part_tables(p_part_fill))  # prime -> {index: index of the p-part}
         oracle = {}  # index -> asserted index, one entry per class
         for cs, idx in self.index_oracle:
             i = self.element(cs).index
-            per = order[i]
+            per = order_at(i)
             if not is_int(idx) or idx % per != 0 or set(prime_factors(idx)) != set(prime_factors(per)):
                 raise ValueError(
                     f"index oracle entry {idx} for {cs} incompatible with period {per}"
@@ -485,7 +504,18 @@ class AbstractGroup(_KeyedGroup, Record):
         return self._size
 
     def primes(self) -> tuple[int, ...]:
-        return self._factored[self.exponent]
+        return self._exponent_primes
+
+    @_first_read
+    def _exponent_primes(self) -> tuple[int, ...]:
+        return tuple(prime_factors(self.exponent))
+
+    @_first_read
+    def key_primes(self) -> _Table:
+        """index -> primes of the class's order; made on first read, so that
+        building the group factors nothing, and holding no group."""
+        primes, order = self._exponent_primes, self.key_order
+        return _Table(lambda i: tuple([p for p in primes if order[i] % p == 0]))
 
     @_first_read
     def p_group(self) -> bool:
@@ -556,7 +586,7 @@ class _RationalGroup(_KeyedGroup, Record):
     @property
     def p_part_keys(self) -> _Table:
         # A residue a/d is the class of a in Z/d.
-        return _p_part_tables(lambda key, p: _lowest_terms(
+        return _p_part_tables(lambda p: lambda key: _lowest_terms(
             (r, v, _crt_p_component(a, d, p), d) for r, v, a, d in key))
 
     def to_payload(self) -> dict:

@@ -264,6 +264,10 @@ def coords_neg(a, orders) -> tuple:
     return tuple(-x % n for x, n in zip(a, orders))
 
 
+def coords_multiple(a, orders, k: int) -> tuple:
+    return tuple(k * x % n for x, n in zip(a, orders))
+
+
 def _primes_of(n: int) -> list:
     return list(trial_factors(n))
 

@@ -75,8 +75,25 @@ def _normal_form_drops_identity(mp):
     mp.setattr(measure_ring, "normal_form", _without_identity)
 
 
+def _compiled_with(mp, module, function, line, faulty):
+    # ``function`` of ``module`` compiled from its own source with one line
+    # replaced; the line must occur exactly once, so a rewrite of the
+    # function shows here.
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(line) == 1, line
+    scope = dict(vars(module))
+    exec(source.replace(line, faulty), scope)
+    mp.setattr(module, function.__name__, scope[function.__name__])
+
+
 def _three_parts_zero(mp):
     mp.setattr(brauer, "_crt_p_component", lambda c, n, p: 0 if p == 3 else _crt(c, n, p))
+
+
+def _crt_unit_mod_p(mp):
+    # The p-part's unit is inverted mod p, not mod p^a: over Z/12 the 2-part
+    # of c becomes 3c, the negation of the true 9c, while the 3-parts stay.
+    _compiled_with(mp, brauer, _crt, "pow(m, -1, pa)", "pow(m, -1, p)")
 
 
 def _rank_dropped(mp):
@@ -92,13 +109,7 @@ def _matching_at_dimension_2(mp):
 
 
 def _matching_walk_with(mp, line, faulty):
-    # The matching walk compiled from its own source with one line replaced;
-    # the line must occur exactly once, so a rewrite of the walk shows here.
-    source = textwrap.dedent(inspect.getsource(_matching_keys))
-    assert source.count(line) == 1, line
-    scope = dict(vars(verify))
-    exec(source.replace(line, faulty), scope)
-    mp.setattr(verify, "_matching_keys", scope["_matching_keys"])
+    _compiled_with(mp, verify, _matching_keys, line, faulty)
 
 
 def _matching_swap_half_width(mp):
@@ -138,6 +149,9 @@ CATALOG = [
     # Zero 3-parts map each key on its own: only the suites that compare with
     # rewriting see it.
     (_three_parts_zero, {"relation-equivalence", "normal-form-confluence"}),
+    # Negated 2-parts also map each key on its own, and break x = sum of
+    # its p-parts: the same two suites see it.
+    (_crt_unit_mod_p, {"relation-equivalence", "normal-form-confluence"}),
     # The identity term carries the rank: {[6]} and {[0], [0]} over Z/12 sign
     # apart, yet their products with the dimension-6 quadric of [6] sign alike.
     (_rank_dropped, {"tensor-cancellation"}),

@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import random
 import weakref
 
 import pytest
@@ -10,16 +11,39 @@ from hypothesis import strategies as st
 
 from oracles import (
     coords_add,
+    coords_multiple,
     coords_neg,
     coords_order,
     coords_p_part,
     list_signature,
     normal_form_signature,
+    trial_factors,
 )
 from titsmeasure.brauer import RATIONALS, AbstractClass, AbstractGroup, ResourceLimitError
 from titsmeasure.motives import MotiveSum
 
-REFERENCE_GROUPS = [(2, 2, 2), (12,), (4, 3), (30,), (210,)]
+REFERENCE_GROUPS = [(2, 2, 2), (12,), (4, 3), (30,), (210,), (), (1,), (4, 2), (8, 2), (9, 3),
+                    (2,) * 6 + (3,), (4, 9, 25)]
+MULTIPLIERS = (-7, -1, 0, 2, 5)
+
+
+def check_class(g, a, orders):
+    """The index, order, primes, negation, multiples and p-parts of ``a``
+    against the coordinate loops."""
+    assert g.element(a.coords).index == a.index
+    per = coords_order(a.coords, orders)
+    assert a.order() == per
+    assert a.primes() == tuple(trial_factors(per))
+    assert (-a).coords == coords_neg(a.coords, orders)
+    for k in MULTIPLIERS:
+        assert (k * a).coords == (a * k).coords == coords_multiple(a.coords, orders, k)
+    for p in g.primes() + (7, 31):
+        assert a.p_part(p).coords == coords_p_part(a.coords, orders, p)
+
+
+def check_pair(a, b, orders):
+    assert (a + b).coords == coords_add(a.coords, b.coords, orders)
+    assert (a - b).coords == coords_add(a.coords, coords_neg(b.coords, orders), orders)
 
 
 @pytest.mark.parametrize("orders", REFERENCE_GROUPS)
@@ -29,21 +53,44 @@ def test_tables_match_reference_on_every_element(orders):
     assert len(elements) == g.order
     assert [c.index for c in elements] == list(range(g.order))
     assert [c.coords for c in elements] == sorted(c.coords for c in elements)
-    primes = g.primes()
+    assert g.primes() == tuple(trial_factors(g.exponent))
     for a in elements:
-        per = coords_order(a.coords, orders)
-        assert a.order() == per
-        assert a.primes() == tuple(p for p in primes if per % p == 0)
-        assert (-a).coords == coords_neg(a.coords, orders)
-        for p in primes + (7,):
-            assert a.p_part(p).coords == coords_p_part(a.coords, orders, p)
-    # Sums over a stride of pairs keeps (210,) quick; the small groups get all.
+        check_class(g, a, orders)
+    # Sums over a stride of pairs keeps (210,) and (4, 9, 25) quick; the
+    # small groups get all.
     step = max(1, len(elements) // 30)
     for a in elements[::step]:
         for b in elements:
-            s = a + b
-            assert s.coords == coords_add(a.coords, b.coords, orders)
-            assert (a - b).coords == coords_add(a.coords, coords_neg(b.coords, orders), orders)
+            check_pair(a, b, orders)
+
+
+@given(st.lists(st.integers(1, 30), max_size=4).map(tuple), st.data())
+@settings(max_examples=100, deadline=None)
+def test_tables_match_reference_on_random_orders(orders, data):
+    g = AbstractGroup(orders)
+    # Coordinates out of range too: an element reduces them.
+    coords = st.tuples(*(st.integers(-60, 60) for _ in orders))
+    raw = [data.draw(coords) for _ in range(2)]
+    a, b = map(g.element, raw)
+    for c, cs in zip((a, b), raw):
+        assert c.coords == tuple(x % n for x, n in zip(cs, orders))
+        check_class(g, c, orders)
+    check_pair(a, b, orders)
+    check_pair(b, a, orders)
+
+
+def test_tables_match_reference_on_many_cyclic_factors():
+    # (Z/2)^14 x Z/5: fifteen digits an index, on a seeded sample of classes.
+    orders = (2,) * 14 + (5,)
+    g = AbstractGroup(orders)
+    rng = random.Random(14)
+    sample = [g.class_at(rng.randrange(g.order)) for _ in range(200)]
+    for a in sample:
+        check_class(g, a, orders)
+    for a in sample[:40]:
+        for b in sample:
+            check_pair(a, b, orders)
+    assert len(g.key_order) < 1000 and len(g.p_part_keys[5]) <= 200
 
 
 def test_classes_are_equal_by_value():
