@@ -431,7 +431,8 @@ class AbstractGroup(_KeyedGroup, Record):
         def order_at(i: int) -> int:
             per = 1
             for s, n in digits:
-                per = math.lcm(per, n // math.gcd(n, i // s % n))
+                if d := i // s % n:  # a zero digit has order 1
+                    per = math.lcm(per, n // math.gcd(n, d))
             return per
 
         def p_part_fill(p: int):

@@ -73,8 +73,14 @@ MAX_DECIMAL_EXPONENT = 200
 
 def _fraction(value: object, context: str) -> Fraction:
     """A rational given as a string or a JSON integer; floats are rejected
-    because their binary expansion is not the number that was written."""
-    if not (isinstance(value, str) or is_int(value)):
+    because their binary expansion is not the number that was written.  An
+    ASCII integer string within the length cap is read by ``int``, not by
+    ``Fraction``'s string parser, which would give the same value."""
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isdigit() and digits.isascii() and len(value) <= MAX_RATIONAL_CHARS:
+            return Fraction(int(value))
+    elif not is_int(value):
         raise ValueError(f"{context}: expected a rational string or an integer, got {value!r}")
     text = value if isinstance(value, str) else str(value)
     if len(text) > MAX_RATIONAL_CHARS:

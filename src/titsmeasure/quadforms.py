@@ -47,7 +47,7 @@ class QuadraticForm(Record):
                 f"form dimension {len(self.entries)} is past the limit of {MAX_FORM_DIM}"
             )
         entries = tuple(as_fraction(a) for a in self.entries)
-        if any(a == 0 for a in entries):
+        if not all(entries):
             raise ValueError("diagonal entries must be nonzero")
         object.__setattr__(self, "entries", entries)
 

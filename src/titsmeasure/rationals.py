@@ -5,13 +5,15 @@ primes dividing it, which is all a Hilbert symbol can see.  The entries of a
 form are reduced together (``square_classes``): their numerators times
 denominators are split into a pairwise coprime base by gcds, and only the
 base is factored, on one budget per form, so a prime that two entries share
-is found by a gcd, not by rho.  ``_local`` reads what the closed formula
-needs of an integer at a prime; ``hilbert_symbol`` combines it for one pair,
-and ``quaternion_sum`` sums the formula over all pairs of a form place by
-place, in one pass over the entries at each place that can ramify.  The test
-suite validates the symbol against a brute-force solvability oracle for
-ax^2 + by^2 = z^2 over Z/p^k and the sums against pairwise Fraction
-formulas, so nothing here leans on the formula being transcribed correctly.
+is found by a gcd, not by rho; each base element keeps only its primes of odd
+exponent.  ``_local`` reads what the closed formula needs of an integer at a
+prime; ``hilbert_symbol`` combines it for one pair, and ``quaternion_sum``
+sums the formula over all pairs of a form place by place: at 2 in one pass
+over the entries, at an odd place from one Legendre symbol of the product of
+the entries the formula reads there.  The test suite validates the symbol
+against a brute-force solvability oracle for ax^2 + by^2 = z^2 over Z/p^k
+and the sums against pairwise Fraction formulas, so nothing here leans on
+the formula being transcribed correctly.
 """
 
 from __future__ import annotations
@@ -94,17 +96,19 @@ def square_classes(xs: Sequence[Fraction]) -> tuple[SquareClass, ...]:
     if 0 in values:
         raise ValueError("zero has no square class")
     budget = [len(values) * RHO_BUDGET]
-    base = [(b, prime_factors(b, budget)) for b in _coprime_base(values)]
+    # Each base element with the primes of odd exponent in it: an entry
+    # holding the element to an odd power holds exactly those to odd powers.
+    base = [(b, [p for p, e in prime_factors(b, budget).items() if e % 2]) for b in _coprime_base(values)]
     out = []
     for x, v in zip(xs, values):
         odd = []
-        for b, factors in base:
+        for b, primes in base:
             k = 0
             while v % b == 0:
                 v //= b
                 k += 1
-            if k:
-                odd += [p for p, e in factors.items() if k * e % 2]
+            if k % 2:
+                odd += primes
         odd.sort()
         out.append(((-1 if x.numerator < 0 else 1) * math.prod(odd), tuple(p for p in odd if p != 2)))
     return tuple(out)
@@ -132,9 +136,12 @@ def _ramified(classes: Sequence[SquareClass]) -> set[Place]:
 
     with (alpha_i, e_i, w_i) from ``_local`` and A, E the sums of the alpha_i
     and e_i.  Only the x_i with A - alpha_i odd need w_i, so where A is even
-    an odd p reads only the entries it divides.  Only the real place, 2 and
-    the primes of the classes can ramify.  The places must be even in number
-    (the product formula); an odd count raises ``AssertionError``.
+    an odd p reads only the entries it divides.  At odd p, e_i = 0 and the
+    Legendre symbol is multiplicative, so those w_i sum mod 2 to the w of
+    their product: one ``_local`` call per odd place, kept in ``_local`` so
+    that all local data has one source.  Only the real place, 2 and the
+    primes of the classes can ramify.  The places must be even in number (the
+    product formula); an odd count raises ``AssertionError``.
     """
     values = [s for s, _ in classes]
     negative = sum(s < 0 for s in values)
@@ -144,16 +151,19 @@ def _ramified(classes: Sequence[SquareClass]) -> set[Place]:
         for p in primes:
             divisible.setdefault(p, []).append(s)
     for p, at_p in divisible.items():
-        big_a, big_e = len(at_p), 0
+        big_a = len(at_p)
         parity = big_a * (big_a - 1) // 2 * ((p - 1) // 2)
-        # Every x_i at 2, for its e_i; at odd p, the x_i with A - alpha_i
-        # odd, which are those p divides when A is even.
-        read = values if p == 2 else at_p if big_a % 2 == 0 else [s for s in values if s % p]
-        for s in read:
-            alpha, e, w = _local(s, p)
-            big_e += e
-            parity += w * (big_a - alpha)
-        if (parity + big_e * (big_e - 1) // 2) % 2:
+        if p == 2:  # every x_i: C(E, 2) needs E, not only its parity
+            big_e = 0
+            for s in values:
+                alpha, e, w = _local(s, 2)
+                big_e += e
+                parity += w * (big_a - alpha)
+            parity += big_e * (big_e - 1) // 2
+        else:  # the x_i with A - alpha_i odd, read as one product
+            read = at_p if big_a % 2 == 0 else [s for s in values if s % p]
+            parity += _local(math.prod(read), p)[2]
+        if parity % 2:
             odd.add(p)
     if len(odd) % 2:
         raise AssertionError(

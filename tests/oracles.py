@@ -7,7 +7,8 @@ per-prime isomorphism signature and test by coordinate loops over the
 expanded multiset, or class by class, and decoded from a key normal form;
 the ring normal form class by class; sigma1 by its displayed two-term
 formula; every sigma kind by its literal sum over r; the even-Clifford
-class by the pairwise Fraction formula over trial division;
+class by the pairwise Fraction formula over trial division; a document's
+rational by ``Fraction``'s string parser alone;
 Br(Q) class arithmetic on Fraction residues, place by place; the
 product-matching keys family by family, as lists of int64 counts.
 """
@@ -21,7 +22,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from titsmeasure.brauer import RationalClass
+from titsmeasure.brauer import RationalClass, is_int
+from titsmeasure.jsonio import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_CHARS
 
 
 def _is_squarefree(x: int) -> bool:
@@ -112,6 +114,32 @@ def trial_factors(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def fraction_by_parser(value: object, context: str) -> Fraction:
+    """A document's rational as ``jsonio._fraction`` read it before integer
+    strings skipped the parser: every string through the length cap, the
+    exponent check and ``Fraction``'s own string parser."""
+    if not (isinstance(value, str) or is_int(value)):
+        raise ValueError(f"{context}: expected a rational string or an integer, got {value!r}")
+    text = value if isinstance(value, str) else str(value)
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"{context}: a rational has at most {MAX_RATIONAL_CHARS} characters")
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_big = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+    except ValueError:
+        too_big = False  # not an exponent; Fraction rejects the string below
+    if too_big:
+        raise ValueError(
+            f"{context}: a decimal exponent has magnitude at most {MAX_DECIMAL_EXPONENT}"
+        )
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{context}: zero denominator in {value!r}")
+    except ValueError:
+        raise ValueError(f"{context}: not a rational number: {value!r}")
 
 
 # ---------------------------------------------------------------------------

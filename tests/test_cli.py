@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from titsmeasure import cli
+from oracles import fraction_by_parser
+from titsmeasure import cli, jsonio
 from titsmeasure.verify import VerificationRun
 
 MEASURE_DOC = {
@@ -262,6 +264,40 @@ class TestMalformedNumbers:
     def test_boolean_degree_is_not_echoed(self, capsys):
         code, out, _ = run(capsys, "measure", json.dumps(_sb_doc(coords=(0,), degree=True)), "--format", "json")
         assert code == 1 and "true" not in out
+
+
+def _read_rational(read, value):
+    """What a rational reader gives for ``value``: the Fraction, or the
+    message of its ValueError."""
+    try:
+        out = read(value, "form")
+    except ValueError as exc:
+        return "error", str(exc)
+    assert type(out) is Fraction
+    return "value", out
+
+
+# Digits, signs, separators and non-ASCII digits ('٣' is a decimal digit that
+# Fraction reads, '²' a digit that it refuses), so integer strings, signed and
+# exponent forms, and strings just past the length cap all occur.
+RATIONAL_TEXT = st.text("0123456789-+_ /.e٣²", max_size=205)
+INTEGER_TEXT = st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "-"]),
+                         st.text("0123456789", max_size=204))
+
+
+class TestFractionParity:
+    """``jsonio._fraction`` reads ASCII integer strings with ``int``; on every
+    string it gives the value or the message the string parser gave."""
+
+    @pytest.mark.parametrize("text", ["-0", "007", "--5", "+5", "1" * 200, "1" * 201, "-" + "1" * 199,
+                                      "", "-", "٣", "²", "1_000", " 5", "-" + "1" * 200])
+    def test_edge_strings(self, text):
+        assert _read_rational(jsonio._fraction, text) == _read_rational(fraction_by_parser, text)
+
+    @given(st.one_of(RATIONAL_TEXT, INTEGER_TEXT))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_string_parser(self, text):
+        assert _read_rational(jsonio._fraction, text) == _read_rational(fraction_by_parser, text)
 
 
 class TestFactoringBudget:

@@ -155,10 +155,12 @@ class TestAgainstPairwiseFormula:
 
     def test_product_formula_guard_per_pair(self, monkeypatch):
         # A wrong quadratic character mod 3 in the local data that the
-        # per-place sums read.  <3, 5, 7, 11> reads it for its three entries
-        # prime to 3, and the pairs (-1, 3) and (-1, -3), the Clifford
-        # correction of <1, 1, 3>, for -1: each result then ramifies at an
-        # odd number of places, which the product formula forbids.
+        # per-place sums read.  <3, 5, 7, 11> reads it for the product of its
+        # three entries prime to 3 (A = 1 odd), <3, 15, 7, 11> for the product
+        # of its two entries that 3 divides (A = 2 even), and the pairs
+        # (-1, 3) and (-1, -3), the Clifford correction of <1, 1, 3>, for -1:
+        # each result then ramifies at an odd number of places, which the
+        # product formula forbids.
         core = rationals._local
 
         def flipped_at_three(a, p):
@@ -168,6 +170,8 @@ class TestAgainstPairwiseFormula:
         monkeypatch.setattr(rationals, "_local", flipped_at_three)
         with pytest.raises(AssertionError, match="odd number of places"):
             hasse_invariant(QuadraticForm.of([3, 5, 7, 11]))
+        with pytest.raises(AssertionError, match="odd number of places"):
+            hasse_invariant(QuadraticForm.of([3, 15, 7, 11]))
         with pytest.raises(AssertionError, match="odd number of places"):
             quaternion_class(-1, 3)
         with pytest.raises(AssertionError, match="odd number of places"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hilbert_oracle, squarefree_corpus
+from oracles import hilbert_oracle, squarefree_corpus, trial_factors
 from titsmeasure import rationals
 from titsmeasure.brauer import RationalClass
 from titsmeasure.rationals import (
@@ -132,6 +132,37 @@ class TestCoprimeBase:
     def test_shared_primes_split_out(self):
         p, q, r = 1000003, 1000033, 999999000001
         assert rationals._coprime_base([p * q, q * r, r * p, p * p * q]) == [p, q, r]
+
+
+PRIMES_TO_50 = [p for p in range(2, 51) if all(p % d for d in range(2, p))]
+# A product of up to three primes <= 50 at exponents 0-3, such as 12 = 2^2 3.
+atoms = st.lists(st.tuples(st.sampled_from(PRIMES_TO_50), st.integers(0, 3)), min_size=1, max_size=3).map(
+    lambda powers: math.prod(p**e for p, e in powers))
+
+
+@st.composite
+def shared_atom_forms(draw):
+    """Up to ten nonzero rationals whose numerators and denominators are
+    products of a few atoms shared by the whole form, each to a power 0-3, so
+    that coprime-base elements such as 12 hold primes at even and odd
+    exponents and entries hold the elements at even and odd powers."""
+    pool = draw(st.lists(atoms, min_size=1, max_size=4))
+    powers = st.lists(st.integers(0, 3), min_size=len(pool), max_size=len(pool))
+
+    def part():
+        return math.prod(a**k for a, k in zip(pool, draw(powers)))
+
+    n = draw(st.integers(1, 10))
+    return [Fraction(draw(st.sampled_from([-1, 1])) * part(), part()) for _ in range(n)]
+
+
+class TestSquareClasses:
+    @given(shared_atom_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_each_entry_matches_its_own_trial_division(self, xs):
+        for x, cls in zip(xs, rationals.square_classes(xs)):
+            odd = sorted(p for p, e in trial_factors(abs(x.numerator * x.denominator)).items() if e % 2)
+            assert cls == ((-1 if x < 0 else 1) * math.prod(odd), tuple(p for p in odd if p != 2)), x
 
 
 class TestConicFamily:
