@@ -7,8 +7,6 @@ errors are ValueError with a message naming the offending field.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .brauer import (
     CSA,
     RATIONALS,
@@ -19,6 +17,7 @@ from .brauer import (
     is_int,
 )
 from .quadforms import FormShadow, QuadraticForm
+from .rationals import read_rational
 from .varieties import (
     Grassmannian,
     Involution,
@@ -64,44 +63,6 @@ def parse_flag(payload: object, key: str, context: str) -> bool:
     return value
 
 
-# Caps on a written rational, checked before ``Fraction`` expands it: a
-# decimal exponent is expanded in full, so "1e1000000" alone is a 3.3-Mbit
-# integer.
-MAX_RATIONAL_CHARS = 200
-MAX_DECIMAL_EXPONENT = 200
-
-
-def _fraction(value: object, context: str) -> Fraction:
-    """A rational given as a string or a JSON integer; floats are rejected
-    because their binary expansion is not the number that was written.  An
-    ASCII integer string within the length cap is read by ``int``, not by
-    ``Fraction``'s string parser, which would give the same value."""
-    if isinstance(value, str):
-        digits = value[1:] if value[:1] == "-" else value
-        if digits.isdigit() and digits.isascii() and len(value) <= MAX_RATIONAL_CHARS:
-            return Fraction(int(value))
-    elif not is_int(value):
-        raise ValueError(f"{context}: expected a rational string or an integer, got {value!r}")
-    text = value if isinstance(value, str) else str(value)
-    if len(text) > MAX_RATIONAL_CHARS:
-        raise ValueError(f"{context}: a rational has at most {MAX_RATIONAL_CHARS} characters")
-    _, e, exponent = text.lower().partition("e")
-    try:
-        too_big = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
-    except ValueError:
-        too_big = False  # not an exponent; Fraction rejects the string below
-    if too_big:
-        raise ValueError(
-            f"{context}: a decimal exponent has magnitude at most {MAX_DECIMAL_EXPONENT}"
-        )
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"{context}: zero denominator in {value!r}")
-    except ValueError:
-        raise ValueError(f"{context}: not a rational number: {value!r}")
-
-
 def parse_group(payload: object) -> BrauerGroup:
     kind = _need(payload, "kind", "group")
     if kind == "rational":
@@ -125,7 +86,7 @@ def parse_class(payload: object, group: BrauerGroup) -> BrauerClass:
     for item in _need_list(payload, "invariants", "class"):
         place = _need(item, "place", "class.invariants")
         inv = _need(item, "inv", "class.invariants")
-        parsed.append((place, _fraction(inv, "class.invariants")))
+        parsed.append((place, read_rational(inv, "class.invariants")))
     return RationalClass(tuple(parsed))
 
 
@@ -138,7 +99,7 @@ def parse_csa(payload: object, group: BrauerGroup) -> CSA:
 def parse_form(payload: object) -> QuadraticForm:
     if not isinstance(payload, list) or not payload:
         raise ValueError("form: expected a nonempty array of rational strings")
-    return QuadraticForm(tuple(_fraction(a, "form") for a in payload))
+    return QuadraticForm(tuple(read_rational(a, "form") for a in payload))
 
 
 def parse_shadow(payload: object, group: BrauerGroup) -> FormShadow:

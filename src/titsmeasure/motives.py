@@ -17,12 +17,13 @@ summands with p-part x, and the rank is the sum of the coefficients.  The
 primes and p-parts of each key come from the group's tables (``key_primes``,
 ``p_part_keys``), so no class is built; over a p-group (the group's
 ``p_group`` flag, decided once for the group) a sum signs by its own key
-counts.  Tate twists carry no information here and are not stored.  Cost
-follows the distinct keys, not the rank.  ``key_pairs`` keys the (class,
-integer) pairs of a sum or of a ``measure_ring`` element.  ``merge`` is the
-one multiset sum of sums and of the normal forms; it can add pairs onto an
-already merged run, so ``direct_sum`` merges one sum's key counts onto the
-other's.  Every sum is built by one call that writes the merged fields.
+counts, read by ``signature`` itself (``normal_form`` checks the flag too,
+for ``RingElement``).  Tate twists carry no information here and are not
+stored.  Cost follows the distinct keys, not the rank.  ``key_pairs`` keys
+the (class, integer) pairs of a sum or of a ``measure_ring`` element.
+``merge``, the one multiset sum of sums and of normal forms, can add pairs
+onto an already merged run, so ``direct_sum`` merges one sum's key counts
+onto the other's.  Every sum is built by one call writing the merged fields.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ class MotiveSum(Record):
 
     def signature(self) -> tuple[KeyCount, ...]:
         """The invariant that decides isomorphism: the sum's normal form."""
-        return normal_form(self.group, self.key_counts)
+        group = self.group
+        return self.key_counts if group.p_group else normal_form(group, self.key_counts)
 
     def to_payload(self) -> dict:
         return {"classes": [{**c.to_payload(), "mult": k} for c, k in self.counts]}

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .brauer import BrauerClass, BrauerGroup, RationalClass, ResourceLimitError
 from .brauer import Record, is_int, record_payload
-from .rationals import SquareClass, as_fraction, quaternion_sum, square_classes
+from .rationals import SquareClass, as_fraction, quaternion_sum, read_rational, square_classes
 
 
 # A form's coprime base is factored within one rho budget of dim *
@@ -53,8 +53,9 @@ class QuadraticForm(Record):
 
     @classmethod
     def of(cls, entries: Iterable) -> "QuadraticForm":
-        """The form of exact rationals or of strings that ``Fraction`` reads."""
-        return cls(tuple(Fraction(a) if isinstance(a, str) else a for a in entries))
+        """The form of exact rationals or of strings that ``read_rational``
+        reads, within the caps a document's entries have."""
+        return cls(tuple(read_rational(a, "form") if isinstance(a, str) else a for a in entries))
 
     @property
     def dim(self) -> int:

@@ -30,6 +30,7 @@ from .brauer import (
     Place,
     RationalClass,
     check_place,
+    is_int,
     is_prime,
     place_sort_key,
     prime_factors,
@@ -47,6 +48,45 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, Rational) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError(f"expected an exact rational, got {x!r}")
+
+
+# Caps on a written rational, checked before ``Fraction`` expands it: a
+# decimal exponent is expanded in full, so "1e1000000" alone is a 3.3-Mbit
+# integer.
+MAX_RATIONAL_CHARS = 200
+MAX_DECIMAL_EXPONENT = 200
+
+
+def read_rational(value: object, context: str) -> Fraction:
+    """A rational written as a string or a JSON integer, within the caps above
+    (documents and ``QuadraticForm.of`` read it); floats are rejected because
+    their binary expansion is not the number that was written.  An ASCII
+    integer string within the length cap is read by ``int``, not by
+    ``Fraction``'s string parser, which would give the same value."""
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isdigit() and digits.isascii() and len(value) <= MAX_RATIONAL_CHARS:
+            return Fraction(int(value))
+    elif not is_int(value):
+        raise ValueError(f"{context}: expected a rational string or an integer, got {value!r}")
+    text = value if isinstance(value, str) else str(value)
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"{context}: a rational has at most {MAX_RATIONAL_CHARS} characters")
+    _, e, exponent = text.lower().partition("e")
+    try:
+        too_big = bool(e) and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+    except ValueError:
+        too_big = False  # not an exponent; Fraction rejects the string below
+    if too_big:
+        raise ValueError(
+            f"{context}: a decimal exponent has magnitude at most {MAX_DECIMAL_EXPONENT}"
+        )
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{context}: zero denominator in {value!r}")
+    except ValueError:
+        raise ValueError(f"{context}: not a rational number: {value!r}")
 
 
 def square_class(x) -> SquareClass:

@@ -9,9 +9,11 @@ only where a layer takes them (a quadric's Clifford class) and for witness
 payloads.  Sum cancellation builds each state's sum once and forms every
 pair as the direct sum of two of them, with its own signature; a state's
 own signature is kept as the position of the first state signed alike, so
-the pair loop compares integers.  Seeded draws call the generator's
-``_randbelow``, the sampler under ``choice``, ``randint`` and
-``randrange``, so they are the draws those calls make (a test pins it).
+the pair loop compares integers.  Seeded draws come from one stream per
+bound (``_draws``), the draws of ``_randbelow``, the sampler under
+``choice``, ``randint`` and ``randrange``; streams read nothing ahead, so
+they interleave with the rewrite steps' ``_randbelow`` and ``sample`` calls
+as the public calls would (a test pins it).
 Product matching keys each family by one integer that packs its
 decomposition counts in slots as wide as its largest count, and walks the
 families in enumeration order, each reusing the counts of the prefix it
@@ -103,6 +105,17 @@ def _collision(pairs: Iterable[tuple]) -> list[int] | None:
         if seen[0] != own:
             return [seen[1], i]
     return None
+
+
+def _draws(rng: random.Random, n: int) -> Iterator[int]:
+    """The draws of ``rng._randbelow(n)``, one a ``next()``: k = n.bit_length()
+    bits of ``rng.getrandbits``, drawn again while r >= n, as CPython's
+    ``_randbelow_with_getrandbits`` does.  Nothing is read ahead."""
+    bits, k = rng.getrandbits, n.bit_length()
+    while True:
+        r = bits(k)
+        if r < n:
+            yield r
 
 
 def _state_payload(group: AbstractGroup, state: Iterable[int]) -> list:
@@ -262,13 +275,13 @@ def _sum_witness(group: AbstractGroup, card_max: int, trials: int, seed: int) ->
                 x, y, n = states[j], states[i], n_state
                 return {name: _state_payload(group, s) for name, s in (("x", x), ("y", y), ("n", n))}
 
-    # below(k) is the draw of rng.choice(range(k)) and rng.randint(0, k - 1).
-    below = random.Random(seed)._randbelow
-    order, sizes = group.order, card_max + 1
+    # The draws of rng.randint(0, card_max) and rng.choice(range(order)).
+    rng = random.Random(seed)
+    size, classes = _draws(rng, card_max + 1), _draws(rng, group.order)
     for _ in range(trials):
-        x = [below(order) for _ in range(below(sizes))]
-        y = [below(order) for _ in range(len(x))]
-        n = [below(order) for _ in range(below(sizes))]
+        x = list(itertools.islice(classes, next(size)))
+        y = list(itertools.islice(classes, len(x)))
+        n = list(itertools.islice(classes, next(size)))
         xs, ys, ns = (_sum_of(group, s) for s in (x, y, n))
         if is_isomorphic(direct_sum(xs, ns), direct_sum(ys, ns)) != is_isomorphic(xs, ys):
             return {name: _state_payload(group, s) for name, s in (("x", x), ("y", y), ("n", n))}
@@ -464,14 +477,16 @@ def verify_quadric_product_matching(d_max: int = 4, m: int = 3, n_dim: int = 6) 
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
-def _random_raw_element(group: AbstractGroup, rng: random.Random) -> dict[int, int]:
+def _raw_streams(group: AbstractGroup, rng: random.Random) -> tuple[Iterator, Iterator]:
+    """The streams of ``_random_raw_element``: the draws of rng.randint(1, 4)
+    less 1, and of (rng.randrange(order), rng.choice(_COEFFICIENTS)) pairs."""
+    return _draws(rng, 4), zip(_draws(rng, group.order), map(_COEFFICIENTS.__getitem__, _draws(rng, 6)))
+
+
+def _random_raw_element(count: Iterator[int], terms: Iterator[tuple[int, int]]) -> dict[int, int]:
     """A random element of the group ring, as {class index: coefficient}."""
-    # The draws of rng.randint(1, 4), rng.randrange(order) and rng.choice(_COEFFICIENTS).
-    below, order = rng._randbelow, group.order
     out: dict = {}
-    for _ in range(1 + below(4)):
-        i = below(order)
-        k = _COEFFICIENTS[below(6)]
+    for i, k in itertools.islice(terms, 1 + next(count)):
         out[i] = out.get(i, 0) + k
     return {i: k for i, k in out.items() if k}
 
@@ -502,8 +517,9 @@ def _rewrite_once(group: AbstractGroup, raw: dict[int, int], rng: random.Random)
 
 def _confluence_witness(group: AbstractGroup, trials: int, seed: int) -> dict | None:
     rng = random.Random(seed)
+    streams = _raw_streams(group, rng)
     for t in range(trials):
-        raw = _random_raw_element(group, rng)
+        raw = _random_raw_element(*streams)
         expected = dict(RingElement._of_keys(group, raw.items()).key_terms)
         work = dict(raw)
         steps = 0

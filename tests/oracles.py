@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from titsmeasure.brauer import RationalClass, is_int
-from titsmeasure.jsonio import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_CHARS
+from titsmeasure.rationals import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_CHARS
 
 
 def _is_squarefree(x: int) -> bool:
@@ -117,9 +117,9 @@ def trial_factors(n: int) -> dict:
 
 
 def fraction_by_parser(value: object, context: str) -> Fraction:
-    """A document's rational as ``jsonio._fraction`` read it before integer
-    strings skipped the parser: every string through the length cap, the
-    exponent check and ``Fraction``'s own string parser."""
+    """A document's rational as ``rationals.read_rational`` read it before
+    integer strings skipped the parser: every string through the length cap,
+    the exponent check and ``Fraction``'s own string parser."""
     if not (isinstance(value, str) or is_int(value)):
         raise ValueError(f"{context}: expected a rational string or an integer, got {value!r}")
     text = value if isinstance(value, str) else str(value)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import fraction_by_parser
-from titsmeasure import cli, jsonio
+from titsmeasure import cli, rationals
 from titsmeasure.verify import VerificationRun
 
 MEASURE_DOC = {
@@ -202,7 +202,7 @@ def _form_doc(*entries):
     return _variety_doc({"family": "quadric", "form": list(entries)}, {"kind": "rational"})
 
 
-# Rationals past the documented caps (jsonio.MAX_RATIONAL_CHARS and
+# Rationals past the documented caps (rationals.MAX_RATIONAL_CHARS and
 # MAX_DECIMAL_EXPONENT), rejected before Fraction expands them.
 MALFORMED_DOCS.update({
     "form-huge-exponent": _form_doc("1e1000000", 1, 1),
@@ -286,18 +286,19 @@ INTEGER_TEXT = st.builds(lambda sign, digits: sign + digits, st.sampled_from([""
 
 
 class TestFractionParity:
-    """``jsonio._fraction`` reads ASCII integer strings with ``int``; on every
-    string it gives the value or the message the string parser gave."""
+    """``rationals.read_rational`` reads ASCII integer strings with ``int``;
+    on every string it gives the value or the message the string parser
+    gave."""
 
     @pytest.mark.parametrize("text", ["-0", "007", "--5", "+5", "1" * 200, "1" * 201, "-" + "1" * 199,
                                       "", "-", "٣", "²", "1_000", " 5", "-" + "1" * 200])
     def test_edge_strings(self, text):
-        assert _read_rational(jsonio._fraction, text) == _read_rational(fraction_by_parser, text)
+        assert _read_rational(rationals.read_rational, text) == _read_rational(fraction_by_parser, text)
 
     @given(st.one_of(RATIONAL_TEXT, INTEGER_TEXT))
     @settings(max_examples=400, deadline=None)
     def test_matches_the_string_parser(self, text):
-        assert _read_rational(jsonio._fraction, text) == _read_rational(fraction_by_parser, text)
+        assert _read_rational(rationals.read_rational, text) == _read_rational(fraction_by_parser, text)
 
 
 class TestFactoringBudget:

@@ -96,6 +96,14 @@ def _crt_unit_mod_p(mp):
     _compiled_with(mp, brauer, _crt, "pow(m, -1, pa)", "pow(m, -1, p)")
 
 
+def _every_group_primary(mp):
+    # Every abstract group reads as a p-group, so no key is split into its
+    # p-parts: a signature is the sum's own key counts and a normal form its
+    # merged run.  Both readers of the flag, MotiveSum.signature and
+    # normal_form, see the fault.
+    mp.setattr(AbstractGroup, "p_group", True)
+
+
 def _rank_dropped(mp):
     # The signature's normal form without its identity term, which carries
     # the rank.
@@ -152,6 +160,10 @@ CATALOG = [
     # Negated 2-parts also map each key on its own, and break x = sum of
     # its p-parts: the same two suites see it.
     (_crt_unit_mod_p, {"relation-equivalence", "normal-form-confluence"}),
+    # Unsplit keys keep sums of one multiset apart, which cancels and
+    # tensors as well as a normal form does: only the suites that compare
+    # with rewriting see it.
+    (_every_group_primary, {"relation-equivalence", "normal-form-confluence"}),
     # The identity term carries the rank: {[6]} and {[0], [0]} over Z/12 sign
     # apart, yet their products with the dimension-6 quadric of [6] sign alike.
     (_rank_dropped, {"tensor-cancellation"}),

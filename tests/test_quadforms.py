@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -60,6 +61,21 @@ class TestInvariants:
         assert type(QuadraticForm((3, -1, 2)).entries[0]) is Fraction
         with pytest.raises(ValueError, match=r"^expected an exact rational, got 1.5$"):
             QuadraticForm.of([1.5, -1, 2])
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1e20000", "a decimal exponent has magnitude at most 200"),
+        ("1" * 201, "a rational has at most 200 characters"),
+        ("1/0", "zero denominator in '1/0'"),
+    ])
+    def test_string_entries_keep_the_document_caps(self, entry, message):
+        # The caps of a document's entries, checked before Fraction expands
+        # the string: 1e20000 alone took half a second to reach the Hasse
+        # invariant when the string went to Fraction directly.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^form: {message}$"):
+            hasse_invariant(QuadraticForm.of([entry, 1, 1]))
+        assert time.perf_counter() - start < 0.05
+        assert QuadraticForm.of(["1e200", 1, 1]).entries[0] == 10**200
 
     def test_dimension_cap_comes_before_any_factoring(self, monkeypatch):
         assert QuadraticForm.of([1] * MAX_FORM_DIM).dim == MAX_FORM_DIM

@@ -185,11 +185,48 @@ class TestConfluence:
 
 DRAW_ORDERS = [1, 2, 5, 30, 10**9]
 
+# The bounds a stream is pinned at: every small bound, each power of two
+# (where half the draws of k bits are redrawn), and 10^9.
+STREAM_BOUNDS = {
+    "1-70": range(1, 71),
+    "powers-of-two": [2**j for j in range(41)],
+    "10^9": [10**9],
+}
+
 
 class TestGeneratorDraws:
-    """The suites draw with ``Random._randbelow``, the sampler under
-    ``choice``, ``randint`` and ``randrange``; each draw must be the one the
-    public call it stands for makes, so seeded certificates do not move."""
+    """The suites draw from per-bound streams (``verify._draws``) and with
+    ``Random._randbelow``, the sampler under ``choice``, ``randint`` and
+    ``randrange``; each draw must be the one the public call it stands for
+    makes, so seeded certificates do not move."""
+
+    @pytest.mark.parametrize("bounds", STREAM_BOUNDS.values(), ids=STREAM_BOUNDS)
+    def test_streams_draw_what_randbelow_draws(self, bounds):
+        for n in bounds:
+            for seed in range(300):
+                reference, own = random.Random(seed), random.Random(seed)
+                stream = verify._draws(own, n)
+                for _ in range(4):
+                    assert next(stream) == reference._randbelow(n), (n, seed)
+                assert reference.getstate() == own.getstate(), (n, seed)
+
+    @pytest.mark.parametrize("order", DRAW_ORDERS)
+    def test_streams_interleave_with_the_rewrite_draws(self, order):
+        # Confluence keeps one set of streams for all its trials, and between
+        # two raw elements _rewrite_once draws with _randbelow and sample.
+        primes = (2, 3, 5, 7, 11)
+        for seed in range(300):
+            public, own = random.Random(seed), random.Random(seed)
+            count, classes, coefficients = (verify._draws(own, n) for n in (4, order, 6))
+            for k in (2, 3, 5):
+                assert public.randint(1, 4) == 1 + next(count)
+                assert public.randrange(order) == next(classes)
+                assert public.choice(verify._COEFFICIENTS) == verify._COEFFICIENTS[next(coefficients)]
+                assert public.choice(range(k + 2)) == own._randbelow(k + 2)
+                cut = 1 + own._randbelow(k - 1)
+                assert public.sample(primes[:k], public.randint(1, k - 1)) == own.sample(primes[:k], cut)
+                assert public.randrange(order) == next(classes)
+            assert public.getstate() == own.getstate(), seed
 
     @pytest.mark.parametrize("order", DRAW_ORDERS)
     def test_randbelow_draws_equal_the_public_calls(self, order):
@@ -206,15 +243,18 @@ class TestGeneratorDraws:
 
     @pytest.mark.parametrize("order", DRAW_ORDERS)
     def test_raw_elements_are_the_public_draws(self, order):
+        # Three elements a seed from one set of streams, as confluence draws them.
         group = AbstractGroup((order,))
         for seed in range(300):
             public, own = random.Random(seed), random.Random(seed)
-            expected: dict = {}
-            for _ in range(public.randint(1, 4)):
-                i = public.randrange(order)
-                expected[i] = expected.get(i, 0) + public.choice([-3, -2, -1, 1, 2, 3])
-            expected = {i: k for i, k in expected.items() if k}
-            assert verify._random_raw_element(group, own) == expected, seed
+            streams = verify._raw_streams(group, own)
+            for _ in range(3):
+                expected: dict = {}
+                for _ in range(public.randint(1, 4)):
+                    i = public.randrange(order)
+                    expected[i] = expected.get(i, 0) + public.choice([-3, -2, -1, 1, 2, 3])
+                expected = {i: k for i, k in expected.items() if k}
+                assert verify._random_raw_element(*streams) == expected, seed
             assert public.getstate() == own.getstate(), seed
 
     @pytest.mark.parametrize("order", [1, 2, 5, 30])
