@@ -16,12 +16,14 @@ Two interchangeable backends:
   Hilbert-symbol layer in ``rationals``.
 
 Both models answer one key interface: ``class_key`` (canonical order),
-``class_at`` (the class at a key), ``identity_key``, ``add_keys(a, b)``,
+``class_at`` (the class at a key), ``key_payload`` (the printed form of
+the class at a key), ``identity_key``, ``add_keys(a, b)``,
 ``multiple_key(key, m)``, the lookups ``neg_keys[key]``,
 ``key_order[key]``, ``key_primes[key]`` and ``p_part_keys[p][key]``, and
 ``p_group``, true when every key has prime-power order.
 ``motives``, ``measure_ring``, ``subgroup_keys`` and ``verify`` work on
-keys without building classes, and the class arithmetic (addition,
+keys without building classes, and print keys by ``key_payload``, which a
+class's ``to_payload`` calls too.  The class arithmetic (addition,
 negation, multiples, order, p-primary parts, ``primes()``) is written once
 over the same interface, in ``_ClassArithmetic``.
 
@@ -490,6 +492,10 @@ class AbstractGroup(_KeyedGroup, Record):
         object.__setattr__(cls, "index", idx)
         return cls
 
+    def key_payload(self, idx: int) -> dict:
+        """The payload of the class at index ``idx``: its coords."""
+        return {"coords": list(self._coords[idx])}
+
     def add_keys(self, i: int, j: int) -> int:
         """The index of the sum of the classes at indices ``i`` and ``j``."""
         return self._sum[i * self._size + j]
@@ -557,6 +563,13 @@ class _RationalGroup(_KeyedGroup, Record):
         cls = object.__new__(RationalClass)
         object.__setattr__(cls, "key", key)
         return cls
+
+    @staticmethod
+    def key_payload(key: tuple) -> dict:
+        """The payload of the class at ``key``: its places and residues.  Each key
+        entry has 0 < a < d in lowest terms, so f"{a}/{d}" is str(Fraction(a, d))."""
+        return {"invariants": [{"place": REAL_PLACE if r == 0 else v, "inv": f"{a}/{d}"}
+                               for r, v, a, d in key]}
 
     def add_keys(self, a: tuple, b: tuple) -> tuple:
         """The key of the sum of the classes at keys ``a`` and ``b``: residues
@@ -697,7 +710,7 @@ class AbstractClass(_ClassArithmetic, Record):
     __add__, order, p_part = _ClassArithmetic.__add__, _ClassArithmetic.order, _ClassArithmetic.p_part
 
     def to_payload(self) -> dict:
-        return {"coords": list(self.coords)}
+        return self.group.key_payload(self.index)
 
 
 def _validate_invariants(invariants: Iterable[tuple[Place, Fraction]]) -> tuple:
@@ -743,9 +756,7 @@ class RationalClass(_ClassArithmetic, Record):
     __add__, order, p_part = _ClassArithmetic.__add__, _ClassArithmetic.order, _ClassArithmetic.p_part
 
     def to_payload(self) -> dict:
-        # Each key entry has 0 < a < d in lowest terms, so f"{a}/{d}" is str(Fraction(a, d)).
-        return {"invariants": [{"place": REAL_PLACE if r == 0 else v, "inv": f"{a}/{d}"}
-                               for r, v, a, d in self.key]}
+        return self.group.key_payload(self.key)
 
 
 BrauerClass = AbstractClass | RationalClass

@@ -11,9 +11,10 @@ the quotient is literal equality of normal forms, ``==``.  The rewrite is
 ``motives.normal_form``, the routine whose value is also a ``MotiveSum``'s
 isomorphism signature, so the image of an effective sum decides motive
 isomorphism.  The normal form is kept on class keys and rewritten and added
-through the group's key tables; classes are built only when ``terms`` is
-read.  Pairs from outside are keyed by ``motives.key_pairs``, as for a
-``MotiveSum``.  The verification suites check this against raw
+through the group's key tables, and printed from the keys by the group's
+``key_payload``; classes are built only when ``terms`` is read.  Pairs
+from outside are keyed by ``motives.key_pairs``, as for a ``MotiveSum``.
+The verification suites check this against raw
 breadth-first rewriting on finite models, and tier-1 against a per-prime
 p-part oracle.
 """
@@ -73,7 +74,8 @@ class RingElement(Record):
         ])
 
     def to_payload(self) -> dict:
-        return {"terms": [{"class": c.to_payload(), "coeff": k} for c, k in self.terms]}
+        payload = self.group.key_payload
+        return {"terms": [{"class": payload(kc), "coeff": k} for kc, k in self.key_terms]}
 
 
 def augmentation(x: RingElement) -> int:

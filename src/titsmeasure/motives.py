@@ -6,13 +6,13 @@ index for abstract groups, the residue tuple ``RationalClass.key`` over Q).
 ``rank``, the sum of the multiplicities, is read off ``key_counts``; ``len``
 returns it too, up to 2^63 - 1, the most Python's ``len`` allows.  Only
 ``counts`` and ``classes`` (the sorted expansion) hold class objects, built
-with ``group.class_at`` when first read, once per sum.  Two sums are
-isomorphic exactly when, prime by prime, they have the same multiset of
-p-primary parts, which is when their images in the ``measure_ring`` quotient
-agree.  So ``signature``
-is that image: ``normal_form``, the one routine ``RingElement`` calls too,
-splits each key whose order has several primes into its p-parts less
-identities.  The coefficient of a class x of p-power order then counts the
+with ``group.class_at`` when first read, once per sum; ``to_payload`` prints
+each key by the group's ``key_payload``.  Two sums are isomorphic exactly
+when, prime by prime, they have the same multiset of p-primary parts, which
+is when their images in the ``measure_ring`` quotient agree.  So
+``signature`` is that image: ``normal_form``, the one routine
+``RingElement`` calls too, splits each key whose order has several primes
+into its p-parts less identities.  The coefficient of a class x of p-power order then counts the
 summands with p-part x, and the rank is the sum of the coefficients.  The
 primes and p-parts of each key come from the group's tables (``key_primes``,
 ``p_part_keys``), so no class is built; over a p-group (the group's
@@ -134,7 +134,8 @@ class MotiveSum(Record):
         return self.key_counts if group.p_group else normal_form(group, self.key_counts)
 
     def to_payload(self) -> dict:
-        return {"classes": [{**c.to_payload(), "mult": k} for c, k in self.counts]}
+        payload = self.group.key_payload
+        return {"classes": [{**payload(kc), "mult": k} for kc, k in self.key_counts]}
 
 
 def direct_sum(x: MotiveSum, y: MotiveSum) -> MotiveSum:

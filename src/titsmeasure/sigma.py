@@ -151,8 +151,8 @@ def recurrence_violations(
     Returns one record per failure; an empty list means every relation holds
     exactly.  l ranges over 0..m-1 for each m.  The grid is priced row by
     row against ``brauer.WORK_LIMIT`` before any summing.  An empty grid, an
-    m below 2 (which has no step to check) or an empty kinds list raises
-    ``ValueError``.
+    m below 2 (which has no step to check), an empty kinds list or a kind
+    listed twice (in any spelling) raises ``ValueError``.
     """
     for axis, values in (("n", n_values), ("m", m_values)):
         if not values:
@@ -162,6 +162,8 @@ def recurrence_violations(
         k = _canon_kind(kind)
         if k not in RECURRENCE_FACTORS:
             raise ValueError(f"no one-step recurrence for sigma kind {kind!r}")
+        if k in table:
+            raise ValueError(f"sigma kind {kind!r} names {k}, which is already listed")
         table[k] = RECURRENCE_FACTORS[k]
     if not table:
         raise ValueError("sigma-check needs at least one kind")

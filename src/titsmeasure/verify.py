@@ -5,9 +5,10 @@ finite abstract Brauer-group model and searches them for a witness against
 the claimed property.  A multiset state is a sorted tuple of class indices,
 and the group's index tables do the arithmetic; the motive sums and ring
 normal forms are built from indices too (``_of_keys``), so classes are built
-only where a layer takes them (a quadric's Clifford class) and for witness
-payloads.  Sum cancellation builds each state's sum once and forms every
-pair as the direct sum of two of them, with its own signature; a state's
+only where a layer takes them (a quadric's Clifford class); witness states
+print their coords by the group's ``key_payload``.  Sum cancellation builds
+each state's sum once and forms every pair as the direct sum of two of
+them, with its own signature; a state's
 own signature is kept as the position of the first state signed alike, so
 the pair loop compares integers.  Seeded draws come from one stream per
 bound (``_draws``), the draws of ``_randbelow``, the sampler under
@@ -119,11 +120,11 @@ def _draws(rng: random.Random, n: int) -> Iterator[int]:
 
 
 def _state_payload(group: AbstractGroup, state: Iterable[int]) -> list:
-    return [list(group.class_at(i).coords) for i in sorted(state)]
+    return [group.key_payload(i)["coords"] for i in sorted(state)]
 
 
 def _terms_payload(group: AbstractGroup, terms: dict[int, int]) -> list:
-    return [[list(group.class_at(i).coords), k] for i, k in sorted(terms.items())]
+    return [[group.key_payload(i)["coords"], k] for i, k in sorted(terms.items())]
 
 
 # ---------------------------------------------------------------------------

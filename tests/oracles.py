@@ -10,7 +10,9 @@ formula; every sigma kind by its literal sum over r; the even-Clifford
 class by the pairwise Fraction formula over trial division; a document's
 rational by ``Fraction``'s string parser alone;
 Br(Q) class arithmetic on Fraction residues, place by place; the
-product-matching keys family by family, as lists of int64 counts.
+product-matching keys family by family, as lists of int64 counts; a
+printed class from its key alone, an abstract index by its mixed-radix
+digits and a rational residue by ``str(Fraction)``.
 """
 
 from __future__ import annotations
@@ -607,3 +609,35 @@ def invariants_normal_form(pairs) -> list:
         out += [(invariants_p_part(invs, p), k) for p in primes]
         out.append(((), k * (1 - len(primes))))
     return counter_merge(out)
+
+
+# ---------------------------------------------------------------------------
+# Printed classes, read off the key alone: an abstract index as its
+# mixed-radix digits (first coordinate most significant), a rational key
+# entry (rank, place, a, d) as its place and ``str(Fraction(a, d))``.
+# ---------------------------------------------------------------------------
+
+
+def index_payload(index: int, orders) -> dict:
+    digits = []
+    for n in reversed(orders):
+        index, d = divmod(index, n)
+        digits.append(d)
+    return {"coords": digits[::-1]}
+
+
+def invariants_payload(key) -> dict:
+    return {"invariants": [{"place": "real" if rank == 0 else v, "inv": str(Fraction(a, d))}
+                           for rank, v, a, d in key]}
+
+
+def key_payload(group, key) -> dict:
+    return invariants_payload(key) if group.kind == "rational" else index_payload(key, group.orders)
+
+
+def measure_payload(group, key_terms, key_counts) -> dict:
+    """A printed measure's ring image and effective sum, key by key."""
+    return {
+        "jt": {"terms": [{"class": key_payload(group, kc), "coeff": k} for kc, k in key_terms]},
+        "jt_effective": {"classes": [{**key_payload(group, kc), "mult": k} for kc, k in key_counts]},
+    }

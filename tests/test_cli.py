@@ -972,6 +972,7 @@ EXIT_ONE = {
     "sigma-check-empty-m-range": ("sigma-check", "--m-max", "1"),
     "sigma-check-m-below-two": ("sigma-check", "--m-min", "-3"),
     "sigma-check-empty-kinds": ("sigma-check", "--kinds", ""),
+    "sigma-check-repeated-kind": ("sigma-check", "--kinds", "2even,sigma_2even"),
     "conic-family-bad-prime": ("conic-family", "--primes", "3,x"),
 }
 

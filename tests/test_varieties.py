@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import box_partition_weights, gaussian_binomial
-from titsmeasure import brauer, cli, jsonio, varieties
+from test_witnesses import _true_below_three, _Unrewritten
+from titsmeasure import brauer, cli, jsonio, varieties, verify
 from titsmeasure.brauer import (
     CSA,
     RATIONALS,
@@ -17,6 +18,7 @@ from titsmeasure.brauer import (
     RationalClass,
     ResourceLimitError,
 )
+from titsmeasure.motives import MotiveSum
 from titsmeasure.quadforms import FormShadow, QuadraticForm
 from titsmeasure.varieties import (
     MAX_CLASSES,
@@ -646,7 +648,7 @@ class TestDeduce:
 
 
 class TestClassesBuilt:
-    """Measures run on class keys: a class is built only to be printed."""
+    """Measures run on class keys, and are printed from them: no class is built."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -679,4 +681,29 @@ class TestClassesBuilt:
         report = tits_measure(variety)
         assert built == []
         payload = report.to_payload()
-        assert len(built) == len(payload["jt"]["terms"]) + len(payload["jt_effective"]["classes"])
+        assert payload["jt"]["terms"] and payload["jt_effective"]["classes"]
+        assert built == []
+
+    @pytest.mark.parametrize("x, y", [
+        (sb(AbstractGroup((3000,)), [1], 3000), sb(AbstractGroup((3000,)), [7], 3000)),
+        (Quadric(QuadraticForm.of([1, 1, 2, -2, Fraction(3, 4), -12, 5, 5])), Quadric(QuadraticForm.of([1] * 8))),
+    ], ids=["severi-brauer", "rational-quadrics"])
+    def test_printed_compare_and_deduce_reports_build_no_class(self, built, x, y):
+        verdict, report = compare(x, y), deduce(x, y, True)
+        for printed in (x, y, verdict, report):
+            printed.to_payload()
+        assert built == []
+
+    @pytest.mark.parametrize("suite", ["sum-cancellation", "normal-form-confluence"])
+    def test_a_printed_witness_builds_no_class(self, built, monkeypatch, suite):
+        # A signature coarse past two summands and an unrewritten normal form
+        # make the suites report witnesses: states, and raw and reached terms.
+        group = AbstractGroup((2, 6))
+        if suite == "sum-cancellation":
+            monkeypatch.setattr(MotiveSum, "signature", _true_below_three)
+            run = verify.verify_sum_cancellation(group, card_max=2, trials=0, seed=3)
+        else:
+            monkeypatch.setattr(verify, "RingElement", _Unrewritten)
+            run = verify.verify_normal_form_confluence(group, trials=20, seed=4)
+        assert run.to_payload()["witness"]
+        assert built == []
