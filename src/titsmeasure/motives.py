@@ -23,7 +23,9 @@ stored.  Cost follows the distinct keys, not the rank.  ``key_pairs`` keys
 the (class, integer) pairs of a sum or of a ``measure_ring`` element.
 ``merge``, the one multiset sum of sums and of normal forms, can add pairs
 onto an already merged run, so ``direct_sum`` merges one sum's key counts
-onto the other's.  Every sum is built by one call writing the merged fields.
+onto the other's.  It folds a short run, as nearly every run of a verify
+pass is, in one sort, and sums a long one (a product step's, up to 16,384
+pairs) in a dict.  Every sum is built by one call writing the merged fields.
 """
 
 from __future__ import annotations
@@ -37,11 +39,36 @@ from .brauer import BrauerClass, BrauerGroup, GroupMismatchError, Record, common
 Count = tuple[BrauerClass, int]
 KeyCount = tuple[Hashable, int]
 _mult = itemgetter(1)  # the multiplicity of a (key, multiplicity) pair
+# The longest run ``merge`` folds in one sort.  Up to here sorting the pairs
+# beats a dict's build, sort and zero scan; from 8-16 pairs with repeated
+# keys on, the dict wins (0.31 against 2.2 ms at 8,192 pairs over 64 keys).
+SHORT_RUN = 8
 
 
 def merge(pairs: Iterable[KeyCount], into: Iterable[KeyCount] = ()) -> tuple[KeyCount, ...]:
     """Add the multiplicities of equal keys of ``pairs`` onto ``into``, an
-    already merged run (distinct keys, no zero), drop zeros, sort by key."""
+    already merged run (distinct keys, no zero), drop zeros, sort by key.
+
+    A run ``into`` then ``pairs`` of at most ``SHORT_RUN`` pairs is sorted,
+    and each pair folded into the last kept entry when their keys are equal.
+    A longer run is summed in a dict.  A long list of pairs is summed onto
+    ``dict(into)`` where it is: a copy would touch every pair once more."""
+    if pairs.__class__ is not list or len(pairs) <= SHORT_RUN:
+        run = [*into, *pairs]
+        if len(run) <= SHORT_RUN:
+            run.sort()
+            out = []
+            for pair in run:
+                if out and out[-1][0] == pair[0]:
+                    k = out[-1][1] + pair[1]
+                    if k:
+                        out[-1] = (pair[0], k)
+                    else:
+                        del out[-1]
+                elif pair[1]:
+                    out.append(pair)
+            return tuple(out)
+        pairs, into = run, ()
     mult = dict(into)
     get = mult.get
     for kc, k in pairs:

@@ -33,7 +33,7 @@ from oracles import (
 from titsmeasure.brauer import RATIONALS, AbstractGroup, GroupMismatchError, RationalClass
 from titsmeasure.jsonio import parse_measure_request
 from titsmeasure.measure_ring import RingElement, from_motive_sum
-from titsmeasure.motives import MotiveSum, direct_sum, is_isomorphic, merge, tensor
+from titsmeasure.motives import SHORT_RUN, MotiveSum, direct_sum, is_isomorphic, merge, tensor
 from titsmeasure.varieties import tits_measure
 
 SIGNATURE_GROUPS = [(1,), (1, 2), (2, 2, 2), (8,), (9,), (3, 3), (4, 3), (12,), (210,)]
@@ -145,7 +145,8 @@ MERGE_KEYS = {
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_merging_onto_a_run_is_merging_the_concatenation(kind, coefficients, data):
-    pairs = st.lists(st.tuples(MERGE_KEYS[kind], coefficients), max_size=6)
+    # One draw may hold more pairs than SHORT_RUN, so runs land on both sides.
+    pairs = st.lists(st.tuples(MERGE_KEYS[kind], coefficients), max_size=SHORT_RUN + 2)
     run = merge(data.draw(pairs))
     extra = data.draw(pairs)
     # Negated run entries cancel to zero in the merge.
@@ -153,6 +154,35 @@ def test_merging_onto_a_run_is_merging_the_concatenation(kind, coefficients, dat
     extra = data.draw(st.permutations(extra))
     got = merge(extra, into=run)
     assert got == merge(list(run) + extra) == _counter_merge(list(run) + extra)
+
+
+# (pairs, their merge) over keys 10-12; the filler keys of the test below are
+# 0 and up, so a kept entry of another key sorts before each case.
+MERGE_CASES = {
+    # Sorted, the run of key 11 passes through zero and then goes on.
+    "partial-sum-through-zero": ([(11, 2), (11, -2), (11, 5)], ((11, 5),)),
+    "lone-zero": ([(11, 0)], ()),
+    "cancels-between-two-keys": ([(12, 1), (11, 2), (10, 1), (11, -2)], ((10, 1), (12, 1))),
+}
+
+
+@pytest.mark.parametrize("length", [SHORT_RUN, SHORT_RUN + 1], ids=["at-bound", "past-bound"])
+@pytest.mark.parametrize("spelling", ["list", "zip", "onto-run"])
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_merge_folds_a_run_at_and_past_the_bound(case, spelling, length):
+    # A run of SHORT_RUN pairs is folded in one sort, one pair more goes to
+    # the dict.  A long list is summed where it is, a one-shot iterator
+    # (varieties._cell_sum passes a zip) and a run merged onto are copied.
+    pairs, expected = MERGE_CASES[case]
+    filler = [(i, 1) for i in range(length - len(pairs))]
+    run = pairs + filler[::-1]
+    if spelling == "list":
+        got = merge(run)
+    elif spelling == "zip":
+        got = merge(zip([kc for kc, _ in run], [k for _, k in run]))
+    else:
+        got = merge(pairs, into=tuple(filler))
+    assert got == _counter_merge(run) == tuple(filler) + expected
 
 
 @pytest.mark.parametrize("group", NORMAL_FORM_GROUPS, ids=NORMAL_FORM_IDS)
