@@ -17,8 +17,8 @@ they interleave with the rewrite steps' ``_randbelow`` and ``sample`` calls
 as the public calls would (a test pins it).
 Product matching keys each family by one integer that packs its
 decomposition counts in slots as wide as its largest count, and walks the
-families in enumeration order, each reusing the counts of the prefix it
-shares with the family before it.  A ``VerificationRun`` passes exactly
+families depth first in enumeration order: one frame holds a prefix's counts
+for every family that extends it.  A ``VerificationRun`` passes exactly
 when its search found no witness.  Counterexample witnesses are emitted in
 replayable form; reruns with the same parameters are byte-identical.
 """
@@ -374,8 +374,9 @@ def _matching_keys(d_max: int, m: int, n_dim: int) -> Iterator[tuple[tuple[int, 
     count x in bits [w x, w x + w).  The counts of a prefix grow by one class
     e as acc'[x] = q acc[x] + copies acc[x ^ e], so the counts of a family sum
     to (q + copies)^m and w, the bit length of that sum, holds each of them;
-    keys are compared only within one call.  A family reuses the counts of
-    the prefix it shares with the family before it."""
+    keys are compared only within one call.  The walk is depth first, one
+    frame a prefix, so the families come in ``combinations_with_replacement``
+    order and each prefix's counts are built once."""
     size = 1 << d_max
     copies = 2 if n_dim % 2 == 0 else 1
     q = n_dim - 2
@@ -396,29 +397,22 @@ def _matching_keys(d_max: int, m: int, n_dim: int) -> Iterator[tuple[tuple[int, 
         image = images[e] = (src & mask) << width | (src >> width) & mask
         return image
 
-    accs = [1]  # accs[i]: the packed counts of the family's first i classes
-    images: list[list] = []  # images[i]: the XOR images of accs[i], built on demand
-    previous = (-1,) * m
-    for family in itertools.combinations_with_replacement(range(size), m):
-        # Rebuild from the first position where the family leaves the
-        # previous one, and at least the last class.
-        if family[:-1] == previous[:-1]:
-            i = m - 1
-        else:
-            i = 0
-            while family[i] == previous[i]:
-                i += 1
-        del accs[i + 1:], images[i + 1:]
-        for j in range(i, m):
-            if j == len(images):
-                images.append([accs[j]] + [None] * (size - 1))
-            e = family[j]
-            image = images[j][e]
+    def walk(family: tuple[int, ...], start: int, acc: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        # One frame a prefix: its packed counts acc and their XOR images,
+        # built on demand.  The next class runs from the prefix's last one up.
+        images = [acc] + [None] * (size - 1)
+        last = len(family) == m - 1
+        for e in range(start, size):
+            image = images[e]
             if image is None:
-                image = xor_image(images[j], e)
-            accs.append(q * accs[j] + copies * image)
-        previous = family
-        yield family, accs[m]
+                image = xor_image(images, e)
+            counts = q * acc + copies * image
+            if last:
+                yield family + (e,), counts
+            else:
+                yield from walk(family + (e,), e, counts)
+
+    return walk((), 0, 1)
 
 
 def _matching_witness(d_max: int, m: int, n_dim: int, details: dict) -> dict | None:

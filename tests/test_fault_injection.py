@@ -145,25 +145,33 @@ def _matching_swap_half_width(mp):
     _matching_walk_with(mp, "width, mask = slot * low,", "width, mask = slot * max(low >> 1, 1),")
 
 
-def _matching_stale_key(mp):
-    # The prefix reuse cuts the counts one position late, so a family whose
-    # last class alone changed reads the key of the family before it.
-    _matching_walk_with(mp, "del accs[i + 1:], images[i + 1:]", "del accs[i + 2:], images[i + 1:]")
+def _matching_classes_strictly_rise(mp):
+    # The next position starts one past the prefix's last class, so no
+    # family repeats a class: over (Z/2)^2 with m = 2 the walk keys 6 of the
+    # 10 families, each rightly and apart.  The family count differs from
+    # the reference kernel's on 48 of the 64 grids with d_max <= 3, m <= 4
+    # and n_dim 5 to 8.
+    _matching_walk_with(mp, "walk(family + (e,), e, counts)", "walk(family + (e,), e + 1, counts)")
 
 
-def _matching_stale_images(mp):
-    # The prefix reuse keeps the XOR images past the shared prefix, built from
-    # the previous family's counts: six of the ten keys over (Z/2)^2 with
-    # m = 2 change, yet no two meet (nor on any grid with d_max <= 4, m <= 4
-    # and n_dim 5 to 8); only the walk's direct tests catch it.
-    _matching_walk_with(mp, "del accs[i + 1:], images[i + 1:]", "del accs[i + 1:]")
+def _matching_images_shared(mp):
+    # One image list serves the whole walk, filled from the empty prefix's
+    # counts, so each class adds a unit count at itself where it should add
+    # the prefix's counts moved by it.  Every key of two or more classes
+    # changes, yet the keys stay apart wherever the true ones do: the family
+    # counts match the reference kernel's on all 64 grids with d_max <= 3,
+    # m <= 4 and n_dim 5 to 8.
+    _matching_walk_with(mp, "images = [acc] + [None] * (size - 1)",
+                        "images = walk.__dict__.setdefault('images', [acc] + [None] * (size - 1))")
 
 
 # (fault, the suites that must report it).  quadric-product-matching keys its
 # families by XOR convolution of its own and reads none of the class layers,
-# so only a fault in its own walk reaches it.  A fault that maps each key of
-# a merged run on its own is additive, so the cancellation suites cannot see
-# it.
+# so only a fault in its own walk reaches it, and only when two keys meet: a
+# walk that skips families or keys them wrongly but apart passes.  The walk's
+# own tests check every key and the family order.  A fault that maps each key
+# of a merged run on its own is additive, so the cancellation suites cannot
+# see it.
 CATALOG = [
     (_largest_prime_only, {"relation-equivalence", "sum-cancellation"}),
     # The signature's normal form merges through the fault too: {[1], [1]}
@@ -193,9 +201,10 @@ CATALOG = [
     # Over (Z/2)^2 with m = 2, the families {0, 0} and {1, 1} both sum to 0.
     (_matching_at_dimension_2, {"quadric-product-matching"}),
     (_matching_swap_half_width, {"quadric-product-matching"}),
-    (_matching_stale_key, {"quadric-product-matching"}),
-    # A fault that keeps the keys apart, however wrong, is out of the suite's reach.
-    (_matching_stale_images, set()),
+    # Faults that keep the keys apart, however wrong or few, are out of the
+    # suite's reach.
+    (_matching_classes_strictly_rise, set()),
+    (_matching_images_shared, set()),
 ]
 
 

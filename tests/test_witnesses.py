@@ -8,7 +8,6 @@ witness states are ordered or printed shows up as a byte difference.  The
 whole certificate is pinned too, so its params and details stay as they are.
 """
 
-import itertools
 import json
 
 import pytest
@@ -187,9 +186,9 @@ def test_tensor_cancellation_witness(monkeypatch):
 
 
 def test_quadric_product_matching_witness(monkeypatch):
-    # Two orders of one family share a decomposition, as two distinct
-    # families with one decomposition would.
-    monkeypatch.setattr(itertools, "combinations_with_replacement", lambda *_: iter([(0, 1), (1, 0)]))
+    # Two orders of one family share a key, as two distinct families with
+    # one decomposition would.
+    monkeypatch.setattr(verify, "_matching_keys", lambda *_: iter([((0, 1), 0), ((1, 0), 0)]))
     run = verify.verify_quadric_product_matching(1, 2, 6)
     assert _dump(run) == (
         '{"outcome": "counterexample", "witness": {"family_a": [[0], [1]], "family_b": [[1], [0]]}}'
@@ -198,11 +197,10 @@ def test_quadric_product_matching_witness(monkeypatch):
 
 
 def test_quadric_product_matching_witness_after_a_duplicate_family(monkeypatch):
-    # A repeated family is the same family, not a witness; the reordered
-    # family after it shares no prefix with it and is rebuilt from its first
-    # class.
-    families = [(0, 1), (0, 1), (1, 0)]
-    monkeypatch.setattr(itertools, "combinations_with_replacement", lambda *_: iter(families))
+    # A repeated family is the same family, not a witness, though it meets
+    # its own key again.
+    families = [((0, 1), 0), ((0, 1), 0), ((1, 0), 0)]
+    monkeypatch.setattr(verify, "_matching_keys", lambda *_: iter(families))
     run = verify.verify_quadric_product_matching(1, 2, 6)
     assert _full(run) == CERTIFICATES["matching"]
 
